@@ -142,7 +142,7 @@ def _cost_label(spec):
     if spec.form != "general":
         return "quadratic"
     c = spec.cost
-    if c.kind == "closed_form":
+    if c.kind == "closed_form_cAalpha":
         return f"c_{{{c.A:g},{c.alpha:g}}}"
     return "sampled"
 
@@ -164,7 +164,10 @@ def check_condition(spec, n_per_decade=256, validate=True):
     concavity/limit assumptions (A1-A2); sampled costs that get extrapolated
     beyond their chord range taint a FINITE verdict down to INCONCLUSIVE,
     since linear extrapolation underestimates a superlinear cost.
+    n_per_decade is the Simpson panel count per decade: even and at least 2.
     """
+    if not (n_per_decade >= 2 and n_per_decade % 2 == 0):
+        raise ValueError(f"n_per_decade must be an even integer >= 2 (Simpson panels), got {n_per_decade}")
     if validate:
         rep = check_assumptions(spec.F)
         if not (rep.a1 and rep.a2):

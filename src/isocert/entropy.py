@@ -17,10 +17,19 @@ phi reaches 1:
 and the perturbation psi_{tau,beta} (identity below 1) composes with it so
 that psi_{tau,beta}(F_tau) equals F_{2/beta} exactly.
 
-Phi = (y F(y) - y)^* drives every integrability condition.  Next to the grid
-table (conjugate_Phi) there is a continuous log-space evaluation log_Phi that
-stays exact for arguments far beyond any table's slope range; for F = log it
-reduces to Phi(x) = e^x.
+Phi = (y F(y) - y)^* drives every integrability condition.  log_Phi
+evaluates it in log space, with no table and so no slope range: with
+y = e^u and G(u) = F(e^u), log Phi(x) = max_u u + log(x + 1 - G(u)), whose
+maximiser solves the stationarity condition x + 1 - G(u) = G'(u).  The route
+depends on what the EntropyFunction carries:
+
+  log_phi (exact)    F = log gives log Phi(x) = x; F_tau over log solves a
+                     scalar equation in u by Newton on a closed bracket;
+  otherwise          vectorised Newton on the stationarity residual, with
+                     bisection as a safeguard and derivatives from central
+                     differences of G, stopped on a residual check.
+
+The grid table conjugate_Phi remains as an independent cross-check.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +46,8 @@ class EntropyFunction:
 
     fn_log evaluates F(e^u) directly from u, so that integrability sweeps can
     reach arguments like e^1500 without overflowing; builders supply it for
-    the closed-form families.
+    the closed-form families.  log_phi, when present, is the exact log Phi
+    (see log_Phi), which then skips the generic stationarity solve.
     """
 
     fn: Callable
@@ -47,6 +57,7 @@ class EntropyFunction:
     tau: Optional[float] = None
     x0: Optional[float] = None
     beta: Optional[float] = None
+    log_phi: Optional[Callable] = None
 
     def __call__(self, y):
         return self.fn(np.asarray(y, dtype=float))
@@ -74,6 +85,7 @@ def log_entropy():
         fn=lambda y: np.log(y),
         dfn=lambda y: 1.0 / y,
         fn_log=lambda u: u,
+        log_phi=lambda x: np.array(x, dtype=float),
         name="log",
         tau=1.0,
         x0=float(np.e),
@@ -108,12 +120,51 @@ def eval_F_tau(phi, tau, x):
     return np.where(p <= 1.0, p, upper)
 
 
+def _F_tau_log_phi(tau):
+    """Exact log Phi for F_tau over log, where G(u) = F(e^u) = u up to u = 1.
+
+    For x <= 1 the maximiser is u* = x and log Phi(x) = x.  Above, u* solves
+    (u^tau - 1)/tau + 1 + u^(tau-1) = x + 1, whose left side increases for
+    u > 1 and lies within 1 of (u^tau - 1)/tau + 1, which brackets the root by
+    [(1 + tau (x - 1))^(1/tau), (1 + tau x)^(1/tau)].  The value is then
+    u* + log G'(u*) = u* + (tau - 1) log u*, equal to the objective at the
+    root but free of the cancellation in x + 1 - G(u*) when G'(u*) is tiny.
+    """
+
+    def resid(u, x):
+        log_u = np.log(u)
+        p = np.exp((tau - 1.0) * log_u)
+        return np.expm1(tau * log_u) / tau + p - x, p / u * (u + tau - 1.0)
+
+    def log_phi(x):
+        out = np.array(x, dtype=float)
+        big = out > 1.0
+        if np.any(big):
+            xb = out[big]
+            with np.errstate(over="ignore"):
+                lo = np.exp(np.log1p(tau * (xb - 1.0)) / tau)
+                hi = np.exp(np.log1p(tau * xb) / tau)
+                # one step of the map whose fixed point is the root
+                u0 = np.exp(np.log1p(tau * (xb - lo ** (tau - 1.0))) / tau)
+            u = np.full_like(xb, np.inf)  # a root past float range: Phi overflows
+            ok = u0 < np.inf
+            # the residual carries rounding noise of a few ulp of x
+            u[ok] = _increasing_root(resid, xb[ok], u0[ok], 8.0 * _EPS * (1.0 + xb[ok]), lo[ok], hi[ok])
+            with np.errstate(invalid="ignore"):
+                out[big] = np.where(ok, u + (tau - 1.0) * np.log(u), np.inf)
+        return out
+
+    return log_phi
+
+
 def F_tau(tau, phi=None):
     """Build the F_tau profile as an EntropyFunction (base defaults to log)."""
-    if phi is None:
-        phi = log_entropy()
     if not 0 < tau <= 1:
         raise ValueError("tau must lie in (0, 1]")
+    log_phi = None
+    if phi is None:
+        phi = log_entropy()
+        log_phi = _F_tau_log_phi(tau)
     x0 = _bisect_increasing(lambda x: float(phi(np.array([x]))[0]), 1.0, 1.0, 1e9)
 
     def fn(y):
@@ -131,7 +182,9 @@ def F_tau(tau, phi=None):
             upper = (np.maximum(pl, 0.0) ** tau - 1.0) / tau + 1.0
         return np.where(pl <= 1.0, pl, upper)
 
-    return EntropyFunction(fn=fn, dfn=dfn, fn_log=fn_log, name=f"F_tau({phi.name},{tau:g})", tau=tau, x0=x0)
+    return EntropyFunction(
+        fn=fn, dfn=dfn, fn_log=fn_log, name=f"F_tau({phi.name},{tau:g})", tau=tau, x0=x0, log_phi=log_phi
+    )
 
 
 def eval_psi_tau_beta(tau, beta, x):
@@ -174,68 +227,123 @@ def conjugate_Phi(F, x_grid, y_min=1e-8, y_max=1e8, n=16384):
     return legendre_transform((y, g), x_grid)
 
 
-def _phi_objective(F, x, u):
-    """log of the conjugate integrand: u + log(x + 1 - F(e^u)), -inf outside."""
-    rem = x + 1.0 - F.at_log(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = u + np.log(rem)
-    return np.where(rem > 0, val, -np.inf)
+_EPS = float(np.finfo(float).eps)
+_ROOT_ITERATIONS = 200
+_FD_STEP = 1e-4  # central-difference step in u, relative to max(1, |u|)
+# |u| bounds of the generic search: F(e^u) without a log form is fn(e^u),
+# which overflows past e^700 (699.9 keeps the stencil below it); with one,
+# the search goes as far as 2^64.
+_U_EVAL = 699.9
+_U_LIMIT = 2.0 ** 64
 
 
-def log_Phi(F, x, iters=140):
-    """log Phi(x) by maximizing u + log(x + 1 - F(e^u)) over u.
+def _increasing_root(resid, x, u, tol, lo=-np.inf, hi=np.inf, bound=np.inf):
+    """Zeros of increasing residuals r(u; x), one per entry of x, vectorised.
 
-    The objective is unimodal for admissible F (the remainder term decreases
-    through the stationary point x + 1 - F(y) = y F'(y)); golden-section runs
-    vectorized over x.  Exact overflow-free route for large arguments: for
-    F = log it returns x identically.
+    resid(u, x) returns (r, dr/du).  The search starts at u with the bracket
+    (lo, hi), r(lo) <= 0 <= r(hi), either end possibly infinite, and never
+    evaluates r at |u| >= bound.  While the root's side of the bracket is
+    open the search walks out: the Newton step, but at least twice the last
+    step and at most a radius that starts at max(1, |u|, |x|) and doubles.
+    Once closed it is rtsafe: the Newton step when it stays inside and at
+    least halves the step before last, otherwise bisection.  A step that
+    would reach the bound goes halfway to it instead.  An entry stops once
+    |r| <= tol, its Newton step or bracket shrinks to rounding level, or it
+    reaches the bound; only unfinished entries are evaluated again.
+    """
+    u = np.array(u, dtype=float)
+    lo, hi, tol = (np.array(np.broadcast_to(a, u.shape), dtype=float) for a in (lo, hi, tol))
+    radius = np.maximum(1.0, np.maximum(np.abs(u), np.abs(x)))
+    step = np.where(np.isfinite(hi - lo), hi - lo, 0.0)
+    step_old = step.copy()
+    todo = np.arange(u.size)
+    ua, xa = u, x
+    for _ in range(_ROOT_ITERATIONS):
+        u[todo] = ua
+        r, dr = resid(ua, xa)
+        lo = np.where(r < 0, ua, lo)
+        hi = np.where(r > 0, ua, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = ua - r / dr
+        ulp = 4.0 * _EPS * np.maximum(1.0, np.abs(ua))
+        done = (np.abs(r) <= tol) | (np.abs(newton - ua) <= ulp) | (hi - lo <= ulp) | np.isnan(r)
+        done |= bound - np.abs(ua) <= ulp
+        keep = ~done
+        if not np.any(keep):
+            return u
+        todo, ua, xa, r, lo, hi, tol, newton, radius, step, step_old = (
+            a[keep] for a in (todo, ua, xa, r, lo, hi, tol, newton, radius, step, step_old)
+        )
+        closed = np.isfinite(lo) & np.isfinite(hi)
+        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
+        rtsafe = np.where(inside & (np.abs(newton - ua) <= 0.5 * np.abs(step_old)), newton, 0.5 * (lo + hi))
+        walk = np.fmin(np.fmax(np.where(inside, np.abs(newton - ua), 0.0), 2.0 * np.abs(step)), radius)
+        walk = np.where(walk > 0, walk, radius)
+        nxt = np.where(closed, rtsafe, ua - np.sign(r) * walk)
+        nxt = np.where(np.abs(nxt) < bound, nxt, 0.5 * (ua + np.sign(nxt) * bound))
+        radius = np.where(closed, radius, 2.0 * radius)
+        step_old, step, ua = step, nxt - ua, nxt
+    raise ValueError("the stationarity condition of log Phi did not converge")
+
+
+def _stationarity_residual(F):
+    """The residual r(u; x) = G(u) + G'(u) - (x + 1), G(u) = F(e^u), and its
+    slope G' + G'', with G' and G'' from central differences in u over one
+    stacked F.at_log call."""
+
+    def resid(u, x):
+        h = _FD_STEP * np.maximum(1.0, np.abs(u))
+        up, um = u + h, u - h
+        gm, g0, gp = np.split(F.at_log(np.concatenate((um, u, up))), 3)
+        with np.errstate(invalid="ignore"):
+            d1 = (gp - gm) / (up - um)
+            d2 = (gp - 2.0 * g0 + gm) / (0.25 * (up - um) ** 2)
+        return g0 + d1 - (x + 1.0), d1 + d2
+
+    return resid
+
+
+def log_Phi(F, x):
+    """log Phi(x) = max over u of u + log(x + 1 - G(u)), G(u) = F(e^u).
+
+    The maximiser u* solves the stationarity condition x + 1 - G(u) = G'(u);
+    the residual G(u) + G'(u) - (x + 1) = (yF)'(y) - (x + 1) increases in u
+    for admissible F, so the objective is unimodal.  Three routes, chosen by
+    what F carries:
+
+      log_entropy()    log_phi is exact: log Phi(x) = x;
+      F_tau(tau)       log_phi solves the scalar stationarity equation of
+                       F_tau over log (see _F_tau_log_phi);
+      anything else    vectorised Newton on the residual, safeguarded by
+                       bisection, with G' and G'' from central differences
+                       in u, stopped on a residual check; then
+                       u* + log(x + 1 - G(u*)), insensitive to first-order
+                       errors in u*.
+
+    The result never drops below the y = 1 ordinate log1p(x).  The generic
+    route evaluates F(e^u) past u = 700 only through F.fn_log; without it a
+    root beyond e^700 raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x).astype(float)
-
-    # bracket the zero of x + 1 - F(e^u): the maximizer lies below it.  For
-    # negative x the zero sits far left (F(e^u) -> -inf as u -> -inf), so the
-    # lower end of the bracket scales with x.
-    lo = np.minimum(-40.0, 1.5 * x - 10.0)
-    for _ in range(64):
-        sunk = F.at_log(lo) < x + 1.0
-        if np.all(sunk):
-            break
-        lo = np.where(sunk, lo, 2.0 * lo - 10.0)
-    hi = np.full_like(x, 1.0)
-    for _ in range(64):
-        need = F.at_log(hi) < x + 1.0
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-        if np.all(hi > 1e9):
-            raise ValueError("F does not reach the requested level; A2 growth violated")
-    lo_root, hi_root = lo.copy(), hi
-    for _ in range(120):
-        mid = 0.5 * (lo_root + hi_root)
-        below = F.at_log(mid) < x + 1.0
-        lo_root = np.where(below, mid, lo_root)
-        hi_root = np.where(below, hi_root, mid)
-    u_root = lo_root
-
-    a = lo
-    b = u_root
-    inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_gold * (b - a)
-    d = a + inv_gold * (b - a)
-    fc = _phi_objective(F, x, c)
-    fd = _phi_objective(F, x, d)
-    for _ in range(iters):
-        take_left = fc >= fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        c = b - inv_gold * (b - a)
-        d = a + inv_gold * (b - a)
-        fc = _phi_objective(F, x, c)
-        fd = _phi_objective(F, x, d)
-    u_star = 0.5 * (a + b)
-    out = _phi_objective(F, x, u_star)
+    if F.log_phi is not None:
+        out = np.asarray(F.log_phi(x), dtype=float)
+    else:
+        bound = _U_LIMIT if F.fn_log is not None else _U_EVAL
+        tol = 1e-10 * (1.0 + np.abs(x))
+        u = _increasing_root(_stationarity_residual(F), x, np.clip(x, -50.0, 50.0), tol, bound=bound)
+        # a root at the upper bound lies beyond it; at the lower bound there
+        # is none, the objective only grows as y -> 0
+        if np.any(u >= bound * (1.0 - 1e-9)):
+            if F.fn_log is not None:
+                raise ValueError("F does not reach the requested level; A2 growth violated")
+            raise ValueError(
+                f"Phi for entropy {F.name} needs F(e^u) beyond u = 700, but {F.name} has no log-form evaluation (fn_log)"
+            )
+        rem = x + 1.0 - F.at_log(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(rem > 0, u + np.log(rem), -np.inf)
     # the sup is never below the y = 1 ordinate, log(x + 1 - F(1)) = log1p(x),
     # which exists only for x > -1
     floor = np.where(x > -1.0, np.log1p(np.where(x > -1.0, x, 0.0)), -np.inf)
@@ -348,5 +456,5 @@ def lemma32_bound_check(F, delta, y_range=(1.0, 1e6), n=2000):
     m = y2d * (-np.expm1(np.minimum(lp[i0:] - 2.0 * delta * np.log(y[i0:]), 50.0)))
     # the log-space evaluation cannot resolve margins below a few ulp of
     # y^{2 delta}; negatives inside that noise floor are certified zeros
-    m = np.where((m < 0) & (m > -64 * np.finfo(float).eps * y2d), 0.0, m)
+    m = np.where((m <= 0) & (m > -64 * np.finfo(float).eps * y2d), 0.0, m)
     return Lemma32Report(delta=delta, T=float(y[i0]), min_margin=float(np.min(m)), status="ok", y_range=y_range)

@@ -126,6 +126,16 @@ class TestSpecValidation:
             check_exp_power(1.5, 0.5)  # below 2(1 - 1/alpha) = 2/3
 
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, -2])
+    def test_simpson_panel_count_must_be_even_and_at_least_two(self, gauss, F_log, n):
+        with pytest.raises(ValueError, match="n_per_decade"):
+            check_condition(ConditionSpec(gauss, F_log, delta=0.5, K=2.0, form="quadratic"), n_per_decade=n)
+
+    def test_smallest_even_panel_count_runs(self, gauss, F_log):
+        rep = check_condition(ConditionSpec(gauss, F_log, delta=0.5, K=2.0, form="quadratic"), n_per_decade=2)
+        assert rep.integral_estimate > 0
+
+
 class TestTruncationDowngrade:
     def test_short_cost_grid_downgrades_finite_to_inconclusive(self, gauss, F_log):
         # quadratic samples that stop short of the needed argument range
@@ -152,6 +162,23 @@ class TestSerialization:
                     "entropy", "cost"):
             assert key in d
         assert d["measure"] == "gauss" and d["entropy"] == "log"
+        assert d["cost"] == "quadratic"
+
+    def test_closed_form_cost_is_labelled_by_its_parameters(self, gauss, F_log):
+        cost = CostFunction.closed_form(1.0, 2.0)
+        rep = check_condition(ConditionSpec(gauss, F_log, cost=cost, delta=0.5, K=2.0, form="general"))
+        assert rep.cost_name == "c_{1,2}"
+        assert rep.to_json_dict()["cost"] == "c_{1,2}"
+
+    def test_sampled_cost_is_labelled_sampled(self, gauss, F_log):
+        xs = np.linspace(0.0, 100.0, 4097)
+        cost = CostFunction.from_samples(xs, 0.5 * xs * xs)
+        rep = check_condition(ConditionSpec(gauss, F_log, cost=cost, delta=0.5, K=2.0, form="general"))
+        assert rep.cost_name == "sampled"
+
+    def test_exp_power_cost_run_names_its_dual_exponent(self):
+        rep = check_exp_power(1.5, 1.0, n_grid=4096)
+        assert rep.run_cost.cost_name == "c_{1,1.5}"
 
 
 class TestGrowthCondition:

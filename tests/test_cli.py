@@ -226,6 +226,21 @@ class TestCheckCommand:
             main(["check", "--form", "pentagonal"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n", ["0", "3"])
+    def test_bad_panel_count_exits_two(self, n, capsys):
+        rc = main(["check", "--measure", "gauss", "--entropy", "log", "--cost", "quadratic:0.5",
+                   "--K", "2", "--n-per-decade", n])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "n_per_decade" in captured.err
+        assert captured.out == ""
+
+    def test_entropy_without_log_form_beyond_e700_exits_two(self, capsys):
+        rc = main(["check", "--measure", "exp", "--entropy", "expr:log(x)", "--cost", "c:1:3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "log-form" in err
+
 
 class TestTestCommand:
     def test_out_writes_json_and_csv(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from isocert.entropy import (
     EntropyFunction,
@@ -17,6 +18,7 @@ from isocert.entropy import (
     log_entropy,
     psi_derivative,
 )
+from isocert.expr import parse_potential
 
 
 class TestLogEntropy:
@@ -145,6 +147,86 @@ class TestPhiTransform:
         # flattening the profile enlarges the transform
         x = np.array([1.0, 3.0, 10.0])
         assert np.all(log_Phi(F_half, x) >= x - 1e-9)
+
+
+def _oracle_log_Phi(G, dG, x):
+    """log Phi(x) from scipy's brentq on the stationarity residual
+    G(u) + G'(u) - (x + 1), evaluated as u* + log G'(u*) (= the objective
+    u + log(x + 1 - G(u)) at the root) and floored at log1p(x)."""
+    r = lambda u: G(u) + dG(u) - (x + 1.0)
+    lo, hi = -1.0, 1.0
+    while r(lo) > 0:
+        lo *= 2.0
+    while r(hi) < 0:
+        hi *= 2.0
+    u = brentq(r, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=400)
+    value = u + np.log(dG(u))
+    return max(value, np.log1p(x)) if x > -1 else value
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
+
+
+def _root_power(p, tau):
+    """(p^tau - 1)/tau + 1 above p = 1, p below, and its p-slope."""
+    if p <= 1.0:
+        return p, 1.0
+    return np.expm1(tau * np.log(p)) / tau + 1.0, p ** (tau - 1.0)
+
+
+class TestLogPhiOracle:
+    """log_Phi against an independent root finder (scipy brentq) on the
+    stationarity condition x + 1 - G(u) = G'(u), G(u) = F(e^u)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(-50.0, 1e4))
+    def test_log_is_exact(self, x):
+        xs = np.array([x, -x, 0.5 * x])
+        assert np.array_equal(log_Phi(log_entropy(), xs), xs)
+        assert log_Phi(log_entropy(), x) == x
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=st.floats(1e-6, 1.0), x=st.floats(-20.0, 300.0))
+    def test_F_tau_over_log(self, tau, x):
+        G = lambda u: _root_power(u, tau)[0]
+        dG = lambda u: _root_power(u, tau)[1]
+        _assert_close(log_Phi(F_tau(tau), x), _oracle_log_Phi(G, dG, x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau=st.floats(0.05, 1.0), x=st.floats(-2.5, 300.0))
+    def test_F_tau_over_a_non_log_base(self, tau, x):
+        # base phi(y) = 2 (sqrt(y) - 1), with phi(e^u) = 2 (e^{u/2} - 1)
+        phi = EntropyFunction(
+            fn=lambda y: 2.0 * (np.sqrt(y) - 1.0),
+            dfn=lambda y: 1.0 / np.sqrt(y),
+            fn_log=lambda u: 2.0 * np.expm1(0.5 * np.asarray(u, dtype=float)),
+            name="sqrt",
+        )
+        F = F_tau(tau, phi)
+        assert F.log_phi is None
+        G = lambda u: _root_power(2.0 * np.expm1(0.5 * u), tau)[0]
+        dG = lambda u: _root_power(2.0 * np.expm1(0.5 * u), tau)[1] * np.exp(0.5 * u)
+        _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(-2.5, 300.0))
+    def test_expr_entropy(self, x):
+        expr = parse_potential("2*(x^0.5-1)")
+        F = EntropyFunction(fn=lambda y: np.asarray(expr(y), dtype=float), name="expr")
+        G = lambda u: 2.0 * np.expm1(0.5 * u)
+        dG = lambda u: np.exp(0.5 * u)
+        _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
+
+    def test_vector_matches_scalar_calls(self, F_half):
+        x = np.linspace(-5.0, 80.0, 37)
+        assert np.array_equal(log_Phi(F_half, x), np.array([log_Phi(F_half, v) for v in x]))
+
+    def test_missing_log_form_is_a_value_error(self):
+        fplain = EntropyFunction(fn=lambda y: np.log(y), name="plainlog")
+        assert log_Phi(fplain, 300.0) == pytest.approx(300.0, rel=1e-12)
+        with pytest.raises(ValueError, match="log-form"):
+            log_Phi(fplain, np.array([1.0, 2000.0]))
 
 
 class TestAssumptionChecks:
