@@ -404,9 +404,7 @@ def _cmd_certify(cfg: RunConfig) -> int:
     spec = _make_condition_spec(cfg)
     check_report = check_condition(spec, n_per_decade=cfg.n_per_decade)
     family = _build_family(cfg)
-    form, _, cost = _build_cost(cfg)
-    if form == "quadratic" or cost is None:
-        cost = CostFunction.closed_form(1.0, 2.0)
+    cost = spec.cost if spec.cost is not None else CostFunction.closed_form(1.0, 2.0)
     test_report = verify_theorem_2_1(spec.measure, spec.F, cost, cfg.K, family)
 
     margins_ok = all(row["ok"] for row in test_report.details["step1"])

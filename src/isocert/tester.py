@@ -7,6 +7,16 @@ grid cells with proportional boundary contributions.  Best-constant
 estimates are suprema over *finite* test-function families, so they are
 reported as lower bounds for the true constants, never as certificates.
 
+The three `verify_theorem_*` routines share one ratio engine.  Each supplies a
+per-member `terms` function returning its entropy side, variance term, energy
+term and ratio denominator; `_ratio_table` adds the theorem-independent
+columns (classical entropy, gradient energy, median energy, saturation) and
+the member's parameter, and `_enrichment` reruns `terms` alone on the enriched
+family for the stability check.  A member's ratio is entropy/denominator when
+the denominator is positive, +inf when a positive entropy meets a vanishing
+denominator, and NaN (no evidence) otherwise; C_hat is the largest non-NaN
+ratio, or 0 when there is none, so every reported ratio is at most C_hat.
+
 Family members are evaluated independently and reduced in parameter order,
 so reports are deterministic.
 """
@@ -14,7 +24,7 @@ so reports are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -200,33 +210,13 @@ class TestFamily:
         """A denser version of the family: midpoints between consecutive
         parameters for numeric kinds, doubled member count for random_smooth.
         User families cannot be enriched and are returned unchanged."""
-        if self.kind == "random_smooth":
-            n = len(self.params)
-            return TestFamily(
-                kind=self.kind,
-                params=tuple(range(2 * n)),
-                floor=self.floor,
-                seed=self.seed,
-                scale=self.scale,
-                exponent=self.exponent,
-                smoothing=self.smoothing,
-                n_terms=self.n_terms,
-            )
         if self.kind == "user":
             return self
+        if self.kind == "random_smooth":
+            return replace(self, params=tuple(range(2 * len(self.params))))
         ps = sorted(float(p) for p in self.params)
         mids = [0.5 * (a + b) for a, b in zip(ps[:-1], ps[1:])]
-        return TestFamily(
-            kind=self.kind,
-            params=tuple(sorted(ps + mids)),
-            floor=self.floor,
-            seed=self.seed,
-            scale=self.scale,
-            exponent=self.exponent,
-            smoothing=self.smoothing,
-            n_terms=self.n_terms,
-            user_fns=self.user_fns,
-        )
+        return replace(self, params=tuple(sorted(ps + mids)))
 
 
 def _as_sampled(mu: Measure1D, f) -> SampledFunction:
@@ -403,9 +393,9 @@ class TestRow:
     modified_energy holds the theorem's paired energy term: f^2 c*(|f'|/f)
     for the quadratic/cost forms, the beta-gradient energy for the
     power-entropy display.  variance likewise holds the theorem's variance
-    term.  ratio is the member's entropy/energy quotient (NaN when both sides
-    vanish), and saturation marks members with classical_entropy equal to
-    2 * grad_energy within one part in a thousand."""
+    term.  ratio is the member's entropy over the theorem's energy side
+    (see _ratio), and saturation marks members with classical_entropy equal
+    to 2 * grad_energy within one part in a thousand."""
 
     name: str
     parameter: float
@@ -419,25 +409,6 @@ class TestRow:
     saturation: bool
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return None
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    return x
-
-
 @dataclass(frozen=True)
 class TestReport:
     """Family-level verification report.
@@ -446,7 +417,8 @@ class TestReport:
     constant); B_hat, when present, is the least additive constant making the
     target display hold across the family.  details carries the
     theorem-specific extras (second-display constants, stability runs,
-    explicit-bound margins)."""
+    explicit-bound margins).  to_json_dict keeps NaN and infinities as floats;
+    the CLI serializer writes them as null and "inf"/"-inf"."""
 
     family_kind: str
     rows: Tuple[TestRow, ...]
@@ -457,82 +429,103 @@ class TestReport:
     def to_json_dict(self):
         return {
             "family": self.family_kind,
-            "C_hat": _jsonable(self.C_hat),
-            "B_hat": _jsonable(self.B_hat),
-            "rows": [
-                {
-                    "name": r.name,
-                    "parameter": _jsonable(r.parameter),
-                    "entropy_F": _jsonable(r.entropy_F),
-                    "classical_entropy": _jsonable(r.classical_entropy),
-                    "variance": _jsonable(r.variance),
-                    "grad_energy": _jsonable(r.grad_energy),
-                    "modified_energy": _jsonable(r.modified_energy),
-                    "median_energy": _jsonable(r.median_energy),
-                    "ratio": _jsonable(r.ratio),
-                    "saturation": bool(r.saturation),
-                }
-                for r in self.rows
-            ],
-            "details": _jsonable(self.details),
+            "C_hat": self.C_hat,
+            "B_hat": self.B_hat,
+            "rows": [asdict(r) for r in self.rows],
+            "details": self.details,
         }
 
     def to_csv_text(self):
-        cols = (
-            "name,parameter,entropy_F,classical_entropy,variance,grad_energy,"
-            "modified_energy,median_energy,ratio,saturation"
-        )
-        lines = [cols]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.name,
-                        "%.17g" % r.parameter,
-                        "%.17g" % r.entropy_F,
-                        "%.17g" % r.classical_entropy,
-                        "%.17g" % r.variance,
-                        "%.17g" % r.grad_energy,
-                        "%.17g" % r.modified_energy,
-                        "%.17g" % r.median_energy,
-                        "%.17g" % r.ratio,
-                        "true" if r.saturation else "false",
-                    ]
-                )
-            )
+        def cell(v):
+            if isinstance(v, str):
+                return v
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return "%.17g" % v
+
+        names = [f.name for f in fields(TestRow)]
+        lines = [",".join(names)]
+        lines += [",".join(cell(getattr(r, n)) for n in names) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
-def _sup_ratio(pairs):
-    """Least constant C with num <= C * den across pairs; 0/0 pairs are
-    skipped, positive/0 pairs force +inf."""
-    best = 0.0
-    seen = False
-    for num, den in pairs:
-        if den > 0:
-            best = max(best, num / den)
-            seen = True
-        elif num > 0:
-            return float("inf"), True
-    return (best, seen) if seen else (float("nan"), False)
+# -- the ratio engine --------------------------------------------------------------
 
 
-def _base_row(mu, sf):
-    classical = entropy_functional(mu, sf, log_entropy())
-    grad = cost_energy(mu, sf, 2.0)
-    sat = grad > 0 and abs(classical / (2.0 * grad) - 1.0) <= _SATURATION_TOL
+def _ratio(num: float, den: float) -> float:
+    """num / den for den > 0; +inf when a positive num meets a vanishing den;
+    NaN (no evidence) otherwise."""
+    if den > 0:
+        return num / den
+    return float("inf") if num > 0 else float("nan")
+
+
+def _sup_ratio(ratios) -> float:
+    """The reported constant: the largest non-NaN ratio, and 0.0 when there is
+    none or all are negative."""
+    return max([0.0] + [r for r in ratios if not math.isnan(r)])
+
+
+def _parameter(label) -> float:
     try:
-        param = float(sf.name.split("(")[1].rstrip(")"))
-    except (IndexError, ValueError):
-        param = float("nan")
-    return {
-        "name": sf.name,
-        "parameter": param,
-        "classical_entropy": classical,
-        "grad_energy": grad,
-        "median_energy": median_energy(mu, sf),
-        "saturation": bool(sat),
-    }
+        return float(label)
+    except (TypeError, ValueError):
+        return float("nan")
+
+
+def _ratio_table(mu: Measure1D, family: TestFamily, terms):
+    """Rows and C_hat for one family.  terms(sf) returns the member's
+    (entropy side, variance term, energy term, ratio denominator); the
+    theorem-independent columns are computed here."""
+    members = family.members(mu)
+    if not members:
+        raise ValueError("family is empty")
+    F_log = log_entropy()
+    rows = []
+    for sf, label in zip(members, family._ordered_params()):
+        lhs, var, energy, den = terms(sf)
+        classical = entropy_functional(mu, sf, F_log)
+        grad = cost_energy(mu, sf, 2.0)
+        rows.append(
+            TestRow(
+                name=sf.name,
+                parameter=_parameter(label),
+                entropy_F=lhs,
+                classical_entropy=classical,
+                variance=var,
+                grad_energy=grad,
+                modified_energy=energy,
+                median_energy=median_energy(mu, sf),
+                ratio=_ratio(lhs, den),
+                saturation=bool(grad > 0 and abs(classical / (2.0 * grad) - 1.0) <= _SATURATION_TOL),
+            )
+        )
+    return tuple(rows), _sup_ratio(r.ratio for r in rows)
+
+
+def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float) -> dict:
+    """C_hat over the enriched family (terms only, no rows) and whether it
+    stays within 10% of c_hat."""
+    c_enr = _sup_ratio(_ratio(lhs, den) for lhs, _, _, den in map(terms, family.enriched().members(mu)))
+    stable = bool(np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10)
+    return {"C_hat_enriched": c_enr, "stable": stable}
+
+
+def _step1_constant(F: EntropyFunction, K: float) -> float:
+    """(4(K+1)^2 + 2 + (sqrt K + 1)^2) F'(1), the explicit constant of the
+    truncated-layer variance bound; requires K > 1."""
+    if not K > 1.0:
+        raise ValueError("K must exceed 1")
+    fprime1 = float(np.asarray(F.derivative(np.array([1.0])))[0])
+    return (4.0 * (K + 1.0) ** 2 + 2.0 + (math.sqrt(K) + 1.0) ** 2) * fprime1
+
+
+def _level_entropy(F: EntropyFunction, v: np.ndarray, m2: float) -> np.ndarray:
+    """F(f^2 / mu(f^2)) where f > 0, and 0 elsewhere."""
+    out = np.zeros_like(v)
+    pos = v > 0
+    out[pos] = np.asarray(F(v[pos] ** 2 / m2), dtype=float)
+    return out
 
 
 # -- theorem-level verification ---------------------------------------------------
@@ -549,21 +542,12 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
     Callers are expected to have certified the (measure, entropy, cost)
     triple finite beforehand; this routine checks only K > 1 and a nonempty
     family."""
-    if not K > 1.0:
-        raise ValueError("K must exceed 1")
-    members = family.members(mu)
-    if not members:
-        raise ValueError("family is empty")
-
-    fprime1 = float(np.asarray(F.derivative(np.array([1.0])))[0])
-    c_step = (4.0 * (K + 1.0) ** 2 + 2.0 + (math.sqrt(K) + 1.0) ** 2) * fprime1
-
-    rows = []
-    pairs = []
-    b15 = 0.0
-    b16 = 0.0
+    c_step = _step1_constant(F, K)
+    b15 = [0.0]
+    b16 = [0.0]
     step_rows = []
-    for sf in members:
+
+    def terms(sf):
         v = sf.values
         m2 = mu.integrate(v * v)
         lhs = entropy_functional(mu, sf, F)
@@ -571,25 +555,16 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
         integrand = _modified_integrand(mu, sf, cost)
         full_energy = float(mu.integrate(integrand))
         restricted = _restricted_integral(mu, integrand, v * v - K * m2)
-        b15_member = max(0.0, (lhs - 4.0 * restricted) / m2)
-        b15 = max(b15, b15_member)
+        b15.append(max(0.0, (lhs - 4.0 * restricted) / m2))
 
-        m1 = mu.integrate(v)
-        cen = _centered_integrand(sf, cost, m1)
-        e16 = float(mu.integrate(cen))
+        e16 = float(mu.integrate(_centered_integrand(sf, cost, mu.integrate(v))))
         if var > 0:
-            b16_member = max(0.0, (lhs - 4.0 * e16) / var) if np.isfinite(e16) else 0.0
+            b16.append(max(0.0, (lhs - 4.0 * e16) / var) if np.isfinite(e16) else 0.0)
         else:
-            b16_member = 0.0 if lhs <= 4.0 * e16 else float("inf")
-        b16 = max(b16, b16_member)
+            b16.append(0.0 if lhs <= 4.0 * e16 else float("inf"))
 
         # truncated layer integral and its explicit variance bound
-        h = np.zeros_like(v)
-        pos = v > 0
-        h[pos] = v[pos] ** 2 / m2
-        g_arr = np.zeros_like(v)
-        g_arr[pos] = np.asarray(F(h[pos]), dtype=float)
-        i1 = float(mu.integrate(g_arr * np.minimum(v * v, K * m2)))
+        i1 = float(mu.integrate(_level_entropy(F, v, m2) * np.minimum(v * v, K * m2)))
         bound = c_step * var
         step_rows.append(
             {
@@ -600,35 +575,17 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
                 "ok": bool(i1 <= bound + 1e-9 * max(1.0, abs(bound))),
             }
         )
+        return lhs, var, full_energy, full_energy
 
-        ratio = lhs / full_energy if full_energy > 0 else (float("inf") if lhs > 0 else float("nan"))
-        if not (full_energy == 0 and lhs == 0):
-            pairs.append((lhs, full_energy))
-        base = _base_row(mu, sf)
-        rows.append(
-            TestRow(
-                name=base["name"],
-                parameter=base["parameter"],
-                entropy_F=lhs,
-                classical_entropy=base["classical_entropy"],
-                variance=var,
-                grad_energy=base["grad_energy"],
-                modified_energy=full_energy,
-                median_energy=base["median_energy"],
-                ratio=ratio,
-                saturation=base["saturation"],
-            )
-        )
-
-    c_hat, seen = _sup_ratio(pairs)
+    rows, c_hat = _ratio_table(mu, family, terms)
     return TestReport(
         family_kind=family.kind,
-        rows=tuple(rows),
-        C_hat=c_hat if seen else 0.0,
-        B_hat=b15,
+        rows=rows,
+        C_hat=c_hat,
+        B_hat=max(b15),
         details={
             "K": K,
-            "B16_hat": b16,
+            "B16_hat": max(b16),
             "C16_used": 4.0,
             "step1_constant": c_step,
             "step1": step_rows,
@@ -655,55 +612,16 @@ def verify_theorem_1_1(alpha: float, tau: float, A: float, family: TestFamily, n
     # pre-dualized so the energy integrand applies c_{A,q} itself
     cost = dual_cost(CostFunction.closed_form(A, q))
 
-    def run(fam):
-        members = fam.members(mu)
-        if not members:
-            raise ValueError("family is empty")
-        rows = []
-        pairs = []
-        for sf in members:
-            lhs = entropy_functional(mu, sf, F)
-            energy = modified_energy(mu, sf, cost)
-            skip = energy == 0 and lhs == 0
-            ratio = float("nan") if skip else (lhs / energy if energy > 0 else float("inf"))
-            if not skip:
-                pairs.append((lhs, energy))
-            base = _base_row(mu, sf)
-            rows.append(
-                TestRow(
-                    name=base["name"],
-                    parameter=base["parameter"],
-                    entropy_F=lhs,
-                    classical_entropy=base["classical_entropy"],
-                    variance=variance(mu, sf),
-                    grad_energy=base["grad_energy"],
-                    modified_energy=energy,
-                    median_energy=base["median_energy"],
-                    ratio=ratio,
-                    saturation=base["saturation"],
-                )
-            )
-        c_hat, seen = _sup_ratio(pairs)
-        return rows, (c_hat if seen else 0.0)
+    def terms(sf):
+        energy = modified_energy(mu, sf, cost)
+        return entropy_functional(mu, sf, F), variance(mu, sf), energy, energy
 
-    rows, c_hat = run(family)
-    _, c_enr = run(family.enriched())
-    stable = bool(
-        np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10
-    )
+    rows, c_hat = _ratio_table(mu, family, terms)
     return TestReport(
         family_kind=family.kind,
-        rows=tuple(rows),
+        rows=rows,
         C_hat=c_hat,
-        B_hat=None,
-        details={
-            "alpha": alpha,
-            "tau": tau,
-            "A": A,
-            "q": q,
-            "C_hat_enriched": c_enr,
-            "stable": stable,
-        },
+        details={"alpha": alpha, "tau": tau, "A": A, "q": q, **_enrichment(mu, family, terms, c_hat)},
     )
 
 
@@ -731,67 +649,28 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
     if eps_used is None:
         raise ValueError("could not verify int e^{eps|x|^alpha} dmu finite on the grid")
 
-    def run(fam):
-        members = fam.members(mu)
-        if not members:
-            raise ValueError("family is empty")
-        rows = []
-        pairs = []
-        for sf in members:
-            v = np.abs(sf.values)
-            g = v**beta
-            mg = mu.integrate(g)
-            if mg > 0:
-                ent_terms = np.zeros_like(g)
-                pos = g > 0
-                ent_terms[pos] = g[pos] * np.log(g[pos] / mg)
-                lhs = float(mu.integrate(ent_terms))
-            else:
-                lhs = 0.0
-            rhs_grad = float(mu.integrate(np.abs(sf.dvalues) ** beta))
-            half = v ** (0.5 * beta)
-            m_half = mu.integrate(half)
-            rhs_var = float(mu.integrate((half - m_half) ** 2))
-            rhs = rhs_grad + rhs_var
-            skip = rhs == 0 and lhs == 0
-            ratio = float("nan") if skip else (lhs / rhs if rhs > 0 else float("inf"))
-            if not skip:
-                pairs.append((lhs, rhs))
-            base = _base_row(mu, sf)
-            rows.append(
-                TestRow(
-                    name=base["name"],
-                    parameter=base["parameter"],
-                    entropy_F=lhs,
-                    classical_entropy=base["classical_entropy"],
-                    variance=rhs_var,
-                    grad_energy=base["grad_energy"],
-                    modified_energy=rhs_grad,
-                    median_energy=base["median_energy"],
-                    ratio=ratio,
-                    saturation=base["saturation"],
-                )
-            )
-        c_hat, seen = _sup_ratio(pairs)
-        return rows, (c_hat if seen else 0.0)
+    def terms(sf):
+        v = np.abs(sf.values)
+        g = v**beta
+        mg = mu.integrate(g)
+        if mg > 0:
+            ent_terms = np.zeros_like(g)
+            pos = g > 0
+            ent_terms[pos] = g[pos] * np.log(g[pos] / mg)
+            lhs = float(mu.integrate(ent_terms))
+        else:
+            lhs = 0.0
+        rhs_grad = float(mu.integrate(np.abs(sf.dvalues) ** beta))
+        half = v ** (0.5 * beta)
+        rhs_var = float(mu.integrate((half - mu.integrate(half)) ** 2))
+        return lhs, rhs_var, rhs_grad, rhs_grad + rhs_var
 
-    rows, c_hat = run(family)
-    _, c_enr = run(family.enriched())
-    stable = bool(
-        np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10
-    )
+    rows, c_hat = _ratio_table(mu, family, terms)
     return TestReport(
         family_kind=family.kind,
-        rows=tuple(rows),
+        rows=rows,
         C_hat=c_hat,
-        B_hat=None,
-        details={
-            "alpha": alpha,
-            "beta": beta,
-            "eps_used": eps_used,
-            "C_hat_enriched": c_enr,
-            "stable": stable,
-        },
+        details={"alpha": alpha, "beta": beta, "eps_used": eps_used, **_enrichment(mu, family, terms, c_hat)},
     )
 
 
@@ -869,14 +748,10 @@ class Lemma34Report:
 
 
 def lemma_3_4_check(mu: Measure1D, F: EntropyFunction, K: float, family: TestFamily) -> Lemma34Report:
-    if not K > 1.0:
-        raise ValueError("K must exceed 1")
+    c_used = _step1_constant(F, K)
     rep = check_assumptions(F)
     if not (rep.a1 and rep.a2 and rep.a3):
         raise ValueError("entropy profile fails the concavity/growth/convexity gates")
-
-    fprime1 = float(np.asarray(F.derivative(np.array([1.0])))[0])
-    c_used = (4.0 * (K + 1.0) ** 2 + 2.0 + (math.sqrt(K) + 1.0) ** 2) * fprime1
 
     rows = []
     b_hat = 0.0
@@ -884,12 +759,8 @@ def lemma_3_4_check(mu: Measure1D, F: EntropyFunction, K: float, family: TestFam
     for sf in family.members(mu):
         v = sf.values
         m2 = mu.integrate(v * v)
-        h = np.zeros_like(v)
-        pos = v > 0
-        h[pos] = v[pos] ** 2 / m2
-        Fh = np.zeros_like(v)
-        Fh[pos] = np.asarray(F(h[pos]), dtype=float)
-        integrand = np.where(pos, v * v * Fh, 0.0)
+        Fh = _level_entropy(F, v, m2)
+        integrand = np.where(v > 0, v * v * Fh, 0.0)
 
         full = float(mu.integrate(integrand))
         restricted = _restricted_integral(mu, integrand, v * v - K * m2)

@@ -301,6 +301,20 @@ class TestCertifyCommand:
         assert rc == 4
         assert json.loads(read_text(out))["certified"] is False
 
+    def test_expr_cost_is_sampled_once(self, tmp_path, monkeypatch):
+        calls = []
+        from_samples = CostFunction.from_samples
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return from_samples(*args, **kwargs)
+
+        monkeypatch.setattr(CostFunction, "from_samples", classmethod(counted))
+        rc = main(["certify", "--measure", "gauss", "--cost", "expr:x^2/2+x^4/4",
+                   "--params", "0.25,0.5", "--n", "8192", "--out", str(tmp_path / "cert.json")])
+        assert rc == 4
+        assert len(calls) == 1
+
 
 class TestPaperExamplesCommand:
     def test_repeat_runs_are_byte_identical(self, tmp_path):

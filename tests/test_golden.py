@@ -1,15 +1,19 @@
-"""`isocert paper-examples` against its recorded golden reference.
+"""`isocert paper-examples` and `isocert test` against recorded golden references.
 
 tests/data/paper_examples.json is the command's output, recorded with
 `PYTHONPATH=src python -m isocert.cli paper-examples --out tests/data/paper_examples.json`.
-Re-record it only when a change is meant to move the paper's numbers, and say
-so in CHANGES.md.  Strings, booleans and nulls (verdicts, flags, labels) must
-match exactly; numbers must match to 1e-9 relative, except the empirical
-constants C_hat / B_hat (and their enriched variants), which are held to 1e-6.
+tests/data/test_reports.json maps one `isocert test` command line per display
+(restricted, exp-power, power-beta) to the JSON report it prints, rows and
+details included.  Re-record either only when a change is meant to move the
+paper's numbers, and say so in CHANGES.md.  Strings, booleans and nulls
+(verdicts, flags, labels) must match exactly; numbers must match to 1e-9
+relative, except the empirical constants C_hat / B_hat (and their enriched
+variants), which are held to 1e-6.
 """
 
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ import pytest
 from isocert.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "paper_examples.json"
+TEST_REPORTS = json.loads((Path(__file__).parent / "data" / "test_reports.json").read_text(encoding="utf-8"))
 RTOL = 1e-9
 RTOL_CONSTANTS = 1e-6
 
@@ -54,6 +59,13 @@ def fresh(tmp_path_factory):
 def test_paper_examples_match_golden_reference(fresh):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert _mismatches(fresh, want) == []
+
+
+@pytest.mark.parametrize("command", list(TEST_REPORTS), ids=lambda c: c.split("--display ")[1].split()[0])
+def test_test_reports_match_golden_reference(command, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(shlex.split(command) + ["--out", str(out)]) == 0
+    assert _mismatches(json.loads(out.read_text(encoding="utf-8")), TEST_REPORTS[command]) == []
 
 
 def test_comparison_catches_moved_numbers_and_labels():

@@ -192,6 +192,16 @@ class TestEntropyEnergyRatio:
         assert rep.C_hat == 0.0
         assert rep.rows[0].entropy_F == pytest.approx(0.0, abs=1e-12)
 
+    def test_parameter_column_is_the_exact_family_parameter(self, gauss, F_log):
+        fam = TestFamily("exponential", (0.5, 0.1234567))
+        rep = verify_theorem_2_1(gauss, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
+        assert rep.rows[0].name == "exponential(0.123457)"
+        assert [row.parameter for row in rep.rows] == [0.1234567, 0.5]
+        assert rep.to_csv_text().split("\n")[1].split(",")[1] == "0.1234567"
+        user = TestFamily("user", ("const",), user_fns=(lambda x: np.full_like(x, 3.0),))
+        rep = verify_theorem_2_1(gauss, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, user)
+        assert np.isnan(rep.rows[0].parameter)
+
     def test_K_validation(self, gauss, F_log):
         with pytest.raises(ValueError):
             verify_theorem_2_1(gauss, F_log, CostFunction.closed_form(1.0, 2.0), 1.0,
@@ -260,6 +270,32 @@ class TestPowerEntropyInequality:
         fam = TestFamily("stretched_exp", (0.25,))
         with pytest.raises(ValueError):
             verify_theorem_4_4(mu, 2.0, fam)
+
+
+def _constant(c):
+    return (lambda x: np.full_like(x, c), lambda x: np.zeros_like(x))
+
+
+class TestRatioEngine:
+    # constant members have zero energy and an entropy that is a rounding
+    # residue <= 0 on this measure: no evidence, so a NaN ratio that C_hat skips
+    @pytest.mark.parametrize("display", ["2.1", "1.1", "4.4"])
+    def test_row_ratios_never_exceed_C_hat(self, exp_power_15, F_log, display):
+        grow = (lambda x: np.exp(0.25 * x), lambda x: 0.25 * np.exp(0.25 * x))
+        level = 3.0 if display == "4.4" else 11.0
+        fam = TestFamily("user", ("const", "exp"), user_fns=(_constant(level), grow))
+        if display == "2.1":
+            rep = verify_theorem_2_1(exp_power_15, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
+        elif display == "1.1":
+            rep = verify_theorem_1_1(1.5, 0.9, 1.0, fam, measure=exp_power_15)
+        else:
+            rep = verify_theorem_4_4(exp_power_15, 1.5, fam)
+        const, moving = rep.rows
+        assert const.modified_energy == 0.0 and const.entropy_F <= 0.0
+        assert np.isnan(const.ratio)
+        assert np.isfinite(moving.ratio) and moving.ratio > 0
+        assert all(row.ratio <= rep.C_hat for row in rep.rows if not np.isnan(row.ratio))
+        assert rep.C_hat == moving.ratio
 
 
 class TestTwoFunctionComparison:
