@@ -438,6 +438,7 @@ def _thread_cap() -> int:
 
 def _cmd_paper_examples(cfg: RunConfig) -> int:
     n = cfg.n
+    exp_power = builtin_measure("exp_power", alpha=1.5, n=n)  # shared by three fixtures
 
     def fixture_loglog():
         mu = builtin_measure("loglog", n=n)
@@ -445,15 +446,14 @@ def _cmd_paper_examples(cfg: RunConfig) -> int:
         return check_condition(spec, n_per_decade=cfg.n_per_decade).to_json_dict()
 
     def fixture_exp_power_upper():
-        return check_exp_power(1.5, 1.0, n_grid=n).to_json_dict()
+        return check_exp_power(1.5, 1.0, measure=exp_power).to_json_dict()
 
     def fixture_exp_power_lower():
-        return check_exp_power(1.5, 2.0 / 3.0, n_grid=n).to_json_dict()
+        return check_exp_power(1.5, 2.0 / 3.0, measure=exp_power).to_json_dict()
 
     def fixture_power_entropy():
-        mu = builtin_measure("exp_power", alpha=1.5, n=n)
         family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
-        return verify_theorem_4_4(mu, 1.5, family).to_json_dict()
+        return verify_theorem_4_4(exp_power, 1.5, family).to_json_dict()
 
     fixtures = [
         ("loglog_quadratic", fixture_loglog),

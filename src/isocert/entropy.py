@@ -114,9 +114,13 @@ def eval_F_tau(phi, tau, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("F_tau argument must be positive")
-    p = phi(x)
-    with np.errstate(invalid="ignore"):
-        upper = (np.maximum(p, 0.0) ** tau - 1.0) / tau + 1.0
+    return _flatten(phi(x), tau)
+
+
+def _flatten(p, tau):
+    """p where p <= 1, else (p^tau - 1)/tau + 1 as expm1(tau log p)/tau + 1,
+    which keeps full relative accuracy as tau -> 0."""
+    upper = np.expm1(tau * np.log(np.maximum(p, 1.0))) / tau + 1.0
     return np.where(p <= 1.0, p, upper)
 
 
@@ -177,10 +181,7 @@ def F_tau(tau, phi=None):
         return np.where(p <= 1.0, dp, np.maximum(p, 1e-300) ** (tau - 1.0) * dp)
 
     def fn_log(u):
-        pl = phi.at_log(u)
-        with np.errstate(invalid="ignore"):
-            upper = (np.maximum(pl, 0.0) ** tau - 1.0) / tau + 1.0
-        return np.where(pl <= 1.0, pl, upper)
+        return _flatten(phi.at_log(u), tau)
 
     return EntropyFunction(
         fn=fn, dfn=dfn, fn_log=fn_log, name=f"F_tau({phi.name},{tau:g})", tau=tau, x0=x0, log_phi=log_phi

@@ -13,6 +13,12 @@ Parsing and printing round-trip: ``parse_potential(e.to_text())`` rebuilds
 an equal tree.  Evaluation is vectorized over numpy arrays and raises
 ExprDomainError when log or sqrt leaves its domain, so potentials are total
 on their declared support or fail loudly.
+
+Literals evaluate to Python floats that numpy broadcasts, so ``x^4`` calls
+pow with a scalar exponent.  ``a^b`` and ``pow(a, b)`` compute pow(|a|, b)
+and negate it where a has its sign bit and b is an odd integer: the value of
+pow(a, b), without pow's slow path on negative bases.  A negative base with
+a non-integer exponent is an ExprDomainError.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class Num:
         return _LEVEL_ATOM
 
     def _eval(self, x):
-        return np.full_like(x, self.value)
+        return self.value  # numpy broadcasts it; an array exponent would slow pow
 
 
 @dataclass(frozen=True)
@@ -169,13 +175,19 @@ Node = Union[Num, Var, Neg, Bin, Call]
 
 
 def _power(a, b):
-    neg = a < 0.0
-    if np.any(neg):
-        frac = b != np.floor(b)
-        if np.any(neg & frac):
-            raise ExprDomainError("negative base with a non-integer exponent")
+    """a^b as pow(|a|, b), negated where a has its sign bit and b is an odd
+    integer: pow's value and sign rules (-0.0 bases included, +-inf exponents
+    counting as even) without pow's slow path on negative bases."""
+    frac = b != np.floor(b)
+    if np.any(frac) and np.any((a < 0.0) & frac):
+        raise ExprDomainError("negative base with a non-integer exponent")
     with np.errstate(over="ignore"):
-        return np.power(a, b)
+        out = np.power(np.abs(a), b)
+    with np.errstate(invalid="ignore"):
+        odd = np.abs(np.fmod(b, 2.0)) == 1.0
+    if np.any(odd):
+        out = np.where(odd & np.signbit(a), -out, out)
+    return out
 
 
 def _emit(node, out, min_level):
@@ -198,7 +210,9 @@ class PotentialExpr:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        out = self.root._eval(arr)
+        out = np.asarray(self.root._eval(arr), dtype=float)
+        if out.shape != arr.shape:  # a constant expression evaluates to a scalar
+            out = np.full(arr.shape, out)
         return float(out[0]) if scalar else out
 
     def to_text(self):

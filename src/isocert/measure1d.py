@@ -33,6 +33,7 @@ import numpy as np
 TRUST_TAIL = 1e-15  # smallest one-sided mass the accumulated tables resolve reliably
 _LOG_TRUNC = float(np.log(1e18))  # potential rise at which the density is cut off
 _MAX_REACH = 1e12  # outermost abscissa the truncation search will visit
+_ROUNDS, _NODES = 5, 4097  # array rounds and nodes per round of the peak and cut searches
 
 
 def _vec(potential):
@@ -42,11 +43,13 @@ def _vec(potential):
     return f
 
 
-def _v_scalar(Vfn, x):
-    return float(Vfn(np.array([x]))[0])
-
-
 def _locate_peak(Vfn, lo, hi):
+    """Abscissa and value of the potential's minimum on [lo, hi].
+
+    A coarse probe set brackets the minimum by its two neighbours; each of
+    _ROUNDS array calls then tabulates the bracket on _NODES points and keeps
+    the neighbours of the new argmin, narrowing it 2048-fold a round.
+    """
     a = lo if np.isfinite(lo) else -1e6
     b = hi if np.isfinite(hi) else 1e6
     probes = [np.linspace(max(a, -100.0), min(b, 100.0), 2001)]
@@ -56,28 +59,23 @@ def _locate_peak(Vfn, lo, hi):
         probes.append(-np.geomspace(100.0, -a, 200))
     xs = np.unique(np.clip(np.concatenate(probes), a, b))
     vals = Vfn(xs)
+    for _ in range(_ROUNDS):
+        i = int(np.argmin(vals))
+        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], _NODES)
+        vals = Vfn(xs)
     i = int(np.argmin(vals))
-    lo_b = xs[max(i - 1, 0)]
-    hi_b = xs[min(i + 1, xs.size - 1)]
-    inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi_b - inv_gold * (hi_b - lo_b)
-    d = lo_b + inv_gold * (hi_b - lo_b)
-    fc, fd = _v_scalar(Vfn, c), _v_scalar(Vfn, d)
-    for _ in range(80):
-        if fc <= fd:
-            hi_b, d, fd = d, c, fc
-            c = hi_b - inv_gold * (hi_b - lo_b)
-            fc = _v_scalar(Vfn, c)
-        else:
-            lo_b, c, fc = c, d, fd
-            d = lo_b + inv_gold * (hi_b - lo_b)
-            fd = _v_scalar(Vfn, d)
-    x0 = 0.5 * (lo_b + hi_b)
-    return x0, _v_scalar(Vfn, x0)
+    return float(xs[i]), float(vals[i])
 
 
 def _march_cut(Vfn, x0, v0, direction):
-    """Abscissa beyond which V - v0 >= _LOG_TRUNC, by doubling + bisection."""
+    """Abscissa beyond which V - v0 >= _LOG_TRUNC.
+
+    A sequential doubling walk x0 + direction * (1, 2, 4, ...) stops at the
+    first probe past the crossing, so no abscissa beyond it is evaluated.
+    Then each of _ROUNDS array calls tabulates the last bracket on _NODES
+    points and keeps the first node where V - v0 >= _LOG_TRUNC and its
+    predecessor: 4096-fold a round, 2^-60 of the bracket in all.
+    """
     step = 1.0
     prev = x0
     for _ in range(60):
@@ -87,15 +85,14 @@ def _march_cut(Vfn, x0, v0, direction):
                 "tail of exp(-V) decays too slowly: the density cannot be "
                 "truncated with less than 1e-9 of the mass outside"
             )
-        if _v_scalar(Vfn, x) - v0 >= _LOG_TRUNC:
-            lo, hi = prev, x
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if _v_scalar(Vfn, mid) - v0 >= _LOG_TRUNC:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
+        if Vfn(np.array([x]))[0] - v0 >= _LOG_TRUNC:
+            for _ in range(_ROUNDS):
+                xs = np.linspace(prev, x, _NODES)
+                hit = Vfn(xs) - v0 >= _LOG_TRUNC
+                hit[-1] = True  # x itself crossed
+                j = int(np.argmax(hit[1:])) + 1
+                prev, x = xs[j - 1], xs[j]
+            return float(x)
         prev = x
         step *= 2.0
     raise ValueError(
@@ -107,15 +104,12 @@ def _march_cut(Vfn, x0, v0, direction):
 def _tail_decay_check(Vfn, x_peak, cut):
     """Estimated mass beyond the cut, in units of exp(v_peak); error if not decaying."""
     d = cut - x_peak
-    x2 = x_peak + 0.9 * d
-    v_cut = _v_scalar(Vfn, cut)
-    v_in = _v_scalar(Vfn, x2)
+    v_cut, v_in, v_peak = Vfn(np.array([cut, x_peak + 0.9 * d, x_peak]))
     if v_cut <= v_in:
         raise ValueError("density is not decaying over the last decade before the cut; tail not integrable")
     # decay rate per e-fold of distance from the peak; integrable tails give
     # int_cut^inf e^{-V} <~ w(cut) |d| / (rate - 1)
     rate = (v_cut - v_in) / (-np.log(0.9))
-    v_peak = _v_scalar(Vfn, x_peak)
     return np.exp(-(v_cut - v_peak)) * abs(d) / max(rate - 1.0, 0.5)
 
 
@@ -228,7 +222,7 @@ def _probe_symmetry(Vfn, hi):
     xs = xs[xs < hi]
     if xs.size == 0:
         return False
-    a, b = Vfn(xs), Vfn(-xs)
+    a, b = np.split(Vfn(np.concatenate((xs, -xs))), 2)
     return bool(np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(a))))
 
 

@@ -97,6 +97,8 @@ class TestFamily:
             raise ValueError(f"unknown family kind {self.kind!r}; expected one of {kinds}")
         if self.kind == "user" and len(self.user_fns) == 0:
             raise ValueError("user family needs user_fns")
+        if self.kind == "user" and self.params and len(self.params) != len(self.user_fns):
+            raise ValueError(f"user family has {len(self.params)} labels for {len(self.user_fns)} user_fns")
         if len(self.params) == 0 and self.kind != "user":
             raise ValueError("family has no members")
         if self.floor < 0:
@@ -625,12 +627,20 @@ def verify_theorem_1_1(alpha: float, tau: float, A: float, family: TestFamily, n
     )
 
 
+_ENT_ROUNDING = 1e-10  # relative floor below which verify_theorem_4_4 reads Ent as 0
+
+
 def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestReport:
     """Power-entropy display on a log-concave measure: with beta = alpha/(alpha-1),
     tests Ent |f|^beta <= C [ int |f'|^beta dmu + Var |f|^{beta/2} ] and reports
     the least such C over the family plus its stability under enrichment.
     Requires a log-concave measure and a numerically verified
-    int e^{eps |x|^alpha} dmu < infinity for a sampled eps."""
+    int e^{eps |x|^alpha} dmu < infinity for a sampled eps.
+
+    An |Ent| at or below _ENT_ROUNDING = 1e-10 of int |f|^beta dmu counts as
+    0: it is the rounding of the quadrature (for a constant f it equals the
+    error of the summed node masses, at most n * eps), so a constant member
+    gets a NaN ratio rather than an infinite constant."""
     if not mu.log_concave:
         raise ValueError("refused: measure is not log-concave")
     if not alpha > 1.0:
@@ -658,6 +668,8 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
             pos = g > 0
             ent_terms[pos] = g[pos] * np.log(g[pos] / mg)
             lhs = float(mu.integrate(ent_terms))
+            if abs(lhs) <= _ENT_ROUNDING * mg:
+                lhs = 0.0
         else:
             lhs = 0.0
         rhs_grad = float(mu.integrate(np.abs(sf.dvalues) ** beta))

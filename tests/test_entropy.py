@@ -82,6 +82,17 @@ class TestFlattenedProfile:
         u = np.array([-2.0, 0.0, 1.0, 5.0, 40.0])
         assert np.allclose(F_half.at_log(u), F_half(np.exp(u)), rtol=1e-12)
 
+    @pytest.mark.parametrize("tau", [1e-6, 1e-3])
+    def test_small_tau_matches_mpmath(self, tau):
+        # (p^tau - 1)/tau loses about eps/tau; expm1(tau log p)/tau does not
+        mpmath = pytest.importorskip("mpmath")
+        u = np.array([1.5, 10.0, 300.0, 1e5])  # log y = u > 1: the flattened branch
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.expm1(tau * mpmath.log(v)) / tau + 1) for v in u])
+        F = F_tau(tau)
+        for got in (F.at_log(u), F(np.exp(u[:3])), eval_F_tau(log_entropy(), tau, np.exp(u[:3]))):
+            assert np.allclose(got, want[: got.size], rtol=1e-14, atol=0.0)
+
 
 class TestConcavePerturbation:
     def test_identity_below_one(self):

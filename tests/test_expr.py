@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocert.expr import ExprDomainError, ExprError, parse_potential
 
@@ -106,3 +108,59 @@ class TestEvaluationDomains:
         p = parse_potential("log(x)")
         with pytest.raises(ExprDomainError):
             p(np.array([1.0, 2.0, -3.0]))
+
+
+def _literal(b):
+    """b as expression text; 1e999 parses to inf."""
+    text = "1e999" if np.isinf(b) else repr(b).lstrip("-")
+    return f"(-{text})" if np.signbit(b) else text
+
+
+class TestPowerAgainstNumpy:
+    """x^b and pow(x, b) against np.power, the reference for pow's values and
+    sign rules: at most 1 ulp apart, the same sign and inf/nan class, and an
+    ExprDomainError exactly where np.power gives NaN (a negative base with a
+    non-integer exponent)."""
+
+    bases = st.one_of(
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+        st.floats(-4.0, 4.0, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    )
+    exponents = st.one_of(
+        st.integers(-40, 40).map(float),
+        st.integers(-40, 40).map(lambda k: k + 0.5),
+        st.sampled_from([np.inf, -np.inf, 0.0, -0.0]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(bases, min_size=1, max_size=6), b=exponents)
+    def test_matches_numpy_power(self, a, b):
+        a = np.array(a)
+        with np.errstate(all="ignore"):
+            # an array exponent makes numpy call pow on every element; a
+            # scalar 0.5 would take its sqrt shortcut, which keeps -0.0
+            want = np.power(a, np.full_like(a, b))
+        domain = np.isnan(want)
+        for text in (f"x^{_literal(b)}", f"pow(x, {_literal(b)})"):
+            p = parse_potential(text)
+            for i in np.flatnonzero(domain):
+                with pytest.raises(ExprDomainError, match="negative base"):
+                    p(a[i : i + 1])
+            with np.errstate(divide="ignore"):
+                got = p(a[~domain])
+            ref = want[~domain]
+            assert got.shape == ref.shape
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            assert not np.any(np.isnan(got))
+            finite = np.isfinite(ref)
+            assert np.all(np.abs(got[finite] - ref[finite]) <= np.spacing(np.abs(ref[finite])))
+
+    @pytest.mark.parametrize("text,want", [("3", 3.0), ("-2", -2.0), ("(-2)^3", -8.0), ("pow(2, 0.5)", np.sqrt(2.0))])
+    def test_constant_expressions_return_arrays(self, text, want):
+        xs = np.linspace(-1.0, 1.0, 5)
+        got = parse_potential(text)(xs)
+        assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == xs.shape
+        assert np.all(got == want)
+        assert parse_potential(text)(0.5) == want

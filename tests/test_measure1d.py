@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from isocert import measure1d
 from isocert.entropy import log_entropy
+from isocert.expr import parse_potential
 from isocert.measure1d import (
     I_F_profile,
     SampledFunction,
@@ -77,6 +79,132 @@ class TestConstruction:
         # (1 + x^2)^{-3/4} is not normalizable; no truncation is accepted
         with pytest.raises(ValueError):
             build_measure(lambda x: 0.75 * np.log1p(x * x))
+
+
+# -- the scalar truncation search measure1d used before its array rounds ----------
+
+_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _at(V, x):
+    return float(V(np.array([x]))[0])
+
+
+def _reference_peak(V, lo, hi):
+    """The same probes, then 80 one-point golden-section steps."""
+    a = lo if np.isfinite(lo) else -1e6
+    b = hi if np.isfinite(hi) else 1e6
+    probes = [np.linspace(max(a, -100.0), min(b, 100.0), 2001)]
+    if b > 100.0:
+        probes.append(np.geomspace(100.0, b, 200))
+    if a < -100.0:
+        probes.append(-np.geomspace(100.0, -a, 200))
+    xs = np.unique(np.clip(np.concatenate(probes), a, b))
+    i = int(np.argmin(V(xs)))
+    lo_b, hi_b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    c, d = hi_b - _GOLD * (hi_b - lo_b), lo_b + _GOLD * (hi_b - lo_b)
+    fc, fd = _at(V, c), _at(V, d)
+    for _ in range(80):
+        if fc <= fd:
+            hi_b, d, fd = d, c, fc
+            c = hi_b - _GOLD * (hi_b - lo_b)
+            fc = _at(V, c)
+        else:
+            lo_b, c, fc = c, d, fd
+            d = lo_b + _GOLD * (hi_b - lo_b)
+            fd = _at(V, d)
+    x0 = 0.5 * (lo_b + hi_b)
+    return x0, _at(V, x0)
+
+
+def _reference_cut(V, x0, v0, direction):
+    """The same doubling walk, then 60 one-point bisection steps."""
+    step, prev = 1.0, x0
+    for _ in range(60):
+        x = x0 + direction * step
+        if abs(x) > 1e12:
+            raise ValueError("tail of exp(-V) decays too slowly")
+        if _at(V, x) - v0 >= measure1d._LOG_TRUNC:
+            lo, hi = prev, x
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if _at(V, mid) - v0 >= measure1d._LOG_TRUNC:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+        prev = x
+        step *= 2.0
+    raise ValueError("the measure looks non-normalizable")
+
+
+def _reference_truncation(V, support):
+    """Cuts of the infinite sides, with the tail check build_measure runs."""
+    a, b = support
+    x0, v0 = _reference_peak(V, a, b)
+    cuts = []
+    for side, direction in ((a, -1.0), (b, 1.0)):
+        if np.isfinite(side):
+            cuts.append(side)
+            continue
+        cut = _reference_cut(V, x0, v0, direction)
+        measure1d._tail_decay_check(V, x0, cut)
+        cuts.append(cut)
+    return tuple(cuts)
+
+
+_FULL_LINE = (-np.inf, np.inf)
+_TRUNCATION_CASES = [
+    *((name, lambda name=name: builtin_measure(name).potential_fn, _FULL_LINE) for name in ("gauss", "exp", "loglog")),
+    *(
+        (f"exp_power:{a:g}", lambda a=a: builtin_measure("exp_power", alpha=a).potential_fn, _FULL_LINE)
+        for a in (1.4, 1.5, 1.8)
+    ),
+    *(
+        (f"expr:{t}", lambda t=t: parse_potential(t), _FULL_LINE)
+        for t in ("abs(x)*log(1+x^2)", "x^2/2+x^4/4", "abs(x-1)+abs(x+1)", "(x-3)^2/2+0.1*x^4")
+    ),
+    ("expr:x on 0:inf", lambda: parse_potential("x"), (0.0, np.inf)),
+]
+
+
+class TestTruncationSearch:
+    @pytest.mark.parametrize("name,potential,support", _TRUNCATION_CASES, ids=[c[0] for c in _TRUNCATION_CASES])
+    def test_cuts_match_the_scalar_search(self, name, potential, support):
+        V = potential()
+        want = _reference_truncation(measure1d._vec(V), support)
+        got = build_measure(V, support=support).truncation
+        assert np.all(np.abs(np.subtract(got, want)) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("text,message", [
+        ("0.75*log(1+x^2)", "decays too slowly"),
+        ("x^2/100+50*exp(-100*(x-58)^2)", "not decaying"),  # a spike the walk steps over
+    ])
+    def test_refusals_match_the_scalar_search(self, text, message):
+        V = parse_potential(text)
+        with pytest.raises(ValueError, match=message):
+            _reference_truncation(V, _FULL_LINE)
+        with pytest.raises(ValueError, match=message):
+            build_measure(V)
+
+    def test_walk_that_never_crosses_is_non_normalizable(self):
+        # only a start the walk cannot leave (NaN) exhausts the 60 doublings
+        V = measure1d._vec(lambda x: 0.5 * x * x)
+        for cut in (_reference_cut, measure1d._march_cut):
+            with pytest.raises(ValueError, match="non-normalizable"):
+                cut(V, np.nan, 0.0, 1.0)
+
+    @pytest.mark.parametrize("text", ["abs(x)*log(1+x^2)", "x^2/2+x^4/4"])
+    def test_expr_build_makes_few_potential_calls(self, text):
+        expr = parse_potential(text)
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return expr(x)
+
+        build_measure(counted)
+        assert len(calls) <= 40
 
 
 class TestBallMasses:

@@ -149,6 +149,13 @@ class TestFamilies:
         with pytest.raises(ValueError):
             TestFamily("exponential", (1.0,), floor=-1.0)
 
+    @pytest.mark.parametrize("labels,n_fns", [(("a", "b", "c"), 1), (("a",), 3)])
+    def test_user_labels_must_match_user_fns(self, labels, n_fns):
+        f = lambda x: 1.0 + 0.0 * x
+        with pytest.raises(ValueError, match="labels for"):
+            TestFamily("user", labels, user_fns=(f,) * n_fns)
+        assert len(TestFamily("user", labels[:n_fns] * n_fns, user_fns=(f,) * n_fns).params) == n_fns
+
 
 class TestEntropyEnergyRatio:
     def test_gaussian_ratio_is_four_with_unit_quadratic_cost(self, gauss, F_log):
@@ -264,6 +271,15 @@ class TestPowerEntropyInequality:
             verify_theorem_4_4(bumpy, 1.5, fam)
         with pytest.raises(ValueError):
             verify_theorem_4_4(exp_power_15, 1.0, fam)
+
+    def test_rounding_of_a_constant_is_no_evidence(self, gauss):
+        # Ent |f|^3 of f = 1000 is a rounding residue (2.2e-7 against
+        # int |f|^3 = 1e9); read as an entropy it gave C_hat = inf
+        fam = TestFamily("user", ("const",), user_fns=(_constant(1000.0),))
+        rep = verify_theorem_4_4(gauss, 1.5, fam)
+        assert rep.rows[0].entropy_F == 0.0
+        assert np.isnan(rep.rows[0].ratio)
+        assert rep.C_hat == 0.0
 
     def test_insufficient_decay_is_rejected(self):
         mu = builtin_measure("exp_power", alpha=1.1, n=4096)
