@@ -11,18 +11,17 @@ import numpy as np
 from isocert.entropy import (
     F_tau,
     check_assumptions,
-    conjugate_Phi,
     lemma32_bound_check,
     log_entropy,
+    log_Phi,
 )
 
 
 def main():
     F = log_entropy()
     x = np.linspace(0.0, 5.0, 6)
-    table = conjugate_Phi(F, x)
     print("Phi for F = log against e^x:")
-    for xi, vi in zip(x, table.values):
+    for xi, vi in zip(x, np.exp(log_Phi(F, x))):
         print(f"  Phi({xi:3.1f}) = {vi:12.6f}   e^x = {np.exp(xi):12.6f}")
 
     half = F_tau(0.5)

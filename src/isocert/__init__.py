@@ -2,7 +2,7 @@
 
 Components:
   convex    -- cost functions on [0, inf), discrete Legendre transforms
-  entropy   -- entropy profiles F, their assumptions, the conjugate Phi
+  entropy   -- entropy profiles F, their assumptions, log Phi of the conjugate Phi
   measure1d -- measures e^{-V}dx/Z, CDF/quantile machinery, isoperimetric profiles
   checker   -- integrability conditions with divergence diagnostics
   tester    -- empirical verification of the inequalities on test-function families
@@ -24,7 +24,6 @@ from .entropy import (
     F_tau,
     eval_F_tau,
     eval_psi_tau_beta,
-    conjugate_Phi,
     log_Phi,
     check_assumptions,
     lemma32_bound_check,

@@ -24,7 +24,7 @@ only shrinks the domain.  Partial sums are accumulated in log space and a
 decade whose sum overflows float range reports log10_partial_sum only.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -50,8 +50,8 @@ class ConditionSpec:
     """One integrability question: measure, entropy profile, cost, scales.
 
     form 'general' evaluates Phi(delta * c(ratio)) and needs a CostFunction;
-    'quadratic' and 'one_d_quadratic' evaluate Phi(delta * ratio^2), the
-    latter naming the profile-based one-dimensional variant, for which K > 2
+    'quadratic' and 'one_d_quadratic' evaluate Phi(delta * ratio^2) whatever
+    the cost, the latter naming the profile-based one-dimensional variant, for which K > 2
     is enforced.
     """
 
@@ -139,12 +139,7 @@ def _profile_fn(spec):
 
 
 def _cost_label(spec):
-    if spec.form != "general":
-        return "quadratic"
-    c = spec.cost
-    if c.kind == "closed_form_cAalpha":
-        return f"c_{{{c.A:g},{c.alpha:g}}}"
-    return "sampled"
+    return spec.cost.label if spec.form == "general" else "quadratic"
 
 
 def _decade_edges(K, t_min):
@@ -193,12 +188,9 @@ def check_condition(spec, n_per_decade=256, validate=True):
     ratio = ratio / I_all
 
     if spec.form == "general":
-        if spec.cost.kind == "sampled":
-            carg, trunc = eval_cost(spec.cost, ratio, return_flag=True)
-            if np.any(trunc):
-                flags.append("cost_extrapolated_beyond_grid")
-        else:
-            carg = eval_cost(spec.cost, ratio)
+        carg, trunc = eval_cost(spec.cost, ratio, return_flag=True)
+        if np.any(trunc):
+            flags.append("cost_extrapolated_beyond_grid")
         x_all = spec.delta * carg
     else:
         x_all = spec.delta * ratio * ratio

@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .checker import ConditionSpec, check_condition, check_exp_power
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, log_entropy
-from .expr import ExprError, PotentialExpr, parse_potential
+from .expr import PotentialExpr, parse_potential
 from .measure1d import I_F_profile, build_measure, builtin_measure, tilde_profile
 from .tester import TestFamily, verify_theorem_1_1, verify_theorem_2_1, verify_theorem_4_4
 
@@ -90,44 +90,66 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 # -- configuration ------------------------------------------------------------------
 
+_MEASURED = ("profile", "check", "test", "certify")  # the subcommands that build a measure from the settings
+_CHECKED = ("check", "certify")
+_TESTED = ("test", "certify")
+
+
+def _setting(default, commands, convert=str, help=None, choices=None):
+    """A RunConfig field with how its value converts and which subcommands
+    read it; each of those takes the field as a flag."""
+    return field(default=default, metadata={"commands": commands, "convert": convert, "help": help, "choices": choices})
+
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; every field is settable from the config file
-    (one `key = value` per line) and overridable by the same-named flag."""
+    """Flat run configuration: the settings table of the command line.
 
-    measure: str = "gauss"
-    entropy: str = "log"
-    cost: str = "quadratic:1"
-    delta: Optional[float] = None
-    K: float = 2.0
-    t_min: float = 1e-12
-    form: Optional[str] = None
-    profile_choice: str = "tilde"
-    n_per_decade: int = 256
-    family: str = "exponential"
-    params: str = "0.25,0.5,1"
-    floor: float = 1e-6
-    seed: int = 0
-    scale: float = 0.5
-    exponent: float = 0.7
-    smoothing: float = 0.05
-    display: str = "restricted"
-    alpha: float = 1.5
-    tau: float = 1.0
-    A: float = 1.0
-    n: int = 16384
-    grid_kind: str = "hybrid"
-    support: Optional[str] = None
-    grid: Optional[str] = None
-    t_grid: Optional[str] = None
-    profile_kind: str = "tilde"
-    out: Optional[str] = None
+    Each field declares its default, converter, choices, help and the
+    subcommands that read it.  A subcommand takes a flag (`--t-min` for
+    t_min) only for the fields it reads, so any other flag is an error.  A
+    config file (one `key = value` per line, `#` comments) may set any
+    field, for every subcommand: one file can describe a problem that
+    `check`, `test` and `certify` share.  Flags win over the file."""
+
+    measure: str = _setting("gauss", _MEASURED, help="gauss | exp | exp_power:a | loglog | expr:V(x)")
+    entropy: str = _setting("log", _MEASURED, help="log | ftau:t | expr:F(x)")
+    cost: str = _setting("quadratic:1", ("conjugate", "check", "test", "certify"), help="quadratic:delta | c:A:alpha | expr:c(x)")
+    delta: Optional[float] = _setting(None, _CHECKED, float)
+    K: float = _setting(2.0, ("check", "test", "certify"), float)
+    t_min: float = _setting(1e-12, _CHECKED, float)
+    form: Optional[str] = _setting(None, _CHECKED, choices=("quadratic", "general", "one_d_quadratic"))
+    profile_choice: str = _setting("tilde", _CHECKED, choices=("tilde", "lower_bound_model"))
+    n_per_decade: int = _setting(256, _CHECKED + ("paper-examples",), int)
+    family: str = _setting(
+        "exponential", _TESTED, choices=("exponential", "bump", "shifted_linear", "random_smooth", "stretched_exp")
+    )
+    params: str = _setting("0.25,0.5,1", _TESTED, help="comma-separated family parameters")
+    floor: float = _setting(1e-6, _TESTED, float)
+    seed: int = _setting(0, _TESTED, int)
+    scale: float = _setting(0.5, _TESTED, float)
+    exponent: float = _setting(0.7, _TESTED, float)
+    smoothing: float = _setting(0.05, _TESTED, float)
+    display: str = _setting("restricted", ("test",), choices=("restricted", "exp-power", "power-beta"))
+    alpha: float = _setting(1.5, _MEASURED, float)
+    tau: float = _setting(1.0, ("test",), float)
+    A: float = _setting(1.0, ("test",), float)
+    n: int = _setting(16384, _MEASURED + ("paper-examples",), int)
+    grid_kind: str = _setting("hybrid", _MEASURED, choices=("hybrid", "uniform"))
+    support: Optional[str] = _setting(None, _MEASURED, help="lo:hi")
+    grid: Optional[str] = _setting(None, ("conjugate", "profile"), help="lo:hi:n")
+    t_grid: Optional[str] = _setting(None, ("profile",), help="lo:hi:n in (0, 1/2]")
+    profile_kind: str = _setting("tilde", ("profile",), choices=("tilde", "if"))
+    out: Optional[str] = _setting(
+        None, ("conjugate", "profile", "check", "test", "certify", "paper-examples"), help="output path (default stdout)"
+    )
 
     @classmethod
     def from_sources(cls, config_path: Optional[str], ns: argparse.Namespace) -> "RunConfig":
-        values = {}
-        converters = {f.name: f for f in fields(cls)}
+        """Defaults, overridden by the config file, overridden by the flags
+        set in ns (argparse has already converted those)."""
+        cfg = cls()
+        settings = {f.name: f.metadata for f in fields(cls)}
         if config_path is not None:
             try:
                 lines = open(config_path, "r", encoding="utf-8").read().splitlines()
@@ -144,25 +166,21 @@ class RunConfig:
                     if len(parts) != 2:
                         raise ConfigError(f"config line {lineno}: expected 'key = value'")
                     key, val = parts
-                key = key.strip().replace("-", "_")
-                if key not in converters:
+                key, val = key.strip().replace("-", "_"), val.strip()
+                meta = settings.get(key)
+                if meta is None:
                     raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-                values[key] = val.strip()
-        for name in converters:
+                try:
+                    val = meta["convert"](val)
+                except ValueError:
+                    raise ConfigError(f"config line {lineno}: bad value for {key}: {val!r}")
+                if meta["choices"] is not None and val not in meta["choices"]:
+                    raise ConfigError(f"config line {lineno}: {key} must be one of {meta['choices']}")
+                setattr(cfg, key, val)
+        for name in settings:
             flag = getattr(ns, name, None)
             if flag is not None:
-                values[name] = flag
-        cfg = cls()
-        for key, val in values.items():
-            target_type = cls.__dataclass_fields__[key].type
-            try:
-                if isinstance(val, str) and ("float" in target_type and "str" not in target_type):
-                    val = float(val)
-                elif isinstance(val, str) and "int" in target_type:
-                    val = int(val)
-            except ValueError:
-                raise ConfigError(f"bad numeric value for {key}: {val!r}")
-            setattr(cfg, key, val)
+                setattr(cfg, name, flag)
         return cfg
 
 
@@ -208,7 +226,7 @@ def _build_measure(cfg: RunConfig):
                 grid_kind=cfg.grid_kind,
                 name=f"expr:{expr.to_text()}",
             )
-    except (ExprError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
     raise ConfigError(f"unknown measure {spec!r}")
 
@@ -223,13 +241,18 @@ def _build_entropy(cfg: RunConfig) -> EntropyFunction:
         if spec.startswith("expr:"):
             expr = parse_potential(spec[5:])
             return EntropyFunction(fn=lambda y: np.asarray(expr(y), dtype=float), name=f"expr:{expr.to_text()}")
-    except (ExprError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
     raise ConfigError(f"unknown entropy {spec!r}")
 
 
 def _build_cost(cfg: RunConfig):
-    """Returns (form, delta_from_cost, cost_or_none)."""
+    """(cost, form, delta) for --cost: the cost, the checker form it selects,
+    and the checker's delta (the one quadratic:delta names, else 1).
+
+    quadratic:delta is the one place that names c_{1,2}(x) = x^2/2: conjugate
+    tables and tester energies use that cost, while the checker evaluates its
+    own 'quadratic' form Phi(delta r^2)."""
     spec = cfg.cost.strip()
     try:
         if spec.startswith("quadratic"):
@@ -238,18 +261,18 @@ def _build_cost(cfg: RunConfig):
                 delta = float(spec.split(":", 1)[1])
             if delta <= 0:
                 raise ConfigError("quadratic delta must be positive")
-            return "quadratic", delta, None
+            return CostFunction.closed_form(1.0, 2.0), "quadratic", delta
         if spec.startswith("c:"):
             parts = spec.split(":")
             if len(parts) != 3:
                 raise ConfigError("cost must look like c:A:alpha")
             A, alpha = float(parts[1]), float(parts[2])
-            return "general", None, CostFunction.closed_form(A, alpha)
+            return CostFunction.closed_form(A, alpha), "general", 1.0
         if spec.startswith("expr:"):
             expr = parse_potential(spec[5:])
             grid = np.linspace(0.0, 100.0, 4097)
-            return "general", None, CostFunction.from_samples(grid, np.asarray(expr(grid), dtype=float))
-    except (ExprError, ValueError) as exc:
+            return CostFunction.from_samples(grid, np.asarray(expr(grid), dtype=float)), "general", 1.0
+    except ValueError as exc:
         raise ConfigError(str(exc))
     raise ConfigError(f"unknown cost {spec!r}")
 
@@ -273,27 +296,17 @@ def _build_family(cfg: RunConfig) -> TestFamily:
         raise ConfigError(str(exc))
 
 
-def _checker_delta(cfg: RunConfig, cost_delta: Optional[float]) -> float:
-    if cfg.delta is not None:
-        return float(cfg.delta)
-    if cost_delta is not None:
-        return float(cost_delta)
-    return 1.0
-
-
 # -- subcommands --------------------------------------------------------------------
 
 
 def _cmd_conjugate(cfg: RunConfig) -> int:
-    form, _, cost = _build_cost(cfg)
+    cost, _, _ = _build_cost(cfg)
     grid_spec = cfg.grid if cfg.grid is not None else "0:10:2000"
     lo, hi, n = _parse_range(grid_spec, "grid")
     if lo < 0:
         raise ConfigError("conjugate grid must be nonnegative")
     xs = np.linspace(lo, hi, n)
-    if form == "quadratic":
-        cost = CostFunction.closed_form(1.0, 2.0)
-    if cost.kind == "closed_form_cAalpha":
+    if cost.is_closed_form:
         values = np.asarray(eval_cost(dual_cost(cost), xs), dtype=float)
     else:
         table = legendre_transform(cost, xs)
@@ -339,16 +352,17 @@ def _cmd_profile(cfg: RunConfig) -> int:
 def _make_condition_spec(cfg: RunConfig):
     mu = _build_measure(cfg)
     F = _build_entropy(cfg)
-    form, cost_delta, cost = _build_cost(cfg)
+    cost, form, delta = _build_cost(cfg)
     if cfg.form is not None:
+        if cfg.form == "general" and form == "quadratic":
+            raise ConfigError("form 'general' needs a c:A:alpha or expr: cost")
         form = cfg.form
-    delta = _checker_delta(cfg, cost_delta)
     try:
         return ConditionSpec(
             measure=mu,
             F=F,
             cost=cost,
-            delta=delta,
+            delta=cfg.delta if cfg.delta is not None else delta,
             K=cfg.K,
             form=form,
             profile_choice=cfg.profile_choice,
@@ -370,9 +384,7 @@ def _run_test_report(cfg: RunConfig):
     if cfg.display == "restricted":
         mu = _build_measure(cfg)
         F = _build_entropy(cfg)
-        form, _, cost = _build_cost(cfg)
-        if form == "quadratic":
-            cost = CostFunction.closed_form(1.0, 2.0)
+        cost, _, _ = _build_cost(cfg)
         return verify_theorem_2_1(mu, F, cost, cfg.K, family)
     if cfg.display == "exp-power":
         measure = None
@@ -404,8 +416,7 @@ def _cmd_certify(cfg: RunConfig) -> int:
     spec = _make_condition_spec(cfg)
     check_report = check_condition(spec, n_per_decade=cfg.n_per_decade)
     family = _build_family(cfg)
-    cost = spec.cost if spec.cost is not None else CostFunction.closed_form(1.0, 2.0)
-    test_report = verify_theorem_2_1(spec.measure, spec.F, cost, cfg.K, family)
+    test_report = verify_theorem_2_1(spec.measure, spec.F, spec.cost, cfg.K, family)
 
     margins_ok = all(row["ok"] for row in test_report.details["step1"])
     b_finite = test_report.B_hat is not None and np.isfinite(test_report.B_hat)
@@ -475,37 +486,6 @@ def _cmd_paper_examples(cfg: RunConfig) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None, help="flat key = value config file")
-    sub.add_argument("--measure", default=None, help="gauss | exp | exp_power:a | loglog | expr:V(x)")
-    sub.add_argument("--entropy", default=None, help="log | ftau:t | expr:F(x)")
-    sub.add_argument("--cost", default=None, help="quadratic:delta | c:A:alpha | expr:c(x)")
-    sub.add_argument("--delta", type=float, default=None)
-    sub.add_argument("--K", type=float, default=None)
-    sub.add_argument("--t-min", dest="t_min", type=float, default=None)
-    sub.add_argument("--form", default=None, choices=["quadratic", "general", "one_d_quadratic"])
-    sub.add_argument("--profile-choice", dest="profile_choice", default=None, choices=["tilde", "lower_bound_model"])
-    sub.add_argument("--n-per-decade", dest="n_per_decade", type=int, default=None)
-    sub.add_argument("--family", default=None, choices=["exponential", "bump", "shifted_linear", "random_smooth", "stretched_exp"])
-    sub.add_argument("--params", default=None, help="comma-separated family parameters")
-    sub.add_argument("--floor", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--scale", type=float, default=None)
-    sub.add_argument("--exponent", type=float, default=None)
-    sub.add_argument("--smoothing", type=float, default=None)
-    sub.add_argument("--display", default=None, choices=["restricted", "exp-power", "power-beta"])
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--tau", type=float, default=None)
-    sub.add_argument("--A", type=float, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--grid-kind", dest="grid_kind", default=None, choices=["hybrid", "uniform"])
-    sub.add_argument("--support", default=None, help="lo:hi")
-    sub.add_argument("--grid", default=None, help="lo:hi:n")
-    sub.add_argument("--t-grid", dest="t_grid", default=None, help="lo:hi:n in (0, 1/2]")
-    sub.add_argument("--profile-kind", dest="profile_kind", default=None, choices=["tilde", "if"])
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-
-
 _COMMANDS = {
     "conjugate": _cmd_conjugate,
     "profile": _cmd_profile,
@@ -524,22 +504,36 @@ def run(config: RunConfig, command: str) -> int:
     return handler(config)
 
 
-def main(argv=None) -> int:
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The isocert parser.  Only the subparser for `command` gets flags: the
+    RunConfig fields that subcommand reads, plus --config.  The others stay
+    empty and are there so that `isocert -h` lists them."""
     parser = argparse.ArgumentParser(
         prog="isocert",
         description="certify and test entropy--energy inequalities for 1-D measures",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        _add_common(subs.add_parser(name))
-    ns = parser.parse_args(argv)
+        sub = subs.add_parser(name, allow_abbrev=False)
+        if name != command:
+            continue
+        sub.add_argument("--config", help="flat key = value file; it may set any setting, also one this subcommand ignores; flags win")
+        for f in fields(RunConfig):
+            meta = f.metadata
+            if name in meta["commands"]:
+                sub.add_argument("--" + f.name.replace("_", "-"), type=meta["convert"], choices=meta["choices"], help=meta["help"])
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no options but -h, so the command is the first word
+    command = next((a for a in argv if not a.startswith("-")), None)
+    ns = _parser(command).parse_args(argv)
     try:
         cfg = RunConfig.from_sources(ns.config, ns)
         return run(cfg, ns.command)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ExprError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ExprError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

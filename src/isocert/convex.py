@@ -34,9 +34,9 @@ def conjugate_exponent(alpha):
 
 @dataclass(frozen=True)
 class CostFunction:
-    """A convex nondecreasing cost with c(0) = 0, closed form or sampled."""
+    """A convex nondecreasing cost with c(0) = 0: the closed form c_{A,alpha}
+    (A and alpha set) or linear interpolation of samples (grid and values set)."""
 
-    kind: str  # "closed_form_cAalpha" | "sampled"
     A: Optional[float] = None
     alpha: Optional[float] = None
     grid: Optional[np.ndarray] = None
@@ -48,7 +48,7 @@ class CostFunction:
             raise ValueError("A must be positive")
         if not alpha > 1:
             raise ValueError("alpha must exceed 1")
-        return cls(kind="closed_form_cAalpha", A=float(A), alpha=float(alpha))
+        return cls(A=float(A), alpha=float(alpha))
 
     @classmethod
     def from_samples(cls, grid, values):
@@ -63,11 +63,21 @@ class CostFunction:
         slopes = np.diff(values) / np.diff(grid)
         if np.any(np.diff(slopes) < -_tol_scale(values)):
             raise ValueError("cost values must be convex on the grid")
-        return cls(kind="sampled", grid=grid, values=values)
+        return cls(grid=grid, values=values)
+
+    @property
+    def is_closed_form(self):
+        """Read from the data: only a sampled cost carries a grid."""
+        return self.grid is None
+
+    @property
+    def label(self):
+        """c_{A,alpha} with its parameters, or 'sampled'."""
+        return f"c_{{{self.A:g},{self.alpha:g}}}" if self.is_closed_form else "sampled"
 
     def superlinearity_ok(self):
         """c(x)/x increasing at the last two evaluable points."""
-        if self.kind == "closed_form_cAalpha":
+        if self.is_closed_form:
             xs = np.array([self.A * 1e3, self.A * 2e3])
         else:
             xs = self.grid[-2:]
@@ -89,7 +99,7 @@ def eval_cost(c, x, return_flag=False):
     x = np.atleast_1d(x)
     if np.any(x < 0):
         raise ValueError("cost argument must be nonnegative")
-    if c.kind == "closed_form_cAalpha":
+    if c.is_closed_form:
         A, a = c.A, c.alpha
         inner = 0.5 * x * x
         with np.errstate(over="ignore"):
@@ -111,7 +121,7 @@ def eval_cost(c, x, return_flag=False):
 def cost_derivative(c, x):
     """c'(x); chord slopes for sampled costs."""
     x = np.asarray(x, dtype=float)
-    if c.kind == "closed_form_cAalpha":
+    if c.is_closed_form:
         A, a = c.A, c.alpha
         return np.where(x <= A, x, A ** (2.0 - a) * x ** (a - 1.0))
     h = np.maximum(1e-7 * (1.0 + np.abs(x)), 1e-12)
@@ -120,7 +130,7 @@ def cost_derivative(c, x):
 
 def dual_cost(c):
     """Closed-form Legendre conjugate: the same family at the dual exponent."""
-    if c.kind != "closed_form_cAalpha":
+    if not c.is_closed_form:
         raise ValueError("dual_cost needs a closed-form cost; use legendre_transform")
     return CostFunction.closed_form(c.A, conjugate_exponent(c.alpha))
 
@@ -145,7 +155,7 @@ class ConjugateTable:
 def _primal_samples(f, dual_grid, n_primal):
     """Materialize (y, g(y)) samples for the supported input kinds."""
     if isinstance(f, CostFunction):
-        if f.kind == "sampled":
+        if not f.is_closed_form:
             return f.grid, f.values, "given"
         A, a = f.A, f.alpha
         xmax = max(float(dual_grid[-1]), 1e-6)
@@ -205,7 +215,7 @@ def double_conjugate(f, primal_grid=None, n_primal=4096):
     The intermediate dual grid contains every chord slope of the primal data,
     so sampling the first conjugate there loses nothing.
     """
-    if isinstance(f, CostFunction) and f.kind == "closed_form_cAalpha":
+    if isinstance(f, CostFunction) and f.is_closed_form:
         if primal_grid is None:
             raise ValueError("closed-form input needs an explicit primal grid")
         y = np.asarray(primal_grid, dtype=float)
@@ -250,7 +260,7 @@ def check_condition_H(c, ks, x_range=(1e-3, 1e3), n=4096):
         return out
 
     n_primal = ratios(c)
-    if c.kind == "closed_form_cAalpha":
+    if c.is_closed_form:
         n_dual = ratios(dual_cost(c))
     else:
         xg = np.geomspace(x_range[0], x_range[1], n)

@@ -28,16 +28,12 @@ depends on what the EntropyFunction carries:
   otherwise          vectorised Newton on the stationarity residual, with
                      bisection as a safeguard and derivatives from central
                      differences of G, stopped on a residual check.
-
-The grid table conjugate_Phi remains as an independent cross-check.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-
-from .convex import ConjugateTable, legendre_transform
 
 
 @dataclass(frozen=True)
@@ -211,21 +207,6 @@ def psi_derivative(tau, beta, x):
     with np.errstate(invalid="ignore"):
         upper = np.maximum(base, 1e-300) ** (2.0 / (tau * beta) - 1.0)
     return np.where(x <= 1.0, 1.0, upper)
-
-
-def conjugate_Phi(F, x_grid, y_min=1e-8, y_max=1e8, n=16384):
-    """Grid table of Phi(x) = sup_y (x y - y F(y) + y).
-
-    The primal grid is log-spaced over [y_min, y_max] with an explicit 0
-    ordinate (the integrand vanishes at 0 by A2).  Dual points beyond the
-    grid's slope range keep their truncation flag.
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    y = np.geomspace(y_min, y_max, n)
-    g = y * F(y) - y
-    y = np.concatenate(([0.0], y))
-    g = np.concatenate(([0.0], g))
-    return legendre_transform((y, g), x_grid)
 
 
 _EPS = float(np.finfo(float).eps)

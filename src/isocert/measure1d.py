@@ -107,10 +107,12 @@ def _tail_decay_check(Vfn, x_peak, cut):
     v_cut, v_in, v_peak = Vfn(np.array([cut, x_peak + 0.9 * d, x_peak]))
     if v_cut <= v_in:
         raise ValueError("density is not decaying over the last decade before the cut; tail not integrable")
-    # decay rate per e-fold of distance from the peak; integrable tails give
-    # int_cut^inf e^{-V} <~ w(cut) |d| / (rate - 1)
+    # decay rate per e-fold of distance from the peak: e^{-V} ~ |x|^{-rate},
+    # integrable iff rate > 1, and then int_cut^inf e^{-V} <~ w(cut) |d| / (rate - 1)
     rate = (v_cut - v_in) / (-np.log(0.9))
-    return np.exp(-(v_cut - v_peak)) * abs(d) / max(rate - 1.0, 0.5)
+    if rate <= 1.0:
+        raise ValueError(f"density decays like |x|^-{rate:.3g} at the cut; tail not integrable")
+    return np.exp(-(v_cut - v_peak)) * abs(d) / (rate - 1.0)
 
 
 @dataclass(frozen=True, eq=False)

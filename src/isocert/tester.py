@@ -16,6 +16,8 @@ family for the stability check.  A member's ratio is entropy/denominator when
 the denominator is positive, +inf when a positive entropy meets a vanishing
 denominator, and NaN (no evidence) otherwise; C_hat is the largest non-NaN
 ratio, or 0 when there is none, so every reported ratio is at most C_hat.
+A member with f or f' outside L^2(mu), or a non-finite energy term, is
+refused by name with a ValueError instead of giving an inf row.
 
 Family members are evaluated independently and reduced in parameter order,
 so reports are deterministic.
@@ -271,7 +273,7 @@ def cost_energy(mu: Measure1D, f, cost: Union[CostFunction, float]) -> float:
 
 def _dual_evaluator(cost: CostFunction, r_max: float):
     """Return a callable evaluating c* on [0, r_max]."""
-    if cost.kind == "closed_form_cAalpha":
+    if cost.is_closed_form:
         dual = dual_cost(cost)
         return lambda r: np.asarray(eval_cost(dual, r), dtype=float)
     hi = max(r_max, 1.0) * 1.0000001
@@ -311,7 +313,7 @@ def _centered_integrand(sf: SampledFunction, cost: CostFunction, center: float) 
     dv = np.abs(sf.dvalues)
     zero = au == 0.0
     ratio = np.where(zero, 0.0, dv / np.where(zero, 1.0, au))
-    if cost.kind == "closed_form_cAalpha":
+    if cost.is_closed_form:
         dual = dual_cost(cost)
         b = dual.alpha
         with np.errstate(over="ignore"):
@@ -475,6 +477,24 @@ def _parameter(label) -> float:
         return float("nan")
 
 
+def _checked(mu: Measure1D, terms):
+    """terms behind a membership gate: a member with f or f' outside L^2(mu)
+    on the grid is refused by name before its functionals overflow, and so is
+    one whose energy term comes out non-finite."""
+
+    def checked(sf):
+        with np.errstate(over="ignore", invalid="ignore"):
+            l2 = mu.integrate(sf.values**2) + mu.integrate(sf.dvalues**2)
+        if not np.isfinite(l2):
+            raise ValueError(f"member {sf.name} is not in L^2(mu): f^2 + f'^2 integrates to {l2}")
+        out = terms(sf)
+        if not np.isfinite(out[2]):
+            raise ValueError(f"member {sf.name} has a non-finite energy term ({out[2]})")
+        return out
+
+    return checked
+
+
 def _ratio_table(mu: Measure1D, family: TestFamily, terms):
     """Rows and C_hat for one family.  terms(sf) returns the member's
     (entropy side, variance term, energy term, ratio denominator); the
@@ -482,6 +502,7 @@ def _ratio_table(mu: Measure1D, family: TestFamily, terms):
     members = family.members(mu)
     if not members:
         raise ValueError("family is empty")
+    terms = _checked(mu, terms)
     F_log = log_entropy()
     rows = []
     for sf, label in zip(members, family._ordered_params()):
@@ -508,7 +529,7 @@ def _ratio_table(mu: Measure1D, family: TestFamily, terms):
 def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float) -> dict:
     """C_hat over the enriched family (terms only, no rows) and whether it
     stays within 10% of c_hat."""
-    c_enr = _sup_ratio(_ratio(lhs, den) for lhs, _, _, den in map(terms, family.enriched().members(mu)))
+    c_enr = _sup_ratio(_ratio(lhs, den) for lhs, _, _, den in map(_checked(mu, terms), family.enriched().members(mu)))
     stable = bool(np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10)
     return {"C_hat_enriched": c_enr, "stable": stable}
 

@@ -3,8 +3,13 @@ formats, and determinism."""
 
 import argparse
 import json
+import re
+import shlex
 import shutil
 import subprocess
+import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +349,133 @@ class TestPaperExamplesCommand:
         monkeypatch.setenv("ISOCERT_THREADS", "lots")
         assert main(["paper-examples"]) == 2
         assert "ISOCERT_THREADS" in capsys.readouterr().err
+
+
+def _declared(command):
+    return {f.name for f in fields(RunConfig) if command in f.metadata["commands"]}
+
+
+class _ReadRecorder:
+    """Forwards attribute reads to a RunConfig and records their names."""
+
+    def __init__(self, cfg):
+        self.cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+# representative requests: every subcommand, every --display and --profile-kind
+_REQUESTS = [
+    ["conjugate", "--cost", "c:1:3", "--grid", "0:1:5"],
+    ["conjugate", "--cost", "expr:x^2/2"],
+    ["profile", "--measure", "exp_power", "--alpha", "1.5", "--n", "4096", "--t-grid", "0.1:0.5:3"],
+    ["profile", "--profile-kind", "if", "--measure", "gauss", "--support=-9:9", "--n", "4096", "--grid", "0:4:5"],
+    ["check", "--measure", "exp_power", "--n", "4096", "--cost", "c:1:3", "--delta", "0.5", "--form", "general",
+     "--profile-choice", "lower_bound_model", "--t-min", "1e-10", "--n-per-decade", "16", "--grid-kind", "uniform"],
+    ["test", "--measure", "gauss", "--n", "4096", "--cost", "quadratic:0.5", "--family", "random_smooth",
+     "--params", "0,1", "--seed", "1", "--scale", "0.4", "--floor", "1e-5"],
+    ["test", "--display", "exp-power", "--alpha", "2", "--tau", "1", "--A", "1", "--params", "0.5", "--n", "4096"],
+    ["test", "--display", "exp-power", "--measure", "exp_power:2", "--alpha", "2", "--params", "0.5", "--n", "4096"],
+    ["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--alpha", "1.5", "--family", "stretched_exp",
+     "--params", "0.5", "--exponent", "0.7", "--smoothing", "0.05", "--n", "4096"],
+    ["certify", "--measure", "exp_power", "--alpha", "2", "--n", "4096", "--cost", "quadratic:0.5", "--params", "0.5"],
+    ["paper-examples", "--n", "4096", "--n-per-decade", "16"],
+]
+
+
+class TestPerSubcommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["conjugate", "--measure", "gauss", "--family", "bump", "--grid", "0:1:3"],
+        ["paper-examples", "--cost", "c:1:3"],
+        ["check", "--grid", "0:1:3"],  # no abbreviation of --grid-kind
+    ])
+    def test_unread_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli._COMMANDS)
+
+    def test_config_may_hold_keys_the_subcommand_does_not_read(self, tmp_path, capsys):
+        cfg_file = tmp_path / "problem.cfg"
+        cfg_file.write_text("measure = exp\nfamily = bump\ndisplay = power-beta\ncost = c:1:3\n")
+        assert main(["conjugate", "--config", str(cfg_file), "--grid", "0:1:3"]) == 0
+        assert capsys.readouterr().out.startswith("x,c_star\n")
+
+    def test_config_value_outside_the_choices_is_refused(self, tmp_path, capsys):
+        cfg_file = tmp_path / "problem.cfg"
+        cfg_file.write_text("form = pentagonal\n")
+        assert main(["check", "--config", str(cfg_file)]) == 2
+        assert "form must be one of" in capsys.readouterr().err
+
+    def test_fields_read_are_the_declared_flags(self, tmp_path):
+        read = {name: set() for name in cli._COMMANDS}
+        for argv in _REQUESTS:
+            command = argv[0]
+            ns = cli._parser(command).parse_args(argv + ["--out", str(tmp_path / "out")])
+            recorder = _ReadRecorder(RunConfig.from_sources(None, ns))
+            assert cli.run(recorder, command) in (0, 3, 4)
+            assert recorder.read <= _declared(command), argv
+            read[command] |= recorder.read
+        assert read == {name: _declared(name) for name in cli._COMMANDS}
+
+    def test_check_request_builds_only_its_own_flags(self, monkeypatch):
+        calls = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        assert main(["check", "--measure", "banana"]) == 2
+        # -h on the top parser and on each subparser, --config, and check's settings
+        assert len(calls) <= 1 + len(cli._COMMANDS) + 1 + len(_declared("check"))
+
+    def test_general_form_refuses_the_quadratic_cost(self, capsys):
+        assert main(["check", "--form", "general", "--cost", "quadratic:0.5"]) == 2
+        assert "form 'general'" in capsys.readouterr().err
+
+
+class TestReadmeCommands:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_every_documented_command_line_parses(self):
+        section = self.README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("isocert ")]
+        assert {argv[0] for argv in lines} == set(cli._COMMANDS)
+        for argv in lines:
+            ns = cli._parser(argv[0]).parse_args(argv)
+            assert ns.command == argv[0]
+
+    def test_flag_table_matches_the_settings(self):
+        text = self.README.read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (`--.*`) \|$", text, re.M))
+        want = {name: ["--" + f.replace("_", "-") for f in _declared(name)] for name in cli._COMMANDS}
+        assert {name: sorted(re.findall(r"--[\w-]+", flags)) for name, flags in rows.items()} == \
+            {name: sorted(flags) for name, flags in want.items()}
+
+
+class TestRefusals:
+    def test_bounded_potential_exits_two(self, capsys):
+        assert main(["profile", "--measure", "expr:42*abs(x)/(1+abs(x))"]) == 2
+        assert "not integrable" in capsys.readouterr().err
+
+    def test_member_outside_L2_exits_two_without_numpy_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--measure", "expr:abs(x)^0.5", "--params", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "exponential(0.5) is not in L^2" in captured.err and captured.out == ""
 
 
 class TestEntryPoints:

@@ -84,7 +84,7 @@ class TestDuality:
 
     def test_dual_cost_swaps_exponent_keeps_threshold(self):
         d = dual_cost(CostFunction.closed_form(2.0, 1.5))
-        assert d.kind == "closed_form_cAalpha"
+        assert d.is_closed_form and d.label == "c_{2,3}"
         assert d.A == 2.0 and d.alpha == pytest.approx(3.0)
 
     def test_dual_value_by_hand(self):
@@ -197,6 +197,12 @@ class TestSampledCosts:
         assert list(flag) == [False, True]
         # chord extrapolation beyond the grid
         assert vals[1] == pytest.approx(2.0 + 1.5 * 1.0)
+
+    def test_kind_and_label_are_read_from_the_data(self):
+        c = CostFunction.from_samples([0.0, 1.0, 2.0], [0.0, 0.5, 2.0])
+        assert not c.is_closed_form and c.label == "sampled"
+        c = CostFunction.closed_form(1.0, 1.5)
+        assert c.is_closed_form and c.label == "c_{1,1.5}"
 
     def test_superlinearity_check(self):
         xs = np.linspace(0.0, 10.0, 100)

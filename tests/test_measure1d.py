@@ -187,6 +187,11 @@ class TestTruncationSearch:
         with pytest.raises(ValueError, match=message):
             build_measure(V)
 
+    def test_bounded_potential_is_refused(self):
+        # e^{-V} tends to e^{-42}: the fitted tail |x|^-0.575 is not integrable
+        with pytest.raises(ValueError, match="not integrable"):
+            build_measure(parse_potential("42*abs(x)/(1+abs(x))"))
+
     def test_walk_that_never_crosses_is_non_normalizable(self):
         # only a start the walk cannot leave (NaN) exhausts the 60 doublings
         V = measure1d._vec(lambda x: 0.5 * x * x)

@@ -7,7 +7,8 @@ import pytest
 
 from isocert.convex import CostFunction
 from isocert.entropy import EntropyFunction, F_tau
-from isocert.measure1d import SampledFunction, builtin_measure
+from isocert.expr import parse_potential
+from isocert.measure1d import SampledFunction, build_measure, builtin_measure
 from isocert.tester import (
     TestFamily,
     entropy_functional,
@@ -312,6 +313,14 @@ class TestRatioEngine:
         assert np.isfinite(moving.ratio) and moving.ratio > 0
         assert all(row.ratio <= rep.C_hat for row in rep.rows if not np.isnan(row.ratio))
         assert rep.C_hat == moving.ratio
+
+
+    def test_member_outside_L2_is_refused_by_name(self, F_log):
+        # e^{x/2} squared outgrows the density e^{-sqrt|x|}
+        mu = build_measure(parse_potential("abs(x)^0.5"))
+        fam = TestFamily("exponential", (0.5,))
+        with pytest.raises(ValueError, match=r"exponential\(0\.5\) is not in L\^2"):
+            verify_theorem_2_1(mu, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
 
 
 class TestTwoFunctionComparison:
