@@ -31,7 +31,7 @@ import numpy as np
 
 from .convex import CostFunction, eval_cost
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi
-from .measure1d import TRUST_TAIL, Measure1D, builtin_measure, fitted_profile_lower_bound, tilde_profile
+from .measure1d import TRUST_TAIL, Measure1D, _vec, builtin_measure, fitted_profile_lower_bound, tilde_profile
 
 _LN10 = float(np.log(10.0))
 _FORMS = ("general", "quadratic", "one_d_quadratic")
@@ -93,26 +93,9 @@ class ConditionReport:
     flags: tuple = ()
     form: str = "quadratic"
     t_min: float = 1e-12
-    measure_name: str = ""
-    entropy_name: str = ""
-    cost_name: str = ""
-
-    def to_json_dict(self):
-        return {
-            "verdict": self.verdict,
-            "integral_estimate": self.integral_estimate,
-            "log10_integral_estimate": self.log10_integral_estimate,
-            "delta": self.delta,
-            "K": self.K,
-            "tail_p": self.tail_p,
-            "decades": [dict(d) for d in self.decades],
-            "flags": list(self.flags),
-            "form": self.form,
-            "t_min": self.t_min,
-            "measure": self.measure_name,
-            "entropy": self.entropy_name,
-            "cost": self.cost_name,
-        }
+    measure: str = ""
+    entropy: str = ""
+    cost: str = ""
 
 
 def _profile_fn(spec):
@@ -262,9 +245,9 @@ def check_condition(spec, n_per_decade=256, validate=True):
         flags=tuple(flags),
         form=spec.form,
         t_min=spec.t_min,
-        measure_name=spec.measure.name,
-        entropy_name=spec.F.name,
-        cost_name=_cost_label(spec),
+        measure=spec.measure.name,
+        entropy=spec.F.name,
+        cost=_cost_label(spec),
     )
 
 
@@ -274,14 +257,6 @@ class SweepReport:
     verdicts: tuple
     best_delta: Optional[float]  # largest sampled delta certified FINITE
     reports: tuple
-
-    def to_json_dict(self):
-        return {
-            "deltas": list(self.deltas),
-            "verdicts": list(self.verdicts),
-            "best_delta": self.best_delta,
-            "reports": [r.to_json_dict() for r in self.reports],
-        }
 
 
 def check_condition_sweep(spec, deltas=(1.0, 0.5, 0.25, 0.125, 0.0625), n_per_decade=256):
@@ -317,17 +292,6 @@ class ExpPowerReport:
     beta: float
     run_cost: ConditionReport  # (F_tau, cost c_{A, q*})
     run_quadratic: ConditionReport  # (F_{2/beta}, quadratic)
-
-    def to_json_dict(self):
-        return {
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "A": self.A,
-            "q_star": self.q_star,
-            "beta": self.beta,
-            "run_cost": self.run_cost.to_json_dict(),
-            "run_quadratic": self.run_quadratic.to_json_dict(),
-        }
 
 
 def check_exp_power(alpha, tau, A=1.0, delta=0.25, K=4.0, n_grid=16384, measure=None):
@@ -374,17 +338,6 @@ class GrowthReport:
     r_hi: float
     n_used: int
 
-    def to_json_dict(self):
-        return {
-            "C": self.C,
-            "bounded": self.bounded,
-            "log_normalizer": self.log_normalizer,
-            "sup_ratio": self.sup_ratio,
-            "r_lo": self.r_lo,
-            "r_hi": self.r_hi,
-            "n_used": self.n_used,
-        }
-
 
 def verify_growth_condition(mu, g, phi=None, alpha=2.0, n=600):
     """Fitted constant in the growth condition g(r) >= C r phi^{1-1/alpha}(e^{g(r)}).
@@ -399,7 +352,7 @@ def verify_growth_condition(mu, g, phi=None, alpha=2.0, n=600):
     """
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
-    gv = _as_fn(g)
+    gv = _vec(g)
     # integrability of e^{g(|x|)} dmu on the truncated support
     contrib = gv(np.abs(mu.grid)) + np.log(np.maximum(mu.node_mass, 1e-300))
     i_peak = int(np.argmax(contrib))
@@ -445,10 +398,3 @@ def verify_growth_condition(mu, g, phi=None, alpha=2.0, n=600):
         r_hi=float(r_hi),
         n_used=int(np.count_nonzero(good)),
     )
-
-
-def _as_fn(g):
-    def f(x):
-        return np.asarray(g(np.asarray(x, dtype=float)), dtype=float)
-
-    return f

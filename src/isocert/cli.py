@@ -5,7 +5,9 @@ checks, empirical inequality tests, or the combined certification flow.
 Exit codes: 0 success (for `check`, any decisive verdict), 2 configuration
 error, 3 inconclusive verdict, 4 certification failure (divergent verdict or
 a violated margin).  Output is deterministic: floats are printed with 17
-significant digits, JSON key order is fixed, and CSV uses LF line endings.
+significant digits, a report's JSON keys are its dataclass fields in
+declaration order, and CSV uses LF line endings.  Everything runs on one
+thread; ISOCERT_THREADS is still validated (an integer) and otherwise unused.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,11 +74,19 @@ def _dump_json(obj) -> str:
         return "".join(out)
     if isinstance(obj, dict):
         return "{" + ",".join(f"{_dump_json(str(k))}:{_dump_json(v)}" for k, v in obj.items()) + "}"
+    if is_dataclass(obj) and not isinstance(obj, type):  # a report: its fields, in declaration order
+        return "{" + ",".join(f'"{f.name}":{_dump_json(getattr(obj, f.name))}' for f in fields(obj)) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_dump_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return _dump_json(list(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _table(names, *columns) -> str:
+    """CSV text: a header of names, then row i of every column, 17 significant digits a cell."""
+    row = ",".join(["%.17g"] * len(columns))
+    return "\n".join([",".join(names), *(row % cells for cells in zip(*columns))]) + "\n"
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -313,10 +322,7 @@ def _cmd_conjugate(cfg: RunConfig) -> int:
         values = np.asarray(table.values, dtype=float)
         if bool(np.any(table.truncated)):
             sys.stderr.write("warning: dual grid extends past the recoverable slope range\n")
-    lines = ["x,c_star"]
-    for x, v in zip(xs, values):
-        lines.append("%.17g,%.17g" % (x, v))
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(cfg.out, _table(("x", "c_star"), xs, values))
     return 0
 
 
@@ -329,9 +335,7 @@ def _cmd_profile(cfg: RunConfig) -> int:
             raise ConfigError("t_grid must lie inside (0, 1/2]")
         t = np.linspace(lo, hi, n)
         prof = tilde_profile(mu, t)
-        lines = ["t,u,v,tilde_I"]
-        for ti, ui, vi, ii in zip(prof.t_grid, prof.u_t, prof.v_t, prof.tilde_I):
-            lines.append("%.17g,%.17g,%.17g,%.17g" % (ti, ui, vi, ii))
+        text = _table(("t", "u", "v", "tilde_I"), prof.t_grid, prof.u_t, prof.v_t, prof.tilde_I)
     elif cfg.profile_kind == "if":
         F = _build_entropy(cfg)
         r_spec = cfg.grid if cfg.grid is not None else "0:8:400"
@@ -340,12 +344,10 @@ def _cmd_profile(cfg: RunConfig) -> int:
             raise ConfigError("radii must be nonnegative")
         r = np.linspace(lo, hi, n)
         prof = I_F_profile(mu, F, r)
-        lines = ["r,s,I_F"]
-        for ri, si, vi in zip(prof.r_grid, prof.s_values, prof.values):
-            lines.append("%.17g,%.17g,%.17g" % (ri, si, vi))
+        text = _table(("r", "s", "I_F"), prof.r_grid, prof.s_values, prof.values)
     else:
         raise ConfigError(f"unknown profile kind {cfg.profile_kind!r}")
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(cfg.out, text)
     return 0
 
 
@@ -353,9 +355,11 @@ def _make_condition_spec(cfg: RunConfig):
     mu = _build_measure(cfg)
     F = _build_entropy(cfg)
     cost, form, delta = _build_cost(cfg)
-    if cfg.form is not None:
-        if cfg.form == "general" and form == "quadratic":
+    if cfg.form is not None and cfg.form != form:
+        if cfg.form == "general":
             raise ConfigError("form 'general' needs a c:A:alpha or expr: cost")
+        if form == "general":
+            raise ConfigError(f"form {cfg.form!r} evaluates Phi(delta r^2) and cannot use the cost {cfg.cost.strip()!r}")
         form = cfg.form
     try:
         return ConditionSpec(
@@ -375,7 +379,7 @@ def _make_condition_spec(cfg: RunConfig):
 def _cmd_check(cfg: RunConfig) -> int:
     spec = _make_condition_spec(cfg)
     report = check_condition(spec, n_per_decade=cfg.n_per_decade)
-    _write_text(cfg.out, _dump_json(report.to_json_dict()) + "\n")
+    _write_text(cfg.out, _dump_json(report) + "\n")
     return 3 if report.verdict == "INCONCLUSIVE" else 0
 
 
@@ -402,7 +406,7 @@ def _cmd_test(cfg: RunConfig) -> int:
         report = _run_test_report(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    json_text = _dump_json(report.to_json_dict()) + "\n"
+    json_text = _dump_json(report) + "\n"
     if cfg.out is None:
         sys.stdout.write(json_text)
     else:
@@ -425,8 +429,8 @@ def _cmd_certify(cfg: RunConfig) -> int:
 
     payload = {
         "certified": bool(certified),
-        "check": check_report.to_json_dict(),
-        "test": test_report.to_json_dict(),
+        "check": check_report,
+        "test": test_report,
     }
     _write_text(cfg.out, _dump_json(payload) + "\n")
     if check_report.verdict == "INCONCLUSIVE":
@@ -436,50 +440,23 @@ def _cmd_certify(cfg: RunConfig) -> int:
     return 0
 
 
-def _thread_cap() -> int:
-    workers = min(4, os.cpu_count() or 1)
-    env = os.environ.get("ISOCERT_THREADS")
+def _cmd_paper_examples(cfg: RunConfig) -> int:
+    env = os.environ.get("ISOCERT_THREADS")  # validated for compatibility, otherwise unused
     if env is not None:
         try:
-            workers = max(1, min(workers, int(env)))
+            int(env)
         except ValueError:
             raise ConfigError(f"ISOCERT_THREADS must be an integer, got {env!r}")
-    return workers
-
-
-def _cmd_paper_examples(cfg: RunConfig) -> int:
-    n = cfg.n
-    exp_power = builtin_measure("exp_power", alpha=1.5, n=n)  # shared by three fixtures
-
-    def fixture_loglog():
-        mu = builtin_measure("loglog", n=n)
-        spec = ConditionSpec(measure=mu, F=log_entropy(), delta=0.5, K=2.0, form="quadratic")
-        return check_condition(spec, n_per_decade=cfg.n_per_decade).to_json_dict()
-
-    def fixture_exp_power_upper():
-        return check_exp_power(1.5, 1.0, measure=exp_power).to_json_dict()
-
-    def fixture_exp_power_lower():
-        return check_exp_power(1.5, 2.0 / 3.0, measure=exp_power).to_json_dict()
-
-    def fixture_power_entropy():
-        family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
-        return verify_theorem_4_4(exp_power, 1.5, family).to_json_dict()
-
-    fixtures = [
-        ("loglog_quadratic", fixture_loglog),
-        ("exp_power_tau_upper", fixture_exp_power_upper),
-        ("exp_power_tau_lower", fixture_exp_power_lower),
-        ("power_entropy", fixture_power_entropy),
-    ]
-    workers = _thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda item: item[1](), fixtures))
-    else:
-        results = [thunk() for _, thunk in fixtures]
-    payload = {"fixtures": {name: res for (name, _), res in zip(fixtures, results)}}
-    _write_text(cfg.out, _dump_json(payload) + "\n")
+    exp_power = builtin_measure("exp_power", alpha=1.5, n=cfg.n)  # shared by three fixtures
+    loglog = ConditionSpec(measure=builtin_measure("loglog", n=cfg.n), F=log_entropy(), delta=0.5, K=2.0, form="quadratic")
+    family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
+    fixtures = {
+        "loglog_quadratic": check_condition(loglog, n_per_decade=cfg.n_per_decade),
+        "exp_power_tau_upper": check_exp_power(1.5, 1.0, measure=exp_power),
+        "exp_power_tau_lower": check_exp_power(1.5, 2.0 / 3.0, measure=exp_power),
+        "power_entropy": verify_theorem_4_4(exp_power, 1.5, family),
+    }
+    _write_text(cfg.out, _dump_json({"fixtures": fixtures}) + "\n")
     return 0
 
 

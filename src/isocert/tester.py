@@ -26,7 +26,7 @@ so reports are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -421,23 +421,15 @@ class TestReport:
     constant); B_hat, when present, is the least additive constant making the
     target display hold across the family.  details carries the
     theorem-specific extras (second-display constants, stability runs,
-    explicit-bound margins).  to_json_dict keeps NaN and infinities as floats;
-    the CLI serializer writes them as null and "inf"/"-inf"."""
+    explicit-bound margins).  Fields keep NaN and infinities as floats; the
+    CLI serializer writes them as null and "inf"/"-inf", and its JSON keys
+    follow the field order."""
 
-    family_kind: str
-    rows: Tuple[TestRow, ...]
+    family: str
     C_hat: float
-    B_hat: Optional[float] = None
+    B_hat: Optional[float]
+    rows: Tuple[TestRow, ...]
     details: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {
-            "family": self.family_kind,
-            "C_hat": self.C_hat,
-            "B_hat": self.B_hat,
-            "rows": [asdict(r) for r in self.rows],
-            "details": self.details,
-        }
 
     def to_csv_text(self):
         def cell(v):
@@ -602,10 +594,10 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
 
     rows, c_hat = _ratio_table(mu, family, terms)
     return TestReport(
-        family_kind=family.kind,
-        rows=rows,
+        family=family.kind,
         C_hat=c_hat,
         B_hat=max(b15),
+        rows=rows,
         details={
             "K": K,
             "B16_hat": max(b16),
@@ -641,9 +633,10 @@ def verify_theorem_1_1(alpha: float, tau: float, A: float, family: TestFamily, n
 
     rows, c_hat = _ratio_table(mu, family, terms)
     return TestReport(
-        family_kind=family.kind,
-        rows=rows,
+        family=family.kind,
         C_hat=c_hat,
+        B_hat=None,
+        rows=rows,
         details={"alpha": alpha, "tau": tau, "A": A, "q": q, **_enrichment(mu, family, terms, c_hat)},
     )
 
@@ -700,9 +693,10 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
 
     rows, c_hat = _ratio_table(mu, family, terms)
     return TestReport(
-        family_kind=family.kind,
-        rows=rows,
+        family=family.kind,
         C_hat=c_hat,
+        B_hat=None,
+        rows=rows,
         details={"alpha": alpha, "beta": beta, "eps_used": eps_used, **_enrichment(mu, family, terms, c_hat)},
     )
 

@@ -1,5 +1,7 @@
 """Integrability verdicts and growth-condition fitting."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ class TestTruncationDowngrade:
 class TestSerialization:
     def test_report_json_keys(self, gauss, F_log):
         rep = check_condition(ConditionSpec(gauss, F_log, delta=0.5, K=2.0, form="quadratic"))
-        d = rep.to_json_dict()
+        d = asdict(rep)
         for key in ("verdict", "integral_estimate", "log10_integral_estimate", "delta",
                     "K", "tail_p", "decades", "flags", "form", "t_min", "measure",
                     "entropy", "cost"):
@@ -167,18 +169,18 @@ class TestSerialization:
     def test_closed_form_cost_is_labelled_by_its_parameters(self, gauss, F_log):
         cost = CostFunction.closed_form(1.0, 2.0)
         rep = check_condition(ConditionSpec(gauss, F_log, cost=cost, delta=0.5, K=2.0, form="general"))
-        assert rep.cost_name == "c_{1,2}"
-        assert rep.to_json_dict()["cost"] == "c_{1,2}"
+        assert rep.cost == "c_{1,2}"
+        assert asdict(rep)["cost"] == "c_{1,2}"
 
     def test_sampled_cost_is_labelled_sampled(self, gauss, F_log):
         xs = np.linspace(0.0, 100.0, 4097)
         cost = CostFunction.from_samples(xs, 0.5 * xs * xs)
         rep = check_condition(ConditionSpec(gauss, F_log, cost=cost, delta=0.5, K=2.0, form="general"))
-        assert rep.cost_name == "sampled"
+        assert rep.cost == "sampled"
 
     def test_exp_power_cost_run_names_its_dual_exponent(self):
         rep = check_exp_power(1.5, 1.0, n_grid=4096)
-        assert rep.run_cost.cost_name == "c_{1,1.5}"
+        assert rep.run_cost.cost == "c_{1,1.5}"
 
 
 class TestGrowthCondition:
@@ -207,7 +209,7 @@ class TestGrowthCondition:
 
     def test_report_fields(self, gauss):
         rep = verify_growth_condition(gauss, lambda r: 0.25 * r * r, alpha=2.0)
-        d = rep.to_json_dict()
+        d = asdict(rep)
         assert set(d) == {"C", "bounded", "log_normalizer", "sup_ratio", "r_lo", "r_hi", "n_used"}
         assert d["n_used"] > 0
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import shutil
 import subprocess
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -350,6 +351,13 @@ class TestPaperExamplesCommand:
         assert main(["paper-examples"]) == 2
         assert "ISOCERT_THREADS" in capsys.readouterr().err
 
+    def test_runs_without_starting_a_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("paper-examples started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["paper-examples", "--n", "4096", "--n-per-decade", "16", "--out", str(tmp_path / "p.json")]) == 0
+
 
 def _declared(command):
     return {f.name for f in fields(RunConfig) if command in f.metadata["commands"]}
@@ -443,6 +451,13 @@ class TestPerSubcommandFlags:
     def test_general_form_refuses_the_quadratic_cost(self, capsys):
         assert main(["check", "--form", "general", "--cost", "quadratic:0.5"]) == 2
         assert "form 'general'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    @pytest.mark.parametrize("form, cost", [("quadratic", "c:1:3"), ("one_d_quadratic", "expr:x^2/2")])
+    def test_quadratic_form_refuses_a_non_quadratic_cost(self, command, form, cost, capsys):
+        # the quadratic forms evaluate Phi(delta r^2): a cost they would not use is refused, by name
+        assert main([command, "--form", form, "--cost", cost, "--K", "3"]) == 2
+        assert repr(cost) in capsys.readouterr().err
 
 
 class TestReadmeCommands:

@@ -193,10 +193,11 @@ class TestTruncationSearch:
             build_measure(parse_potential("42*abs(x)/(1+abs(x))"))
 
     def test_walk_that_never_crosses_is_non_normalizable(self):
-        # only a start the walk cannot leave (NaN) exhausts the 60 doublings
+        # only a start the walk cannot leave (NaN) exhausts the reference's 60
+        # doublings; the array walk reads a NaN probe as out of reach
         V = measure1d._vec(lambda x: 0.5 * x * x)
-        for cut in (_reference_cut, measure1d._march_cut):
-            with pytest.raises(ValueError, match="non-normalizable"):
+        for cut, message in ((_reference_cut, "non-normalizable"), (measure1d._march_cut, "decays too slowly")):
+            with pytest.raises(ValueError, match=message):
                 cut(V, np.nan, 0.0, 1.0)
 
     @pytest.mark.parametrize("text", ["abs(x)*log(1+x^2)", "x^2/2+x^4/4"])

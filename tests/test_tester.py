@@ -397,7 +397,7 @@ class TestReportShapes:
     def test_json_layout(self, gauss, F_log):
         fam = TestFamily("exponential", (0.25,))
         rep = verify_theorem_2_1(gauss, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
-        d = rep.to_json_dict()
+        d = dataclasses.asdict(rep)
         assert set(d) == {"family", "C_hat", "B_hat", "rows", "details"}
         assert d["rows"][0]["name"] == "exponential(0.25)"
         assert isinstance(d["rows"][0]["saturation"], bool)
