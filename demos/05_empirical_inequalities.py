@@ -30,7 +30,7 @@ def main():
         print(f"    {row.name:18s} ratio={row.ratio:.6f} saturation={row.saturation}")
 
     print("\nendpoint constant for the Gaussian cost family:")
-    rep = verify_theorem_1_1(2.0, 1.0, 1.0, fam)
+    rep = verify_theorem_1_1(builtin_measure("exp_power", alpha=2.0), 2.0, 1.0, 1.0, fam)
     print(f"  C^ = {rep.C_hat:.6f} (the known value is 2), stable={rep.details['stable']}")
 
     print("\npower-entropy inequality for the alpha=1.5 tail:")

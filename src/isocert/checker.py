@@ -31,18 +31,22 @@ import numpy as np
 
 from .convex import CostFunction, eval_cost
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi
-from .measure1d import TRUST_TAIL, Measure1D, _vec, builtin_measure, fitted_profile_lower_bound, tilde_profile
+from .measure1d import TRUST_TAIL, Measure1D, _vec, fitted_profile_lower_bound, tilde_profile
 
 _LN10 = float(np.log(10.0))
 _FORMS = ("general", "quadratic", "one_d_quadratic")
 
 
-def _logsumexp(a):
+def _logsumexp(a, axis=None):
+    """log sum exp(a) along axis (over all of a when None, as a float); a
+    non-finite maximum is returned as it is."""
     a = np.asarray(a, dtype=float)
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+    m = np.max(a, axis=axis, keepdims=True)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.where(finite, shift + np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)), m)
+    return out.item() if axis is None else np.squeeze(out, axis)
 
 
 @dataclass(frozen=True)
@@ -135,36 +139,24 @@ def _decade_edges(K, t_min):
     return edges[edges >= s0 - 1e-12]
 
 
-def check_condition(spec, n_per_decade=256, validate=True):
-    """Evaluate the condition integral and classify its tail.
-
-    The cost must be convex superlinear with c(0) = 0 and F must pass the
-    concavity/limit assumptions (A1-A2); sampled costs that get extrapolated
-    beyond their chord range taint a FINITE verdict down to INCONCLUSIVE,
-    since linear extrapolation underestimates a superlinear cost.
-    n_per_decade is the Simpson panel count per decade: even and at least 2.
-    """
+def _condition_reports(spec, deltas, n_per_decade):
+    """One ConditionReport per delta in deltas, from one evaluation of the
+    profile, F and the cost on the quadrature nodes and one log_Phi call."""
     if not (n_per_decade >= 2 and n_per_decade % 2 == 0):
         raise ValueError(f"n_per_decade must be an even integer >= 2 (Simpson panels), got {n_per_decade}")
-    if validate:
-        rep = check_assumptions(spec.F)
-        if not (rep.a1 and rep.a2):
-            raise ValueError("entropy profile fails the concavity/limit assumptions (A1-A2)")
-        if spec.form == "general" and not spec.cost.superlinearity_ok():
-            raise ValueError("cost must be superlinear (c(x)/x unbounded)")
+    rep = check_assumptions(spec.F)
+    if not (rep.a1 and rep.a2):
+        raise ValueError("entropy profile fails the concavity/limit assumptions (A1-A2)")
+    if spec.form == "general" and not spec.cost.superlinearity_ok():
+        raise ValueError("cost must be superlinear (c(x)/x unbounded)")
 
     edges = _decade_edges(spec.K, spec.t_min)
-    prof = _profile_fn(spec)
-    flags = []
-
-    n_dec = edges.size - 1
-    s_nodes = []
-    for i in range(n_dec):
-        s_nodes.append(np.linspace(edges[i], edges[i + 1], n_per_decade + 1))
-    s_all = np.concatenate(s_nodes)
+    s = np.linspace(edges[:-1], edges[1:], n_per_decade + 1, axis=1)  # one row of nodes per decade
+    s_all = s.ravel()
     t_all = np.exp(-s_all)
     ratio = t_all * spec.F.at_log(s_all)  # t * F(1/t)
-    I_all = prof(t_all)
+    I_all = _profile_fn(spec)(t_all)
+    flags = []
     if np.any(I_all <= 0):
         flags.append("profile_zero_divergent_integrand")
         I_all = np.maximum(I_all, 1e-300)
@@ -174,47 +166,44 @@ def check_condition(spec, n_per_decade=256, validate=True):
         carg, trunc = eval_cost(spec.cost, ratio, return_flag=True)
         if np.any(trunc):
             flags.append("cost_extrapolated_beyond_grid")
-        x_all = spec.delta * carg
+        x = np.multiply.outer(deltas, carg)
     else:
-        x_all = spec.delta * ratio * ratio
+        x = np.multiply.outer(deltas, ratio) * ratio
+    # the generic log_Phi route takes 1-D arguments only
+    log_phi = log_Phi(spec.F, x.ravel()).reshape((len(deltas),) + s.shape)
 
-    log_phi = log_Phi(spec.F, x_all)
-    log_integrand = log_phi - s_all  # Jacobian dt = e^{-s} ds
-
-    # Simpson weights per decade
-    dec_rows = []
-    log_partials = []
-    pos = 0
+    # Simpson weights per decade; Jacobian dt = e^{-s} ds
     w = np.ones(n_per_decade + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    log_w_base = np.log(w / 3.0)
-    for i in range(n_dec):
-        h = (edges[i + 1] - edges[i]) / n_per_decade
-        chunk = log_integrand[pos : pos + n_per_decade + 1]
-        lp = _logsumexp(chunk + log_w_base + np.log(h))
-        log_partials.append(lp)
-        with np.errstate(over="ignore"):
-            ps = float(np.exp(lp))
-        dec_rows.append(
-            {
-                "t_lo": float(np.exp(-edges[i + 1])),
-                "t_hi": float(np.exp(-edges[i])),
-                "partial_sum": ps if np.isfinite(ps) else None,
-                "log10_partial_sum": lp / _LN10,
-            }
-        )
-        pos += n_per_decade + 1
-    log_partials = np.array(log_partials)
+    log_h = np.log(np.diff(edges) / n_per_decade)
+    log_partials = _logsumexp(log_phi - s + np.log(w / 3.0) + log_h[:, None], axis=-1)
+    t_edges = np.exp(-edges)
+    with np.errstate(over="ignore"):
+        partials = np.exp(log_partials)
+    return [
+        _classify(spec, d, lphi[:, -1][-3:], s[:, -1][-3:], lp, ps, t_edges, flags)
+        for d, lphi, lp, ps in zip(deltas, log_phi, log_partials, partials)
+    ]
 
+
+def _classify(spec, delta, H, S, log_partials, partials, t_edges, flags):
+    """The report for one delta: H is log Phi and S is s at the last three
+    decade ends, log_partials and partials are the per-decade sums."""
+    decades = tuple(
+        {
+            "t_lo": float(t_edges[i + 1]),
+            "t_hi": float(t_edges[i]),
+            "partial_sum": float(ps) if np.isfinite(ps) else None,
+            "log10_partial_sum": float(lp / _LN10),
+        }
+        for i, (lp, ps) in enumerate(zip(log_partials, partials))
+    )
     log_total = _logsumexp(log_partials)
     with np.errstate(over="ignore"):
         total = float(np.exp(log_total))
 
     # tail model exp(log^p(1/t)): p from log(Phi-exponent) / log(s) at the last edges
-    edge_idx = np.cumsum([n_per_decade + 1] * n_dec) - 1
-    H = log_phi[edge_idx][-3:]
-    S = s_all[edge_idx][-3:]
     with np.errstate(divide="ignore", invalid="ignore"):
         p_vals = np.where(H > 1.0, np.log(np.maximum(H, 1.0 + 1e-12)) / np.log(S), 0.0)
     tail_p = float(np.median(p_vals))
@@ -238,10 +227,10 @@ def check_condition(spec, n_per_decade=256, validate=True):
         verdict=verdict,
         integral_estimate=total if np.isfinite(total) else None,
         log10_integral_estimate=log_total / _LN10,
-        delta=spec.delta,
+        delta=delta,
         K=spec.K,
         tail_p=tail_p,
-        decades=tuple(dec_rows),
+        decades=decades,
         flags=tuple(flags),
         form=spec.form,
         t_min=spec.t_min,
@@ -249,6 +238,18 @@ def check_condition(spec, n_per_decade=256, validate=True):
         entropy=spec.F.name,
         cost=_cost_label(spec),
     )
+
+
+def check_condition(spec, n_per_decade=256):
+    """Evaluate the condition integral and classify its tail.
+
+    The cost must be convex superlinear with c(0) = 0 and F must pass the
+    concavity/limit assumptions (A1-A2); sampled costs that get extrapolated
+    beyond their chord range taint a FINITE verdict down to INCONCLUSIVE,
+    since linear extrapolation underestimates a superlinear cost.
+    n_per_decade is the Simpson panel count per decade: even and at least 2.
+    """
+    return _condition_reports(spec, (spec.delta,), n_per_decade)[0]
 
 
 @dataclass(frozen=True)
@@ -260,26 +261,18 @@ class SweepReport:
 
 
 def check_condition_sweep(spec, deltas=(1.0, 0.5, 0.25, 0.125, 0.0625), n_per_decade=256):
-    """Rerun the condition across a delta sweep; any delta > 0 suffices for the
-    inequality once the cost growth condition holds, so the certificate is the
-    largest sampled delta with a FINITE verdict."""
-    deltas = tuple(sorted(set(float(d) for d in deltas), reverse=True))
-    reports = []
-    rep_assumed = check_assumptions(spec.F)
-    if not (rep_assumed.a1 and rep_assumed.a2):
-        raise ValueError("entropy profile fails the concavity/limit assumptions (A1-A2)")
-    for d in deltas:
-        reports.append(check_condition(replace(spec, delta=d), n_per_decade=n_per_decade, validate=False))
-    best = None
-    for d, r in zip(deltas, reports):
-        if r.verdict == "FINITE":
-            best = d
-            break
+    """The condition across a delta sweep, validated and evaluated as
+    check_condition does, with one log_Phi call for all deltas; any delta > 0
+    suffices for the inequality once the cost growth condition holds, so the
+    certificate is the largest sampled delta with a FINITE verdict."""
+    # replace() runs ConditionSpec's check on each delta
+    deltas = tuple(replace(spec, delta=d).delta for d in sorted(set(float(d) for d in deltas), reverse=True))
+    reports = tuple(_condition_reports(spec, deltas, n_per_decade))
     return SweepReport(
         deltas=deltas,
         verdicts=tuple(r.verdict for r in reports),
-        best_delta=best,
-        reports=tuple(reports),
+        best_delta=next((d for d, r in zip(deltas, reports) if r.verdict == "FINITE"), None),
+        reports=reports,
     )
 
 
@@ -294,10 +287,10 @@ class ExpPowerReport:
     run_quadratic: ConditionReport  # (F_{2/beta}, quadratic)
 
 
-def check_exp_power(alpha, tau, A=1.0, delta=0.25, K=4.0, n_grid=16384, measure=None):
+def check_exp_power(mu, alpha, tau, A=1.0, delta=0.25, K=4.0):
     """Both finiteness checks behind the exp-power entropy inequality.
 
-    For the measure e^{-|x|^alpha}: first the pair (F_tau, cost c_{A, q*})
+    For the measure mu = e^{-|x|^alpha}: first the pair (F_tau, cost c_{A, q*})
     with q* = tau*alpha/(alpha(tau-1)+1) — the conjugate exponent of the
     energy cost c_{A, alpha*tau/(alpha-1)} named by the inequality — then the
     endpoint pair (F_{2/beta}, quadratic) with beta = alpha/(alpha-1) fixed.
@@ -311,12 +304,8 @@ def check_exp_power(alpha, tau, A=1.0, delta=0.25, K=4.0, n_grid=16384, measure=
     tau = min(max(tau, lo), 1.0)
     beta = alpha / (alpha - 1.0)
     q_star = tau * alpha / (alpha * (tau - 1.0) + 1.0)
-    if measure is None:
-        measure = builtin_measure("exp_power", alpha=alpha, n=n_grid)
-    F1 = F_tau(tau)
-    F2 = F_tau(2.0 / beta)
-    spec1 = ConditionSpec(measure=measure, F=F1, cost=CostFunction.closed_form(A, q_star), delta=delta, K=K, form="general")
-    spec2 = ConditionSpec(measure=measure, F=F2, delta=delta, K=K, form="quadratic")
+    spec1 = ConditionSpec(measure=mu, F=F_tau(tau), cost=CostFunction.closed_form(A, q_star), delta=delta, K=K, form="general")
+    spec2 = ConditionSpec(measure=mu, F=F_tau(2.0 / beta), delta=delta, K=K, form="quadratic")
     return ExpPowerReport(
         alpha=float(alpha),
         tau=float(tau),

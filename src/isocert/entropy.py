@@ -50,9 +50,7 @@ class EntropyFunction:
     dfn: Optional[Callable] = None
     fn_log: Optional[Callable] = None
     name: str = "F"
-    tau: Optional[float] = None
     x0: Optional[float] = None
-    beta: Optional[float] = None
     log_phi: Optional[Callable] = None
 
     def __call__(self, y):
@@ -83,7 +81,6 @@ def log_entropy():
         fn_log=lambda u: u,
         log_phi=lambda x: np.array(x, dtype=float),
         name="log",
-        tau=1.0,
         x0=float(np.e),
     )
 
@@ -179,9 +176,7 @@ def F_tau(tau, phi=None):
     def fn_log(u):
         return _flatten(phi.at_log(u), tau)
 
-    return EntropyFunction(
-        fn=fn, dfn=dfn, fn_log=fn_log, name=f"F_tau({phi.name},{tau:g})", tau=tau, x0=x0, log_phi=log_phi
-    )
+    return EntropyFunction(fn=fn, dfn=dfn, fn_log=fn_log, name=f"F_tau({phi.name},{tau:g})", x0=x0, log_phi=log_phi)
 
 
 def eval_psi_tau_beta(tau, beta, x):

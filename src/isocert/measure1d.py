@@ -449,8 +449,6 @@ class IsoProfile:
     u_t: np.ndarray
     v_t: np.ndarray
     trusted: np.ndarray
-    lower_bound_k: Optional[float] = None
-    lower_bound_exponent: Optional[float] = None
 
 
 def tilde_profile(mu, t_grid):
@@ -522,55 +520,26 @@ class BobkovGoetzeReport:
     right_status: Optional[str]
 
 
-def _bg_side(mu, side):
-    grid, cdf, tail = mu.grid, mu.cdf, mu.tail
-    m = mu.median
-    n = grid.size
+def _bg_side(grid, tail, log_inv_rho, m, log_inv_rho_m):
+    """The right side of the Bobkov--Goetze functional as (value, arg, status):
+    the sup over nodes x > m with tail(x) >= TRUST_TAIL of
+    tail(x) log(1/tail(x)) int_m^x dx/rho.  log_inv_rho is log(1/rho) at the
+    nodes and log_inv_rho_m at the median m.  The trapezoid integral is
+    accumulated in log space; DIVERGENT means the value still grows across the
+    last resolved decades of tail mass, at the truncation boundary."""
     j = int(np.searchsorted(grid, m))  # first node with grid[j] >= m
-    node_is_m = j < n and grid[j] == m
-    # log of 1/rho at the nodes
-    log_inv_rho = (mu.potential_values - mu.v_min) + mu.log_norm
     with np.errstate(divide="ignore"):
         # log of each cell's trapezoid contribution to int dx / rho
         cell = np.logaddexp(log_inv_rho[:-1], log_inv_rho[1:]) - np.log(2.0) + np.log(np.diff(grid))
-    sliver = -np.inf
-    if not node_is_m:
-        lr_m = float((mu.potential_at(np.array([m]))[0] - mu.v_min) + mu.log_norm)
-        if side == "left":
-            width = m - grid[j - 1]
-            sliver = np.logaddexp(log_inv_rho[j - 1], lr_m) - np.log(2.0) + np.log(max(width, 1e-300))
-        else:
-            width = grid[j] - m
-            sliver = np.logaddexp(lr_m, log_inv_rho[j]) - np.log(2.0) + np.log(max(width, 1e-300))
-    if side == "left":
-        # nodes 0..j-1 sit strictly left of m
-        idx = np.arange(0, j)
-        if idx.size == 0:
-            return 0.0, m, "FINITE"
-        if node_is_m:
-            # I(x_i) = sum of cells i..j-1
-            log_I = np.logaddexp.accumulate(cell[:j][::-1])[::-1]
-        else:
-            # I(x_i) = sliver + sum of cells i..j-2 (node j-1 gets the sliver alone)
-            full = cell[: j - 1]
-            acc = np.logaddexp.accumulate(full[::-1])[::-1] if full.size else np.zeros(0)
-            log_I = np.logaddexp(np.concatenate((acc, [-np.inf])), sliver)
-        mass, xs = cdf[idx], grid[idx]
-        boundary_first = True  # the truncation boundary is the first array element
+    if j < grid.size and grid[j] == m:
+        # I(x_{j+1+q}) = sum of cells j..j+q
+        log_I = np.logaddexp.accumulate(cell[j:])
+        j += 1
     else:
-        jr = j + 1 if node_is_m else j  # first node strictly right of m
-        idx = np.arange(jr, n)
-        if idx.size == 0:
-            return 0.0, m, "FINITE"
-        if node_is_m:
-            # I(x_{j+1+q}) = sum of cells j..j+q
-            log_I = np.logaddexp.accumulate(cell[j:])
-        else:
-            # I(x_{j+q}) = sliver + sum of cells j..j+q-1
-            acc = np.concatenate(([-np.inf], np.logaddexp.accumulate(cell[j:])))
-            log_I = np.logaddexp(acc, sliver)
-        mass, xs = tail[idx], grid[idx]
-        boundary_first = False
+        # I(x_{j+q}) = sliver [m, x_j] + sum of cells j..j+q-1
+        sliver = np.logaddexp(log_inv_rho_m, log_inv_rho[j]) - np.log(2.0) + np.log(max(grid[j] - m, 1e-300))
+        log_I = np.logaddexp(np.concatenate(([-np.inf], np.logaddexp.accumulate(cell[j:]))), sliver)
+    mass, xs = tail[j:], grid[j:]  # the nodes strictly right of m
     good = mass >= TRUST_TAIL
     if not np.any(good):
         return 0.0, m, "FINITE"
@@ -580,13 +549,11 @@ def _bg_side(mu, side):
     G = np.exp(logG)
     i_star = int(np.argmax(G))
     value, arg = float(G[i_star]), float(xs[i_star])
-    # divergence: still growing across the last resolved decades of tail mass
     edge = mass <= 1e-12
     status = "FINITE"
     if np.count_nonzero(edge) >= 3:
         Ge = G[edge]
-        g_boundary, g_inner = (Ge[0], Ge[-1]) if boundary_first else (Ge[-1], Ge[0])
-        if g_boundary >= 0.98 * value and g_boundary > g_inner * 1.02:
+        if Ge[-1] >= 0.98 * value and Ge[-1] > Ge[0] * 1.02:
             status = "DIVERGENT"
     return value, arg, status
 
@@ -594,16 +561,20 @@ def _bg_side(mu, side):
 def bobkov_goetze(mu, which="both"):
     """Two-sided sup of F(x) log(1/F(x)) int_x^m dx/rho (and the mirror image).
 
-    The inner integral is accumulated in log space; DIVERGENT means the
-    running value still grows at the truncation boundary.
+    The left side is the right side of the mirrored measure: grid -x,
+    cdf as tail, median -m (see _bg_side).
     """
     if which not in ("left", "right", "both"):
         raise ValueError("which must be 'left', 'right', or 'both'")
+    m = mu.median
+    log_inv_rho = (mu.potential_values - mu.v_min) + mu.log_norm
+    log_inv_rho_m = float((mu.potential_at(np.array([m]))[0] - mu.v_min) + mu.log_norm)
     lv = la = ls = rv = ra = rs = None
     if which in ("left", "both"):
-        lv, la, ls = _bg_side(mu, "left")
+        lv, la, ls = _bg_side(-mu.grid[::-1], mu.cdf[::-1], log_inv_rho[::-1], -m, log_inv_rho_m)
+        la = -la
     if which in ("right", "both"):
-        rv, ra, rs = _bg_side(mu, "right")
+        rv, ra, rs = _bg_side(mu.grid, mu.tail, log_inv_rho, m, log_inv_rho_m)
     return BobkovGoetzeReport(left_value=lv, left_arg=la, left_status=ls, right_value=rv, right_arg=ra, right_status=rs)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi, log_entropy
-from .measure1d import Measure1D, SampledFunction, builtin_measure
+from .measure1d import Measure1D, SampledFunction
 
 __all__ = [
     "TestFamily",
@@ -58,6 +58,63 @@ _SATURATION_TOL = 1e-3
 
 
 # -- test-function families ----------------------------------------------------
+
+
+_RANDOM_TERMS = 6  # trigonometric terms in a random_smooth member
+
+
+def _exponential(fam, mu, lam):
+    x = mu.grid
+    vals = np.exp(0.5 * lam * x)
+    return vals, 0.5 * lam * vals, np.full_like(x, 0.5 * lam)
+
+
+def _bump(fam, mu, w):
+    if w <= 0:
+        raise ValueError("bump width must be positive")
+    x = mu.grid
+    core = np.exp(-0.5 * (x / w) ** 2)
+    return fam.floor + core, -(x / w**2) * core, None
+
+
+def _shifted_linear(fam, mu, eps):
+    lin = 1.0 + eps * mu.grid
+    return np.maximum(lin, 0.0) + fam.floor, np.where(lin > 0.0, eps, 0.0), None
+
+
+def _random_smooth(fam, mu, label):
+    x = mu.grid
+    omega = np.pi / max(abs(mu.truncation[0]), abs(mu.truncation[1]))
+    j = np.arange(1, _RANDOM_TERMS + 1, dtype=float)
+    wts = 1.0 / j**2
+    rng = np.random.default_rng([fam.seed, label])
+    a = rng.standard_normal(_RANDOM_TERMS)
+    b = rng.standard_normal(_RANDOM_TERMS)
+    phase = np.outer(x, j * omega)
+    g = np.cos(phase) @ (wts * a) + np.sin(phase) @ (wts * b)
+    gp = -np.sin(phase) @ (wts * a * j * omega) + np.cos(phase) @ (wts * b * j * omega)
+    vals = np.exp(fam.scale * g)
+    log_deriv = fam.scale * gp
+    return vals, log_deriv * vals, log_deriv
+
+
+def _stretched_exp(fam, mu, lam):
+    x = mu.grid
+    p = fam.exponent
+    a2 = fam.smoothing**2
+    log_deriv = lam * (p * x * (x * x + a2) ** (0.5 * p - 1.0))
+    vals = np.exp(lam * (x * x + a2) ** (0.5 * p))
+    return vals, log_deriv * vals, log_deriv
+
+
+# kind -> member(family, measure, parameter) = (values, dvalues, log_deriv or None)
+_MEMBERS = {
+    "exponential": _exponential,
+    "bump": _bump,
+    "shifted_linear": _shifted_linear,
+    "random_smooth": _random_smooth,
+    "stretched_exp": _stretched_exp,
+}
 
 
 @dataclass(frozen=True)
@@ -87,14 +144,12 @@ class TestFamily:
     scale: float = 0.5
     exponent: float = 0.7
     smoothing: float = 0.05
-    n_terms: int = 6
     user_fns: tuple = ()
 
     __test__ = False  # not a test-runner collectible despite the name
-    _NUMERIC_KINDS = ("exponential", "bump", "shifted_linear", "stretched_exp")
 
     def __post_init__(self):
-        kinds = self._NUMERIC_KINDS + ("random_smooth", "user")
+        kinds = tuple(_MEMBERS) + ("user",)
         if self.kind not in kinds:
             raise ValueError(f"unknown family kind {self.kind!r}; expected one of {kinds}")
         if self.kind == "user" and len(self.user_fns) == 0:
@@ -107,107 +162,31 @@ class TestFamily:
             raise ValueError("floor must be nonnegative")
 
     def _ordered_params(self):
-        if self.kind in self._NUMERIC_KINDS:
-            return tuple(sorted(float(p) for p in self.params))
         if self.kind == "user":
             return tuple(self.params) if self.params else tuple(range(len(self.user_fns)))
-        return tuple(int(p) for p in self.params)
+        if self.kind == "random_smooth":
+            return tuple(int(p) for p in self.params)
+        return tuple(sorted(float(p) for p in self.params))
 
     def members(self, mu: Measure1D):
-        """Materialize the family on the measure grid, ordered by parameter."""
-        x = mu.grid
+        """Materialize the family on the measure grid, ordered by parameter.
+        A member is named kind(p), with p in %g form when it is a float
+        parameter and as given otherwise."""
         out = []
-        if self.kind == "exponential":
-            for lam in self._ordered_params():
+        for i, p in enumerate(self._ordered_params()):
+            name = f"{self.kind}({p:g})" if isinstance(p, float) and self.kind != "user" else f"{self.kind}({p})"
+            if self.kind == "user":
+                fn = self.user_fns[i]
+                f, df = fn if isinstance(fn, tuple) else (fn, None)
+                sf = SampledFunction.from_callable(mu, f, dfn=df, name=name)
+            else:
                 # overflow here is caught by the finiteness gate below
                 with np.errstate(over="ignore"):
-                    vals = np.exp(0.5 * lam * x)
-                    dvals = 0.5 * lam * vals
-                out.append(
-                    SampledFunction(
-                        grid=x,
-                        values=vals,
-                        dvalues=dvals,
-                        log_deriv=np.full_like(x, 0.5 * lam),
-                        name=f"exponential({lam:g})",
-                    )
-                )
-        elif self.kind == "bump":
-            for w in self._ordered_params():
-                if w <= 0:
-                    raise ValueError("bump width must be positive")
-                core = np.exp(-0.5 * (x / w) ** 2)
-                vals = self.floor + core
-                out.append(
-                    SampledFunction(
-                        grid=x,
-                        values=vals,
-                        dvalues=-(x / w**2) * core,
-                        name=f"bump({w:g})",
-                    )
-                )
-        elif self.kind == "shifted_linear":
-            for eps in self._ordered_params():
-                lin = 1.0 + eps * x
-                vals = np.maximum(lin, 0.0) + self.floor
-                out.append(
-                    SampledFunction(
-                        grid=x,
-                        values=vals,
-                        dvalues=np.where(lin > 0.0, eps, 0.0),
-                        name=f"shifted_linear({eps:g})",
-                    )
-                )
-        elif self.kind == "stretched_exp":
-            p = self.exponent
-            a2 = self.smoothing**2
-            for lam in self._ordered_params():
-                s = (x * x + a2) ** (0.5 * p)
-                ds = p * x * (x * x + a2) ** (0.5 * p - 1.0)
-                vals = np.exp(lam * s)
-                out.append(
-                    SampledFunction(
-                        grid=x,
-                        values=vals,
-                        dvalues=lam * ds * vals,
-                        log_deriv=lam * ds,
-                        name=f"stretched_exp({lam:g})",
-                    )
-                )
-        elif self.kind == "random_smooth":
-            lo, hi = mu.truncation
-            L = max(abs(lo), abs(hi))
-            omega = np.pi / L
-            j = np.arange(1, self.n_terms + 1, dtype=float)
-            wts = 1.0 / j**2
-            for label in self._ordered_params():
-                rng = np.random.default_rng([self.seed, int(label)])
-                a = rng.standard_normal(self.n_terms)
-                b = rng.standard_normal(self.n_terms)
-                phase = np.outer(x, j * omega)
-                g = np.cos(phase) @ (wts * a) + np.sin(phase) @ (wts * b)
-                gp = -np.sin(phase) @ (wts * a * j * omega) + np.cos(phase) @ (wts * b * j * omega)
-                vals = np.exp(self.scale * g)
-                out.append(
-                    SampledFunction(
-                        grid=x,
-                        values=vals,
-                        dvalues=self.scale * gp * vals,
-                        log_deriv=self.scale * gp,
-                        name=f"random_smooth({int(label)})",
-                    )
-                )
-        else:  # user
-            labels = self._ordered_params()
-            for label, fn in zip(labels, self.user_fns):
-                if isinstance(fn, tuple):
-                    f, df = fn
-                else:
-                    f, df = fn, None
-                out.append(SampledFunction.from_callable(mu, f, dfn=df, name=f"user({label})"))
-        for sf in out:
+                    vals, dvals, log_deriv = _MEMBERS[self.kind](self, mu, p)
+                sf = SampledFunction(grid=mu.grid, values=vals, dvalues=dvals, log_deriv=log_deriv, name=name)
             if not np.all(np.isfinite(sf.values)):
                 raise ValueError(f"family member {sf.name} overflows on the measure grid")
+            out.append(sf)
         return out
 
     def enriched(self):
@@ -313,23 +292,16 @@ def _centered_integrand(sf: SampledFunction, cost: CostFunction, center: float) 
     dv = np.abs(sf.dvalues)
     zero = au == 0.0
     ratio = np.where(zero, 0.0, dv / np.where(zero, 1.0, au))
-    if cost.is_closed_form:
-        dual = dual_cost(cost)
-        b = dual.alpha
-        with np.errstate(over="ignore"):
-            core = u * u * np.asarray(eval_cost(dual, ratio), dtype=float)
-        if b > 2.0:
-            lim = np.where(dv == 0.0, 0.0, np.inf)
-        elif b == 2.0:
-            lim = 0.5 * dv * dv
-        else:
-            lim = np.zeros_like(dv)
-    else:
-        finite = ~zero
-        r_max = float(np.max(ratio[finite])) if np.any(finite) else 1.0
-        ev = _dual_evaluator(cost, r_max)
-        core = u * u * ev(ratio)
+    r_max = float(np.max(ratio[~zero])) if not np.all(zero) else 1.0
+    with np.errstate(over="ignore"):
+        core = u * u * _dual_evaluator(cost, r_max)(ratio)
+    b = dual_cost(cost).alpha if cost.is_closed_form else np.inf
+    if b > 2.0:
         lim = np.where(dv == 0.0, 0.0, np.inf)
+    elif b == 2.0:
+        lim = 0.5 * dv * dv
+    else:
+        lim = np.zeros_like(dv)
     return np.where(zero, lim, core)
 
 
@@ -526,6 +498,14 @@ def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float) -> dict:
     return {"C_hat_enriched": c_enr, "stable": stable}
 
 
+def _least_constant(excess: float, var: float) -> float:
+    """The least B >= 0 with excess <= B var: max(0, excess/var) when var > 0,
+    otherwise 0 if excess <= 0 and +inf if not."""
+    if var > 0:
+        return max(0.0, excess / var)
+    return 0.0 if excess <= 0 else float("inf")
+
+
 def _step1_constant(F: EntropyFunction, K: float) -> float:
     """(4(K+1)^2 + 2 + (sqrt K + 1)^2) F'(1), the explicit constant of the
     truncated-layer variance bound; requires K > 1."""
@@ -570,13 +550,9 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
         integrand = _modified_integrand(mu, sf, cost)
         full_energy = float(mu.integrate(integrand))
         restricted = _restricted_integral(mu, integrand, v * v - K * m2)
-        b15.append(max(0.0, (lhs - 4.0 * restricted) / m2))
-
+        b15.append(_least_constant(lhs - 4.0 * restricted, m2))
         e16 = float(mu.integrate(_centered_integrand(sf, cost, mu.integrate(v))))
-        if var > 0:
-            b16.append(max(0.0, (lhs - 4.0 * e16) / var) if np.isfinite(e16) else 0.0)
-        else:
-            b16.append(0.0 if lhs <= 4.0 * e16 else float("inf"))
+        b16.append(_least_constant(lhs - 4.0 * e16, var))
 
         # truncated layer integral and its explicit variance bound
         i1 = float(mu.integrate(_level_entropy(F, v, m2) * np.minimum(v * v, K * m2)))
@@ -608,8 +584,8 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
     )
 
 
-def verify_theorem_1_1(alpha: float, tau: float, A: float, family: TestFamily, n_grid: int = 16384, measure: Optional[Measure1D] = None) -> TestReport:
-    """Entropy--energy ratio for the |x|^alpha measure: tests
+def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family: TestFamily) -> TestReport:
+    """Entropy--energy ratio for the |x|^alpha measure mu: tests
     F_tau-entropy <= C * int f^2 c_{A,q}(|f'|/f) dmu with q = alpha*tau/(alpha-1),
     reporting the ratio supremum and its stability under family enrichment.
     The energy is evaluated through the conjugate of c_{A, q/(q-1)}, which
@@ -621,7 +597,6 @@ def verify_theorem_1_1(alpha: float, tau: float, A: float, family: TestFamily, n
         raise ValueError(f"tau must lie in [{lo_tau:g}, 1]")
     if A <= 0:
         raise ValueError("A must be positive")
-    mu = measure if measure is not None else builtin_measure("exp_power", alpha=alpha, n=n_grid)
     F = F_tau(min(tau, 1.0))
     q = alpha * tau / (alpha - 1.0)
     # pre-dualized so the energy integrand applies c_{A,q} itself
@@ -799,10 +774,7 @@ def lemma_3_4_check(mu: Measure1D, F: EntropyFunction, K: float, family: TestFam
 
         shifted = np.maximum(v - math.sqrt(K * m2), 0.0)
         plus_term = float(mu.integrate(shifted * shifted * Fh))
-        if var > 0:
-            b_member = max(0.0, (full - 2.0 * plus_term) / var)
-        else:
-            b_member = 0.0 if full <= 2.0 * plus_term else float("inf")
+        b_member = _least_constant(full - 2.0 * plus_term, var)
         b_hat = max(b_hat, b_member)
 
         rows.append(

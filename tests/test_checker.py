@@ -1,6 +1,6 @@
 """Integrability verdicts and growth-condition fitting."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from isocert.checker import (
 )
 from isocert.convex import CostFunction
 from isocert.entropy import EntropyFunction, F_tau
+from isocert.expr import parse_potential
 from isocert.measure1d import builtin_measure
 
 
@@ -35,7 +36,7 @@ class TestVerdicts:
         assert rep.tail_p < 1.0
 
     def test_exp_power_pair_of_runs(self, exp_power_15):
-        rep = check_exp_power(1.5, 1.0, measure=exp_power_15)
+        rep = check_exp_power(exp_power_15, 1.5, 1.0)
         assert rep.run_cost.verdict == "FINITE"
         assert rep.run_quadratic.verdict == "FINITE"
         assert rep.q_star == pytest.approx(1.5)
@@ -88,6 +89,26 @@ class TestSweep:
         sw = check_condition_sweep(spec, deltas=(1.0, 0.5))
         assert sw.best_delta is None
 
+    def test_sweep_refuses_a_non_superlinear_cost(self, gauss, F_log):
+        g = np.linspace(0.0, 100.0, 4097)
+        spec = ConditionSpec(gauss, F_log, cost=CostFunction.from_samples(g, g), form="general")
+        with pytest.raises(ValueError, match="superlinear"):
+            check_condition(spec)
+        with pytest.raises(ValueError, match="superlinear"):
+            check_condition_sweep(spec)
+
+    def test_each_sweep_report_is_the_check_at_its_delta(self, gauss):
+        # the generic log_Phi route (no closed-form log Phi) with a sampled cost
+        V = parse_potential("2*(x^0.5-1)")
+        F = EntropyFunction(fn=lambda y: np.asarray(V(y), dtype=float), name="expr:2*(x^0.5-1)")
+        g = np.linspace(0.0, 100.0, 4097)
+        cost = CostFunction.from_samples(g, g**2 / 2 + g**4 / 4)
+        spec = ConditionSpec(gauss, F, cost=cost, K=3.0, form="general")
+        sw = check_condition_sweep(spec, deltas=(0.0625, 1.0, 0.25), n_per_decade=64)
+        assert sw.deltas == (1.0, 0.25, 0.0625)
+        for d, rep in zip(sw.deltas, sw.reports):
+            assert rep == check_condition(replace(spec, delta=d), n_per_decade=64)
+
 
 class TestSpecValidation:
     def test_K_must_exceed_one(self, gauss, F_log):
@@ -121,11 +142,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             check_condition(spec)
 
-    def test_exp_power_parameter_validation(self):
+    def test_exp_power_parameter_validation(self, exp_power_15):
         with pytest.raises(ValueError):
-            check_exp_power(2.5, 1.0)
+            check_exp_power(exp_power_15, 2.5, 1.0)
         with pytest.raises(ValueError):
-            check_exp_power(1.5, 0.5)  # below 2(1 - 1/alpha) = 2/3
+            check_exp_power(exp_power_15, 1.5, 0.5)  # below 2(1 - 1/alpha) = 2/3
 
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5, -2])
@@ -179,7 +200,7 @@ class TestSerialization:
         assert rep.cost == "sampled"
 
     def test_exp_power_cost_run_names_its_dual_exponent(self):
-        rep = check_exp_power(1.5, 1.0, n_grid=4096)
+        rep = check_exp_power(builtin_measure("exp_power", alpha=1.5, n=4096), 1.5, 1.0)
         assert rep.run_cost.cost == "c_{1,1.5}"
 
 

@@ -1,5 +1,7 @@
 """Tabulated one-dimensional measures and their isoperimetric profiles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -400,3 +402,113 @@ class TestTwoSidedCriterion:
         assert rep.right_value is not None and np.isfinite(rep.right_value)
         # symmetric measure: the two sides agree
         assert rep.left_value == pytest.approx(rep.right_value, rel=1e-6)
+
+
+def _reference_bg_side(mu, side):
+    """The two-branch Bobkov--Goetze side that the mirrored _bg_side replaced."""
+    grid, cdf, tail = mu.grid, mu.cdf, mu.tail
+    m = mu.median
+    n = grid.size
+    j = int(np.searchsorted(grid, m))
+    node_is_m = j < n and grid[j] == m
+    log_inv_rho = (mu.potential_values - mu.v_min) + mu.log_norm
+    with np.errstate(divide="ignore"):
+        cell = np.logaddexp(log_inv_rho[:-1], log_inv_rho[1:]) - np.log(2.0) + np.log(np.diff(grid))
+    sliver = -np.inf
+    if not node_is_m:
+        lr_m = float((mu.potential_at(np.array([m]))[0] - mu.v_min) + mu.log_norm)
+        if side == "left":
+            width = m - grid[j - 1]
+            sliver = np.logaddexp(log_inv_rho[j - 1], lr_m) - np.log(2.0) + np.log(max(width, 1e-300))
+        else:
+            width = grid[j] - m
+            sliver = np.logaddexp(lr_m, log_inv_rho[j]) - np.log(2.0) + np.log(max(width, 1e-300))
+    if side == "left":
+        idx = np.arange(0, j)
+        if idx.size == 0:
+            return 0.0, m, "FINITE"
+        if node_is_m:
+            log_I = np.logaddexp.accumulate(cell[:j][::-1])[::-1]
+        else:
+            full = cell[: j - 1]
+            acc = np.logaddexp.accumulate(full[::-1])[::-1] if full.size else np.zeros(0)
+            log_I = np.logaddexp(np.concatenate((acc, [-np.inf])), sliver)
+        mass, xs = cdf[idx], grid[idx]
+        boundary_first = True
+    else:
+        jr = j + 1 if node_is_m else j
+        idx = np.arange(jr, n)
+        if idx.size == 0:
+            return 0.0, m, "FINITE"
+        if node_is_m:
+            log_I = np.logaddexp.accumulate(cell[j:])
+        else:
+            acc = np.concatenate(([-np.inf], np.logaddexp.accumulate(cell[j:])))
+            log_I = np.logaddexp(acc, sliver)
+        mass, xs = tail[idx], grid[idx]
+        boundary_first = False
+    good = mass >= measure1d.TRUST_TAIL
+    if not np.any(good):
+        return 0.0, m, "FINITE"
+    mass, xs, log_I = mass[good], xs[good], log_I[good]
+    with np.errstate(divide="ignore"):
+        logG = np.log(mass) + np.log(-np.log(mass)) + log_I
+    G = np.exp(logG)
+    i_star = int(np.argmax(G))
+    value, arg = float(G[i_star]), float(xs[i_star])
+    edge = mass <= 1e-12
+    status = "FINITE"
+    if np.count_nonzero(edge) >= 3:
+        Ge = G[edge]
+        g_boundary, g_inner = (Ge[0], Ge[-1]) if boundary_first else (Ge[-1], Ge[0])
+        if g_boundary >= 0.98 * value and g_boundary > g_inner * 1.02:
+            status = "DIVERGENT"
+    return value, arg, status
+
+
+def _expr_measure(text, support=(-np.inf, np.inf), n=4096):
+    V = parse_potential(text)
+    return build_measure(lambda x: np.asarray(V(x), dtype=float), support=support, n=n, name=text)
+
+
+def _median_on_node(mu, i=None):
+    """mu with its median moved onto a grid node (the node nearest 0 by
+    default), so that the median-on-a-node branch of the accumulation runs."""
+    i = int(np.argmin(np.abs(mu.grid))) if i is None else i
+    return dataclasses.replace(mu, median=float(mu.grid[i]))
+
+
+_BG_CASES = {
+    "gauss": lambda: builtin_measure("gauss", n=4096),
+    "gauss, median on a node": lambda: _median_on_node(builtin_measure("gauss", n=4096)),
+    "gauss, median on the first node": lambda: _median_on_node(builtin_measure("gauss", n=4096), 0),
+    "gauss, median on the last node": lambda: _median_on_node(builtin_measure("gauss", n=4096), -1),
+    "exp": lambda: builtin_measure("exp", n=4096),
+    "loglog": lambda: builtin_measure("loglog", n=4096),
+    "exp_power:1.5": lambda: builtin_measure("exp_power", alpha=1.5, n=4096),
+    "gauss on -1:2": lambda: builtin_measure("gauss", n=4096, support=(-1.0, 2.0)),
+    "gauss, uniform grid": lambda: builtin_measure("gauss", n=2000, support=(-8.0, 8.5), grid_kind="uniform"),
+    "(x-3)^2/2+0.1x^4": lambda: _expr_measure("(x-3)^2/2+0.1*x^4"),
+    "x on 0:inf": lambda: _expr_measure("x", support=(0.0, np.inf)),
+    "x^2/2+x^3/10+x^4/8": lambda: _expr_measure("x^2/2+x^3/10+x^4/8"),
+}
+
+
+class TestBobkovGoetze:
+    @pytest.mark.parametrize("name", list(_BG_CASES))
+    def test_mirrored_left_side_matches_the_two_branch_reference(self, name):
+        mu = _BG_CASES[name]()
+        rep = bobkov_goetze(mu)
+        assert (rep.left_value, rep.left_arg, rep.left_status) == _reference_bg_side(mu, "left")
+        assert (rep.right_value, rep.right_arg, rep.right_status) == _reference_bg_side(mu, "right")
+        assert bobkov_goetze(mu, "left").right_value is None and bobkov_goetze(mu, "right").left_value is None
+
+    def test_cases_cover_both_median_layouts_empty_sides_and_a_divergent_side(self):
+        on_node = {name for name, build in _BG_CASES.items() if (lambda mu: mu.median in mu.grid)(build())}
+        assert on_node == {"gauss, median on a node", "gauss, median on the first node", "gauss, median on the last node"}
+        first = _BG_CASES["gauss, median on the first node"]()
+        assert bobkov_goetze(first, "left").left_value == 0.0
+        assert bobkov_goetze(first, "left").left_arg == first.median
+        assert bobkov_goetze(_BG_CASES["gauss, median on the last node"](), "right").right_value == 0.0
+        rep = bobkov_goetze(_BG_CASES["exp"]())
+        assert rep.left_status == rep.right_status == "DIVERGENT"

@@ -150,6 +150,31 @@ class TestFamilies:
         with pytest.raises(ValueError):
             TestFamily("exponential", (1.0,), floor=-1.0)
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            TestFamily("exponential", (-1.0, 0.5, 2.0)),
+            TestFamily("bump", (0.5, 1.0, 2.0)),
+            TestFamily("shifted_linear", (-0.1, 0.1)),  # kinks at x = -+10, off the grid
+            TestFamily("random_smooth", (0, 1, 1234567)),
+            TestFamily("stretched_exp", (0.25, 0.5, 1.0), smoothing=0.5),
+        ],
+        ids=lambda fam: fam.kind,
+    )
+    def test_each_kind_has_consistent_derivative_tables(self, family):
+        mu = builtin_measure("gauss", n=4001, support=(-6.0, 6.0), grid_kind="uniform")
+        members = family.members(mu)
+        if family.kind in ("exponential", "random_smooth", "stretched_exp"):
+            for sf in members:
+                assert np.array_equal(sf.log_deriv * sf.values, sf.dvalues), sf.name
+        else:
+            assert all(sf.log_deriv is None for sf in members)
+        for sf in members:
+            fd = np.gradient(sf.values, mu.grid)[1:-1]
+            assert np.max(np.abs(fd - sf.dvalues[1:-1])) <= 5e-5 * np.max(np.abs(sf.dvalues)), sf.name
+        if family.kind == "random_smooth":
+            assert [sf.name for sf in members] == ["random_smooth(0)", "random_smooth(1)", "random_smooth(1234567)"]
+
     @pytest.mark.parametrize("labels,n_fns", [(("a", "b", "c"), 1), (("a",), 3)])
     def test_user_labels_must_match_user_fns(self, labels, n_fns):
         f = lambda x: 1.0 + 0.0 * x
@@ -218,32 +243,32 @@ class TestEntropyEnergyRatio:
 
 class TestEntropyCostInequality:
     def test_gaussian_endpoint_constant_is_two(self):
-        rep = verify_theorem_1_1(2.0, 1.0, 1.0, TestFamily("exponential", (0.25, 0.5, 1.0)))
+        rep = verify_theorem_1_1(builtin_measure("exp_power", alpha=2.0), 2.0, 1.0, 1.0, TestFamily("exponential", (0.25, 0.5, 1.0)))
         assert rep.C_hat == pytest.approx(2.0, rel=1e-4)
         assert rep.details["stable"]
         ratios = [row.ratio for row in rep.rows]
         assert max(ratios) - min(ratios) < 1e-4  # rate-independent saturation
 
-    def test_cost_exponent_reported(self):
-        rep = verify_theorem_1_1(1.5, 1.0, 1.0, TestFamily("exponential", (0.5,)))
+    def test_cost_exponent_reported(self, exp_power_15):
+        rep = verify_theorem_1_1(exp_power_15, 1.5, 1.0, 1.0, TestFamily("exponential", (0.5,)))
         assert rep.details["q"] == pytest.approx(3.0)
         assert np.isfinite(rep.C_hat) and rep.C_hat > 0
 
-    def test_lower_endpoint_exponent_is_quadratic(self):
-        rep = verify_theorem_1_1(1.5, 2.0 / 3.0, 1.0, TestFamily("exponential", (0.5,)))
+    def test_lower_endpoint_exponent_is_quadratic(self, exp_power_15):
+        rep = verify_theorem_1_1(exp_power_15, 1.5, 2.0 / 3.0, 1.0, TestFamily("exponential", (0.5,)))
         assert rep.details["q"] == pytest.approx(2.0)
         assert np.isfinite(rep.C_hat)
 
-    def test_parameter_validation(self):
+    def test_parameter_validation(self, exp_power_15):
         fam = TestFamily("exponential", (0.5,))
         with pytest.raises(ValueError):
-            verify_theorem_1_1(2.5, 1.0, 1.0, fam)
+            verify_theorem_1_1(exp_power_15, 2.5, 1.0, 1.0, fam)
         with pytest.raises(ValueError):
-            verify_theorem_1_1(1.0, 1.0, 1.0, fam)
+            verify_theorem_1_1(exp_power_15, 1.0, 1.0, 1.0, fam)
         with pytest.raises(ValueError):
-            verify_theorem_1_1(1.5, 0.5, 1.0, fam)  # tau below 2(1 - 1/alpha)
+            verify_theorem_1_1(exp_power_15, 1.5, 0.5, 1.0, fam)  # tau below 2(1 - 1/alpha)
         with pytest.raises(ValueError):
-            verify_theorem_1_1(2.0, 1.0, -1.0, fam)
+            verify_theorem_1_1(exp_power_15, 2.0, 1.0, -1.0, fam)
 
 
 class TestPowerEntropyInequality:
@@ -304,7 +329,7 @@ class TestRatioEngine:
         if display == "2.1":
             rep = verify_theorem_2_1(exp_power_15, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
         elif display == "1.1":
-            rep = verify_theorem_1_1(1.5, 0.9, 1.0, fam, measure=exp_power_15)
+            rep = verify_theorem_1_1(exp_power_15, 1.5, 0.9, 1.0, fam)
         else:
             rep = verify_theorem_4_4(exp_power_15, 1.5, fam)
         const, moving = rep.rows
