@@ -287,6 +287,17 @@ class ExpPowerReport:
     run_quadratic: ConditionReport  # (F_{2/beta}, quadratic)
 
 
+def exp_power_range(alpha, tau):
+    """Check 1 < alpha <= 2 and 2(1 - 1/alpha) <= tau <= 1 (with a 1e-12 slack
+    on tau), raising ValueError otherwise; returns the lower end of tau."""
+    if not 1.0 < alpha <= 2.0:
+        raise ValueError("alpha must lie in (1, 2]")
+    lo = 2.0 * (1.0 - 1.0 / alpha)
+    if not lo - 1e-12 <= tau <= 1.0 + 1e-12:
+        raise ValueError(f"tau must lie in [{lo:g}, 1]")
+    return lo
+
+
 def check_exp_power(mu, alpha, tau, A=1.0, delta=0.25, K=4.0):
     """Both finiteness checks behind the exp-power entropy inequality.
 
@@ -294,14 +305,9 @@ def check_exp_power(mu, alpha, tau, A=1.0, delta=0.25, K=4.0):
     with q* = tau*alpha/(alpha(tau-1)+1) — the conjugate exponent of the
     energy cost c_{A, alpha*tau/(alpha-1)} named by the inequality — then the
     endpoint pair (F_{2/beta}, quadratic) with beta = alpha/(alpha-1) fixed.
-    Requires 2(1 - 1/alpha) <= tau <= 1.
+    Requires 2(1 - 1/alpha) <= tau <= 1 (see exp_power_range).
     """
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (1, 2]")
-    lo = 2.0 * (1.0 - 1.0 / alpha)
-    if not lo - 1e-12 <= tau <= 1.0 + 1e-12:
-        raise ValueError(f"tau must lie in [{lo:g}, 1]")
-    tau = min(max(tau, lo), 1.0)
+    tau = min(max(tau, exp_power_range(alpha, tau)), 1.0)
     beta = alpha / (alpha - 1.0)
     q_star = tau * alpha / (alpha * (tau - 1.0) + 1.0)
     spec1 = ConditionSpec(measure=mu, F=F_tau(tau), cost=CostFunction.closed_form(A, q_star), delta=delta, K=K, form="general")

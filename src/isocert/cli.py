@@ -2,12 +2,16 @@
 cost, then run conjugation tables, isoperimetric profiles, integrability
 checks, empirical inequality tests, or the combined certification flow.
 
-Exit codes: 0 success (for `check`, any decisive verdict), 2 configuration
-error, 3 inconclusive verdict, 4 certification failure (divergent verdict or
-a violated margin).  Output is deterministic: floats are printed with 17
-significant digits, a report's JSON keys are its dataclass fields in
-declaration order, and CSV uses LF line endings.  Everything runs on one
-thread, and no environment variable changes what a subcommand does.
+Each input is checked once, where it enters: the CLI parses its own strings
+(specs, ranges, config lines, choices) and the library validates the values
+it is given.  Either refusal is a ValueError, which main prints as
+`error: <message>`.  Exit codes: 0 success (for `check`, any decisive
+verdict), 2 refused input, 3 inconclusive verdict, 4 certification failure
+(divergent verdict or a violated margin).  Output is deterministic: floats
+are printed with 17 significant digits, a report's JSON keys are its
+dataclass fields in declaration order, and CSV uses LF line endings.
+Everything runs on one thread, and no environment variable changes what a
+subcommand does.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checker import ConditionSpec, check_condition, check_exp_power
+from .checker import ConditionSpec, check_condition, check_exp_power, exp_power_range
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, log_entropy
 from .expr import PotentialExpr, parse_potential
@@ -30,7 +34,10 @@ __all__ = ["RunConfig", "PotentialExpr", "parse_potential", "main", "run"]
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: unknown names or out-of-range parameters."""
+    """The command line's own parsing failed: an unknown name, a malformed
+    spec, range or config line, or a setting outside its choices.  Values
+    are checked once, by the library they go to, whose ValueErrors reach
+    main unchanged."""
 
 
 # -- deterministic serialization ---------------------------------------------------
@@ -215,40 +222,26 @@ def _build_measure(cfg: RunConfig):
     support = (-np.inf, np.inf)
     if cfg.support is not None:
         support = _parse_range(cfg.support, "support", n_required=False)
-    try:
-        if spec in ("gauss", "exp", "loglog"):
-            return builtin_measure(spec, n=cfg.n, support=support, grid_kind=cfg.grid_kind)
-        if spec.startswith("exp_power"):
-            alpha = cfg.alpha
-            if ":" in spec:
-                alpha = float(spec.split(":", 1)[1])
-            return builtin_measure("exp_power", alpha=alpha, n=cfg.n, support=support, grid_kind=cfg.grid_kind)
-        if spec.startswith("expr:"):
-            expr = parse_potential(spec[5:])
-            return build_measure(
-                lambda x: np.asarray(expr(x), dtype=float),
-                support=support,
-                n=cfg.n,
-                grid_kind=cfg.grid_kind,
-                name=f"expr:{expr.to_text()}",
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if spec in ("gauss", "exp", "loglog"):
+        return builtin_measure(spec, n=cfg.n, support=support, grid_kind=cfg.grid_kind)
+    if spec.startswith("exp_power"):
+        alpha = float(spec.split(":", 1)[1]) if ":" in spec else cfg.alpha
+        return builtin_measure("exp_power", alpha=alpha, n=cfg.n, support=support, grid_kind=cfg.grid_kind)
+    if spec.startswith("expr:"):
+        expr = parse_potential(spec[5:])
+        return build_measure(expr, support=support, n=cfg.n, grid_kind=cfg.grid_kind, name=f"expr:{expr.to_text()}")
     raise ConfigError(f"unknown measure {spec!r}")
 
 
 def _build_entropy(cfg: RunConfig) -> EntropyFunction:
     spec = cfg.entropy.strip()
-    try:
-        if spec == "log":
-            return log_entropy()
-        if spec.startswith("ftau:"):
-            return F_tau(float(spec.split(":", 1)[1]))
-        if spec.startswith("expr:"):
-            expr = parse_potential(spec[5:])
-            return EntropyFunction(fn=lambda y: np.asarray(expr(y), dtype=float), name=f"expr:{expr.to_text()}")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if spec == "log":
+        return log_entropy()
+    if spec.startswith("ftau:"):
+        return F_tau(float(spec.split(":", 1)[1]))
+    if spec.startswith("expr:"):
+        expr = parse_potential(spec[5:])
+        return EntropyFunction(fn=expr, name=f"expr:{expr.to_text()}")
     raise ConfigError(f"unknown entropy {spec!r}")
 
 
@@ -260,26 +253,19 @@ def _build_cost(cfg: RunConfig):
     tables and tester energies use that cost, while the checker evaluates its
     own 'quadratic' form Phi(delta r^2)."""
     spec = cfg.cost.strip()
-    try:
-        if spec.startswith("quadratic"):
-            delta = 1.0
-            if ":" in spec:
-                delta = float(spec.split(":", 1)[1])
-            if delta <= 0:
-                raise ConfigError("quadratic delta must be positive")
-            return CostFunction.closed_form(1.0, 2.0), "quadratic", delta
-        if spec.startswith("c:"):
-            parts = spec.split(":")
-            if len(parts) != 3:
-                raise ConfigError("cost must look like c:A:alpha")
-            A, alpha = float(parts[1]), float(parts[2])
-            return CostFunction.closed_form(A, alpha), "general", 1.0
-        if spec.startswith("expr:"):
-            expr = parse_potential(spec[5:])
-            grid = np.linspace(0.0, 100.0, 4097)
-            return CostFunction.from_samples(grid, np.asarray(expr(grid), dtype=float)), "general", 1.0
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if spec.startswith("quadratic"):
+        delta = float(spec.split(":", 1)[1]) if ":" in spec else 1.0
+        if delta <= 0:
+            raise ConfigError("quadratic delta must be positive")
+        return CostFunction.closed_form(1.0, 2.0), "quadratic", delta
+    if spec.startswith("c:"):
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise ConfigError("cost must look like c:A:alpha")
+        return CostFunction.closed_form(float(parts[1]), float(parts[2])), "general", 1.0
+    if spec.startswith("expr:"):
+        grid = np.linspace(0.0, 100.0, 4097)
+        return CostFunction.from_samples(grid, parse_potential(spec[5:])(grid)), "general", 1.0
     raise ConfigError(f"unknown cost {spec!r}")
 
 
@@ -288,18 +274,15 @@ def _build_family(cfg: RunConfig) -> TestFamily:
         params = tuple(float(p) for p in cfg.params.split(",") if p.strip() != "")
     except ValueError:
         raise ConfigError(f"bad family params {cfg.params!r}")
-    try:
-        return TestFamily(
-            kind=cfg.family,
-            params=params,
-            floor=cfg.floor,
-            seed=cfg.seed,
-            scale=cfg.scale,
-            exponent=cfg.exponent,
-            smoothing=cfg.smoothing,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return TestFamily(
+        kind=cfg.family,
+        params=params,
+        floor=cfg.floor,
+        seed=cfg.seed,
+        scale=cfg.scale,
+        exponent=cfg.exponent,
+        smoothing=cfg.smoothing,
+    )
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -308,10 +291,7 @@ def _build_family(cfg: RunConfig) -> TestFamily:
 def _cmd_conjugate(cfg: RunConfig) -> int:
     cost, _, _ = _build_cost(cfg)
     grid_spec = cfg.grid if cfg.grid is not None else "0:10:2000"
-    lo, hi, n = _parse_range(grid_spec, "grid")
-    if lo < 0:
-        raise ConfigError("conjugate grid must be nonnegative")
-    xs = np.linspace(lo, hi, n)
+    xs = np.linspace(*_parse_range(grid_spec, "grid"))
     if cost.is_closed_form:
         values = np.asarray(eval_cost(dual_cost(cost), xs), dtype=float)
     else:
@@ -327,23 +307,13 @@ def _cmd_profile(cfg: RunConfig) -> int:
     mu = _build_measure(cfg)
     if cfg.profile_kind == "tilde":
         t_spec = cfg.t_grid if cfg.t_grid is not None else "0.000001:0.5:500"
-        lo, hi, n = _parse_range(t_spec, "t_grid")
-        if not (0.0 < lo < hi <= 0.5):
-            raise ConfigError("t_grid must lie inside (0, 1/2]")
-        t = np.linspace(lo, hi, n)
-        prof = tilde_profile(mu, t)
+        prof = tilde_profile(mu, np.linspace(*_parse_range(t_spec, "t_grid")))
         text = _table(("t", "u", "v", "tilde_I"), prof.t_grid, prof.u_t, prof.v_t, prof.tilde_I)
-    elif cfg.profile_kind == "if":
+    else:  # profile_kind "if"
         F = _build_entropy(cfg)
         r_spec = cfg.grid if cfg.grid is not None else "0:8:400"
-        lo, hi, n = _parse_range(r_spec, "grid")
-        if lo < 0:
-            raise ConfigError("radii must be nonnegative")
-        r = np.linspace(lo, hi, n)
-        prof = I_F_profile(mu, F, r)
+        prof = I_F_profile(mu, F, np.linspace(*_parse_range(r_spec, "grid")))
         text = _table(("r", "s", "I_F"), prof.r_grid, prof.s_values, prof.values)
-    else:
-        raise ConfigError(f"unknown profile kind {cfg.profile_kind!r}")
     _write_text(cfg.out, text)
     return 0
 
@@ -358,19 +328,16 @@ def _make_condition_spec(cfg: RunConfig):
         if form == "general":
             raise ConfigError(f"form {cfg.form!r} evaluates Phi(delta r^2) and cannot use the cost {cfg.cost.strip()!r}")
         form = cfg.form
-    try:
-        return ConditionSpec(
-            measure=mu,
-            F=F,
-            cost=cost,
-            delta=cfg.delta if cfg.delta is not None else delta,
-            K=cfg.K,
-            form=form,
-            profile_choice=cfg.profile_choice,
-            t_min=cfg.t_min,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return ConditionSpec(
+        measure=mu,
+        F=F,
+        cost=cost,
+        delta=cfg.delta if cfg.delta is not None else delta,
+        K=cfg.K,
+        form=form,
+        profile_choice=cfg.profile_choice,
+        t_min=cfg.t_min,
+    )
 
 
 def _cmd_check(cfg: RunConfig) -> int:
@@ -388,24 +355,20 @@ def _run_test_report(cfg: RunConfig):
         cost, _, _ = _build_cost(cfg)
         return verify_theorem_2_1(mu, F, cost, cfg.K, family)
     if cfg.display == "exp-power":
+        exp_power_range(cfg.alpha, cfg.tau)
         # --measure gauss (the default) still means exp_power(alpha) on this
         # display: perfbench/reference.json pins it (see its FOUND line in CHANGES.md)
         if cfg.measure.strip() == "gauss" and cfg.support is None:
-            mu = builtin_measure("exp_power", alpha=cfg.alpha, n=cfg.n)
+            mu = builtin_measure("exp_power", alpha=cfg.alpha, n=cfg.n, grid_kind=cfg.grid_kind)
         else:
             mu = _build_measure(cfg)
         return verify_theorem_1_1(mu, cfg.alpha, cfg.tau, cfg.A, family)
-    if cfg.display == "power-beta":
-        mu = _build_measure(cfg)
-        return verify_theorem_4_4(mu, cfg.alpha, family)
-    raise ConfigError(f"unknown display {cfg.display!r}")
+    # display "power-beta"
+    return verify_theorem_4_4(_build_measure(cfg), cfg.alpha, family)
 
 
 def _cmd_test(cfg: RunConfig) -> int:
-    try:
-        report = _run_test_report(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    report = _run_test_report(cfg)
     json_text = _dump_json(report) + "\n"
     if cfg.out is None:
         sys.stdout.write(json_text)
@@ -468,10 +431,15 @@ _COMMANDS = {
 
 
 def run(config: RunConfig, command: str) -> int:
-    """Run one subcommand against an assembled configuration."""
+    """Run one subcommand against an assembled configuration, once each
+    setting it reads that has choices holds one of them (or None)."""
     handler = _COMMANDS.get(command)
     if handler is None:
         raise ConfigError(f"unknown command {command!r}")
+    for f in fields(RunConfig):  # the class: config may be any object with the settings
+        choices = f.metadata["choices"] if command in f.metadata["commands"] else None
+        if choices is not None and getattr(config, f.name) not in choices + (None,):
+            raise ConfigError(f"{f.name} must be one of {choices}")
     return handler(config)
 
 

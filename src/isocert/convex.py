@@ -167,8 +167,6 @@ def _primal_samples(f, dual_grid, n_primal):
         y_lo = max(y_lo, 1e-12)
         y = np.concatenate(([0.0], np.geomspace(y_lo, y_hi, n_primal - 1)))
         return y, eval_cost(f, y), "log"
-    if isinstance(f, ConjugateTable):
-        return f.grid, f.values, "given"
     y, g = f
     return np.asarray(y, dtype=float), np.asarray(g, dtype=float), "given"
 
@@ -176,7 +174,7 @@ def _primal_samples(f, dual_grid, n_primal):
 def legendre_transform(f, dual_grid, n_primal=4096):
     """Discrete conjugate sup_y (x*y - f(y)) over a nonnegative dual grid.
 
-    f may be a CostFunction, a ConjugateTable, or a (grid, values) pair.
+    f may be a CostFunction or a (grid, values) pair.
     Dual points beyond the final chord slope are flagged truncated: there the
     true conjugate of a superlinear input is not recoverable from the grid.
     """

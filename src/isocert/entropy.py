@@ -85,21 +85,6 @@ def log_entropy():
     )
 
 
-def _bisect_increasing(f, target, lo, hi, rel_tol=1e-12, iters=200):
-    flo, fhi = f(lo), f(hi)
-    if not (flo <= target <= fhi):
-        raise ValueError("target not bracketed on the search interval")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def eval_F_tau(phi, tau, x):
     """The flattened profile: phi below x0 (phi(x0)=1), power-tau growth above."""
     if not 0 < tau <= 1:
@@ -155,14 +140,21 @@ def _F_tau_log_phi(tau):
 
 
 def F_tau(tau, phi=None):
-    """Build the F_tau profile as an EntropyFunction (base defaults to log)."""
+    """Build the F_tau profile as an EntropyFunction (base defaults to log).
+    Its x0 is the base's own when set (e for log), else the root of
+    phi(y) = 1 above y = 1."""
     if not 0 < tau <= 1:
         raise ValueError("tau must lie in (0, 1]")
     log_phi = None
     if phi is None:
         phi = log_entropy()
         log_phi = _F_tau_log_phi(tau)
-    x0 = _bisect_increasing(lambda x: float(phi(np.array([x]))[0]), 1.0, 1.0, 1e9)
+    x0 = phi.x0
+    if x0 is None:  # phi(x0) = 1, searched from e on (1, 1e9)
+        resid = lambda y, _: (phi(y) - 1.0, phi.derivative(y))  # noqa: E731
+        x0 = float(_increasing_root(resid, np.zeros(1), np.array([np.e]), 0.0, lo=1.0, bound=1e9)[0])
+        if not phi(np.array([x0]))[0] >= 1.0 - 1e-12:
+            raise ValueError("the base profile does not reach 1 below 1e9")
 
     def fn(y):
         return eval_F_tau(phi, tau, y)

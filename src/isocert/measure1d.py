@@ -30,6 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .entropy import log_entropy
+
 TRUST_TAIL = 1e-15  # smallest one-sided mass the accumulated tables resolve reliably
 _LOG_TRUNC = float(np.log(1e18))  # potential rise at which the density is cut off
 _MAX_REACH = 1e12  # outermost abscissa the truncation search will visit
@@ -175,12 +177,12 @@ class Measure1D:
         out = np.interp(t, self.tail[::-1], self.grid[::-1])
         return float(out) if out.ndim == 0 else out
 
-    def mass_outside(self, r, center=0.0):
-        """mu(|x - center| > r)."""
+    def mass_outside(self, r):
+        """mu(|x| > r)."""
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
-        out = self.cdf_at(center - r) + self.tail_at(center + r)
+        out = self.cdf_at(-r) + self.tail_at(r)
         # A zero-radius ball carries no mass for these densities, so the
         # outside mass is exactly 1; summing cdf and tail would instead pick
         # up cancellation noise of order n*eps and break the s == 1 branch
@@ -188,18 +190,18 @@ class Measure1D:
         out = np.where(r == 0.0, 1.0, np.minimum(out, 1.0))
         return float(out) if out.ndim == 0 else out
 
-    def radius_of_outside_mass(self, t, center=0.0):
-        """r with mu(|x - center| > r) = t."""
-        r_tab, out_tab = self._outside_table(center)
+    def radius_of_outside_mass(self, t):
+        """r with mu(|x| > r) = t."""
+        r_tab, out_tab = self._outside_table()
         t = np.asarray(t, dtype=float)
         out = np.interp(t, out_tab[::-1], r_tab[::-1])
         return float(out) if out.ndim == 0 else out
 
-    def _outside_table(self, center=0.0):
-        r_tab = np.unique(np.abs(self.grid - center))
+    def _outside_table(self):
+        r_tab = np.unique(np.abs(self.grid))
         if r_tab[0] > 0.0:
             r_tab = np.concatenate(([0.0], r_tab))
-        out = self.cdf_at(center - r_tab) + self.tail_at(center + r_tab)
+        out = self.cdf_at(-r_tab) + self.tail_at(r_tab)
         out = np.minimum.accumulate(np.minimum(out, 1.0))
         return r_tab, out
 
@@ -417,7 +419,7 @@ class SampledFunction:
     deriv_consistent: bool = True
 
     @classmethod
-    def from_callable(cls, mu, fn, dfn=None, log_deriv_fn=None, name="f", check=True):
+    def from_callable(cls, mu, fn, dfn=None, log_deriv_fn=None, name="f"):
         grid = mu.grid
         values = np.asarray(fn(grid), dtype=float)
         if values.shape != grid.shape or not np.all(np.isfinite(values)):
@@ -428,7 +430,7 @@ class SampledFunction:
             dvalues = np.gradient(values, grid)
         log_deriv = None if log_deriv_fn is None else np.asarray(log_deriv_fn(grid), dtype=float)
         ok = True
-        if check and dfn is not None:
+        if dfn is not None:
             rng = np.random.default_rng(2718)
             idx = rng.integers(1, grid.size - 1, size=10)
             fd = (values[idx + 1] - values[idx - 1]) / (grid[idx + 1] - grid[idx - 1])
@@ -451,11 +453,17 @@ class IsoProfile:
     trusted: np.ndarray
 
 
-def tilde_profile(mu, t_grid):
-    """min(rho(u(t)), rho(v(t))) with mu((-inf, u(t))) = mu([v(t), inf)) = t."""
+def _checked_t_grid(t_grid):
+    """t_grid as a float array, refused unless it lies in (0, 1/2]."""
     t = np.asarray(t_grid, dtype=float)
     if np.any((t <= 0) | (t > 0.5)):
-        raise ValueError("t grid must lie in (0, 1/2]")
+        raise ValueError("t_grid must lie in (0, 1/2]")
+    return t
+
+
+def tilde_profile(mu, t_grid):
+    """min(rho(u(t)), rho(v(t))) with mu((-inf, u(t))) = mu([v(t), inf)) = t."""
+    t = _checked_t_grid(t_grid)
     u = np.atleast_1d(mu.quantile(t))
     v = np.atleast_1d(mu.right_quantile(t))
     vals = np.minimum(mu.density_at(u), mu.density_at(v))
@@ -474,13 +482,11 @@ class IFProfile:
     trusted: np.ndarray
 
 
-def I_F_profile(mu, F, r_grid, center=0.0):
+def I_F_profile(mu, F, r_grid):
     r = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    if np.any(r < 0):
-        raise ValueError("radii must be nonnegative")
     if abs(float(F(np.array([1.0]))[0])) > 1e-9:
         raise ValueError("entropy profile must satisfy F(1) = 0")
-    s = np.atleast_1d(mu.mass_outside(r, center=center))
+    s = np.atleast_1d(mu.mass_outside(r))
     zero = s <= 0.0
     trusted = zero | (s >= TRUST_TAIL)
     vals = np.zeros_like(s)
@@ -587,7 +593,7 @@ class BobkovBoundReport:
     arg_t: float
 
 
-def bobkov_bound_check(mu, t_grid, center=0.0):
+def bobkov_bound_check(mu, t_grid):
     """Margin of the convex-measure bound 2 r mu+(A) >= H(t) + log mu(B_r).
 
     A = [v(t), inf) is the half-line of mass t, r the ball radius with the same
@@ -595,12 +601,10 @@ def bobkov_bound_check(mu, t_grid, center=0.0):
     """
     if not mu.log_concave:
         raise ValueError("the two-point bound is only guaranteed for log-concave measures")
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any((t <= 0) | (t > 0.5)):
-        raise ValueError("t grid must lie in (0, 1/2]")
+    t = np.atleast_1d(_checked_t_grid(t_grid))
     v = np.atleast_1d(mu.right_quantile(t))
     surf = mu.density_at(v)
-    r = np.atleast_1d(mu.radius_of_outside_mass(t, center=center))
+    r = np.atleast_1d(mu.radius_of_outside_mass(t))
     # mu(B_r) = 1 - t by the choice of r
     rhs = t * np.log(1.0 / t) + (1.0 - t) * np.log(1.0 / (1.0 - t)) + np.log1p(-t)
     margins = 2.0 * r * surf - rhs
@@ -674,7 +678,7 @@ class Lemma41Report:
         return float(np.max(vals)) if vals.size else 0.0
 
 
-def lemma41_ratio(mu, r_range=None, n=800, F=None):
+def lemma41_ratio(mu, r_range=None, n=800):
     """Sampled sup of I_log(r)/r for r past the half-mass radius.
 
     Radii whose outside mass underflows the trusted tail resolution are
@@ -692,11 +696,7 @@ def lemma41_ratio(mu, r_range=None, n=800, F=None):
     if not r_lo < r_hi:
         raise ValueError("empty radius range")
     r = np.linspace(r_lo, r_hi, n)
-    if F is None:
-        from .entropy import log_entropy
-
-        F = log_entropy()
-    prof = I_F_profile(mu, F, r)
+    prof = I_F_profile(mu, log_entropy(), r)
     ratios = np.where(prof.zero_flag, 0.0, prof.values / np.maximum(r, 1e-300))
     ratios = np.where(prof.trusted, ratios, np.nan)
     finite = np.isfinite(ratios)

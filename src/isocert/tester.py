@@ -17,7 +17,8 @@ the denominator is positive, +inf when a positive entropy meets a vanishing
 denominator, and NaN (no evidence) otherwise; C_hat is the largest non-NaN
 ratio, or 0 when there is none, so every reported ratio is at most C_hat.
 A member with f or f' outside L^2(mu), or a non-finite energy term, is
-refused by name with a ValueError instead of giving an inf row.
+refused by name with a ValueError instead of giving an inf row.  The
+functionals take members as SampledFunctions on the measure's own grid.
 
 Family members are evaluated independently and reduced in parameter order,
 so reports are deterministic.
@@ -31,6 +32,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from .checker import exp_power_range
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi, log_entropy
 from .measure1d import Measure1D, SampledFunction
@@ -91,8 +93,9 @@ def _random_smooth(fam, mu, label):
     a = rng.standard_normal(_RANDOM_TERMS)
     b = rng.standard_normal(_RANDOM_TERMS)
     phase = np.outer(x, j * omega)
-    g = np.cos(phase) @ (wts * a) + np.sin(phase) @ (wts * b)
-    gp = -np.sin(phase) @ (wts * a * j * omega) + np.cos(phase) @ (wts * b * j * omega)
+    cos, sin = np.cos(phase), np.sin(phase)
+    g = cos @ (wts * a) + sin @ (wts * b)
+    gp = -sin @ (wts * a * j * omega) + cos @ (wts * b * j * omega)
     vals = np.exp(fam.scale * g)
     log_deriv = fam.scale * gp
     return vals, log_deriv * vals, log_deriv
@@ -191,28 +194,25 @@ class TestFamily:
 
     def enriched(self):
         """A denser version of the family: midpoints between consecutive
-        parameters for numeric kinds, doubled member count for random_smooth.
-        User families cannot be enriched and are returned unchanged."""
+        parameters for numeric kinds; for random_smooth the given labels
+        followed by as many fresh ones above their maximum.  User families
+        cannot be enriched and are returned unchanged."""
         if self.kind == "user":
             return self
         if self.kind == "random_smooth":
-            return replace(self, params=tuple(range(2 * len(self.params))))
+            labels = self._ordered_params()
+            top = max(labels) + 1
+            return replace(self, params=labels + tuple(range(top, top + len(labels))))
         ps = sorted(float(p) for p in self.params)
         mids = [0.5 * (a + b) for a, b in zip(ps[:-1], ps[1:])]
         return replace(self, params=tuple(sorted(ps + mids)))
 
 
-def _as_sampled(mu: Measure1D, f) -> SampledFunction:
-    if isinstance(f, SampledFunction):
-        if f.grid.shape != mu.grid.shape or not np.array_equal(f.grid, mu.grid):
-            raise ValueError("sampled function lives on a different grid than the measure")
-        return f
-    if callable(f):
-        return SampledFunction.from_callable(mu, f)
-    vals = np.asarray(f, dtype=float)
-    if vals.shape != mu.grid.shape:
-        raise ValueError("value array does not match the measure grid")
-    return SampledFunction(grid=mu.grid, values=vals, dvalues=np.gradient(vals, mu.grid))
+def _as_sampled(mu: Measure1D, f: SampledFunction) -> SampledFunction:
+    """f, once it is known to be sampled on mu's own grid."""
+    if f.grid.shape != mu.grid.shape or not np.array_equal(f.grid, mu.grid):
+        raise ValueError("sampled function lives on a different grid than the measure")
+    return f
 
 
 # -- scalar functionals ----------------------------------------------------------
@@ -590,11 +590,7 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
     reporting the ratio supremum and its stability under family enrichment.
     The energy is evaluated through the conjugate of c_{A, q/(q-1)}, which
     recovers c_{A,q} exactly."""
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (1, 2]")
-    lo_tau = 2.0 * (1.0 - 1.0 / alpha)
-    if not (lo_tau - 1e-12 <= tau <= 1.0 + 1e-12):
-        raise ValueError(f"tau must lie in [{lo_tau:g}, 1]")
+    exp_power_range(alpha, tau)
     if A <= 0:
         raise ValueError("A must be positive")
     F = F_tau(min(tau, 1.0))

@@ -282,6 +282,23 @@ class TestTestCommand:
         assert main(["test", "--params", "abc"]) == 2
         assert "params" in capsys.readouterr().err
 
+    def test_exp_power_display_names_the_alpha_range(self, capsys):
+        # the display's own range, stated before the default measure exp_power(alpha) is built
+        assert main(["test", "--display", "exp-power", "--measure", "gauss", "--alpha", "2.5"]) == 2
+        assert capsys.readouterr().err == "error: alpha must lie in (1, 2]\n"
+
+    def test_exp_power_display_passes_the_grid_kind(self, monkeypatch):
+        calls = []
+
+        def recording(name, **kwargs):
+            calls.append((name, kwargs))
+            return builtin_measure(name, **kwargs)
+
+        monkeypatch.setattr(cli, "builtin_measure", recording)
+        rc = main(["test", "--display", "exp-power", "--grid-kind", "uniform", "--params", "0.5", "--n", "4096"])
+        assert rc == 0
+        assert calls == [("exp_power", {"alpha": 1.5, "n": 4096, "grid_kind": "uniform"})]
+
     def test_invalid_display_parameters_exit_two(self, capsys):
         rc = main(["test", "--display", "exp-power", "--alpha", "3", "--tau", "1", "--A", "1"])
         assert rc == 2
@@ -473,7 +490,91 @@ class TestReadmeCommands:
             {name: sorted(flags) for name, flags in want.items()}
 
 
+_N = ["--n", "4096"]
+# invalid command lines, each with a fragment of the message it must be refused with
+_REFUSALS = [
+    (["check", "--measure", "banana"], "unknown measure 'banana'"),
+    (["check", "--entropy", "banana"], "unknown entropy 'banana'"),
+    (["check", "--cost", "banana"], "unknown cost 'banana'"),
+    (["check", "--measure", "expr:abs(x"], "expected ')'"),
+    (["check", "--measure", "expr:x^2/2+y"], "unknown identifier 'y'"),
+    (["check", "--entropy", "ftau:abc"], "could not convert string to float"),
+    (["check", "--cost", "c:1"], "cost must look like c:A:alpha"),
+    (["check", "--cost", "c:1:x"], "could not convert string to float"),
+    (["check", "--cost", "quadratic:0"], "quadratic delta must be positive"),
+    (["test", "--cost", "quadratic:-1"], "quadratic delta must be positive"),
+    (["check", "--measure", "exp_power:abc"], "could not convert string to float"),
+    (["check", "--measure", "exp_power:2.5"], "exp_power requires alpha in [1, 2]"),
+    (["profile", "--measure", "exp_power", "--alpha", "0.5"], "exp_power requires alpha in [1, 2]"),
+    (["check", "--cost", "c:-1:3"], "A must be positive"),
+    (["check", "--cost", "c:1:1"], "alpha must exceed 1"),
+    (["certify", "--cost", "c:1:1"], "alpha must exceed 1"),
+    (["check", "--cost", "expr:-x"], "cost values must be nonnegative"),
+    (["check", "--cost", "expr:abs(x)^0.5"], "convex"),
+    (["test", "--cost", "expr:abs(x)^0.5", *_N], "convex"),
+    (["check", "--cost", "expr:x", *_N], "superlinear"),
+    (["check", "--entropy", "ftau:0"], "tau must lie in (0, 1]"),
+    (["check", "--entropy", "ftau:1.5"], "tau must lie in (0, 1]"),
+    (["check", "--entropy", "expr:x^2", *_N], "(A1-A2)"),
+    (["check", "--measure", "exp", "--entropy", "expr:log(x)", "--cost", "c:1:3", *_N], "log-form"),
+    (["check", "--measure", "expr:log(x)", *_N], "log of a nonpositive value"),
+    (["check", "--K", "1", *_N], "K must exceed 1"),
+    (["test", "--K", "1", *_N], "K must exceed 1"),
+    (["check", "--delta", "0", *_N], "delta must be positive"),
+    (["check", "--form", "one_d_quadratic", "--K", "2", *_N], "requires K > 2"),
+    (["check", "--t-min", "0.9", *_N], "t_min must lie in"),
+    (["check", "--form", "general", "--cost", "quadratic:0.5"], "form 'general'"),
+    (["check", "--form", "quadratic", "--cost", "c:1:3"], "cannot use the cost 'c:1:3'"),
+    (["check", "--profile-choice", "lower_bound_model", *_N], "'alpha' parameter"),
+    (["check", "--n", "10"], "grid size too small"),
+    (["check", "--support", "1:1"], "empty support interval"),
+    (["check", "--support", "a:b"], "bad support"),
+    (["check", "--support", "1"], "support must look like lo:hi"),
+    (["check", "--n-per-decade", "3", *_N], "n_per_decade"),
+    (["profile", "--measure", "expr:42*abs(x)/(1+abs(x))"], "not integrable"),
+    (["conjugate", "--grid=-1:1:5"], "nonnegative"),
+    (["conjugate", "--cost", "expr:x^2/2", "--grid=-1:1:5"], "nonnegative"),
+    (["conjugate", "--grid", "0:1"], "grid must look like lo:hi:n"),
+    (["conjugate", "--grid", "1:0:5"], "hi > lo"),
+    (["conjugate", "--grid", "0:1:1"], "n >= 2"),
+    (["profile", "--t-grid", "0.1:0.9:5", *_N], "t_grid must lie in (0, 1/2]"),
+    (["profile", "--t-grid=-0.1:0.5:5", *_N], "t_grid must lie in (0, 1/2]"),
+    (["profile", "--t-grid", "0:0.5:5", *_N], "t_grid must lie in (0, 1/2]"),
+    (["profile", "--profile-kind", "if", "--grid=-1:1:5", *_N], "radius must be nonnegative"),
+    (["profile", "--profile-kind", "if", "--entropy", "expr:x^2", *_N], "F(1) = 0"),
+    (["test", "--params", "abc"], "bad family params"),
+    (["test", "--params", ","], "family has no members"),
+    (["test", "--family", "bump", "--params", "0", *_N], "bump width must be positive"),
+    (["test", "--floor", "-1"], "floor must be nonnegative"),
+    (["test", "--measure", "expr:abs(x)^0.5", "--params", "0.5", *_N], "not in L^2"),
+    (["test", "--display", "exp-power", "--alpha", "3", *_N], "alpha must lie in (1, 2]"),
+    (["test", "--display", "exp-power", "--alpha", "1", *_N], "alpha must lie in (1, 2]"),
+    (["test", "--display", "exp-power", "--measure", "exp_power:1.5", "--alpha", "2.5", *_N], "alpha must lie in (1, 2]"),
+    (["test", "--display", "exp-power", "--alpha", "1.5", "--tau", "0.5", *_N], "tau must lie in [0.666667, 1]"),
+    (["test", "--display", "exp-power", "--alpha", "1.5", "--tau", "1.2", *_N], "tau must lie in [0.666667, 1]"),
+    (["test", "--display", "exp-power", "--A", "0", *_N], "A must be positive"),
+    (["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--alpha", "1", *_N], "alpha must exceed 1"),
+    (["test", "--display", "power-beta", "--measure", "expr:x^4-4*x^2", *_N], "not log-concave"),
+]
+
+
 class TestRefusals:
+    @pytest.mark.parametrize("argv, fragment", _REFUSALS, ids=[" ".join(argv) for argv, _ in _REFUSALS])
+    def test_invalid_command_line_exits_two_with_a_message(self, argv, fragment, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and fragment in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name, command", [
+        (f.name, command) for f in fields(RunConfig) if f.metadata["choices"] for command in f.metadata["commands"]
+    ])
+    def test_run_refuses_a_setting_outside_its_choices(self, name, command):
+        cfg = RunConfig()
+        setattr(cfg, name, "pentagonal")
+        with pytest.raises(ConfigError, match=f"^{name} must be one of"):
+            cli.run(cfg, command)
+
     def test_bounded_potential_exits_two(self, capsys):
         assert main(["profile", "--measure", "expr:42*abs(x)/(1+abs(x))"]) == 2
         assert "not integrable" in capsys.readouterr().err

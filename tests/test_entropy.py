@@ -69,6 +69,19 @@ class TestFlattenedProfile:
         rep = check_assumptions(F_half)
         assert rep.a1 and rep.a2
 
+    def test_threshold_of_a_base_without_x0_is_its_root(self):
+        # phi(y) = 2 log y reaches 1 at y = e^{1/2}
+        phi = EntropyFunction(fn=lambda y: 2.0 * np.log(y), dfn=lambda y: 2.0 / y, name="2log")
+        assert F_tau(0.5, phi).x0 == pytest.approx(np.exp(0.5), rel=1e-12, abs=0.0)
+
+    def test_threshold_of_the_log_base_is_e(self):
+        assert F_tau(0.5).x0 == float(np.e)
+
+    def test_base_that_never_reaches_one_is_refused(self):
+        bounded = EntropyFunction(fn=lambda y: 1.0 - 1.0 / y, dfn=lambda y: 1.0 / y**2, name="bounded")
+        with pytest.raises(ValueError, match="does not reach 1"):
+            F_tau(0.5, bounded)
+
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             F_tau(0.0)

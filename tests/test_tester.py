@@ -140,6 +140,23 @@ class TestFamilies:
         fam = TestFamily("random_smooth", (0, 1, 2), seed=0)
         assert fam.enriched()._ordered_params() == tuple(range(6))
 
+    def test_enriched_random_family_keeps_the_given_labels(self):
+        # the stability check compares the given members with fresh ones, not other members
+        fam = TestFamily("random_smooth", (5, 9), seed=0)
+        assert fam.enriched()._ordered_params() == (5, 9, 10, 11)
+
+    def test_random_member_tables_follow_the_closed_form(self, gauss):
+        # g = sum_j (a_j cos(j w x) + b_j sin(j w x)) / j^2 from the seeded draws
+        sf = TestFamily("random_smooth", (3,), seed=2, scale=0.4).members(gauss)[0]
+        x = gauss.grid
+        w = np.pi / max(abs(gauss.truncation[0]), abs(gauss.truncation[1]))
+        rng = np.random.default_rng([2, 3])
+        a, b = rng.standard_normal(6), rng.standard_normal(6)
+        g = sum((a[j - 1] * np.cos(j * w * x) + b[j - 1] * np.sin(j * w * x)) / j**2 for j in range(1, 7))
+        gp = sum((b[j - 1] * np.cos(j * w * x) - a[j - 1] * np.sin(j * w * x)) * w / j for j in range(1, 7))
+        assert np.allclose(sf.values, np.exp(0.4 * g), rtol=1e-12)
+        assert np.allclose(sf.log_deriv, 0.4 * gp, rtol=1e-10, atol=1e-14)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TestFamily("nope", (1.0,))
