@@ -11,12 +11,14 @@ verdict), 2 refused input, 3 inconclusive verdict, 4 certification failure
 are printed with 17 significant digits, a report's JSON keys are its
 dataclass fields in declaration order, and CSV uses LF line endings.
 Everything runs on one thread, and no environment variable changes what a
-subcommand does.
+subcommand does.  A process keeps the last 8 measures it built, keyed by
+the resolved measure settings, so a repeated measure is built once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
@@ -217,19 +219,35 @@ def _parse_range(text: str, what: str, n_required: bool = True):
         raise ConfigError(f"bad {what}: {text!r}")
 
 
+@functools.lru_cache(maxsize=8)
+def _measure(kind, arg, support, n, grid_kind):
+    """The measure a request resolves to, built once per process per key.
+
+    kind is a builtin name or "expr"; arg is the exp_power alpha (a float) or
+    the parsed PotentialExpr, else None; support is the parsed --support, or
+    None for the whole line.  So `exp_power:1.5` and `--alpha 1.5` share an
+    entry.  A refused measure raises and is not kept, so it is refused again
+    on every request.  An entry holds about 0.8 MB at the default n; the
+    measure's tables are read-only, so requests can share it."""
+    if kind == "expr":
+        support = (-np.inf, np.inf) if support is None else support
+        return build_measure(arg, support=support, n=n, grid_kind=grid_kind, name=f"expr:{arg.to_text()}")
+    options = {} if support is None else {"support": support}
+    if kind == "exp_power":
+        options["alpha"] = arg
+    return builtin_measure(kind, n=n, grid_kind=grid_kind, **options)
+
+
 def _build_measure(cfg: RunConfig):
     spec = cfg.measure.strip()
-    support = (-np.inf, np.inf)
-    if cfg.support is not None:
-        support = _parse_range(cfg.support, "support", n_required=False)
+    support = None if cfg.support is None else _parse_range(cfg.support, "support", n_required=False)
     if spec in ("gauss", "exp", "loglog"):
-        return builtin_measure(spec, n=cfg.n, support=support, grid_kind=cfg.grid_kind)
+        return _measure(spec, None, support, cfg.n, cfg.grid_kind)
     if spec.startswith("exp_power"):
-        alpha = float(spec.split(":", 1)[1]) if ":" in spec else cfg.alpha
-        return builtin_measure("exp_power", alpha=alpha, n=cfg.n, support=support, grid_kind=cfg.grid_kind)
+        alpha = float(spec.split(":", 1)[1]) if ":" in spec else float(cfg.alpha)
+        return _measure("exp_power", alpha, support, cfg.n, cfg.grid_kind)
     if spec.startswith("expr:"):
-        expr = parse_potential(spec[5:])
-        return build_measure(expr, support=support, n=cfg.n, grid_kind=cfg.grid_kind, name=f"expr:{expr.to_text()}")
+        return _measure("expr", parse_potential(spec[5:]), support, cfg.n, cfg.grid_kind)
     raise ConfigError(f"unknown measure {spec!r}")
 
 
@@ -359,7 +377,7 @@ def _run_test_report(cfg: RunConfig):
         # --measure gauss (the default) still means exp_power(alpha) on this
         # display: perfbench/reference.json pins it (see its FOUND line in CHANGES.md)
         if cfg.measure.strip() == "gauss" and cfg.support is None:
-            mu = builtin_measure("exp_power", alpha=cfg.alpha, n=cfg.n, grid_kind=cfg.grid_kind)
+            mu = _measure("exp_power", float(cfg.alpha), None, cfg.n, cfg.grid_kind)
         else:
             mu = _build_measure(cfg)
         return verify_theorem_1_1(mu, cfg.alpha, cfg.tau, cfg.A, family)
@@ -404,8 +422,10 @@ def _cmd_certify(cfg: RunConfig) -> int:
 
 
 def _cmd_paper_examples(cfg: RunConfig) -> int:
-    exp_power = builtin_measure("exp_power", alpha=1.5, n=cfg.n)  # shared by three fixtures
-    loglog = ConditionSpec(measure=builtin_measure("loglog", n=cfg.n), F=log_entropy(), delta=0.5, K=2.0, form="quadratic")
+    exp_power = _measure("exp_power", 1.5, None, cfg.n, "hybrid")  # shared by three fixtures
+    loglog = ConditionSpec(
+        measure=_measure("loglog", None, None, cfg.n, "hybrid"), F=log_entropy(), delta=0.5, K=2.0, form="quadratic"
+    )
     family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
     fixtures = {
         "loglog_quadratic": check_condition(loglog, n_per_decade=cfg.n_per_decade),

@@ -119,7 +119,8 @@ class Measure1D:
 
     cdf is accumulated from the left and tail from the right, so each is
     accurate in its own end down to TRUST_TAIL; density_at evaluates the
-    density exactly from the potential rather than by interpolation.
+    density exactly from the potential rather than by interpolation.  The
+    tables are read-only, so one built measure can serve many requests.
     """
 
     grid: np.ndarray
@@ -251,22 +252,41 @@ def _hybrid_knots(xs, cdf_prov, tail_prov, lo, hi, n, symmetric):
     return g[keep]
 
 
-def _accumulate(grid, w):
-    """Cell masses by trapezoid; (cdf, tail, node_mass) normalized to total 1."""
-    cells = 0.5 * (w[:-1] + w[1:]) * np.diff(grid)
+def _weights(v, v_min):
+    """exp(-(v - v_min)) in one new array; v may alias the grid, so it is not written."""
+    w = np.subtract(v, v_min)
+    return np.exp(np.negative(w, out=w), out=w)
+
+
+def _accumulate(grid, w, node_mass=False):
+    """Trapezoid cell masses, normalized to total 1: (cdf, tail, nm, total).
+
+    cdf is summed from the left and tail from the right, each straight into
+    its table; nm, the nodal masses (half of each adjacent cell), is None
+    unless asked for.  The work is done in place, in the order of the plain
+    formulas, so the results are bit-equal to them.
+    """
+    cdf, tail = np.empty_like(w), np.empty_like(w)
+    cells = np.add(w[:-1], w[1:])
+    cells *= 0.5
+    cells *= np.subtract(grid[1:], grid[:-1], out=tail[1:])  # tail is scratch until its sum
     total = float(np.sum(cells))
     if not (total > 0.0) or not np.isfinite(total):
         raise ValueError("density integrates to zero or overflows on the grid")
-    cells = cells / total
-    cdf = np.concatenate(([0.0], np.cumsum(cells)))
+    cells /= total
+    cdf[0] = 0.0
+    np.cumsum(cells, out=cdf[1:])
     cdf[-1] = 1.0
-    tail = np.concatenate((np.cumsum(cells[::-1])[::-1], [0.0]))
-    tail[0] = 1.0
-    nm = np.empty_like(w)
-    nm[0] = 0.5 * cells[0]
-    nm[-1] = 0.5 * cells[-1]
-    nm[1:-1] = 0.5 * (cells[:-1] + cells[1:])
-    return cells, cdf, tail, nm, total
+    np.cumsum(cells[::-1], out=tail[-2::-1])
+    tail[0], tail[-1] = 1.0, 0.0
+    nm = None
+    if node_mass:
+        nm = np.empty_like(w)
+        nm[0] = 0.5 * cells[0]
+        nm[-1] = 0.5 * cells[-1]
+        np.add(cells[:-1], cells[1:], out=nm[1:-1])
+        nm[1:-1] *= 0.5
+    return cdf, tail, nm, total
 
 
 def build_measure(
@@ -319,8 +339,7 @@ def build_measure(
     xs = np.linspace(lo, hi, 65537)
     v_prov = Vfn(xs)
     vmin_prov = float(np.min(v_prov))
-    w_prov = np.exp(-(v_prov - vmin_prov))
-    _, cdf_prov, tail_prov, _, z_prov = _accumulate(xs, w_prov)
+    cdf_prov, tail_prov, _, z_prov = _accumulate(xs, _weights(v_prov, vmin_prov))
 
     # mass outside the cuts, relative to the retained mass
     rel_outside = outside_est * np.exp(-(vmin_prov - v_peak)) / z_prov
@@ -336,16 +355,19 @@ def build_measure(
     if not np.all(np.isfinite(v)):
         raise ValueError("potential is not finite on the support")
     v_min = float(np.min(v))
-    w = np.exp(-(v - v_min))
-    _, cdf, tail, nm, z_shift = _accumulate(grid, w)
+    w = _weights(v, v_min)
+    cdf, tail, nm, z_shift = _accumulate(grid, w, node_mass=True)
     log_norm = float(np.log(z_shift))
-    density = w / z_shift
+    density = np.divide(w, z_shift, out=w)
     Z = z_shift * np.exp(-v_min)
 
     if log_concave is None:
         slopes = np.diff(v) / np.diff(grid)
         tol = 1e-7 * (1.0 + float(np.max(np.abs(slopes))))
         log_concave = bool(np.all(np.diff(slopes) >= -tol))
+
+    for table in (grid, v, density, cdf, tail, nm):
+        table.flags.writeable = False
 
     mu = Measure1D(
         grid=grid,

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+import isocert.cli as cli
 from isocert.entropy import F_tau, log_entropy
 from isocert.measure1d import builtin_measure
+
+
+@pytest.fixture(autouse=True)
+def _empty_measure_cache():
+    """Every test starts with an empty CLI measure cache, so each sees its own builds."""
+    cli._measure.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -369,6 +369,92 @@ class TestPaperExamplesCommand:
         assert main(["paper-examples", "--n", "4096", "--n-per-decade", "16", "--out", str(tmp_path / "p.json")]) == 0
 
 
+class TestMeasureCache:
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+
+        def counted(build):
+            def wrapper(*args, **kwargs):
+                builds.append((args, kwargs))
+                return build(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "builtin_measure", counted(cli.builtin_measure))
+        monkeypatch.setattr(cli, "build_measure", counted(cli.build_measure))
+        return builds
+
+    @staticmethod
+    def _profile(tmp_path, *flags):
+        return main(["profile", "--t-grid", "0.1:0.5:3", "--out", str(tmp_path / "p.csv"), *flags])
+
+    @pytest.mark.parametrize("argv, measures", [
+        (["check", "--measure", "exp_power:1.5"], 1),
+        (["paper-examples"], 2),  # exp_power(1.5) and loglog
+    ])
+    def test_repeated_request_builds_once_and_writes_the_same_bytes(self, tmp_path, monkeypatch, argv, measures):
+        builds = self._count_builds(monkeypatch)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = argv + ["--n", "4096", "--n-per-decade", "16"]
+        assert main(argv + ["--out", str(a)]) == 0
+        assert len(builds) == measures
+        assert main(argv + ["--out", str(b)]) == 0
+        assert len(builds) == measures
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_each_setting_of_the_measure_is_part_of_the_key(self, tmp_path, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        requests = (
+            ("--measure", "exp_power:1.5", "--n", "4096"),
+            ("--measure", "exp_power", "--alpha", "1.5", "--n", "4096"),  # the same alpha: same entry
+            ("--measure", "exp_power:1.5", "--n", "2048"),
+            ("--measure", "exp_power:1.5", "--n", "4096", "--grid-kind", "uniform"),
+            ("--measure", "exp_power:1.5", "--n", "4096", "--support=-5:5"),
+            ("--measure", "exp_power:1.6", "--n", "4096"),
+            ("--measure", "expr:x^2/2", "--n", "4096"),
+            ("--measure", "expr:x^2/3", "--n", "4096"),
+            ("--measure", "expr:x^2/2", "--n", "4096"),
+        )
+        counts = []
+        for flags in requests:
+            assert self._profile(tmp_path, *flags) == 0
+            counts.append(len(builds))
+        assert counts == [1, 1, 2, 3, 4, 5, 6, 7, 7]
+
+    def test_exp_power_display_shares_the_measure_entry(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        argv = ["test", "--display", "exp-power", "--params", "0.5", "--n", "4096"]
+        assert main(argv) == 0
+        assert main(argv + ["--measure", "exp_power:1.5"]) == 0
+        assert len(builds) == 1
+
+    def test_refused_measure_is_refused_on_every_repeat(self, tmp_path, capsys):
+        for _ in range(3):
+            assert self._profile(tmp_path, "--measure", "expr:x") == 2
+            assert "decays too slowly" in capsys.readouterr().err
+        for _ in range(2):
+            assert self._profile(tmp_path, "--measure", "expr:x^") == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert cli._measure.cache_info().currsize == 0
+
+    def test_cache_holds_at_most_eight_measures(self, tmp_path):
+        for n in range(64, 73):
+            assert self._profile(tmp_path, "--n", str(n)) == 0
+        info = cli._measure.cache_info()
+        assert info.misses == 9
+        assert info.currsize <= 8
+
+    def test_cached_tables_are_read_only(self):
+        # one measure serves every request with its key, so no caller may write to it
+        mu = cli._measure("gauss", None, None, 256, "hybrid")
+        with pytest.raises(ValueError):
+            mu.density[0] = 0
+        for table in (mu.grid, mu.potential_values, mu.cdf, mu.tail, mu.node_mass):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+
 def _declared(command):
     return {f.name for f in fields(RunConfig) if command in f.metadata["commands"]}
 

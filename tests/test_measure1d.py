@@ -70,6 +70,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             builtin_measure("gauss", n=16)
 
+    def test_accumulate_is_the_plain_trapezoid_rule(self):
+        rng = np.random.default_rng(11)
+        grid = np.cumsum(rng.uniform(1e-3, 1.0, 1001))
+        w = rng.uniform(0.0, 2.0, grid.size)
+        cells = 0.5 * (w[:-1] + w[1:]) * np.diff(grid)
+        total = float(np.sum(cells))
+        cells = cells / total
+        cdf, tail, nm, z = measure1d._accumulate(grid, w, node_mass=True)
+        assert z == total
+        assert np.array_equal(cdf, np.concatenate(([0.0], np.cumsum(cells)[:-1], [1.0])))
+        assert np.array_equal(tail, np.concatenate(([1.0], np.cumsum(cells[::-1])[::-1][1:], [0.0])))
+        assert np.array_equal(nm, 0.5 * np.concatenate(([cells[0]], cells[:-1] + cells[1:], [cells[-1]])))
+        cdf_prov, tail_prov, nm_prov, z_prov = measure1d._accumulate(grid, w)
+        assert nm_prov is None and z_prov == z
+        assert np.array_equal(cdf_prov, cdf) and np.array_equal(tail_prov, tail)
+
     def test_uniform_grid_kind(self, gauss_wide_uniform):
         g = gauss_wide_uniform
         assert g.n == 4001
