@@ -12,13 +12,16 @@ are printed with 17 significant digits, a report's JSON keys are its
 dataclass fields in declaration order, and CSV uses LF line endings.
 Everything runs on one thread, and no environment variable changes what a
 subcommand does.  A process keeps the last 8 measures it built, keyed by
-the resolved measure settings, so a repeated measure is built once.
+the resolved measure settings, so a repeated measure is built once, and it
+builds the argument parser once per subcommand.  A flag value may start
+with `-` (`--support -5:5`), in either the spaced or the `=` form.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
@@ -463,10 +466,12 @@ def run(config: RunConfig, command: str) -> int:
     return handler(config)
 
 
+@functools.lru_cache(maxsize=len(_COMMANDS) + 1)
 def _parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The isocert parser.  Only the subparser for `command` gets flags: the
-    RunConfig fields that subcommand reads, plus --config.  The others stay
-    empty and are there so that `isocert -h` lists them."""
+    """The isocert parser, built once per process for each subcommand name
+    (or None).  Only the subparser for `command` gets flags: the RunConfig
+    fields that subcommand reads, plus --config.  The others stay empty and
+    are there so that `isocert -h` lists them."""
     parser = argparse.ArgumentParser(
         prog="isocert",
         description="certify and test entropy--energy inequalities for 1-D measures",
@@ -484,11 +489,26 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv):
+    """argv with `--flag -5:5` written `--flag=-5:5`.  argparse reads a word
+    that starts with `-` as an option unless it is a plain negative number;
+    no isocert option starts with a digit or a dot, so such a word after a
+    flag is that flag's value (every flag but --help takes one)."""
+    out = []
+    for word in argv:
+        prev = out[-1] if out else ""
+        if re.match(r"-[\d.]", word) and prev.startswith("--") and "=" not in prev and prev not in ("--", "--help"):
+            out[-1] = f"{prev}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
     # the top-level parser has no options but -h, so the command is the first word
     command = next((a for a in argv if not a.startswith("-")), None)
-    ns = _parser(command).parse_args(argv)
+    ns = _parser(command if command in _COMMANDS else None).parse_args(argv)
     try:
         cfg = RunConfig.from_sources(ns.config, ns)
         return run(cfg, ns.command)

@@ -11,21 +11,24 @@ The three `verify_theorem_*` routines share one ratio engine.  Each supplies a
 per-member `terms` function returning its entropy side, variance term, energy
 term and ratio denominator; `_ratio_table` adds the theorem-independent
 columns (classical entropy, gradient energy, median energy, saturation) and
-the member's parameter, and `_enrichment` reruns `terms` alone on the enriched
-family for the stability check.  A member's ratio is entropy/denominator when
-the denominator is positive, +inf when a positive entropy meets a vanishing
-denominator, and NaN (no evidence) otherwise; C_hat is the largest non-NaN
-ratio, or 0 when there is none, so every reported ratio is at most C_hat.
+the member's parameter, and `_enrichment` runs `terms` alone on the members
+that the enriched family adds, for the stability check.  A member's ratio is
+entropy/denominator when the denominator is positive, +inf when a positive
+entropy meets a vanishing denominator, and NaN (no evidence) otherwise; C_hat
+is the largest non-NaN ratio, or 0 when there is none, so every reported
+ratio is at most C_hat.
 A member with f or f' outside L^2(mu), or a non-finite energy term, is
 refused by name with a ValueError instead of giving an inf row.  The
 functionals take members as SampledFunctions on the measure's own grid.
 
 Family members are evaluated independently and reduced in parameter order,
-so reports are deterministic.
+so reports are deterministic.  The random_smooth phase table is built once
+per members() call and shared by its labels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple, Union
@@ -84,16 +87,22 @@ def _shifted_linear(fam, mu, eps):
     return np.maximum(lin, 0.0) + fam.floor, np.where(lin > 0.0, eps, 0.0), None
 
 
-def _random_smooth(fam, mu, label):
-    x = mu.grid
+def _trig_basis(mu):
+    """(omega, cos, sin) with cos and sin of the phases j*omega*x on mu's grid,
+    j = 1.._RANDOM_TERMS and omega = pi / max|truncation|: the one table that
+    every random_smooth label of a members() call shares."""
     omega = np.pi / max(abs(mu.truncation[0]), abs(mu.truncation[1]))
+    phase = np.outer(mu.grid, np.arange(1, _RANDOM_TERMS + 1, dtype=float) * omega)
+    return omega, np.cos(phase), np.sin(phase)
+
+
+def _random_smooth(fam, mu, label, trig):
+    omega, cos, sin = trig
     j = np.arange(1, _RANDOM_TERMS + 1, dtype=float)
     wts = 1.0 / j**2
     rng = np.random.default_rng([fam.seed, label])
     a = rng.standard_normal(_RANDOM_TERMS)
     b = rng.standard_normal(_RANDOM_TERMS)
-    phase = np.outer(x, j * omega)
-    cos, sin = np.cos(phase), np.sin(phase)
     g = cos @ (wts * a) + sin @ (wts * b)
     gp = -sin @ (wts * a * j * omega) + cos @ (wts * b * j * omega)
     vals = np.exp(fam.scale * g)
@@ -110,7 +119,8 @@ def _stretched_exp(fam, mu, lam):
     return vals, log_deriv * vals, log_deriv
 
 
-# kind -> member(family, measure, parameter) = (values, dvalues, log_deriv or None)
+# kind -> member(family, measure, parameter) = (values, dvalues, log_deriv or None);
+# random_smooth also takes trig=_trig_basis(measure), built once per members() call
 _MEMBERS = {
     "exponential": _exponential,
     "bump": _bump,
@@ -175,6 +185,9 @@ class TestFamily:
         """Materialize the family on the measure grid, ordered by parameter.
         A member is named kind(p), with p in %g form when it is a float
         parameter and as given otherwise."""
+        member = _MEMBERS.get(self.kind)
+        if self.kind == "random_smooth":
+            member = functools.partial(member, trig=_trig_basis(mu))
         out = []
         for i, p in enumerate(self._ordered_params()):
             name = f"{self.kind}({p:g})" if isinstance(p, float) and self.kind != "user" else f"{self.kind}({p})"
@@ -185,7 +198,7 @@ class TestFamily:
             else:
                 # overflow here is caught by the finiteness gate below
                 with np.errstate(over="ignore"):
-                    vals, dvals, log_deriv = _MEMBERS[self.kind](self, mu, p)
+                    vals, dvals, log_deriv = member(self, mu, p)
                 sf = SampledFunction(grid=mu.grid, values=vals, dvalues=dvals, log_deriv=log_deriv, name=name)
             if not np.all(np.isfinite(sf.values)):
                 raise ValueError(f"family member {sf.name} overflows on the measure grid")
@@ -491,9 +504,14 @@ def _ratio_table(mu: Measure1D, family: TestFamily, terms):
 
 
 def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float) -> dict:
-    """C_hat over the enriched family (terms only, no rows) and whether it
-    stays within 10% of c_hat."""
-    c_enr = _sup_ratio(_ratio(lhs, den) for lhs, _, _, den in map(_checked(mu, terms), family.enriched().members(mu)))
+    """C_hat over the enriched family and whether it stays within 10% of
+    c_hat.  Only the members the enrichment adds are evaluated (terms only,
+    no rows): a member is fixed by its kind, parameter, seed and grid, so the
+    family's own ratios are already in c_hat."""
+    given = set(family._ordered_params())
+    added = tuple(p for p in family.enriched()._ordered_params() if p not in given)
+    members = replace(family, params=added).members(mu) if added else []
+    c_enr = max(c_hat, _sup_ratio(_ratio(lhs, den) for lhs, _, _, den in map(_checked(mu, terms), members)))
     stable = bool(np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10)
     return {"C_hat_enriched": c_enr, "stable": stable}
 

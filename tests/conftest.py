@@ -10,8 +10,9 @@ from isocert.measure1d import builtin_measure
 
 @pytest.fixture(autouse=True)
 def _empty_measure_cache():
-    """Every test starts with an empty CLI measure cache, so each sees its own builds."""
+    """Every test starts with empty CLI measure and parser caches, so each sees its own builds."""
     cli._measure.cache_clear()
+    cli._parser.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -544,6 +544,27 @@ class TestPerSubcommandFlags:
         # -h on the top parser and on each subparser, --config, and check's settings
         assert len(calls) <= 1 + len(cli._COMMANDS) + 1 + len(_declared("check"))
 
+    def test_parser_is_built_once_per_subcommand(self, tmp_path, capsys):
+        for _ in range(2):
+            assert main(["conjugate", "--grid", "0:1:3", "--out", str(tmp_path / "c.csv")]) == 0
+            for word in ("frobnicate", "banana"):  # any other first word shares the None entry
+                with pytest.raises(SystemExit):
+                    main([word])
+        info = cli._parser.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["profile", "--t-grid", "0.1:0.5:3", "--n", "4096"], "--support", "-5:5"),
+        (["profile", "--t-grid", "0.1:0.5:3", "--n", "4096"], "--support", "-.5:.5"),
+        (["test", "--n", "4096"], "--params", "-0.5,0.5"),
+        (["conjugate"], "--grid", "-0:1:5"),
+    ])
+    def test_a_value_starting_with_a_dash_may_be_a_separate_word(self, tmp_path, argv, flag, value):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(argv + [flag, value, "--out", str(spaced)]) == 0
+        assert main(argv + [f"{flag}={value}", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     def test_general_form_refuses_the_quadratic_cost(self, capsys):
         assert main(["check", "--form", "general", "--cost", "quadratic:0.5"]) == 2
         assert "form 'general'" in capsys.readouterr().err
@@ -620,6 +641,7 @@ _REFUSALS = [
     (["profile", "--measure", "expr:42*abs(x)/(1+abs(x))"], "not integrable"),
     (["conjugate", "--grid=-1:1:5"], "nonnegative"),
     (["conjugate", "--cost", "expr:x^2/2", "--grid=-1:1:5"], "nonnegative"),
+    (["conjugate", "--grid", "-1:1:5"], "must be nonnegative"),  # the spaced form reaches the library too
     (["conjugate", "--grid", "0:1"], "grid must look like lo:hi:n"),
     (["conjugate", "--grid", "1:0:5"], "hi > lo"),
     (["conjugate", "--grid", "0:1:1"], "n >= 2"),

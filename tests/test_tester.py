@@ -9,6 +9,7 @@ from isocert.convex import CostFunction
 from isocert.entropy import EntropyFunction, F_tau
 from isocert.expr import parse_potential
 from isocert.measure1d import SampledFunction, build_measure, builtin_measure
+import isocert.tester as tester
 from isocert.tester import (
     TestFamily,
     entropy_functional,
@@ -363,6 +364,53 @@ class TestRatioEngine:
         fam = TestFamily("exponential", (0.5,))
         with pytest.raises(ValueError, match=r"exponential\(0\.5\) is not in L\^2"):
             verify_theorem_2_1(mu, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
+
+
+_ENRICHED_FAMILIES = [
+    TestFamily("exponential", (0.25, 0.5, 1.0)),
+    TestFamily("exponential", (0.5, 0.5, 1.0)),  # a repeated parameter
+    TestFamily("bump", (0.5, 1.0, 2.0)),
+    TestFamily("shifted_linear", (0.1, 0.2, 0.4)),
+    TestFamily("random_smooth", (0, 1, 2), seed=3),
+    TestFamily("stretched_exp", (0.25, 0.5, 1.0)),
+    TestFamily("user", ("flat", "exp"), user_fns=(_constant(2.0), (lambda x: np.exp(0.25 * x), lambda x: 0.25 * np.exp(0.25 * x)))),
+]
+
+
+def _verify(display, mu, family):
+    if display == "1.1":
+        return verify_theorem_1_1(mu, 1.5, 0.9, 1.0, family)
+    return verify_theorem_4_4(mu, 1.5, family)
+
+
+class TestMemberEvaluation:
+    @pytest.mark.parametrize("display", ["1.1", "4.4"])
+    @pytest.mark.parametrize("family", _ENRICHED_FAMILIES, ids=lambda fam: f"{fam.kind}{fam.params}")
+    def test_enriched_constant_is_C_hat_of_the_enriched_family(self, exp_power_15, display, family):
+        rep = _verify(display, exp_power_15, family)
+        assert rep.details["C_hat_enriched"] == _verify(display, exp_power_15, family.enriched()).C_hat
+
+    def test_random_smooth_members_match_their_single_label_families(self, gauss):
+        fam = TestFamily("random_smooth", (0, 3, 1234567), seed=4, scale=0.4)
+        for sf, label in zip(fam.members(gauss), fam.params):
+            alone = dataclasses.replace(fam, params=(label,)).members(gauss)[0]
+            for table in ("values", "dvalues", "log_deriv"):
+                assert np.array_equal(getattr(sf, table), getattr(alone, table)), (label, table)
+
+    @pytest.mark.parametrize("display", ["1.1", "4.4"])
+    @pytest.mark.parametrize("kind, params, distinct", [
+        ("exponential", (0.25, 0.5, 1.0), 5),  # 3 given, 2 midpoints
+        ("random_smooth", (0, 1, 2), 6),  # 3 given, 3 fresh labels
+    ])
+    def test_each_distinct_member_is_evaluated_once(self, exp_power_15, monkeypatch, display, kind, params, distinct):
+        evaluated, tables, calls = [], [], []
+        member, trig_basis, members = tester._MEMBERS[kind], tester._trig_basis, TestFamily.members
+        monkeypatch.setitem(tester._MEMBERS, kind, lambda fam, mu, p, **kw: evaluated.append(p) or member(fam, mu, p, **kw))
+        monkeypatch.setattr(tester, "_trig_basis", lambda mu: tables.append(mu) or trig_basis(mu))
+        monkeypatch.setattr(TestFamily, "members", lambda fam, mu: calls.append(fam) or members(fam, mu))
+        _verify(display, exp_power_15, TestFamily(kind, params))
+        assert len(evaluated) == len(set(evaluated)) == distinct
+        assert len(tables) == (len(calls) if kind == "random_smooth" else 0)
 
 
 class TestTwoFunctionComparison:
