@@ -22,6 +22,12 @@ Quadrature: substitution t = e^{-s}, composite Simpson with 256 panels per
 decade; decades are anchored at absolute powers of ten so that enlarging K
 only shrinks the domain.  Partial sums are accumulated in log space and a
 decade whose sum overflows float range reports log10_partial_sum only.
+
+A profile's A1-A2 gate reads the report the profile keeps
+(check_assumptions), so a profile is sampled once however many conditions
+use it.  Reports themselves are never kept; instead _exp_power_reports,
+behind check_exp_power, takes several taus at once and evaluates each
+distinct condition among them once.
 """
 
 from dataclasses import dataclass, replace
@@ -307,20 +313,35 @@ def check_exp_power(mu, alpha, tau, A=1.0, delta=0.25, K=4.0):
     endpoint pair (F_{2/beta}, quadratic) with beta = alpha/(alpha-1) fixed.
     Requires 2(1 - 1/alpha) <= tau <= 1 (see exp_power_range).
     """
-    tau = min(max(tau, exp_power_range(alpha, tau)), 1.0)
+    return _exp_power_reports(mu, alpha, (tau,), A, delta, K)[0]
+
+
+def _exp_power_reports(mu, alpha, taus, A=1.0, delta=0.25, K=4.0):
+    """check_exp_power for each tau in taus, evaluating each distinct
+    condition once: the endpoint pair does not depend on tau, so every
+    report shares one run_quadratic, and a repeated tau shares its run_cost."""
+    taus = [min(max(tau, exp_power_range(alpha, tau)), 1.0) for tau in taus]
     beta = alpha / (alpha - 1.0)
-    q_star = tau * alpha / (alpha * (tau - 1.0) + 1.0)
-    spec1 = ConditionSpec(measure=mu, F=F_tau(tau), cost=CostFunction.closed_form(A, q_star), delta=delta, K=K, form="general")
-    spec2 = ConditionSpec(measure=mu, F=F_tau(2.0 / beta), delta=delta, K=K, form="quadratic")
-    return ExpPowerReport(
-        alpha=float(alpha),
-        tau=float(tau),
-        A=float(A),
-        q_star=float(q_star),
-        beta=float(beta),
-        run_cost=check_condition(spec1),
-        run_quadratic=check_condition(spec2),
-    )
+    q_stars = {tau: tau * alpha / (alpha * (tau - 1.0) + 1.0) for tau in taus}
+    cost_specs = {
+        tau: ConditionSpec(measure=mu, F=F_tau(tau), cost=CostFunction.closed_form(A, q), delta=delta, K=K, form="general")
+        for tau, q in q_stars.items()
+    }
+    endpoint = ConditionSpec(measure=mu, F=F_tau(2.0 / beta), delta=delta, K=K, form="quadratic")
+    run_cost = {tau: check_condition(spec) for tau, spec in cost_specs.items()}
+    run_quadratic = check_condition(endpoint)
+    return [
+        ExpPowerReport(
+            alpha=float(alpha),
+            tau=float(tau),
+            A=float(A),
+            q_star=float(q_stars[tau]),
+            beta=float(beta),
+            run_cost=run_cost[tau],
+            run_quadratic=run_quadratic,
+        )
+        for tau in taus
+    ]
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,12 @@ are printed with 17 significant digits, a report's JSON keys are its
 dataclass fields in declaration order, and CSV uses LF line endings.
 Everything runs on one thread, and no environment variable changes what a
 subcommand does.  A process keeps the last 8 measures it built, keyed by
-the resolved measure settings, so a repeated measure is built once, and it
-builds the argument parser once per subcommand.  A flag value may start
+the resolved measure settings, and the last 8 `expr:` entropies, keyed by
+the parsed expression, so a repeated measure is built once and a repeated
+profile is built and checked (A1-A4) once; `log` and `ftau:t` profiles are
+shared by the entropy module itself.  Reports are never kept: every request
+computes its own.  The argument parser is built once per subcommand.  JSON
+and CSV are each written by one writer, in one pass.  A flag value may start
 with `-` (`--support -5:5`), in either the spaced or the `=` form.
 """
 
@@ -28,12 +32,12 @@ from typing import Optional
 
 import numpy as np
 
-from .checker import ConditionSpec, check_condition, check_exp_power, exp_power_range
+from .checker import ConditionSpec, _exp_power_reports, check_condition, exp_power_range
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, log_entropy
 from .expr import PotentialExpr, parse_potential
 from .measure1d import I_F_profile, build_measure, builtin_measure, tilde_profile
-from .tester import _MEMBERS, TestFamily, verify_theorem_1_1, verify_theorem_2_1, verify_theorem_4_4
+from .tester import _MEMBERS, TestFamily, TestRow, verify_theorem_1_1, verify_theorem_2_1, verify_theorem_4_4
 
 __all__ = ["RunConfig", "PotentialExpr", "parse_potential", "main", "run"]
 
@@ -55,49 +59,96 @@ def _format_float(x: float) -> str:
         return '"inf"'
     if x == float("-inf"):
         return '"-inf"'
-    text = "%.17g" % x
-    return text
+    return "%.17g" % x
+
+
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", **{chr(c): "\\u%04x" % c for c in range(0x20) if c != 0x0A}}
+
+
+def _json_string(text: str) -> str:
+    if _NEEDS_ESCAPE.search(text) is None:
+        return '"' + text + '"'
+    return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], text) + '"'
 
 
 def _dump_json(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ch == "\n":
-                out.append("\\n")
-            elif ord(ch) < 0x20:
-                out.append("\\u%04x" % ord(ch))
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{_dump_json(str(k))}:{_dump_json(v)}" for k, v in obj.items()) + "}"
-    if is_dataclass(obj) and not isinstance(obj, type):  # a report: its fields, in declaration order
-        return "{" + ",".join(f'"{f.name}":{_dump_json(getattr(obj, f.name))}' for f in fields(obj)) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dump_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _dump_json(list(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Deterministic JSON text of a report, written in one pass into one list."""
+    out = []
+    _emit(obj, out)
+    return "".join(out)
+
+
+def _emit(obj, out) -> None:
+    kind = type(obj)  # exact builtin types first; subclasses and numpy scalars go to the isinstance chain
+    if kind is float:
+        out.append(_format_float(obj))
+    elif kind is str:
+        out.append(_json_string(obj))
+    elif kind is dict:
+        _emit_items(((_json_string(str(k)), v) for k, v in obj.items()), out)
+    elif kind is tuple or kind is list:
+        _emit_sequence(obj, out)
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(_json_string(obj))
+    elif isinstance(obj, dict):
+        _emit_items(((_json_string(str(k)), v) for k, v in obj.items()), out)
+    elif is_dataclass(obj) and not isinstance(obj, type):  # a report: its fields, in declaration order
+        _emit_items((('"' + f.name + '"', getattr(obj, f.name)) for f in fields(obj)), out)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        _emit_sequence(obj, out)
+    else:
+        raise TypeError(f"cannot serialize {kind.__name__}")
+
+
+def _emit_items(items, out) -> None:
+    """An object from (quoted key, value) pairs."""
+    sep = "{"
+    for key, value in items:
+        out.append(sep + key + ":")
+        _emit(value, out)
+        sep = ","
+    out.append("}" if sep == "," else "{}")
+
+
+def _emit_sequence(values, out) -> None:
+    sep = "["
+    for value in values:
+        out.append(sep)
+        _emit(value, out)
+        sep = ","
+    out.append("]" if sep == "," else "[]")
+
+
+def _csv_column(values):
+    """The %-format and cells of one CSV column: text as it is, a bool as
+    true or false, a number to 17 significant digits.  The first cell's type
+    stands for the column's."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if values and isinstance(values[0], bool):
+        return "%s", ["true" if v else "false" for v in values]
+    return ("%s" if values and isinstance(values[0], str) else "%.17g"), values
 
 
 def _table(names, *columns) -> str:
-    """CSV text: a header of names, then row i of every column, 17 significant digits a cell."""
-    row = ",".join(["%.17g"] * len(columns))
-    return "\n".join([",".join(names), *(row % cells for cells in zip(*columns))]) + "\n"
+    """CSV text: a header of names, then row i of every column (see _csv_column)."""
+    formats, cells = zip(*map(_csv_column, columns))
+    row = ",".join(formats)
+    return "\n".join([",".join(names), *(row % r for r in zip(*cells))]) + "\n"
+
+
+def _report_table(report) -> str:
+    """A TestReport's rows as CSV, one column per TestRow field."""
+    names = [f.name for f in fields(TestRow)]
+    return _table(names, *([getattr(row, name) for row in report.rows] for name in names))
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -261,9 +312,16 @@ def _build_entropy(cfg: RunConfig) -> EntropyFunction:
     if spec.startswith("ftau:"):
         return F_tau(float(spec.split(":", 1)[1]))
     if spec.startswith("expr:"):
-        expr = parse_potential(spec[5:])
-        return EntropyFunction(fn=expr, name=f"expr:{expr.to_text()}")
+        return _expr_entropy(parse_potential(spec[5:]))
     raise ConfigError(f"unknown entropy {spec!r}")
+
+
+@functools.lru_cache(maxsize=8)
+def _expr_entropy(expr: PotentialExpr) -> EntropyFunction:
+    """The profile of a parsed `expr:` entropy, one per process per
+    expression (as _measure keeps measures), so that its A1-A4 report is
+    sampled once.  A malformed expression is refused before the lookup."""
+    return EntropyFunction(fn=expr, name=f"expr:{expr.to_text()}")
 
 
 def _build_cost(cfg: RunConfig):
@@ -312,7 +370,10 @@ def _build_family(cfg: RunConfig) -> TestFamily:
 def _cmd_conjugate(cfg: RunConfig) -> int:
     cost, _, _ = _build_cost(cfg)
     grid_spec = cfg.grid if cfg.grid is not None else "0:10:2000"
-    xs = np.linspace(*_parse_range(grid_spec, "grid"))
+    lo, hi, n = _parse_range(grid_spec, "grid")
+    if lo < 0:
+        raise ConfigError(f"--grid must be nonnegative: the dual cost is tabulated on x >= 0, got {grid_spec!r}")
+    xs = np.linspace(lo, hi, n)
     if cost.is_closed_form:
         values = np.asarray(eval_cost(dual_cost(cost), xs), dtype=float)
     else:
@@ -396,7 +457,7 @@ def _cmd_test(cfg: RunConfig) -> int:
     else:
         base = cfg.out[:-5] if cfg.out.endswith(".json") else cfg.out
         _write_text(base + ".json", json_text)
-        _write_text(base + ".csv", report.to_csv_text())
+        _write_text(base + ".csv", _report_table(report))
     return 0
 
 
@@ -430,10 +491,12 @@ def _cmd_paper_examples(cfg: RunConfig) -> int:
         measure=_measure("loglog", None, None, cfg.n, "hybrid"), F=log_entropy(), delta=0.5, K=2.0, form="quadratic"
     )
     family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
+    loglog_report = check_condition(loglog, n_per_decade=cfg.n_per_decade)
+    upper, lower = _exp_power_reports(exp_power, 1.5, (1.0, 2.0 / 3.0))  # one shared endpoint run
     fixtures = {
-        "loglog_quadratic": check_condition(loglog, n_per_decade=cfg.n_per_decade),
-        "exp_power_tau_upper": check_exp_power(exp_power, 1.5, 1.0),
-        "exp_power_tau_lower": check_exp_power(exp_power, 1.5, 2.0 / 3.0),
+        "loglog_quadratic": loglog_report,
+        "exp_power_tau_upper": upper,
+        "exp_power_tau_lower": lower,
         "power_entropy": verify_theorem_4_4(exp_power, 1.5, family),
     }
     _write_text(cfg.out, _dump_json({"fixtures": fixtures}) + "\n")

@@ -27,11 +27,20 @@ depends on what the EntropyFunction carries:
                      scalar equation in u by Newton on a closed bracket;
   otherwise          vectorised Newton on the stationarity residual, with
                      bisection as a safeguard and derivatives from central
-                     differences of G, stopped on a residual check.
+                     differences of G, stopped on a residual check, then
+                     a few Newton steps with 100 times finer differences,
+                     which keep a C^1 kink of F (F_tau's x0) accurate.
+
+Profiles are immutable, so a profile is built and checked once:
+log_entropy() and F_tau(tau) over log return one shared instance per
+argument (the last 64 taus), and check_assumptions at its default n keeps
+its report on the profile it checked.
 """
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -44,6 +53,8 @@ class EntropyFunction:
     reach arguments like e^1500 without overflowing; builders supply it for
     the closed-form families.  log_phi, when present, is the exact log Phi
     (see log_Phi), which then skips the generic stationarity solve.
+    assumptions is check_assumptions(F) at its default n, sampled on first
+    use and kept with the profile.
     """
 
     fn: Callable
@@ -72,7 +83,12 @@ class EntropyFunction:
         h = 1e-6 * y
         return (self.fn(y + h) - self.fn(y - h)) / (2.0 * h)
 
+    @functools.cached_property
+    def assumptions(self):
+        return _sample_assumptions(self, _ASSUMPTION_POINTS)
 
+
+@functools.lru_cache(maxsize=1)
 def log_entropy():
     """F = log, the classical entropy profile."""
     return EntropyFunction(
@@ -142,13 +158,20 @@ def _F_tau_log_phi(tau):
 def F_tau(tau, phi=None):
     """Build the F_tau profile as an EntropyFunction (base defaults to log).
     Its x0 is the base's own when set (e for log), else the root of
-    phi(y) = 1 above y = 1."""
+    phi(y) = 1 above y = 1.  Over log, one instance is shared per tau."""
+    if phi is None:
+        return _F_tau_over_log(float(tau))
+    return _build_F_tau(tau, phi, None)
+
+
+@functools.lru_cache(maxsize=64)
+def _F_tau_over_log(tau):
+    return _build_F_tau(tau, log_entropy(), _F_tau_log_phi(tau))
+
+
+def _build_F_tau(tau, phi, log_phi):
     if not 0 < tau <= 1:
         raise ValueError("tau must lie in (0, 1]")
-    log_phi = None
-    if phi is None:
-        phi = log_entropy()
-        log_phi = _F_tau_log_phi(tau)
     x0 = phi.x0
     if x0 is None:  # phi(x0) = 1, searched from e on (1, 1e9)
         resid = lambda y, _: (phi(y) - 1.0, phi.derivative(y))  # noqa: E731
@@ -199,6 +222,8 @@ def psi_derivative(tau, beta, x):
 _EPS = float(np.finfo(float).eps)
 _ROOT_ITERATIONS = 200
 _FD_STEP = 1e-4  # central-difference step in u, relative to max(1, |u|)
+_FD_STEP_FINE = 1e-6  # the step of the final Newton steps (_fine_newton_steps)
+_FINE_STEPS = 4
 # |u| bounds of the generic search: F(e^u) without a log form is fn(e^u),
 # which overflows past e^700 (699.9 keeps the stencil below it); with one,
 # the search goes as far as 2^64.
@@ -255,13 +280,13 @@ def _increasing_root(resid, x, u, tol, lo=-np.inf, hi=np.inf, bound=np.inf):
     raise ValueError("the stationarity condition of log Phi did not converge")
 
 
-def _stationarity_residual(F):
+def _stationarity_residual(F, step=_FD_STEP):
     """The residual r(u; x) = G(u) + G'(u) - (x + 1), G(u) = F(e^u), and its
-    slope G' + G'', with G' and G'' from central differences in u over one
-    stacked F.at_log call."""
+    slope G' + G'', with G' and G'' from central differences in u (step
+    times max(1, |u|)) over one stacked F.at_log call."""
 
     def resid(u, x):
-        h = _FD_STEP * np.maximum(1.0, np.abs(u))
+        h = step * np.maximum(1.0, np.abs(u))
         up, um = u + h, u - h
         gm, g0, gp = np.split(F.at_log(np.concatenate((um, u, up))), 3)
         with np.errstate(invalid="ignore"):
@@ -270,6 +295,33 @@ def _stationarity_residual(F):
         return g0 + d1 - (x + 1.0), d1 + d2
 
     return resid
+
+
+def _fine_newton_steps(F, u, x):
+    """u after up to _FINE_STEPS Newton steps on the residual with
+    differences 100 times finer, each taken where it matters.
+
+    Where G'' jumps (F is only C^1, as F_tau is at x0) within the solve's
+    stencil half-width h, its G' is off by O(h) and so is the root; the
+    finer differences see one side of the jump; a step from the far side
+    may overshoot, so it goes at most h, and the next one starts from the
+    root's side.  On smooth F the solve is already within O(h^2), and a step
+    that short moves the value u + log(x + 1 - G(u)) by its square only,
+    below the solve's tolerance: a step shorter than 1e-3 h is not taken."""
+    resid = _stationarity_residual(F, _FD_STEP_FINE)
+    u = u.copy()
+    todo = np.arange(u.size)
+    for _ in range(_FINE_STEPS):
+        r, dr = resid(u[todo], x[todo])
+        h = _FD_STEP * np.maximum(1.0, np.abs(u[todo]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = r / dr
+        take = (dr > 0) & (np.abs(step) > 1e-3 * h)
+        todo = todo[take]
+        if todo.size == 0:
+            break
+        u[todo] -= np.clip(step[take], -h[take], h[take])
+    return u
 
 
 def log_Phi(F, x):
@@ -285,9 +337,11 @@ def log_Phi(F, x):
                        F_tau over log (see _F_tau_log_phi);
       anything else    vectorised Newton on the residual, safeguarded by
                        bisection, with G' and G'' from central differences
-                       in u, stopped on a residual check; then
-                       u* + log(x + 1 - G(u*)), insensitive to first-order
-                       errors in u*.
+                       in u, stopped on a residual check; then up to 4
+                       Newton steps with 100 times finer differences where
+                       they are long enough to matter (_fine_newton_steps);
+                       then u* + log(x + 1 - G(u*)), insensitive to
+                       first-order errors in u*.
 
     The result never drops below the y = 1 ordinate log1p(x).  The generic
     route evaluates F(e^u) past u = 700 only through F.fn_log; without it a
@@ -310,6 +364,7 @@ def log_Phi(F, x):
             raise ValueError(
                 f"Phi for entropy {F.name} needs F(e^u) beyond u = 700, but {F.name} has no log-form evaluation (fn_log)"
             )
+        u = _fine_newton_steps(F, u, x)
         rem = x + 1.0 - F.at_log(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(rem > 0, u + np.log(rem), -np.inf)
@@ -322,21 +377,37 @@ def log_Phi(F, x):
 
 @dataclass(frozen=True)
 class AssumptionReport:
+    """Read-only, like the profile that keeps it: witnesses is a read-only
+    view of the sampled violations."""
+
     a1: bool
     a2: bool
     a3: bool
     a4: bool
     delta: float  # largest sampled Delta <= 9 with y F(y) convex on [0, 1+Delta]
     y0: Optional[float]  # smallest sampled threshold validating A4
-    witnesses: dict = field(default_factory=dict)
+    witnesses: Mapping = field(default_factory=dict)
     f_at_1: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
     def all_pass(self):
         return self.a1 and self.a2 and self.a3 and self.a4
 
 
-def check_assumptions(F, n=4096):
-    """Sampled assumption flags; a pass means no sampled violation."""
+_ASSUMPTION_POINTS = 4096
+
+
+def check_assumptions(F, n=_ASSUMPTION_POINTS):
+    """Sampled assumption flags; a pass means no sampled violation.  At the
+    default n the report is F.assumptions, sampled once per profile."""
+    if n == _ASSUMPTION_POINTS:
+        return F.assumptions
+    return _sample_assumptions(F, n)
+
+
+def _sample_assumptions(F, n):
     wit = {}
     f1 = float(F(np.array([1.0]))[0])
 

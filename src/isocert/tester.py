@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -408,26 +408,14 @@ class TestReport:
     theorem-specific extras (second-display constants, stability runs,
     explicit-bound margins).  Fields keep NaN and infinities as floats; the
     CLI serializer writes them as null and "inf"/"-inf", and its JSON keys
-    follow the field order."""
+    follow the field order; the CLI also writes rows as CSV, one column per
+    TestRow field."""
 
     family: str
     C_hat: float
     B_hat: Optional[float]
     rows: Tuple[TestRow, ...]
     details: dict = field(default_factory=dict)
-
-    def to_csv_text(self):
-        def cell(v):
-            if isinstance(v, str):
-                return v
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            return "%.17g" % v
-
-        names = [f.name for f in fields(TestRow)]
-        lines = [",".join(names)]
-        lines += [",".join(cell(getattr(r, n)) for n in names) for r in self.rows]
-        return "\n".join(lines) + "\n"
 
 
 # -- the ratio engine --------------------------------------------------------------

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 import isocert.cli as cli
+import isocert.entropy as entropy
 from isocert.entropy import F_tau, log_entropy
 from isocert.measure1d import builtin_measure
 
 
 @pytest.fixture(autouse=True)
-def _empty_measure_cache():
-    """Every test starts with empty CLI measure and parser caches, so each sees its own builds."""
+def _empty_caches():
+    """Every test starts with empty measure, parser and profile caches, so
+    each sees its own builds and its own A1-A4 samples."""
     cli._measure.cache_clear()
     cli._parser.cache_clear()
+    cli._expr_entropy.cache_clear()
+    entropy.log_entropy.cache_clear()
+    entropy._F_tau_over_log.cache_clear()
 
 
 @pytest.fixture(scope="session")

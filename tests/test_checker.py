@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import isocert.checker as checker
 from isocert.checker import (
     ConditionSpec,
     check_condition,
@@ -41,6 +42,23 @@ class TestVerdicts:
         assert rep.run_quadratic.verdict == "FINITE"
         assert rep.q_star == pytest.approx(1.5)
         assert rep.beta == pytest.approx(3.0)
+
+    def test_exp_power_reports_run_each_distinct_condition_once(self, monkeypatch):
+        mu = builtin_measure("exp_power", alpha=1.5, n=4096)
+        singles = [check_exp_power(mu, 1.5, tau) for tau in (1.0, 2.0 / 3.0)]
+        passes = []
+        reports = checker._condition_reports
+
+        def counted(spec, deltas, n_per_decade):
+            passes.append(spec.form)
+            return reports(spec, deltas, n_per_decade)
+
+        monkeypatch.setattr(checker, "_condition_reports", counted)
+        shared = checker._exp_power_reports(mu, 1.5, (1.0, 2.0 / 3.0, 1.0))
+        assert sorted(passes) == ["general", "general", "quadratic"]
+        assert shared == [singles[0], singles[1], singles[0]]
+        assert shared[0].run_quadratic is shared[1].run_quadratic
+        assert shared[0].run_cost is shared[2].run_cost
 
     def test_verdict_flips_at_large_delta(self, gauss, F_log):
         rep = check_condition(ConditionSpec(gauss, F_log, delta=3.0, K=2.0, form="quadratic"))

@@ -9,22 +9,66 @@ import shutil
 import subprocess
 import threading
 import warnings
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isocert.checker as checker
 import isocert.cli as cli
+import isocert.entropy as entropy
 from isocert.checker import ConditionSpec, check_condition
 from isocert.cli import ConfigError, RunConfig, _dump_json, _parse_range, main
 from isocert.convex import CostFunction
 from isocert.entropy import log_entropy
 from isocert.measure1d import builtin_measure
+from isocert.tester import TestFamily, verify_theorem_4_4
 
 
 def read_text(path):
     return path.read_bytes().decode("utf-8")
+
+
+@dataclass
+class _Row:
+    x: int
+    y: tuple
+
+
+# values and the exact text the JSON writer gives them
+_WRITER_TABLE = [
+    ('"', '"\\""'),
+    ("\\", '"\\\\"'),
+    ("\n", '"\\n"'),
+    ("\t", '"\\u0009"'),
+    ("\r", '"\\u000d"'),
+    ("\x1f", '"\\u001f"'),
+    ("\x7f", '"\x7f"'),
+    ("é☃ α", '"é☃ α"'),
+    ("", '""'),
+    ("plain text", '"plain text"'),
+    (float("nan"), "null"),
+    (float("inf"), '"inf"'),
+    (float("-inf"), '"-inf"'),
+    (-0.0, "-0"),
+    (1e-310, "9.9999999999999694e-311"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(np.inf), '"inf"'),
+    (np.int32(-3), "-3"),
+    (np.int64(7), "7"),
+    (False, "false"),
+    (None, "null"),
+    (12345678901234567890, "12345678901234567890"),
+    ({}, "{}"),
+    ([], "[]"),
+    ((), "[]"),
+    (np.array([]), "[]"),
+    (np.array([[1.0, 2.5], [3.0, np.nan]]), "[[1,2.5],[3,null]]"),
+    ({1: "a", None: 2, 1.5: [], "k\n": {}}, '{"1":"a","None":2,"1.5":[],"k\\n":{}}'),
+    (({"r": _Row(1, (2.5, None))},), '[{"r":{"x":1,"y":[2.5,null]}}]'),
+    (_Row(np.int32(1), ()), '{"x":1,"y":[]}'),
+]
 
 
 class TestJsonDump:
@@ -56,6 +100,28 @@ class TestJsonDump:
     def test_output_is_standard_json(self):
         text = _dump_json({"x": [1.5, None, True], "y": "s"})
         assert json.loads(text) == {"x": [1.5, None, True], "y": "s"}
+
+    @pytest.mark.parametrize("value, text", _WRITER_TABLE, ids=[repr(v) for v, _ in _WRITER_TABLE])
+    def test_writer_table(self, value, text):
+        assert _dump_json(value) == text
+
+    @pytest.mark.parametrize("value", [object(), np.bool_(True), np.array([True]), _Row, {1: {2}}])
+    def test_writer_refuses_what_it_cannot_write(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _dump_json(value)
+
+    def test_strings_round_trip_through_a_json_reader(self):
+        text = "".join(map(chr, range(0x80))) + "é☃\u2028"
+        assert json.loads(_dump_json({text: text})) == {text: text}
+
+
+class TestCsvTable:
+    def test_one_cell_rule_for_every_column_type(self):
+        got = cli._table(("a", "b", "c", "d"), ["x", "y"], [True, False], np.array([0.1, 2.0]), [float("nan"), -np.inf])
+        assert got == "a,b,c,d\nx,true,0.10000000000000001,nan\ny,false,2,-inf\n"
+
+    def test_no_rows_is_the_header(self):
+        assert cli._table(("a", "b"), [], np.array([])) == "a,b\n"
 
 
 class TestParseRange:
@@ -356,6 +422,38 @@ class TestPaperExamplesCommand:
         assert fixtures["exp_power_tau_upper"]["q_star"] == 1.5
         assert np.isfinite(fixtures["power_entropy"]["C_hat"])
 
+    def test_each_distinct_condition_runs_once(self, tmp_path, monkeypatch):
+        # loglog, the two cost runs, and one endpoint run shared by both taus
+        passes = []
+        reports = checker._condition_reports
+
+        def counted(spec, deltas, n_per_decade):
+            passes.append((spec.F.name, spec.form))
+            return reports(spec, deltas, n_per_decade)
+
+        monkeypatch.setattr(checker, "_condition_reports", counted)
+        assert main(["paper-examples", "--n", "4096", "--n-per-decade", "16", "--out", str(tmp_path / "p.json")]) == 0
+        assert sorted(passes) == sorted([
+            ("log", "quadratic"),
+            ("F_tau(log,1)", "general"),
+            ("F_tau(log,0.666667)", "general"),
+            ("F_tau(log,0.666667)", "quadratic"),
+        ])
+
+    def test_bytes_equal_the_five_separate_checks(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert main(["paper-examples", "--n", "4096", "--n-per-decade", "16", "--out", str(out)]) == 0
+        exp_power = builtin_measure("exp_power", alpha=1.5, n=4096)
+        loglog = ConditionSpec(builtin_measure("loglog", n=4096), log_entropy(), delta=0.5, K=2.0, form="quadratic")
+        family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
+        fixtures = {
+            "loglog_quadratic": check_condition(loglog, n_per_decade=16),
+            "exp_power_tau_upper": checker.check_exp_power(exp_power, 1.5, 1.0),
+            "exp_power_tau_lower": checker.check_exp_power(exp_power, 1.5, 2.0 / 3.0),
+            "power_entropy": verify_theorem_4_4(exp_power, 1.5, family),
+        }
+        assert out.read_bytes() == (_dump_json({"fixtures": fixtures}) + "\n").encode("utf-8")
+
     def test_thread_env_is_not_read(self, tmp_path, monkeypatch):
         # like every other subcommand, paper-examples ignores ISOCERT_THREADS
         monkeypatch.setenv("ISOCERT_THREADS", "lots")
@@ -444,6 +542,29 @@ class TestMeasureCache:
         info = cli._measure.cache_info()
         assert info.misses == 9
         assert info.currsize <= 8
+
+    def test_expr_entropy_is_built_and_checked_once(self, tmp_path, monkeypatch):
+        samples = []
+        sample = entropy._sample_assumptions
+        monkeypatch.setattr(entropy, "_sample_assumptions", lambda F, n: samples.append(F.name) or sample(F, n))
+        argv = ["check", "--entropy", "expr:2*(x^0.5-1)", "--n", "4096", "--n-per-decade", "16"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert samples == ["expr:2*(x^0.5-1)"]
+        assert main(["check", "--entropy", "expr:2*(x^0.5 - 1)", "--n", "4096", "--n-per-decade", "16", "--out", str(a)]) == 0
+        assert samples == ["expr:2*(x^0.5-1)"] * 2  # another text is another key
+        assert cli._expr_entropy.cache_info().currsize == 2
+
+    def test_refused_entropy_is_refused_on_every_repeat(self, capsys):
+        for _ in range(2):
+            assert main(["check", "--entropy", "expr:x^", "--n", "4096"]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        for _ in range(2):
+            assert main(["check", "--entropy", "expr:x^2", "--n", "4096"]) == 2
+            assert "(A1-A2)" in capsys.readouterr().err
+        assert cli._expr_entropy.cache_info().currsize == 1  # the parsed x^2, refused by its kept report
 
     def test_cached_tables_are_read_only(self):
         # one measure serves every request with its key, so no caller may write to it
@@ -639,9 +760,9 @@ _REFUSALS = [
     (["check", "--support", "1"], "support must look like lo:hi"),
     (["check", "--n-per-decade", "3", *_N], "n_per_decade"),
     (["profile", "--measure", "expr:42*abs(x)/(1+abs(x))"], "not integrable"),
-    (["conjugate", "--grid=-1:1:5"], "nonnegative"),
-    (["conjugate", "--cost", "expr:x^2/2", "--grid=-1:1:5"], "nonnegative"),
-    (["conjugate", "--grid", "-1:1:5"], "must be nonnegative"),  # the spaced form reaches the library too
+    (["conjugate", "--grid=-1:1:5"], "--grid must be nonnegative"),
+    (["conjugate", "--cost", "expr:x^2/2", "--grid=-1:1:5"], "--grid must be nonnegative"),
+    (["conjugate", "--grid", "-1:1:5"], "--grid must be nonnegative"),  # the spaced form names the flag too
     (["conjugate", "--grid", "0:1"], "grid must look like lo:hi:n"),
     (["conjugate", "--grid", "1:0:5"], "hi > lo"),
     (["conjugate", "--grid", "0:1:1"], "n >= 2"),

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import isocert.entropy as entropy
+from isocert.checker import ConditionSpec, check_condition
 from isocert.entropy import (
     EntropyFunction,
     F_tau,
@@ -218,6 +220,7 @@ class TestLogPhiOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(tau=st.floats(0.05, 1.0), x=st.floats(-2.5, 300.0))
+    @example(tau=0.25, x=1.5)  # the maximiser sits on x0, where G'' jumps
     def test_F_tau_over_a_non_log_base(self, tau, x):
         # base phi(y) = 2 (sqrt(y) - 1), with phi(e^u) = 2 (e^{u/2} - 1)
         phi = EntropyFunction(
@@ -272,6 +275,76 @@ class TestAssumptionChecks:
     def test_shifted_profile_fails_normalization(self):
         shifted = EntropyFunction(fn=lambda y: np.log(y) + 0.5)
         assert not check_assumptions(shifted).a1
+
+
+class TestSharedProfiles:
+    """Profiles are immutable: the builtin ones are shared, and each keeps
+    its own A1-A4 report."""
+
+    def test_builtin_profiles_are_shared_per_argument(self):
+        assert log_entropy() is log_entropy()
+        assert F_tau(0.75) is F_tau(0.75)
+        assert F_tau(1) is F_tau(1.0)
+        assert F_tau(0.75) is not F_tau(0.5)
+        assert F_tau(0.75).name == "F_tau(log,0.75)" and F_tau(0.5).name == "F_tau(log,0.5)"
+
+    def test_a_profile_over_another_base_is_built_anew(self):
+        phi = EntropyFunction(fn=lambda y: np.log(y), fn_log=lambda u: u, name="mylog", x0=float(np.e))
+        assert F_tau(0.5, phi) is not F_tau(0.5, phi)
+
+    def test_refused_tau_is_refused_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="tau must lie in"):
+                F_tau(1.5)
+        assert entropy._F_tau_over_log.cache_info().currsize == 0
+
+    @staticmethod
+    def _count_samples(monkeypatch):
+        calls = []
+        sample = entropy._sample_assumptions
+
+        def counted(F, n):
+            calls.append((F.name, n))
+            return sample(F, n)
+
+        monkeypatch.setattr(entropy, "_sample_assumptions", counted)
+        return calls
+
+    def test_assumptions_are_sampled_once_per_profile(self, monkeypatch):
+        calls = self._count_samples(monkeypatch)
+        F = EntropyFunction(fn=lambda y: np.log(y), name="plainlog")
+        first = check_assumptions(F)
+        assert check_assumptions(F) is first and F.assumptions is first
+        assert calls == [("plainlog", 4096)]
+        other = EntropyFunction(fn=lambda y: np.log(y), name="plainlog")
+        assert check_assumptions(other) is not first
+        assert check_assumptions(F, n=1024).all_pass()  # another n samples anew, and is not kept
+        assert calls == [("plainlog", 4096), ("plainlog", 4096), ("plainlog", 1024)]
+        assert check_assumptions(F) is first
+
+    def test_report_equals_a_fresh_sample(self):
+        for F in (log_entropy(), F_tau(0.5), EntropyFunction(fn=lambda y: y * y - 1.0)):
+            assert check_assumptions(F) == entropy._sample_assumptions(F, 4096)
+
+    def test_failing_profile_is_refused_on_every_call(self, gauss, monkeypatch):
+        calls = self._count_samples(monkeypatch)
+        spec = ConditionSpec(gauss, EntropyFunction(fn=lambda y: y * y - 1.0, name="convex"), form="quadratic")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="A1-A2"):
+                check_condition(spec, n_per_decade=16)
+        assert calls == [("convex", 4096)]
+
+    def test_kept_report_is_read_only(self):
+        bad = EntropyFunction(fn=lambda y: y * y - 1.0)
+        rep = check_assumptions(bad)
+        assert "a1_concave" in rep.witnesses
+        with pytest.raises(TypeError):
+            rep.witnesses["a1_concave"] = 0.0
+        with pytest.raises(TypeError):
+            rep.witnesses["new"] = 1.0
+        with pytest.raises(AttributeError):
+            rep.a1 = True
+        assert check_assumptions(bad).witnesses == rep.witnesses
 
 
 class TestGrowthMargin:

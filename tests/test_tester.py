@@ -9,6 +9,7 @@ from isocert.convex import CostFunction
 from isocert.entropy import EntropyFunction, F_tau
 from isocert.expr import parse_potential
 from isocert.measure1d import SampledFunction, build_measure, builtin_measure
+import isocert.cli as cli
 import isocert.tester as tester
 from isocert.tester import (
     TestFamily,
@@ -248,7 +249,7 @@ class TestEntropyEnergyRatio:
         rep = verify_theorem_2_1(gauss, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
         assert rep.rows[0].name == "exponential(0.123457)"
         assert [row.parameter for row in rep.rows] == [0.1234567, 0.5]
-        assert rep.to_csv_text().split("\n")[1].split(",")[1] == "0.1234567"
+        assert cli._report_table(rep).split("\n")[1].split(",")[1] == "0.1234567"
         user = TestFamily("user", ("const",), user_fns=(lambda x: np.full_like(x, 3.0),))
         rep = verify_theorem_2_1(gauss, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, user)
         assert np.isnan(rep.rows[0].parameter)
@@ -474,7 +475,7 @@ class TestReportShapes:
     def test_csv_layout(self, gauss, F_log):
         fam = TestFamily("exponential", (0.25, 0.5))
         rep = verify_theorem_2_1(gauss, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
-        text = rep.to_csv_text()
+        text = cli._report_table(rep)
         lines = text.strip().split("\n")
         assert lines[0] == ("name,parameter,entropy_F,classical_entropy,variance,"
                             "grad_energy,modified_energy,median_energy,ratio,saturation")
