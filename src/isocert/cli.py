@@ -17,7 +17,9 @@ the parsed expression, so a repeated measure is built once and a repeated
 profile is built and checked (A1-A4) once; `log` and `ftau:t` profiles are
 shared by the entropy module itself.  Reports are never kept: every request
 computes its own.  The argument parser is built once per subcommand.  JSON
-and CSV are each written by one writer, in one pass.  A flag value may start
+and CSV are each written by one writer, in one pass; the JSON writer picks a
+value's form from one isinstance chain.  An `expr:` measure or entropy is
+named in reports `expr:` plus its text as given.  A flag value may start
 with `-` (`--support -5:5`), in either the spaced or the `=` form.
 """
 
@@ -80,14 +82,13 @@ def _dump_json(obj) -> str:
 
 
 def _emit(obj, out) -> None:
-    kind = type(obj)  # exact builtin types first; subclasses and numpy scalars go to the isinstance chain
-    if kind is float:
+    if isinstance(obj, float):  # numpy's float64 is a float
         out.append(_format_float(obj))
-    elif kind is str:
+    elif isinstance(obj, str):
         out.append(_json_string(obj))
-    elif kind is dict:
+    elif isinstance(obj, dict):
         _emit_items(((_json_string(str(k)), v) for k, v in obj.items()), out)
-    elif kind is tuple or kind is list:
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         _emit_sequence(obj, out)
     elif obj is None:
         out.append("null")
@@ -95,18 +96,12 @@ def _emit(obj, out) -> None:
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, np.floating):
         out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif isinstance(obj, dict):
-        _emit_items(((_json_string(str(k)), v) for k, v in obj.items()), out)
     elif is_dataclass(obj) and not isinstance(obj, type):  # a report: its fields, in declaration order
         _emit_items((('"' + f.name + '"', getattr(obj, f.name)) for f in fields(obj)), out)
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        _emit_sequence(obj, out)
     else:
-        raise TypeError(f"cannot serialize {kind.__name__}")
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _emit_items(items, out) -> None:
@@ -285,7 +280,7 @@ def _measure(kind, arg, support, n, grid_kind):
     measure's tables are read-only, so requests can share it."""
     if kind == "expr":
         support = (-np.inf, np.inf) if support is None else support
-        return build_measure(arg, support=support, n=n, grid_kind=grid_kind, name=f"expr:{arg.to_text()}")
+        return build_measure(arg, support=support, n=n, grid_kind=grid_kind, name=f"expr:{arg.text}")
     options = {} if support is None else {"support": support}
     if kind == "exp_power":
         options["alpha"] = arg
@@ -321,7 +316,7 @@ def _expr_entropy(expr: PotentialExpr) -> EntropyFunction:
     """The profile of a parsed `expr:` entropy, one per process per
     expression (as _measure keeps measures), so that its A1-A4 report is
     sampled once.  A malformed expression is refused before the lookup."""
-    return EntropyFunction(fn=expr, name=f"expr:{expr.to_text()}")
+    return EntropyFunction(fn=expr, name=f"expr:{expr.text}")
 
 
 def _build_cost(cfg: RunConfig):

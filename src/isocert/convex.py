@@ -14,7 +14,7 @@ single sweep; a full scan is kept as a fallback for inputs that fail the
 convexity diagnostic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -143,7 +143,6 @@ class ConjugateTable:
     values: np.ndarray
     argmax: np.ndarray
     truncated: np.ndarray  # dual points past the recoverable slope range
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -156,7 +155,7 @@ def _primal_samples(f, dual_grid, n_primal):
     """Materialize (y, g(y)) samples for the supported input kinds."""
     if isinstance(f, CostFunction):
         if not f.is_closed_form:
-            return f.grid, f.values, "given"
+            return f.grid, f.values
         A, a = f.A, f.alpha
         xmax = max(float(dual_grid[-1]), 1e-6)
         # largest primal point needed: where c' reaches the top dual point
@@ -166,9 +165,9 @@ def _primal_samples(f, dual_grid, n_primal):
         y_lo = min(A, float(pos[0]) if pos.size else A) / 64.0
         y_lo = max(y_lo, 1e-12)
         y = np.concatenate(([0.0], np.geomspace(y_lo, y_hi, n_primal - 1)))
-        return y, eval_cost(f, y), "log"
+        return y, eval_cost(f, y)
     y, g = f
-    return np.asarray(y, dtype=float), np.asarray(g, dtype=float), "given"
+    return np.asarray(y, dtype=float), np.asarray(g, dtype=float)
 
 
 def legendre_transform(f, dual_grid, n_primal=4096):
@@ -183,7 +182,7 @@ def legendre_transform(f, dual_grid, n_primal=4096):
         raise ValueError("empty dual grid")
     if np.any(np.diff(dual_grid) <= 0) or dual_grid[0] < 0:
         raise ValueError("dual grid must be nonnegative and strictly increasing")
-    y, g, spacing = _primal_samples(f, dual_grid, n_primal)
+    y, g = _primal_samples(f, dual_grid, n_primal)
     if y.size < 2:
         raise ValueError("empty primal grid")
 
@@ -193,18 +192,14 @@ def legendre_transform(f, dual_grid, n_primal=4096):
         # monotone sweep: merge sorted dual points against nondecreasing slopes;
         # the maximizer index never moves left as x grows (leftmost on ties)
         j = np.searchsorted(slopes, dual_grid, side="left")
-        method = "monotone_sweep"
     else:
         j = np.empty(dual_grid.size, dtype=int)
         step = max(1, 2**22 // max(y.size, 1))
         for k in range(0, dual_grid.size, step):
             xs = dual_grid[k : k + step]
             j[k : k + step] = np.argmax(xs[:, None] * y[None, :] - g[None, :], axis=1)
-        method = "full_scan"
     values = dual_grid * y[j] - g[j]
-    truncated = dual_grid > slopes[-1]
-    meta = {"primal_spacing": spacing, "method": method, "last_slope": float(slopes[-1])}
-    return ConjugateTable(grid=dual_grid, values=values, argmax=y[j], truncated=truncated, meta=meta)
+    return ConjugateTable(grid=dual_grid, values=values, argmax=y[j], truncated=dual_grid > slopes[-1])
 
 
 def double_conjugate(f, primal_grid=None, n_primal=4096):
@@ -219,7 +214,7 @@ def double_conjugate(f, primal_grid=None, n_primal=4096):
         y = np.asarray(primal_grid, dtype=float)
         g = eval_cost(f, y)
     else:
-        y, g, _ = _primal_samples(f, np.array([1.0]), n_primal)
+        y, g = _primal_samples(f, np.array([1.0]), n_primal)
     slopes = np.diff(g) / np.diff(y)
     dual = np.unique(np.concatenate(([0.0], np.maximum(slopes, 0.0))))
     dual = dual[dual >= 0]

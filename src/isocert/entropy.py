@@ -33,8 +33,8 @@ depends on what the EntropyFunction carries:
 
 Profiles are immutable, so a profile is built and checked once:
 log_entropy() and F_tau(tau) over log return one shared instance per
-argument (the last 64 taus), and check_assumptions at its default n keeps
-its report on the profile it checked.
+argument (the last 64 taus), and check_assumptions keeps its report on the
+profile it checked.
 """
 
 import functools
@@ -53,8 +53,8 @@ class EntropyFunction:
     reach arguments like e^1500 without overflowing; builders supply it for
     the closed-form families.  log_phi, when present, is the exact log Phi
     (see log_Phi), which then skips the generic stationarity solve.
-    assumptions is check_assumptions(F) at its default n, sampled on first
-    use and kept with the profile.
+    assumptions is check_assumptions(F), sampled on first use and kept with
+    the profile.
     """
 
     fn: Callable
@@ -399,12 +399,10 @@ class AssumptionReport:
 _ASSUMPTION_POINTS = 4096
 
 
-def check_assumptions(F, n=_ASSUMPTION_POINTS):
-    """Sampled assumption flags; a pass means no sampled violation.  At the
-    default n the report is F.assumptions, sampled once per profile."""
-    if n == _ASSUMPTION_POINTS:
-        return F.assumptions
-    return _sample_assumptions(F, n)
+def check_assumptions(F):
+    """Sampled assumption flags; a pass means no sampled violation.  The
+    report is F.assumptions, sampled once per profile."""
+    return F.assumptions
 
 
 def _sample_assumptions(F, n):

@@ -9,10 +9,13 @@ Grammar (standard precedence, tightest first):
 
 Atoms are numeric literals, the variable ``x``, calls to abs/log/exp/sqrt
 (one argument) or pow (two arguments), and parenthesized expressions.
-Parsing and printing round-trip: ``parse_potential(e.to_text())`` rebuilds
-an equal tree.  Evaluation is vectorized over numpy arrays and raises
-ExprDomainError when log or sqrt leaves its domain, so potentials are total
-on their declared support or fail loudly.
+The tree has three node kinds: a literal (Num), the variable (Var), and an
+operator or function applied to its operands (Op), which evaluates as
+``_OPS[fn](*operands)`` from one table.  There is no printer: a parsed
+expression keeps the text it was given, and that text is its name.
+Evaluation is vectorized over numpy arrays and raises ExprDomainError when
+division, log or sqrt leaves its domain, so potentials are total on their
+declared support or fail loudly.
 
 Literals evaluate to Python floats that numpy broadcasts, so ``x^4`` calls
 pow with a scalar exponent.  ``a^b`` and ``pow(a, b)`` compute pow(|a|, b)
@@ -23,6 +26,7 @@ a non-integer exponent is an ExprDomainError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -34,9 +38,7 @@ __all__ = [
     "PotentialExpr",
     "Num",
     "Var",
-    "Neg",
-    "Bin",
-    "Call",
+    "Op",
     "parse_potential",
 ]
 
@@ -50,24 +52,16 @@ class ExprError(ValueError):
 
 
 class ExprDomainError(ValueError):
-    """Evaluation left a function's domain (log/sqrt of a negative)."""
+    """Evaluation left an operation's domain (division by zero, log or sqrt
+    outside its domain, a negative base with a non-integer exponent)."""
 
 
-_FUNCS = {"abs": 1, "log": 1, "exp": 1, "sqrt": 1, "pow": 2}
-
-# print levels: looser binds lower
-_LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+_ARITY = {"abs": 1, "log": 1, "exp": 1, "sqrt": 1, "pow": 2}
 
 
 @dataclass(frozen=True)
 class Num:
     value: float
-
-    def _print(self, out):
-        out.append("%.17g" % self.value)
-
-    def _level(self):
-        return _LEVEL_ATOM
 
     def _eval(self, x):
         return self.value  # numpy broadcasts it; an array exponent would slow pow
@@ -75,103 +69,23 @@ class Num:
 
 @dataclass(frozen=True)
 class Var:
-    def _print(self, out):
-        out.append("x")
-
-    def _level(self):
-        return _LEVEL_ATOM
-
     def _eval(self, x):
         return x
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Op:
+    """An operator or function applied to its operands: `neg`, `+ - * / ^`,
+    or a name of _ARITY."""
 
-    def _print(self, out):
-        out.append("-")
-        _emit(self.operand, out, _LEVEL_UNARY)
-
-    def _level(self):
-        return _LEVEL_UNARY
-
-    def _eval(self, x):
-        return -self.operand._eval(x)
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Node"
-    right: "Node"
-
-    def _print(self, out):
-        if self.op == "^":
-            _emit(self.left, out, _LEVEL_ATOM)
-            out.append("^")
-            _emit(self.right, out, _LEVEL_POW)
-            return
-        level = _LEVEL_SUM if self.op in "+-" else _LEVEL_TERM
-        _emit(self.left, out, level)
-        out.append(self.op)
-        _emit(self.right, out, level + 1)
-
-    def _level(self):
-        return _LEVEL_POW if self.op == "^" else (_LEVEL_SUM if self.op in "+-" else _LEVEL_TERM)
-
-    def _eval(self, x):
-        a = self.left._eval(x)
-        b = self.right._eval(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(b == 0.0):
-                raise ExprDomainError("division by zero")
-            return a / b
-        return _power(a, b)
-
-
-@dataclass(frozen=True)
-class Call:
     fn: str
     args: Tuple["Node", ...]
 
-    def _print(self, out):
-        out.append(self.fn)
-        out.append("(")
-        for i, a in enumerate(self.args):
-            if i:
-                out.append(",")
-            a._print(out)
-        out.append(")")
-
-    def _level(self):
-        return _LEVEL_ATOM
-
     def _eval(self, x):
-        vals = [a._eval(x) for a in self.args]
-        if self.fn == "abs":
-            return np.abs(vals[0])
-        if self.fn == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(vals[0])
-        if self.fn == "log":
-            if np.any(vals[0] <= 0.0):
-                raise ExprDomainError("log of a nonpositive value")
-            return np.log(vals[0])
-        if self.fn == "sqrt":
-            if np.any(vals[0] < 0.0):
-                raise ExprDomainError("sqrt of a negative value")
-            return np.sqrt(vals[0])
-        return _power(vals[0], vals[1])
+        return _OPS[self.fn](*[a._eval(x) for a in self.args])
 
 
-Node = Union[Num, Var, Neg, Bin, Call]
+Node = Union[Num, Var, Op]
 
 
 def _power(a, b):
@@ -190,18 +104,38 @@ def _power(a, b):
     return out
 
 
-def _emit(node, out, min_level):
-    if node._level() < min_level:
-        out.append("(")
-        node._print(out)
-        out.append(")")
-    else:
-        node._print(out)
+def _divide(a, b):
+    if np.any(b == 0.0):
+        raise ExprDomainError("division by zero")
+    return a / b
+
+
+def _log(a):
+    if np.any(a <= 0.0):
+        raise ExprDomainError("log of a nonpositive value")
+    return np.log(a)
+
+
+def _sqrt(a):
+    if np.any(a < 0.0):
+        raise ExprDomainError("sqrt of a negative value")
+    return np.sqrt(a)
+
+
+def _exp(a):
+    with np.errstate(over="ignore"):
+        return np.exp(a)
+
+
+_OPS = {
+    "neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power,
+    "abs": np.abs, "log": _log, "exp": _exp, "sqrt": _sqrt, "pow": _power,
+}
 
 
 @dataclass(frozen=True)
 class PotentialExpr:
-    """Parsed expression with evaluation over arrays and canonical printing."""
+    """Parsed expression, evaluated over arrays; text is the expression as given."""
 
     root: Node
     text: str
@@ -214,11 +148,6 @@ class PotentialExpr:
         if out.shape != arr.shape:  # a constant expression evaluates to a scalar
             out = np.full(arr.shape, out)
         return float(out[0]) if scalar else out
-
-    def to_text(self):
-        out = []
-        self.root._print(out)
-        return "".join(out)
 
 
 class _Parser:
@@ -256,7 +185,7 @@ class _Parser:
             ch = self.peek()
             if ch and ch in "+-":
                 self.pos += 1
-                node = Bin(ch, node, self.parse_term())
+                node = Op(ch, (node, self.parse_term()))
             else:
                 return node
 
@@ -266,20 +195,20 @@ class _Parser:
             ch = self.peek()
             if ch and ch in "*/":
                 self.pos += 1
-                node = Bin(ch, node, self.parse_unary())
+                node = Op(ch, (node, self.parse_unary()))
             else:
                 return node
 
     def parse_unary(self):
         if self.take("-"):
-            return Neg(self.parse_unary())
+            return Op("neg", (self.parse_unary(),))
         return self.parse_power()
 
     def parse_power(self):
         node = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
-            return Bin("^", node, self.parse_unary())
+            return Op("^", (node, self.parse_unary()))
         return node
 
     def parse_atom(self):
@@ -329,7 +258,7 @@ class _Parser:
         name = text[start : self.pos]
         if name == "x":
             return Var()
-        if name in _FUNCS:
+        if name in _ARITY:
             if not self.take("("):
                 self.error(f"{name} needs parenthesized arguments")
             args = [self.parse_sum()]
@@ -337,10 +266,10 @@ class _Parser:
                 args.append(self.parse_sum())
             if not self.take(")"):
                 self.error("expected ')'")
-            if len(args) != _FUNCS[name]:
+            if len(args) != _ARITY[name]:
                 self.pos = start
-                self.error(f"{name} takes {_FUNCS[name]} argument(s), got {len(args)}")
-            return Call(name, tuple(args))
+                self.error(f"{name} takes {_ARITY[name]} argument(s), got {len(args)}")
+            return Op(name, tuple(args))
         self.pos = start
         self.error(f"unknown identifier {name!r}")
 

@@ -241,11 +241,7 @@ def entropy_functional(mu: Measure1D, f, F: EntropyFunction) -> float:
     m2 = mu.integrate(v * v)
     if not m2 > 0:
         raise ValueError("integral of f^2 vanishes; entropy undefined")
-    h = v * v / m2
-    out = np.zeros_like(v)
-    mask = h > 0
-    out[mask] = v[mask] ** 2 * np.asarray(F(h[mask]), dtype=float)
-    return float(mu.integrate(out))
+    return float(mu.integrate(v * v * _level_entropy(F, v, m2)))
 
 
 def cost_energy(mu: Measure1D, f, cost: Union[CostFunction, float]) -> float:
@@ -522,10 +518,12 @@ def _step1_constant(F: EntropyFunction, K: float) -> float:
 
 
 def _level_entropy(F: EntropyFunction, v: np.ndarray, m2: float) -> np.ndarray:
-    """F(f^2 / mu(f^2)) where f > 0, and 0 elsewhere."""
+    """F(h) with h = f^2 / mu(f^2) where h > 0, and 0 where h is 0 (f = 0, or
+    f^2 / mu(f^2) below the smallest double), so F(0) = -inf never enters."""
+    h = v * v / m2
     out = np.zeros_like(v)
-    pos = v > 0
-    out[pos] = np.asarray(F(v[pos] ** 2 / m2), dtype=float)
+    pos = h > 0
+    out[pos] = np.asarray(F(h[pos]), dtype=float)
     return out
 
 

@@ -1,0 +1,47 @@
+"""The benchmark's correctness gate, in Tier-1.
+
+perfbench/reference.json holds the expected outcome (exit code, verdicts,
+headline numbers) of every request a benchmark mix can produce.  This runs
+every `certify`, `tables` and `paper-examples` catalogue request and every
+8th `empirical` one in process, as perfbench/run.py does, and compares each
+outcome with the reference.  perfbench/mix.py and perfbench/reference.py are
+loaded by path and only read."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from isocert.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+STRIDE = {"certify": 1, "tables": 1, "paper-examples": 1, "empirical": 8}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+mix = _load("mix")
+reference = _load("reference")
+
+
+@pytest.mark.parametrize("workload", list(STRIDE))
+def test_catalogue_requests_match_the_reference(workload, tmp_path):
+    expected = reference.load()
+    bad = []
+    for i, argv in enumerate(mix.catalogue(workload)[:: STRIDE[workload]]):
+        rundir = tmp_path / str(i)
+        rundir.mkdir()
+        path = reference.output_path(str(rundir), argv)
+        rc = main(list(argv) + ["--out", path])
+        key = reference.request_key(argv)
+        if key not in expected:
+            bad.append(f"{key}: not in reference.json")
+            continue
+        for mismatch in reference.mismatches(expected[key], reference.outcome(argv, rc, path)):
+            bad.append(f"{key}: {mismatch}")
+    assert not bad, "\n".join(bad)

@@ -554,8 +554,13 @@ class TestMeasureCache:
         assert a.read_bytes() == b.read_bytes()
         assert samples == ["expr:2*(x^0.5-1)"]
         assert main(["check", "--entropy", "expr:2*(x^0.5 - 1)", "--n", "4096", "--n-per-decade", "16", "--out", str(a)]) == 0
-        assert samples == ["expr:2*(x^0.5-1)"] * 2  # another text is another key
+        assert samples == ["expr:2*(x^0.5-1)", "expr:2*(x^0.5 - 1)"]  # another text is another key, named by its text
         assert cli._expr_entropy.cache_info().currsize == 2
+
+    def test_expr_inputs_are_named_by_their_text(self, capsys):
+        main(["check", "--measure", "expr:x^2/2+0.1*x^4", "--entropy", "expr:2*(x^0.5 - 1)", "--n", "4096", "--n-per-decade", "16"])
+        out = capsys.readouterr().out
+        assert '"measure":"expr:x^2/2+0.1*x^4"' in out and '"entropy":"expr:2*(x^0.5 - 1)"' in out
 
     def test_refused_entropy_is_refused_on_every_repeat(self, capsys):
         for _ in range(2):

@@ -318,8 +318,7 @@ class TestSharedProfiles:
         assert calls == [("plainlog", 4096)]
         other = EntropyFunction(fn=lambda y: np.log(y), name="plainlog")
         assert check_assumptions(other) is not first
-        assert check_assumptions(F, n=1024).all_pass()  # another n samples anew, and is not kept
-        assert calls == [("plainlog", 4096), ("plainlog", 4096), ("plainlog", 1024)]
+        assert calls == [("plainlog", 4096), ("plainlog", 4096)]
         assert check_assumptions(F) is first
 
     def test_report_equals_a_fresh_sample(self):

@@ -1,6 +1,7 @@
 """Entropy/energy functionals, test families, and the inequality drivers."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -469,6 +470,23 @@ class TestRestrictedDecomposition:
         bad = EntropyFunction(fn=lambda y: y * y - 1.0)
         with pytest.raises(ValueError):
             lemma_3_4_check(gauss, bad, 2.0, TestFamily("exponential", (0.5,)))
+
+
+class TestUnderflowingLevels:
+    """Where f^2 / mu(f^2) underflows to 0 the level entropy is 0, not F(0) = -inf."""
+
+    def test_steep_member_keeps_finite_margins(self, F_log):
+        mu = builtin_measure("gauss", n=4096)
+        fam = TestFamily("exponential", (50.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_theorem_2_1(mu, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
+            lemma = lemma_3_4_check(mu, F_log, 2.0, fam)
+        step = rep.details["step1"][0]
+        assert np.isfinite(step["I1"]) and np.isfinite(step["margin"]) and step["ok"]
+        row = lemma.rows[0]
+        assert all(np.isfinite(row[k]) for k in ("full", "restricted", "plus_term", "margin1", "B_member"))
+        assert row["display1_ok"] and lemma.display1_ok
 
 
 class TestReportShapes:
