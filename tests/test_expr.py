@@ -49,6 +49,20 @@ class TestParsing:
     def test_precedence_and_associativity(self, text, x, want):
         assert parse_potential(text)(x) == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("text", [
+        "abs(x)", "x^2", "abs(x)*log(1+x^2)", "-(x+1)/2", "2^3^2",
+        "x^-1", "exp(-abs(x)^1.5)", "pow(abs(x), 2) / 4",
+    ])
+    def test_canonical_print_round_trips(self, text):
+        # an expression prints as the text it was given: re-parsing that
+        # name gives the same function and the same name
+        p = parse_potential(text)
+        again = parse_potential(p.text)
+        xs = np.linspace(0.3, 2.7, 7)
+        assert np.array_equal(p(xs), again(xs))
+        assert again.text == p.text
+        assert again == p
+
     def test_keeps_the_text_as_given(self):
         text = "x^2/2 + 0.1*x^4"
         assert parse_potential(text).text == text
