@@ -180,7 +180,7 @@ class RunConfig:
 
     measure: str = _setting("gauss", _MEASURED, help="gauss | exp | exp_power:a | loglog | expr:V(x)")
     entropy: str = _setting("log", _MEASURED, help="log | ftau:t | expr:F(x)")
-    cost: str = _setting("quadratic:1", ("conjugate", "check", "test", "certify"), help="quadratic:delta | c:A:alpha | expr:c(x)")
+    cost: str = _setting("quadratic", ("conjugate", "check", "test", "certify"), help="quadratic[:delta] | c:A:alpha | expr:c(x)")
     delta: Optional[float] = _setting(None, _CHECKED, float)
     K: float = _setting(2.0, ("check", "test", "certify"), float)
     t_min: float = _setting(1e-12, _CHECKED, float)
@@ -321,7 +321,8 @@ def _expr_entropy(expr: PotentialExpr) -> EntropyFunction:
 
 def _build_cost(cfg: RunConfig):
     """(cost, form, delta) for --cost: the cost, the checker form it selects,
-    and the checker's delta (the one quadratic:delta names, else 1).
+    and the checker's delta (the one quadratic:delta names, else 1; a
+    --delta that differs from a named one is refused).
 
     quadratic:delta is the one place that names c_{1,2}(x) = x^2/2: conjugate
     tables and tester energies use that cost, while the checker evaluates its
@@ -399,6 +400,8 @@ def _make_condition_spec(cfg: RunConfig):
     mu = _build_measure(cfg)
     F = _build_entropy(cfg)
     cost, form, delta = _build_cost(cfg)
+    if cfg.delta is not None and cfg.cost.strip().startswith("quadratic:") and cfg.delta != delta:
+        raise ConfigError(f"delta {cfg.delta:g} conflicts with the delta {delta:g} of the cost {cfg.cost.strip()!r}")
     if cfg.form is not None and cfg.form != form:
         if cfg.form == "general":
             raise ConfigError("form 'general' needs a c:A:alpha or expr: cost")

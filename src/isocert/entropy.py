@@ -234,10 +234,10 @@ _U_LIMIT = 2.0 ** 64
 def _increasing_root(resid, x, u, tol, lo=-np.inf, hi=np.inf, bound=np.inf):
     """Zeros of increasing residuals r(u; x), one per entry of x, vectorised.
 
-    resid(u, x) returns (r, dr/du).  The search starts at u with the bracket
-    (lo, hi), r(lo) <= 0 <= r(hi), either end possibly infinite, and never
-    evaluates r at |u| >= bound.  While the root's side of the bracket is
-    open the search walks out: the Newton step, but at least twice the last
+    resid(u, x) returns r and dr/du first.  The search starts at u with the
+    bracket (lo, hi), r(lo) <= 0 <= r(hi), either end possibly infinite, and
+    never evaluates r at |u| >= bound.  While the root's side of the bracket
+    is open the search walks out: the Newton step, but at least twice the last
     step and at most a radius that starts at max(1, |u|, |x|) and doubles.
     Once closed it is rtsafe: the Newton step when it stays inside and at
     least halves the step before last, otherwise bisection.  A step that
@@ -254,7 +254,7 @@ def _increasing_root(resid, x, u, tol, lo=-np.inf, hi=np.inf, bound=np.inf):
     ua, xa = u, x
     for _ in range(_ROOT_ITERATIONS):
         u[todo] = ua
-        r, dr = resid(ua, xa)
+        r, dr = resid(ua, xa)[:2]
         lo = np.where(r < 0, ua, lo)
         hi = np.where(r > 0, ua, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -281,9 +281,9 @@ def _increasing_root(resid, x, u, tol, lo=-np.inf, hi=np.inf, bound=np.inf):
 
 
 def _stationarity_residual(F, step=_FD_STEP):
-    """The residual r(u; x) = G(u) + G'(u) - (x + 1), G(u) = F(e^u), and its
-    slope G' + G'', with G' and G'' from central differences in u (step
-    times max(1, |u|)) over one stacked F.at_log call."""
+    """The residual r(u; x) = G(u) + G'(u) - (x + 1), G(u) = F(e^u), its
+    slope G' + G'', and G', with G' and G'' from central differences in u
+    (step times max(1, |u|)) over one stacked F.at_log call."""
 
     def resid(u, x):
         h = step * np.maximum(1.0, np.abs(u))
@@ -292,7 +292,7 @@ def _stationarity_residual(F, step=_FD_STEP):
         with np.errstate(invalid="ignore"):
             d1 = (gp - gm) / (up - um)
             d2 = (gp - 2.0 * g0 + gm) / (0.25 * (up - um) ** 2)
-        return g0 + d1 - (x + 1.0), d1 + d2
+        return g0 + d1 - (x + 1.0), d1 + d2, d1
 
     return resid
 
@@ -305,18 +305,21 @@ def _fine_newton_steps(F, u, x):
     stencil half-width h, its G' is off by O(h) and so is the root; the
     finer differences see one side of the jump; a step from the far side
     may overshoot, so it goes at most h, and the next one starts from the
-    root's side.  On smooth F the solve is already within O(h^2), and a step
-    that short moves the value u + log(x + 1 - G(u)) by its square only,
-    below the solve's tolerance: a step shorter than 1e-3 h is not taken."""
+    root's side.  On smooth F the solve is already within O(h^2).  A step s
+    moves the value u + log(x + 1 - G(u)) by about s^2 (G' + G'') / (2 G'),
+    its curvature at the root: a step shorter than 1e-3 h is taken only where
+    that exceeds 1e-10 (1 + |u|), as it can where G' is tiny and the solve's
+    residual tolerance leaves u far off."""
     resid = _stationarity_residual(F, _FD_STEP_FINE)
     u = u.copy()
     todo = np.arange(u.size)
     for _ in range(_FINE_STEPS):
-        r, dr = resid(u[todo], x[todo])
+        r, dr, d1 = resid(u[todo], x[todo])
         h = _FD_STEP * np.maximum(1.0, np.abs(u[todo]))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = r / dr
-        take = (dr > 0) & (np.abs(step) > 1e-3 * h)
+            moves = step * step * dr > 2e-10 * d1 * (1.0 + np.abs(u[todo]))
+        take = (dr > 0) & ((np.abs(step) > 1e-3 * h) | moves)
         todo = todo[take]
         if todo.size == 0:
             break
@@ -341,7 +344,8 @@ def log_Phi(F, x):
                        Newton steps with 100 times finer differences where
                        they are long enough to matter (_fine_newton_steps);
                        then u* + log(x + 1 - G(u*)), insensitive to
-                       first-order errors in u*.
+                       first-order errors in u*, or u* + log G'(u*) where
+                       that remainder is below the rounding of x.
 
     The result never drops below the y = 1 ordinate log1p(x).  The generic
     route evaluates F(e^u) past u = 700 only through F.fn_log; without it a
@@ -366,6 +370,9 @@ def log_Phi(F, x):
             )
         u = _fine_newton_steps(F, u, x)
         rem = x + 1.0 - F.at_log(u)
+        low = rem <= _EPS * (1.0 + np.abs(x))  # all cancellation: take G'(u*), equal at the root
+        if np.any(low):
+            rem[low] = _stationarity_residual(F, _FD_STEP_FINE)(u[low], x[low])[2]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(rem > 0, u + np.log(rem), -np.inf)
     # the sup is never below the y = 1 ordinate, log(x + 1 - F(1)) = log1p(x),

@@ -7,19 +7,22 @@ grid cells with proportional boundary contributions.  Best-constant
 estimates are suprema over *finite* test-function families, so they are
 reported as lower bounds for the true constants, never as certificates.
 
+A member is admitted (`_admitted`) only when its supplied derivative agrees
+with finite differences and int f^2 + f'^2 dmu is finite on the grid, and is
+refused by name with a ValueError otherwise: `TestFamily.members` returns
+admitted members only, and `lemma_3_3_check` admits its f and g.  The
+functionals take members as SampledFunctions on the measure's own grid.
+
 The three `verify_theorem_*` routines share one ratio engine.  Each supplies a
 per-member `terms` function returning its entropy side, variance term, energy
-term and ratio denominator; `_ratio_table` adds the theorem-independent
-columns (classical entropy, gradient energy, median energy, saturation) and
-the member's parameter, and `_enrichment` runs `terms` alone on the members
-that the enriched family adds, for the stability check.  A member's ratio is
-entropy/denominator when the denominator is positive, +inf when a positive
-entropy meets a vanishing denominator, and NaN (no evidence) otherwise; C_hat
-is the largest non-NaN ratio, or 0 when there is none, so every reported
-ratio is at most C_hat.
-A member with f or f' outside L^2(mu), or a non-finite energy term, is
-refused by name with a ValueError instead of giving an inf row.  The
-functionals take members as SampledFunctions on the measure's own grid.
+term (refused by name when not finite), ratio denominator and extras;
+`_ratio_table` adds the theorem-independent columns (classical entropy,
+gradient energy, median energy, saturation) and the member's parameter, and
+`_enrichment` runs `terms` alone on the members that the enriched family
+adds, for the stability check.  A member's ratio is entropy/denominator when
+the denominator is positive, +inf when a positive entropy meets a vanishing
+denominator, and NaN (no evidence) otherwise; C_hat is the largest non-NaN
+ratio, or 0 when there is none, so every reported ratio is at most C_hat.
 
 Family members are evaluated independently and reduced in parameter order,
 so reports are deterministic.  The random_smooth phase table is built once
@@ -31,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -182,9 +185,10 @@ class TestFamily:
         return tuple(sorted(float(p) for p in self.params))
 
     def members(self, mu: Measure1D):
-        """Materialize the family on the measure grid, ordered by parameter.
-        A member is named kind(p), with p in %g form when it is a float
-        parameter and as given otherwise."""
+        """Materialize the family on the measure grid, ordered by parameter;
+        each member is admitted (_admitted) or refused by name.  A member is
+        named kind(p), with p in %g form when it is a float parameter and as
+        given otherwise."""
         member = _MEMBERS.get(self.kind)
         if self.kind == "random_smooth":
             member = functools.partial(member, trig=_trig_basis(mu))
@@ -202,7 +206,7 @@ class TestFamily:
                 sf = SampledFunction(grid=mu.grid, values=vals, dvalues=dvals, log_deriv=log_deriv, name=name)
             if not np.all(np.isfinite(sf.values)):
                 raise ValueError(f"family member {sf.name} overflows on the measure grid")
-            out.append(sf)
+            out.append(_admitted(mu, sf))
         return out
 
     def enriched(self):
@@ -222,10 +226,23 @@ class TestFamily:
 
 
 def _as_sampled(mu: Measure1D, f: SampledFunction) -> SampledFunction:
-    """f, once it is known to be sampled on mu's own grid."""
-    if f.grid.shape != mu.grid.shape or not np.array_equal(f.grid, mu.grid):
+    """f, once it is known to be sampled on mu's own grid (members share it)."""
+    if f.grid is not mu.grid and (f.grid.shape != mu.grid.shape or not np.array_equal(f.grid, mu.grid)):
         raise ValueError("sampled function lives on a different grid than the measure")
     return f
+
+
+def _admitted(mu: Measure1D, sf: SampledFunction) -> SampledFunction:
+    """sf, once it may enter a functional: its supplied derivative agrees with
+    finite differences and f, f' lie in L^2(mu) on the grid, so no functional
+    overflows; refused by name otherwise."""
+    if not sf.deriv_consistent:
+        raise ValueError(f"member {sf.name} has a derivative that disagrees with its finite differences")
+    with np.errstate(over="ignore", invalid="ignore"):
+        l2 = mu.integrate(sf.values**2) + mu.integrate(sf.dvalues**2)
+    if not np.isfinite(l2):
+        raise ValueError(f"member {sf.name} is not in L^2(mu): f^2 + f'^2 integrates to {l2}")
+    return sf
 
 
 # -- scalar functionals ----------------------------------------------------------
@@ -244,19 +261,12 @@ def entropy_functional(mu: Measure1D, f, F: EntropyFunction) -> float:
     return float(mu.integrate(v * v * _level_entropy(F, v, m2)))
 
 
-def cost_energy(mu: Measure1D, f, cost: Union[CostFunction, float]) -> float:
-    """Energy of the gradient alone: int c(|f'|) dmu for a CostFunction, or
-    int |f'|^p dmu when cost is a plain exponent p > 0."""
-    sf = _as_sampled(mu, f)
-    g = np.abs(sf.dvalues)
-    if isinstance(cost, CostFunction):
-        vals = eval_cost(cost, g)
-    else:
-        p = float(cost)
-        if p <= 0:
-            raise ValueError("gradient exponent must be positive")
-        vals = g**p
-    return float(mu.integrate(np.asarray(vals, dtype=float)))
+def cost_energy(mu: Measure1D, f, p: float) -> float:
+    """Energy of the gradient alone: int |f'|^p dmu for an exponent p > 0."""
+    p = float(p)
+    if p <= 0:
+        raise ValueError("gradient exponent must be positive")
+    return float(mu.integrate(np.abs(_as_sampled(mu, f).dvalues) ** p))
 
 
 def _dual_evaluator(cost: CostFunction, r_max: float):
@@ -438,36 +448,24 @@ def _parameter(label) -> float:
         return float("nan")
 
 
-def _checked(mu: Measure1D, terms):
-    """terms behind a membership gate: a member with f or f' outside L^2(mu)
-    on the grid is refused by name before its functionals overflow, and so is
-    one whose energy term comes out non-finite."""
-
-    def checked(sf):
-        with np.errstate(over="ignore", invalid="ignore"):
-            l2 = mu.integrate(sf.values**2) + mu.integrate(sf.dvalues**2)
-        if not np.isfinite(l2):
-            raise ValueError(f"member {sf.name} is not in L^2(mu): f^2 + f'^2 integrates to {l2}")
-        out = terms(sf)
-        if not np.isfinite(out[2]):
-            raise ValueError(f"member {sf.name} has a non-finite energy term ({out[2]})")
-        return out
-
-    return checked
+def _member_terms(terms, sf):
+    """terms(sf), refused by name when its energy term is not finite."""
+    out = terms(sf)
+    if not np.isfinite(out[2]):
+        raise ValueError(f"member {sf.name} has a non-finite energy term ({out[2]})")
+    return out
 
 
 def _ratio_table(mu: Measure1D, family: TestFamily, terms):
-    """Rows and C_hat for one family.  terms(sf) returns the member's
-    (entropy side, variance term, energy term, ratio denominator); the
-    theorem-independent columns are computed here."""
-    members = family.members(mu)
-    if not members:
-        raise ValueError("family is empty")
-    terms = _checked(mu, terms)
+    """Rows, C_hat and the members' extras, in row order, for one family.
+    terms(sf) returns the member's (entropy side, variance term, energy term,
+    ratio denominator, extras); the theorem-independent columns are computed
+    here."""
     F_log = log_entropy()
-    rows = []
-    for sf, label in zip(members, family._ordered_params()):
-        lhs, var, energy, den = terms(sf)
+    rows, extras = [], []
+    for sf, label in zip(family.members(mu), family._ordered_params()):
+        lhs, var, energy, den, extra = _member_terms(terms, sf)
+        extras.append(extra)
         classical = entropy_functional(mu, sf, F_log)
         grad = cost_energy(mu, sf, 2.0)
         rows.append(
@@ -484,7 +482,7 @@ def _ratio_table(mu: Measure1D, family: TestFamily, terms):
                 saturation=bool(grad > 0 and abs(classical / (2.0 * grad) - 1.0) <= _SATURATION_TOL),
             )
         )
-    return tuple(rows), _sup_ratio(r.ratio for r in rows)
+    return tuple(rows), _sup_ratio(r.ratio for r in rows), extras
 
 
 def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float) -> dict:
@@ -495,7 +493,8 @@ def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float) -> dict:
     given = set(family._ordered_params())
     added = tuple(p for p in family.enriched()._ordered_params() if p not in given)
     members = replace(family, params=added).members(mu) if added else []
-    c_enr = max(c_hat, _sup_ratio(_ratio(lhs, den) for lhs, _, _, den in map(_checked(mu, terms), members)))
+    ratios = (_ratio(lhs, den) for lhs, _, _, den, _ in (_member_terms(terms, sf) for sf in members))
+    c_enr = max(c_hat, _sup_ratio(ratios))
     stable = bool(np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10)
     return {"C_hat_enriched": c_enr, "stable": stable}
 
@@ -539,12 +538,9 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
     truncated-layer bound margins.
 
     Callers are expected to have certified the (measure, entropy, cost)
-    triple finite beforehand; this routine checks only K > 1 and a nonempty
-    family."""
+    triple finite beforehand; this routine checks only K > 1 and, through
+    the family, its members' admission."""
     c_step = _step1_constant(F, K)
-    b15 = [0.0]
-    b16 = [0.0]
-    step_rows = []
 
     def terms(sf):
         v = sf.values
@@ -554,37 +550,30 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
         integrand = _modified_integrand(mu, sf, cost)
         full_energy = float(mu.integrate(integrand))
         restricted = _restricted_integral(mu, integrand, v * v - K * m2)
-        b15.append(_least_constant(lhs - 4.0 * restricted, m2))
+        b_restricted = _least_constant(lhs - 4.0 * restricted, m2)
         e16 = float(mu.integrate(_centered_integrand(sf, cost, mu.integrate(v))))
-        b16.append(_least_constant(lhs - 4.0 * e16, var))
+        b_centered = _least_constant(lhs - 4.0 * e16, var)
 
         # truncated layer integral and its explicit variance bound
         i1 = float(mu.integrate(_level_entropy(F, v, m2) * np.minimum(v * v, K * m2)))
         bound = c_step * var
-        step_rows.append(
-            {
-                "name": sf.name,
-                "I1": i1,
-                "bound": bound,
-                "margin": bound - i1,
-                "ok": bool(i1 <= bound + 1e-9 * max(1.0, abs(bound))),
-            }
-        )
-        return lhs, var, full_energy, full_energy
+        step = {
+            "name": sf.name,
+            "I1": i1,
+            "bound": bound,
+            "margin": bound - i1,
+            "ok": bool(i1 <= bound + 1e-9 * max(1.0, abs(bound))),
+        }
+        return lhs, var, full_energy, full_energy, (b_restricted, b_centered, step)
 
-    rows, c_hat = _ratio_table(mu, family, terms)
+    rows, c_hat, extras = _ratio_table(mu, family, terms)
+    b_restricted, b_centered, step1 = zip(*extras)
     return TestReport(
         family=family.kind,
         C_hat=c_hat,
-        B_hat=max(b15),
+        B_hat=max(b_restricted),
         rows=rows,
-        details={
-            "K": K,
-            "B16_hat": max(b16),
-            "C16_used": 4.0,
-            "step1_constant": c_step,
-            "step1": step_rows,
-        },
+        details={"K": K, "B16_hat": max(b_centered), "C16_used": 4.0, "step1_constant": c_step, "step1": list(step1)},
     )
 
 
@@ -604,9 +593,9 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
 
     def terms(sf):
         energy = modified_energy(mu, sf, cost)
-        return entropy_functional(mu, sf, F), variance(mu, sf), energy, energy
+        return entropy_functional(mu, sf, F), variance(mu, sf), energy, energy, None
 
-    rows, c_hat = _ratio_table(mu, family, terms)
+    rows, c_hat, _ = _ratio_table(mu, family, terms)
     return TestReport(
         family=family.kind,
         C_hat=c_hat,
@@ -661,12 +650,12 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
                 lhs = 0.0
         else:
             lhs = 0.0
-        rhs_grad = float(mu.integrate(np.abs(sf.dvalues) ** beta))
+        rhs_grad = cost_energy(mu, sf, beta)
         half = v ** (0.5 * beta)
         rhs_var = float(mu.integrate((half - mu.integrate(half)) ** 2))
-        return lhs, rhs_var, rhs_grad, rhs_grad + rhs_var
+        return lhs, rhs_var, rhs_grad, rhs_grad + rhs_var, None
 
-    rows, c_hat = _ratio_table(mu, family, terms)
+    rows, c_hat, _ = _ratio_table(mu, family, terms)
     return TestReport(
         family=family.kind,
         C_hat=c_hat,
@@ -695,8 +684,8 @@ class Lemma33Report:
 
 
 def lemma_3_3_check(mu: Measure1D, F: EntropyFunction, f, g) -> Lemma33Report:
-    sf = _as_sampled(mu, f)
-    sg = _as_sampled(mu, g)
+    sf = _admitted(mu, _as_sampled(mu, f))
+    sg = _admitted(mu, _as_sampled(mu, g))
     vf = sf.values
     vg = sg.values
     if np.any(vf < 0) or np.any(vg < 0):

@@ -5,7 +5,8 @@ headline numbers) of every request a benchmark mix can produce.  This runs
 every `certify`, `tables` and `paper-examples` catalogue request and every
 8th `empirical` one in process, as perfbench/run.py does, and compares each
 outcome with the reference.  perfbench/mix.py and perfbench/reference.py are
-loaded by path and only read."""
+loaded by path and only read, as is tools/catalogue_digest.py, whose digest
+line is checked on one request."""
 
 import importlib.util
 from pathlib import Path
@@ -14,19 +15,19 @@ import pytest
 
 from isocert.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
 STRIDE = {"certify": 1, "tables": 1, "paper-examples": 1, "empirical": 8}
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load(directory, name):
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}", ROOT / directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-mix = _load("mix")
-reference = _load("reference")
+mix = _load("perfbench", "mix")
+reference = _load("perfbench", "reference")
 
 
 @pytest.mark.parametrize("workload", list(STRIDE))
@@ -45,3 +46,12 @@ def test_catalogue_requests_match_the_reference(workload, tmp_path):
         for mismatch in reference.mismatches(expected[key], reference.outcome(argv, rc, path)):
             bad.append(f"{key}: {mismatch}")
     assert not bad, "\n".join(bad)
+
+
+def test_digest_line_names_the_outcome_of_one_request():
+    digest = _load("tools", "catalogue_digest")
+    argv = mix.catalogue("tables")[0]
+    line = digest.digest_line(argv)
+    assert line == digest.digest_line(argv)
+    rc, files, stderr, rest = line.split(" ", 3)
+    assert rc == "0" and len(files) == len(stderr) == 64 and rest == " ".join(argv)

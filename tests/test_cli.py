@@ -754,6 +754,8 @@ _REFUSALS = [
     (["check", "--K", "1", *_N], "K must exceed 1"),
     (["test", "--K", "1", *_N], "K must exceed 1"),
     (["check", "--delta", "0", *_N], "delta must be positive"),
+    (["check", "--measure", "gauss", "--cost", "quadratic:0.25", "--delta", "0.5", *_N],
+     "delta 0.5 conflicts with the delta 0.25 of the cost 'quadratic:0.25'"),
     (["check", "--form", "one_d_quadratic", "--K", "2", *_N], "requires K > 2"),
     (["check", "--t-min", "0.9", *_N], "t_min must lie in"),
     (["check", "--form", "general", "--cost", "quadratic:0.5"], "form 'general'"),

@@ -244,6 +244,32 @@ class TestLogPhiOracle:
         dG = lambda u: np.exp(0.5 * u)
         _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
 
+    @staticmethod
+    def _slow_profile():
+        """F_tau over phi(y) = log(y)/10 at a small tau, with its G and G'.
+        Near x = 264 the maximiser's G'(u*) falls below the rounding of x, so
+        x + 1 - G(u*) cancels to 0."""
+        tau = 0.10238929596641477
+        phi = EntropyFunction(
+            fn=lambda y: np.log(y) / 10.0,
+            dfn=lambda y: 0.1 / np.asarray(y, dtype=float),
+            fn_log=lambda u: np.asarray(u, dtype=float) / 10.0,
+            name="log/10",
+        )
+        G = lambda u: _root_power(u / 10.0, tau)[0]
+        dG = lambda u: _root_power(u / 10.0, tau)[1] / 10.0
+        return F_tau(tau, phi), G, dG
+
+    @pytest.mark.parametrize("x", [100.0, 264.5, 288.8])
+    def test_F_tau_over_a_slow_base_past_the_rounding_of_x(self, x):
+        F, G, dG = self._slow_profile()
+        assert F.log_phi is None
+        _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
+
+    def test_F_tau_over_a_slow_base_is_nondecreasing(self):
+        F, _, _ = self._slow_profile()
+        assert np.all(np.diff(log_Phi(F, np.linspace(0.0, 300.0, 3001))) >= 0)
+
     def test_vector_matches_scalar_calls(self, F_half):
         x = np.linspace(-5.0, 80.0, 37)
         assert np.array_equal(log_Phi(F_half, x), np.array([log_Phi(F_half, v) for v in x]))

@@ -360,12 +360,45 @@ class TestRatioEngine:
         assert rep.C_hat == moving.ratio
 
 
-    def test_member_outside_L2_is_refused_by_name(self, F_log):
-        # e^{x/2} squared outgrows the density e^{-sqrt|x|}
-        mu = build_measure(parse_potential("abs(x)^0.5"))
-        fam = TestFamily("exponential", (0.5,))
-        with pytest.raises(ValueError, match=r"exponential\(0\.5\) is not in L\^2"):
+    # every entry point refuses the member before a functional overflows (so
+    # before numpy warns): on abs(x)^0.5, e^{x/2} squared outgrows the density
+    # e^{-sqrt|x|}; on gauss, e^{50x} squared overflows on the grid
+    @pytest.mark.parametrize("entry", ["2.1", "1.1", "4.4", "lemma_3_3_f", "lemma_3_3_g", "lemma_3_4"])
+    def test_member_outside_L2_is_refused_by_name(self, F_log, entry):
+        mu = builtin_measure("gauss", n=4096)
+        steep = TestFamily("exponential", (100.0,))
+        calls = {
+            "2.1": lambda: verify_theorem_2_1(
+                build_measure(parse_potential("abs(x)^0.5")), F_log, CostFunction.closed_form(1.0, 2.0), 2.0,
+                TestFamily("exponential", (0.5,)),
+            ),
+            "1.1": lambda: verify_theorem_1_1(mu, 1.5, 0.9, 1.0, steep),
+            "4.4": lambda: verify_theorem_4_4(mu, 1.5, steep),
+            "lemma_3_3_f": lambda: lemma_3_3_check(mu, F_log, exp_member(mu, 100.0), exp_member(mu, 1.0)),
+            "lemma_3_3_g": lambda: lemma_3_3_check(mu, F_log, exp_member(mu, 1.0), exp_member(mu, 100.0)),
+            "lemma_3_4": lambda: lemma_3_4_check(mu, F_log, 2.0, steep),
+        }
+        name = {"2.1": r"exponential\(0\.5\)", "lemma_3_3_f": r"exp\(100\)", "lemma_3_3_g": r"exp\(100\)"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=name.get(entry, r"exponential\(100\)") + r" is not in L\^2"):
+                calls[entry]()
+
+    def test_inconsistent_user_derivative_is_refused_by_name(self, F_log):
+        # the supplied derivative is 3x the true one; taken as given it
+        # reported C_hat 0.363 against 3.268 for the true derivative
+        mu = builtin_measure("gauss", n=4096)
+        fam = TestFamily("user", ("tanh",), user_fns=((lambda x: 2.0 + np.tanh(x), lambda x: 3.0 * (1.0 - np.tanh(x) ** 2)),))
+        with pytest.raises(ValueError, match=r"user\(tanh\) has a derivative that disagrees"):
             verify_theorem_2_1(mu, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
+
+    def test_non_finite_energy_term_is_refused_by_name(self):
+        # f and f' are in L^2 on the grid, but |f'|^3 (beta = 3) overflows
+        mu = builtin_measure("exp_power", alpha=1.5, n=4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"member exponential\(40\) has a non-finite energy term \(inf\)"):
+                verify_theorem_4_4(mu, 1.5, TestFamily("exponential", (40.0,)))
 
 
 _ENRICHED_FAMILIES = [
