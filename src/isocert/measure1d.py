@@ -25,6 +25,7 @@ monotone rearrangement f~ = G_{mu_f} o F_{mu_r}(|x|), which preserves the law
 of f while making it radial and increasing.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -453,11 +454,15 @@ class SampledFunction:
         log_deriv = None if log_deriv_fn is None else np.asarray(log_deriv_fn(grid), dtype=float)
         ok = True
         if dfn is not None:
-            rng = np.random.default_rng(2718)
-            idx = rng.integers(1, grid.size - 1, size=10)
-            fd = (values[idx + 1] - values[idx - 1]) / (grid[idx + 1] - grid[idx - 1])
-            scale = np.maximum(np.abs(dvalues[idx]), 1e-8 * (1.0 + np.max(np.abs(values))))
-            ok = bool(np.all(np.abs(fd - dvalues[idx]) <= 0.05 * scale + 1e-8))
+            # central differences on every interior node, compared in L^2(mu):
+            # ||fd - f'|| <= 5% of ||f'|| plus a floor for flat functions.  Squares
+            # that overflow read as inf and pass here; the L^2 admission refuses them.
+            with np.errstate(over="ignore", invalid="ignore"):
+                fd = (values[2:] - values[:-2]) / (grid[2:] - grid[:-2])
+                w = mu.node_mass[1:-1]
+                err = math.sqrt(np.sum(w * (fd - dvalues[1:-1]) ** 2))
+                ref = math.sqrt(np.sum(w * dvalues[1:-1] ** 2))
+            ok = bool(err <= 0.05 * ref + 1e-8 * (1.0 + np.max(np.abs(values))))
         return cls(grid=grid, values=values, dvalues=dvalues, log_deriv=log_deriv, name=name, deriv_consistent=ok)
 
 

@@ -8,10 +8,14 @@ estimates are suprema over *finite* test-function families, so they are
 reported as lower bounds for the true constants, never as certificates.
 
 A member is admitted (`_admitted`) only when its supplied derivative agrees
-with finite differences and int f^2 + f'^2 dmu is finite on the grid, and is
-refused by name with a ValueError otherwise: `TestFamily.members` returns
-admitted members only, and `lemma_3_3_check` admits its f and g.  The
-functionals take members as SampledFunctions on the measure's own grid.
+with finite differences and int f^2 + f'^2 dmu is finite on the grid (and,
+for a display that integrates another power p, |f|^p and |f'|^p stay below
+the largest double at every node), and is refused by name with a ValueError
+otherwise: `TestFamily.members` returns admitted members only, and
+`lemma_3_3_check` admits its f and g.  The functionals take members as
+SampledFunctions on the measure's own grid.  An admitted member carries the
+integrals its admission computed (int f^2 and int f'^2), which the ratio
+engine and the lemmas read instead of recomputing them.
 
 The three `verify_theorem_*` routines share one ratio engine.  Each supplies a
 per-member `terms` function returning its entropy side, variance term, energy
@@ -26,7 +30,7 @@ ratio, or 0 when there is none, so every reported ratio is at most C_hat.
 
 Family members are evaluated independently and reduced in parameter order,
 so reports are deterministic.  The random_smooth phase table is built once
-per members() call and shared by its labels.
+per verify call, shared by the enrichment.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def _shifted_linear(fam, mu, eps):
 def _trig_basis(mu):
     """(omega, cos, sin) with cos and sin of the phases j*omega*x on mu's grid,
     j = 1.._RANDOM_TERMS and omega = pi / max|truncation|: the one table that
-    every random_smooth label of a members() call shares."""
+    every random_smooth label of a verify call shares, its enrichment's too."""
     omega = np.pi / max(abs(mu.truncation[0]), abs(mu.truncation[1]))
     phase = np.outer(mu.grid, np.arange(1, _RANDOM_TERMS + 1, dtype=float) * omega)
     return omega, np.cos(phase), np.sin(phase)
@@ -123,7 +127,7 @@ def _stretched_exp(fam, mu, lam):
 
 
 # kind -> member(family, measure, parameter) = (values, dvalues, log_deriv or None);
-# random_smooth also takes trig=_trig_basis(measure), built once per members() call
+# random_smooth also takes trig=_trig_basis(measure)
 _MEMBERS = {
     "exponential": _exponential,
     "bump": _bump,
@@ -184,14 +188,16 @@ class TestFamily:
             return tuple(int(p) for p in self.params)
         return tuple(sorted(float(p) for p in self.params))
 
-    def members(self, mu: Measure1D):
+    def members(self, mu: Measure1D, *, power: float = 2.0, trig=None):
         """Materialize the family on the measure grid, ordered by parameter;
-        each member is admitted (_admitted) or refused by name.  A member is
-        named kind(p), with p in %g form when it is a float parameter and as
-        given otherwise."""
+        each member is admitted (_admitted, with the power the display
+        integrates) or refused by name.  A member is named kind(p), with p in
+        %g form when it is a float parameter and as given otherwise.  trig,
+        when given, is _trig_basis(mu), built once by a caller that evaluates
+        several random_smooth families on mu."""
         member = _MEMBERS.get(self.kind)
         if self.kind == "random_smooth":
-            member = functools.partial(member, trig=_trig_basis(mu))
+            member = functools.partial(member, trig=_trig_basis(mu) if trig is None else trig)
         out = []
         for i, p in enumerate(self._ordered_params()):
             name = f"{self.kind}({p:g})" if isinstance(p, float) and self.kind != "user" else f"{self.kind}({p})"
@@ -206,7 +212,7 @@ class TestFamily:
                 sf = SampledFunction(grid=mu.grid, values=vals, dvalues=dvals, log_deriv=log_deriv, name=name)
             if not np.all(np.isfinite(sf.values)):
                 raise ValueError(f"family member {sf.name} overflows on the measure grid")
-            out.append(_admitted(mu, sf))
+            out.append(_admitted(mu, sf, power))
         return out
 
     def enriched(self):
@@ -232,17 +238,45 @@ def _as_sampled(mu: Measure1D, f: SampledFunction) -> SampledFunction:
     return f
 
 
-def _admitted(mu: Measure1D, sf: SampledFunction) -> SampledFunction:
+@dataclass(frozen=True, eq=False)
+class _Member(SampledFunction):
+    """An admitted member with the integrals its admission computed, which
+    the ratio engine and the lemmas read: m2 = int f^2 dmu and
+    grad = int f'^2 dmu.  f^2 itself is not kept: a family's members are all
+    alive at once, so it would add a grid table per member to peak memory,
+    for a product that takes one pass to recompute."""
+
+    m2: float = math.nan
+    grad: float = math.nan
+
+
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _admitted(mu: Measure1D, sf: SampledFunction, power: float = 2.0) -> _Member:
     """sf, once it may enter a functional: its supplied derivative agrees with
-    finite differences and f, f' lie in L^2(mu) on the grid, so no functional
-    overflows; refused by name otherwise."""
+    finite differences, f and f' lie in L^2(mu) on the grid and, for a power
+    p other than 2, |f|^p and |f'|^p stay below the largest double at every
+    node (compared in log space, so the check cannot overflow itself; their
+    integrals then cannot either, the node masses summing to 1).  So no
+    functional of a display integrating p overflows.  Refused by name
+    otherwise."""
     if not sf.deriv_consistent:
         raise ValueError(f"member {sf.name} has a derivative that disagrees with its finite differences")
     with np.errstate(over="ignore", invalid="ignore"):
-        l2 = mu.integrate(sf.values**2) + mu.integrate(sf.dvalues**2)
+        m2 = mu.integrate(sf.values**2)
+        grad = mu.integrate(sf.dvalues**2)
+        l2 = m2 + grad
     if not np.isfinite(l2):
         raise ValueError(f"member {sf.name} is not in L^2(mu): f^2 + f'^2 integrates to {l2}")
-    return sf
+    if power != 2.0:
+        top = max(float(np.max(np.abs(sf.values))), float(np.max(np.abs(sf.dvalues))))
+        if top > 0.0 and not power * math.log(top) < _LOG_MAX:
+            raise ValueError(
+                f"member {sf.name} is not in L^{power:g}(mu) on the grid: "
+                f"max(|f|, |f'|)^{power:g} is e^{power * math.log(top):.6g}, past the largest double"
+            )
+    return _Member(**{**vars(sf), "m2": m2, "grad": grad})
 
 
 # -- scalar functionals ----------------------------------------------------------
@@ -251,14 +285,24 @@ def _admitted(mu: Measure1D, sf: SampledFunction) -> SampledFunction:
 def entropy_functional(mu: Measure1D, f, F: EntropyFunction) -> float:
     """Quadrature of f^2 F(f^2 / mu(f^2)); with F = log this is the classical
     entropy of f^2.  Requires f >= 0 and a nonvanishing second moment."""
-    sf = _as_sampled(mu, f)
-    v = sf.values
+    v = _as_sampled(mu, f).values
+    sq = v * v
+    return _entropy(mu, F, v, sq, mu.integrate(sq))
+
+
+def _entropy(mu: Measure1D, F: EntropyFunction, v: np.ndarray, sq: np.ndarray, m2: float) -> float:
+    """entropy_functional from f's tables sq = f^2 and m2 = int f^2 dmu."""
+    return float(mu.integrate(sq * _entropy_level(F, v, sq, m2)))
+
+
+def _entropy_level(F: EntropyFunction, v: np.ndarray, sq: np.ndarray, m2: float) -> np.ndarray:
+    """F(f^2 / m2) for the entropy of f^2, with sq = f^2 and m2 = int f^2 dmu;
+    requires f >= 0 and m2 > 0."""
     if np.any(v < 0):
         raise ValueError("entropy_functional requires f >= 0 on the grid")
-    m2 = mu.integrate(v * v)
     if not m2 > 0:
         raise ValueError("integral of f^2 vanishes; entropy undefined")
-    return float(mu.integrate(v * v * _level_entropy(F, v, m2)))
+    return _level_entropy(F, sq, m2)
 
 
 def cost_energy(mu: Measure1D, f, p: float) -> float:
@@ -280,8 +324,8 @@ def _dual_evaluator(cost: CostFunction, r_max: float):
     return lambda r: np.asarray(table(np.minimum(r, hi)), dtype=float)
 
 
-def _modified_integrand(mu: Measure1D, sf: SampledFunction, cost: CostFunction) -> np.ndarray:
-    """Pointwise f^2 c*(|f'|/f); requires f > 0."""
+def _modified_integrand(sf: SampledFunction, sq: np.ndarray, cost: CostFunction) -> np.ndarray:
+    """Pointwise f^2 c*(|f'|/f) with sq = f^2; requires f > 0."""
     v = sf.values
     if np.any(v <= 0):
         raise ValueError("modified energy requires f > 0; add a family floor")
@@ -290,7 +334,7 @@ def _modified_integrand(mu: Measure1D, sf: SampledFunction, cost: CostFunction) 
     else:
         ratio = np.abs(sf.dvalues) / v
     cstar = _dual_evaluator(cost, float(np.max(ratio)))(ratio)
-    return v * v * cstar
+    return sq * cstar
 
 
 def modified_energy(mu: Measure1D, f, cost: CostFunction) -> float:
@@ -298,7 +342,7 @@ def modified_energy(mu: Measure1D, f, cost: CostFunction) -> float:
     (closed form when the cost is closed form).  The ratio uses the logarithmic
     derivative table when the member carries one."""
     sf = _as_sampled(mu, f)
-    return float(mu.integrate(_modified_integrand(mu, sf, cost)))
+    return float(mu.integrate(_modified_integrand(sf, sf.values * sf.values, cost)))
 
 
 def _centered_integrand(sf: SampledFunction, cost: CostFunction, center: float) -> np.ndarray:
@@ -310,6 +354,10 @@ def _centered_integrand(sf: SampledFunction, cost: CostFunction, center: float) 
     au = np.abs(u)
     dv = np.abs(sf.dvalues)
     zero = au == 0.0
+    if not zero.any():
+        ratio = dv / au
+        with np.errstate(over="ignore"):
+            return u * u * _dual_evaluator(cost, float(np.max(ratio)))(ratio)
     ratio = np.where(zero, 0.0, dv / np.where(zero, 1.0, au))
     r_max = float(np.max(ratio[~zero])) if not np.all(zero) else 1.0
     with np.errstate(over="ignore"):
@@ -327,24 +375,45 @@ def _centered_integrand(sf: SampledFunction, cost: CostFunction, center: float) 
 def variance(mu: Measure1D, f) -> float:
     """Var_mu f by nodal-mass quadrature."""
     v = _as_sampled(mu, f).values
-    m1 = mu.integrate(v)
+    return _variance(mu, v, mu.integrate(v))
+
+
+def _variance(mu: Measure1D, v: np.ndarray, m1: float) -> float:
+    """int (f - m1)^2 dmu with m1 = int f dmu."""
     return float(mu.integrate((v - m1) ** 2))
 
 
 def median_of(mu: Measure1D, f) -> float:
     """inf{t : mu(f > t) <= 1/2}, read from the sorted value table."""
-    v = _as_sampled(mu, f).values
-    u, inv = np.unique(v, return_inverse=True)
-    w = np.zeros(u.size)
-    np.add.at(w, inv, mu.node_mass)
+    return _median(mu, _as_sampled(mu, f).values)
+
+
+def _value_masses(mu: Measure1D, v: np.ndarray):
+    """The distinct values of v in increasing order and the mass mu puts on
+    each.  A stable sort keeps each run of equal values in grid order, so
+    np.add.at sums every value's node masses in grid order, as it would
+    along np.unique's inverse index."""
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    first = np.concatenate(([True], sv[1:] != sv[:-1]))
+    w = np.zeros(int(np.count_nonzero(first)))
+    np.add.at(w, np.cumsum(first) - 1, mu.node_mass[order])
+    return sv[first], w
+
+
+def _median(mu: Measure1D, v: np.ndarray) -> float:
+    u, w = _value_masses(mu, v)
     suffix = np.concatenate((np.cumsum(w[::-1])[::-1][1:], [0.0]))
     return float(u[int(np.argmax(suffix <= 0.5))])
 
 
 def median_energy(mu: Measure1D, f) -> float:
     """int (f - m_f)^2 dmu with m_f the median of f under mu."""
-    v = _as_sampled(mu, f).values
-    return float(mu.integrate((v - median_of(mu, f)) ** 2))
+    return _median_energy(mu, _as_sampled(mu, f).values)
+
+
+def _median_energy(mu: Measure1D, v: np.ndarray) -> float:
+    return float(mu.integrate((v - _median(mu, v)) ** 2))
 
 
 def _restricted_integral(mu: Measure1D, integrand: np.ndarray, marker: np.ndarray) -> float:
@@ -352,29 +421,28 @@ def _restricted_integral(mu: Measure1D, integrand: np.ndarray, marker: np.ndarra
     marker's zero contribute proportionally, the crossing located by linear
     interpolation.  Exactly complementary: the result for marker and -marker
     sums to the full-cell integral."""
-    x = mu.grid
     p = integrand * mu.density
-    p0, p1 = p[:-1], p[1:]
-    m0, m1 = marker[:-1], marker[1:]
-    dx = np.diff(x)
-
-    a = np.zeros_like(dx)
-    b = np.ones_like(dx)
-    denom = m0 - m1
-    safe = np.where(denom == 0.0, 1.0, denom)
-    theta = np.clip(m0 / safe, 0.0, 1.0)
-    # cell fully outside
-    outside = (m0 < 0.0) & (m1 < 0.0)
-    b = np.where(outside, 0.0, b)
-    # marker decreasing through zero: keep [0, theta]
-    dec = (m0 >= 0.0) & (m1 < 0.0)
-    b = np.where(dec, theta, b)
-    # marker increasing through zero: keep [theta, 1]
-    inc = (m0 < 0.0) & (m1 >= 0.0)
-    a = np.where(inc, theta, a)
-
-    width = b - a
-    contrib = dx * (width * p0 + 0.5 * (b * b - a * a) * (p1 - p0))
+    p0 = p[:-1]
+    dp = p[1:] - p0
+    dx = np.diff(mu.grid)
+    # A cell keeps [a, b] of itself, contributing dx ((b - a) p0 + (b^2 - a^2) dp / 2).
+    # A cell with the marker >= 0 (or NaN) at both ends keeps [0, 1], one with
+    # it < 0 at both keeps nothing (a = b = 0), each written so that it rounds
+    # as that formula does; only the cells the marker crosses need theta.
+    neg = marker < 0.0
+    n0, n1 = neg[:-1], neg[1:]
+    contrib = np.where(n0 & n1, dx * (0.0 * p0 + 0.0 * dp), dx * (p0 + 0.5 * dp))
+    cut = np.flatnonzero(n0 != n1)
+    if cut.size:
+        m0, m1 = marker[cut], marker[cut + 1]
+        denom = m0 - m1
+        theta = np.clip(m0 / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+        # marker decreasing through zero: keep [0, theta]; increasing: keep [theta, 1]
+        dec = (m0 >= 0.0) & (m1 < 0.0)
+        inc = (m0 < 0.0) & (m1 >= 0.0)
+        a = np.where(inc, theta, 0.0)
+        b = np.where(dec, theta, 1.0)
+        contrib[cut] = dx[cut] * ((b - a) * p0[cut] + 0.5 * (b * b - a * a) * dp[cut])
     return float(np.sum(contrib))
 
 
@@ -456,43 +524,47 @@ def _member_terms(terms, sf):
     return out
 
 
-def _ratio_table(mu: Measure1D, family: TestFamily, terms):
-    """Rows, C_hat and the members' extras, in row order, for one family.
-    terms(sf) returns the member's (entropy side, variance term, energy term,
-    ratio denominator, extras); the theorem-independent columns are computed
-    here."""
+def _ratio_table(mu: Measure1D, family: TestFamily, terms, power: float = 2.0, enrich: bool = False):
+    """Rows, C_hat, the members' extras in row order and, with enrich, the
+    enrichment check (_enrichment, else {}), for one family whose members are
+    admitted with the power the display integrates.  terms(m) returns the
+    admitted member's (entropy side, variance term, energy term, ratio
+    denominator, extras); the theorem-independent columns are computed here.
+    One random_smooth phase table serves the family and its enrichment."""
     F_log = log_entropy()
+    trig = _trig_basis(mu) if family.kind == "random_smooth" else None
     rows, extras = [], []
-    for sf, label in zip(family.members(mu), family._ordered_params()):
-        lhs, var, energy, den, extra = _member_terms(terms, sf)
+    for m, label in zip(family.members(mu, power=power, trig=trig), family._ordered_params()):
+        lhs, var, energy, den, extra = _member_terms(terms, m)
         extras.append(extra)
-        classical = entropy_functional(mu, sf, F_log)
-        grad = cost_energy(mu, sf, 2.0)
+        classical = _entropy(mu, F_log, m.values, m.values * m.values, m.m2)
         rows.append(
             TestRow(
-                name=sf.name,
+                name=m.name,
                 parameter=_parameter(label),
                 entropy_F=lhs,
                 classical_entropy=classical,
                 variance=var,
-                grad_energy=grad,
+                grad_energy=m.grad,
                 modified_energy=energy,
-                median_energy=median_energy(mu, sf),
+                median_energy=_median_energy(mu, m.values),
                 ratio=_ratio(lhs, den),
-                saturation=bool(grad > 0 and abs(classical / (2.0 * grad) - 1.0) <= _SATURATION_TOL),
+                saturation=bool(m.grad > 0 and abs(classical / (2.0 * m.grad) - 1.0) <= _SATURATION_TOL),
             )
         )
-    return tuple(rows), _sup_ratio(r.ratio for r in rows), extras
+    c_hat = _sup_ratio(r.ratio for r in rows)
+    stability = _enrichment(mu, family, terms, c_hat, power, trig) if enrich else {}
+    return tuple(rows), c_hat, extras, stability
 
 
-def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float) -> dict:
+def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float, power: float, trig) -> dict:
     """C_hat over the enriched family and whether it stays within 10% of
     c_hat.  Only the members the enrichment adds are evaluated (terms only,
     no rows): a member is fixed by its kind, parameter, seed and grid, so the
     family's own ratios are already in c_hat."""
     given = set(family._ordered_params())
     added = tuple(p for p in family.enriched()._ordered_params() if p not in given)
-    members = replace(family, params=added).members(mu) if added else []
+    members = replace(family, params=added).members(mu, power=power, trig=trig) if added else []
     ratios = (_ratio(lhs, den) for lhs, _, _, den, _ in (_member_terms(terms, sf) for sf in members))
     c_enr = max(c_hat, _sup_ratio(ratios))
     stable = bool(np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10)
@@ -516,11 +588,12 @@ def _step1_constant(F: EntropyFunction, K: float) -> float:
     return (4.0 * (K + 1.0) ** 2 + 2.0 + (math.sqrt(K) + 1.0) ** 2) * fprime1
 
 
-def _level_entropy(F: EntropyFunction, v: np.ndarray, m2: float) -> np.ndarray:
-    """F(h) with h = f^2 / mu(f^2) where h > 0, and 0 where h is 0 (f = 0, or
-    f^2 / mu(f^2) below the smallest double), so F(0) = -inf never enters."""
-    h = v * v / m2
-    out = np.zeros_like(v)
+def _level_entropy(F: EntropyFunction, sq: np.ndarray, m2: float) -> np.ndarray:
+    """F(h) with h = f^2 / mu(f^2) (sq = f^2, m2 = mu(f^2)) where h > 0, and 0
+    where h is 0 (f = 0, or f^2 / mu(f^2) below the smallest double), so
+    F(0) = -inf never enters."""
+    h = sq / m2
+    out = np.zeros_like(sq)
     pos = h > 0
     out[pos] = np.asarray(F(h[pos]), dtype=float)
     return out
@@ -542,23 +615,25 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
     the family, its members' admission."""
     c_step = _step1_constant(F, K)
 
-    def terms(sf):
-        v = sf.values
-        m2 = mu.integrate(v * v)
-        lhs = entropy_functional(mu, sf, F)
-        var = variance(mu, sf)
-        integrand = _modified_integrand(mu, sf, cost)
+    def terms(m):
+        v, m2 = m.values, m.m2
+        sq = v * v
+        level = _entropy_level(F, v, sq, m2)
+        lhs = float(mu.integrate(sq * level))
+        m1 = mu.integrate(v)
+        var = _variance(mu, v, m1)
+        integrand = _modified_integrand(m, sq, cost)
         full_energy = float(mu.integrate(integrand))
-        restricted = _restricted_integral(mu, integrand, v * v - K * m2)
+        restricted = _restricted_integral(mu, integrand, sq - K * m2)
         b_restricted = _least_constant(lhs - 4.0 * restricted, m2)
-        e16 = float(mu.integrate(_centered_integrand(sf, cost, mu.integrate(v))))
+        e16 = float(mu.integrate(_centered_integrand(m, cost, m1)))
         b_centered = _least_constant(lhs - 4.0 * e16, var)
 
         # truncated layer integral and its explicit variance bound
-        i1 = float(mu.integrate(_level_entropy(F, v, m2) * np.minimum(v * v, K * m2)))
+        i1 = float(mu.integrate(level * np.minimum(sq, K * m2)))
         bound = c_step * var
         step = {
-            "name": sf.name,
+            "name": m.name,
             "I1": i1,
             "bound": bound,
             "margin": bound - i1,
@@ -566,7 +641,7 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
         }
         return lhs, var, full_energy, full_energy, (b_restricted, b_centered, step)
 
-    rows, c_hat, extras = _ratio_table(mu, family, terms)
+    rows, c_hat, extras, _ = _ratio_table(mu, family, terms)
     b_restricted, b_centered, step1 = zip(*extras)
     return TestReport(
         family=family.kind,
@@ -591,17 +666,19 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
     # pre-dualized so the energy integrand applies c_{A,q} itself
     cost = dual_cost(CostFunction.closed_form(A, q))
 
-    def terms(sf):
-        energy = modified_energy(mu, sf, cost)
-        return entropy_functional(mu, sf, F), variance(mu, sf), energy, energy, None
+    def terms(m):
+        v = m.values
+        sq = v * v
+        energy = float(mu.integrate(_modified_integrand(m, sq, cost)))
+        return _entropy(mu, F, v, sq, m.m2), _variance(mu, v, mu.integrate(v)), energy, energy, None
 
-    rows, c_hat, _ = _ratio_table(mu, family, terms)
+    rows, c_hat, _, stability = _ratio_table(mu, family, terms, enrich=True)
     return TestReport(
         family=family.kind,
         C_hat=c_hat,
         B_hat=None,
         rows=rows,
-        details={"alpha": alpha, "tau": tau, "A": A, "q": q, **_enrichment(mu, family, terms, c_hat)},
+        details={"alpha": alpha, "tau": tau, "A": A, "q": q, **stability},
     )
 
 
@@ -637,8 +714,8 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
     if eps_used is None:
         raise ValueError("could not verify int e^{eps|x|^alpha} dmu finite on the grid")
 
-    def terms(sf):
-        v = np.abs(sf.values)
+    def terms(m):
+        v = np.abs(m.values)
         g = v**beta
         mg = mu.integrate(g)
         if mg > 0:
@@ -650,18 +727,18 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
                 lhs = 0.0
         else:
             lhs = 0.0
-        rhs_grad = cost_energy(mu, sf, beta)
+        rhs_grad = float(mu.integrate(np.abs(m.dvalues) ** beta))
         half = v ** (0.5 * beta)
-        rhs_var = float(mu.integrate((half - mu.integrate(half)) ** 2))
+        rhs_var = _variance(mu, half, mu.integrate(half))
         return lhs, rhs_var, rhs_grad, rhs_grad + rhs_var, None
 
-    rows, c_hat, _ = _ratio_table(mu, family, terms)
+    rows, c_hat, _, stability = _ratio_table(mu, family, terms, power=beta, enrich=True)
     return TestReport(
         family=family.kind,
         C_hat=c_hat,
         B_hat=None,
         rows=rows,
-        details={"alpha": alpha, "beta": beta, "eps_used": eps_used, **_enrichment(mu, family, terms, c_hat)},
+        details={"alpha": alpha, "beta": beta, "eps_used": eps_used, **stability},
     )
 
 
@@ -690,8 +767,7 @@ def lemma_3_3_check(mu: Measure1D, F: EntropyFunction, f, g) -> Lemma33Report:
     vg = sg.values
     if np.any(vf < 0) or np.any(vg < 0):
         raise ValueError("lemma_3_3_check requires nonnegative f and g")
-    m2f = mu.integrate(vf * vf)
-    m2g = mu.integrate(vg * vg)
+    m2f, m2g = sf.m2, sg.m2
     if not (m2f > 0 and m2g > 0):
         raise ValueError("f and g need nonvanishing second moments")
 
@@ -700,7 +776,8 @@ def lemma_3_3_check(mu: Measure1D, F: EntropyFunction, f, g) -> Lemma33Report:
     Fh = np.full_like(h, -np.inf)
     Fh[pos] = np.asarray(F(h[pos]), dtype=float)
 
-    lhs_terms = np.where(vf == 0.0, 0.0, vf * vf * Fh)
+    sqf = vf * vf
+    lhs_terms = np.where(vf == 0.0, 0.0, sqf * Fh)
     lhs = float(np.sum(lhs_terms * mu.node_mass))
 
     u = np.full_like(h, -np.inf)
@@ -710,7 +787,7 @@ def lemma_3_3_check(mu: Measure1D, F: EntropyFunction, f, g) -> Lemma33Report:
         with np.errstate(over="ignore"):
             phi_vals[pos] = np.exp(log_Phi(F, 0.5 * u[pos]))
     C = 2.0 * float(mu.integrate(phi_vals)) - 1.0
-    rhs = 2.0 * entropy_functional(mu, sf, F) + C * m2f
+    rhs = 2.0 * _entropy(mu, F, vf, sqf, m2f) + C * m2f
     margin = rhs - lhs
     scale = max(1.0, abs(rhs), abs(lhs) if np.isfinite(lhs) else 0.0)
     finite_u = u[np.isfinite(u)]
@@ -747,15 +824,15 @@ def lemma_3_4_check(mu: Measure1D, F: EntropyFunction, K: float, family: TestFam
     rows = []
     b_hat = 0.0
     all_ok = True
-    for sf in family.members(mu):
-        v = sf.values
-        m2 = mu.integrate(v * v)
-        Fh = _level_entropy(F, v, m2)
-        integrand = np.where(v > 0, v * v * Fh, 0.0)
+    for m in family.members(mu):
+        v, m2 = m.values, m.m2
+        sq = v * v
+        Fh = _level_entropy(F, sq, m2)
+        integrand = np.where(v > 0, sq * Fh, 0.0)
 
         full = float(mu.integrate(integrand))
-        restricted = _restricted_integral(mu, integrand, v * v - K * m2)
-        var = variance(mu, sf)
+        restricted = _restricted_integral(mu, integrand, sq - K * m2)
+        var = _variance(mu, v, mu.integrate(v))
         margin1 = c_used * var + full - restricted
         scale1 = max(1.0, abs(full), c_used * var)
         ok1 = bool(margin1 >= -1e-9 * scale1)
@@ -768,7 +845,7 @@ def lemma_3_4_check(mu: Measure1D, F: EntropyFunction, K: float, family: TestFam
 
         rows.append(
             {
-                "name": sf.name,
+                "name": m.name,
                 "full": full,
                 "restricted": restricted,
                 "variance": var,

@@ -822,6 +822,17 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert "exponential(0.5) is not in L^2" in captured.err and captured.out == ""
 
+    def test_member_past_the_largest_double_exits_two_without_numpy_warnings(self, capsys):
+        # f = e^{20x} and f' are in L^2 on this grid, but |f'|^3 (beta = 3)
+        # reaches e^727.6 at the last node, past the largest double
+        argv = ["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--alpha", "1.5",
+                "--family", "exponential", "--params", "40", "--n", "4096"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "exponential(40) is not in L^3(mu) on the grid" in captured.err and captured.out == ""
+
 
 class TestEntryPoints:
     def test_console_script_on_path(self, tmp_path):
