@@ -145,9 +145,9 @@ def _decade_edges(K, t_min):
     return edges[edges >= s0 - 1e-12]
 
 
-def _condition_reports(spec, deltas, n_per_decade):
-    """One ConditionReport per delta in deltas, from one evaluation of the
-    profile, F and the cost on the quadrature nodes and one log_Phi call."""
+def _condition_report(spec, n_per_decade):
+    """The ConditionReport of spec: one evaluation of the profile, F and the
+    cost on the quadrature nodes and one log_Phi call."""
     if not (n_per_decade >= 2 and n_per_decade % 2 == 0):
         raise ValueError(f"n_per_decade must be an even integer >= 2 (Simpson panels), got {n_per_decade}")
     rep = check_assumptions(spec.F)
@@ -172,11 +172,11 @@ def _condition_reports(spec, deltas, n_per_decade):
         carg, trunc = eval_cost(spec.cost, ratio, return_flag=True)
         if np.any(trunc):
             flags.append("cost_extrapolated_beyond_grid")
-        x = np.multiply.outer(deltas, carg)
+        x = spec.delta * carg
     else:
-        x = np.multiply.outer(deltas, ratio) * ratio
+        x = spec.delta * ratio * ratio
     # the generic log_Phi route takes 1-D arguments only
-    log_phi = log_Phi(spec.F, x.ravel()).reshape((len(deltas),) + s.shape)
+    log_phi = log_Phi(spec.F, x).reshape(s.shape)
 
     # Simpson weights per decade; Jacobian dt = e^{-s} ds
     w = np.ones(n_per_decade + 1)
@@ -187,15 +187,12 @@ def _condition_reports(spec, deltas, n_per_decade):
     t_edges = np.exp(-edges)
     with np.errstate(over="ignore"):
         partials = np.exp(log_partials)
-    return [
-        _classify(spec, d, lphi[:, -1][-3:], s[:, -1][-3:], lp, ps, t_edges, flags)
-        for d, lphi, lp, ps in zip(deltas, log_phi, log_partials, partials)
-    ]
+    return _classify(spec, log_phi[:, -1][-3:], s[:, -1][-3:], log_partials, partials, t_edges, flags)
 
 
-def _classify(spec, delta, H, S, log_partials, partials, t_edges, flags):
-    """The report for one delta: H is log Phi and S is s at the last three
-    decade ends, log_partials and partials are the per-decade sums."""
+def _classify(spec, H, S, log_partials, partials, t_edges, flags):
+    """The report of spec: H is log Phi and S is s at the last three decade
+    ends, log_partials and partials are the per-decade sums."""
     decades = tuple(
         {
             "t_lo": float(t_edges[i + 1]),
@@ -233,7 +230,7 @@ def _classify(spec, delta, H, S, log_partials, partials, t_edges, flags):
         verdict=verdict,
         integral_estimate=total if np.isfinite(total) else None,
         log10_integral_estimate=log_total / _LN10,
-        delta=delta,
+        delta=spec.delta,
         K=spec.K,
         tail_p=tail_p,
         decades=decades,
@@ -255,7 +252,7 @@ def check_condition(spec, n_per_decade=256):
     since linear extrapolation underestimates a superlinear cost.
     n_per_decade is the Simpson panel count per decade: even and at least 2.
     """
-    return _condition_reports(spec, (spec.delta,), n_per_decade)[0]
+    return _condition_report(spec, n_per_decade)
 
 
 @dataclass(frozen=True)
@@ -267,13 +264,13 @@ class SweepReport:
 
 
 def check_condition_sweep(spec, deltas=(1.0, 0.5, 0.25, 0.125, 0.0625), n_per_decade=256):
-    """The condition across a delta sweep, validated and evaluated as
-    check_condition does, with one log_Phi call for all deltas; any delta > 0
+    """check_condition at each delta of a sweep, largest first; any delta > 0
     suffices for the inequality once the cost growth condition holds, so the
     certificate is the largest sampled delta with a FINITE verdict."""
     # replace() runs ConditionSpec's check on each delta
-    deltas = tuple(replace(spec, delta=d).delta for d in sorted(set(float(d) for d in deltas), reverse=True))
-    reports = tuple(_condition_reports(spec, deltas, n_per_decade))
+    specs = [replace(spec, delta=d) for d in sorted(set(float(d) for d in deltas), reverse=True)]
+    deltas = tuple(s.delta for s in specs)
+    reports = tuple(check_condition(s, n_per_decade) for s in specs)
     return SweepReport(
         deltas=deltas,
         verdicts=tuple(r.verdict for r in reports),

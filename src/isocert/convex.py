@@ -118,16 +118,6 @@ def eval_cost(c, x, return_flag=False):
     return (out, flag) if return_flag else out
 
 
-def cost_derivative(c, x):
-    """c'(x); chord slopes for sampled costs."""
-    x = np.asarray(x, dtype=float)
-    if c.is_closed_form:
-        A, a = c.A, c.alpha
-        return np.where(x <= A, x, A ** (2.0 - a) * x ** (a - 1.0))
-    h = np.maximum(1e-7 * (1.0 + np.abs(x)), 1e-12)
-    return (eval_cost(c, x + h) - eval_cost(c, np.maximum(x - h, 0))) / (h + np.minimum(x, h))
-
-
 def dual_cost(c):
     """Closed-form Legendre conjugate: the same family at the dual exponent."""
     if not c.is_closed_form:

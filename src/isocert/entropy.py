@@ -211,14 +211,6 @@ def eval_psi_tau_beta(tau, beta, x):
     return float(out) if out.ndim == 0 else out
 
 
-def psi_derivative(tau, beta, x):
-    x = np.asarray(x, dtype=float)
-    base = 1.0 + tau * (x - 1.0)
-    with np.errstate(invalid="ignore"):
-        upper = np.maximum(base, 1e-300) ** (2.0 / (tau * beta) - 1.0)
-    return np.where(x <= 1.0, 1.0, upper)
-
-
 _EPS = float(np.finfo(float).eps)
 _ROOT_ITERATIONS = 200
 _FD_STEP = 1e-4  # central-difference step in u, relative to max(1, |u|)
@@ -404,6 +396,7 @@ class AssumptionReport:
 
 
 _ASSUMPTION_POINTS = 4096
+_F1_TOL = 1e-10  # |F(1)| up to which F(1) = 0 holds, for A1 and I_F_profile
 
 
 def check_assumptions(F):
@@ -422,7 +415,7 @@ def _sample_assumptions(F, n):
     slopes = np.diff(vals) / np.diff(y)
     inc = slopes >= -tol
     conc = np.diff(slopes) <= tol
-    a1 = abs(f1) <= 1e-10 and bool(np.all(inc)) and bool(np.all(conc))
+    a1 = abs(f1) <= _F1_TOL and bool(np.all(inc)) and bool(np.all(conc))
     if not np.all(inc):
         wit["a1_monotone"] = float(y[np.argmin(inc)])
     if not np.all(conc):

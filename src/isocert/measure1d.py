@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .entropy import log_entropy
+from .entropy import _F1_TOL, log_entropy
 
 TRUST_TAIL = 1e-15  # smallest one-sided mass the accumulated tables resolve reliably
 _LOG_TRUNC = float(np.log(1e18))  # potential rise at which the density is cut off
@@ -511,7 +511,7 @@ class IFProfile:
 
 def I_F_profile(mu, F, r_grid):
     r = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    if abs(float(F(np.array([1.0]))[0])) > 1e-9:
+    if abs(float(F(np.array([1.0]))[0])) > _F1_TOL:
         raise ValueError("entropy profile must satisfy F(1) = 0")
     s = np.atleast_1d(mu.mass_outside(r))
     zero = s <= 0.0

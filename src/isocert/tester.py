@@ -17,6 +17,10 @@ SampledFunctions on the measure's own grid.  An admitted member carries the
 integrals its admission computed (int f^2 and int f'^2), which the ratio
 engine and the lemmas read instead of recomputing them.
 
+Every entropy reported here comes from one pair: the level table
+F(f^2 / mu(f^2)) of `_level_entropy` and its integral against f^2 in
+`_entropy`, which reads an |Ent| within _ENT_ROUNDING of mu(f^2) as 0.
+
 The three `verify_theorem_*` routines share one ratio engine.  Each supplies a
 per-member `terms` function returning its entropy side, variance term, energy
 term (refused by name when not finite), ratio denominator and extras;
@@ -287,22 +291,42 @@ def entropy_functional(mu: Measure1D, f, F: EntropyFunction) -> float:
     entropy of f^2.  Requires f >= 0 and a nonvanishing second moment."""
     v = _as_sampled(mu, f).values
     sq = v * v
-    return _entropy(mu, F, v, sq, mu.integrate(sq))
+    m2 = mu.integrate(sq)
+    return _entropy(mu, sq, m2, _level_entropy(F, v, sq, m2))
 
 
-def _entropy(mu: Measure1D, F: EntropyFunction, v: np.ndarray, sq: np.ndarray, m2: float) -> float:
-    """entropy_functional from f's tables sq = f^2 and m2 = int f^2 dmu."""
-    return float(mu.integrate(sq * _entropy_level(F, v, sq, m2)))
+def _classical_entropy(mu: Measure1D, m: _Member) -> float:
+    """entropy_functional(mu, m, log) of an admitted member, from its m2."""
+    sq = m.values * m.values
+    return _entropy(mu, sq, m.m2, _level_entropy(log_entropy(), m.values, sq, m.m2))
 
 
-def _entropy_level(F: EntropyFunction, v: np.ndarray, sq: np.ndarray, m2: float) -> np.ndarray:
-    """F(f^2 / m2) for the entropy of f^2, with sq = f^2 and m2 = int f^2 dmu;
-    requires f >= 0 and m2 > 0."""
+def _level_entropy(F: EntropyFunction, v: np.ndarray, sq: np.ndarray, m2: float) -> np.ndarray:
+    """F(h) with h = f^2 / m2 (sq = f^2, m2 = int f^2 dmu) where h > 0, and 0
+    where h is 0 (f = 0, or f^2 / m2 below the smallest double), so
+    F(0) = -inf never enters; requires f >= 0 and m2 > 0."""
     if np.any(v < 0):
         raise ValueError("entropy_functional requires f >= 0 on the grid")
     if not m2 > 0:
         raise ValueError("integral of f^2 vanishes; entropy undefined")
-    return _level_entropy(F, sq, m2)
+    h = sq / m2
+    out = np.zeros_like(sq)
+    pos = h > 0
+    out[pos] = np.asarray(F(h[pos]), dtype=float)
+    return out
+
+
+_ENT_ROUNDING = 1e-10  # relative floor below which an entropy reads as 0
+
+
+def _entropy(mu: Measure1D, sq: np.ndarray, m2: float, level: np.ndarray) -> float:
+    """int sq * level dmu for level = _level_entropy(F, v, sq, m2): the
+    entropy every display and lemma reports.  An |Ent| at or below
+    _ENT_ROUNDING * m2 is the rounding of the quadrature (for a constant f it
+    is the error of the summed node masses, at most n * eps), so it reads as
+    0 and a constant member gets a NaN ratio, not an infinite constant."""
+    ent = float(mu.integrate(sq * level))
+    return 0.0 if abs(ent) <= _ENT_ROUNDING * m2 else ent
 
 
 def cost_energy(mu: Measure1D, f, p: float) -> float:
@@ -531,13 +555,12 @@ def _ratio_table(mu: Measure1D, family: TestFamily, terms, power: float = 2.0, e
     admitted member's (entropy side, variance term, energy term, ratio
     denominator, extras); the theorem-independent columns are computed here.
     One random_smooth phase table serves the family and its enrichment."""
-    F_log = log_entropy()
     trig = _trig_basis(mu) if family.kind == "random_smooth" else None
     rows, extras = [], []
     for m, label in zip(family.members(mu, power=power, trig=trig), family._ordered_params()):
         lhs, var, energy, den, extra = _member_terms(terms, m)
         extras.append(extra)
-        classical = _entropy(mu, F_log, m.values, m.values * m.values, m.m2)
+        classical = _classical_entropy(mu, m)
         rows.append(
             TestRow(
                 name=m.name,
@@ -588,17 +611,6 @@ def _step1_constant(F: EntropyFunction, K: float) -> float:
     return (4.0 * (K + 1.0) ** 2 + 2.0 + (math.sqrt(K) + 1.0) ** 2) * fprime1
 
 
-def _level_entropy(F: EntropyFunction, sq: np.ndarray, m2: float) -> np.ndarray:
-    """F(h) with h = f^2 / mu(f^2) (sq = f^2, m2 = mu(f^2)) where h > 0, and 0
-    where h is 0 (f = 0, or f^2 / mu(f^2) below the smallest double), so
-    F(0) = -inf never enters."""
-    h = sq / m2
-    out = np.zeros_like(sq)
-    pos = h > 0
-    out[pos] = np.asarray(F(h[pos]), dtype=float)
-    return out
-
-
 # -- theorem-level verification ---------------------------------------------------
 
 
@@ -618,8 +630,8 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
     def terms(m):
         v, m2 = m.values, m.m2
         sq = v * v
-        level = _entropy_level(F, v, sq, m2)
-        lhs = float(mu.integrate(sq * level))
+        level = _level_entropy(F, v, sq, m2)
+        lhs = _entropy(mu, sq, m2, level)
         m1 = mu.integrate(v)
         var = _variance(mu, v, m1)
         integrand = _modified_integrand(m, sq, cost)
@@ -667,10 +679,10 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
     cost = dual_cost(CostFunction.closed_form(A, q))
 
     def terms(m):
-        v = m.values
+        v, m2 = m.values, m.m2
         sq = v * v
         energy = float(mu.integrate(_modified_integrand(m, sq, cost)))
-        return _entropy(mu, F, v, sq, m.m2), _variance(mu, v, mu.integrate(v)), energy, energy, None
+        return _entropy(mu, sq, m2, _level_entropy(F, v, sq, m2)), _variance(mu, v, mu.integrate(v)), energy, energy, None
 
     rows, c_hat, _, stability = _ratio_table(mu, family, terms, enrich=True)
     return TestReport(
@@ -682,9 +694,6 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
     )
 
 
-_ENT_ROUNDING = 1e-10  # relative floor below which verify_theorem_4_4 reads Ent as 0
-
-
 def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestReport:
     """Power-entropy display on a log-concave measure: with beta = alpha/(alpha-1),
     tests Ent |f|^beta <= C [ int |f'|^beta dmu + Var |f|^{beta/2} ] and reports
@@ -692,15 +701,16 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
     Requires a log-concave measure and a numerically verified
     int e^{eps |x|^alpha} dmu < infinity for a sampled eps.
 
-    An |Ent| at or below _ENT_ROUNDING = 1e-10 of int |f|^beta dmu counts as
-    0: it is the rounding of the quadrature (for a constant f it equals the
-    error of the summed node masses, at most n * eps), so a constant member
-    gets a NaN ratio rather than an infinite constant."""
+    Ent |f|^beta is the entropy of (|f|^{beta/2})^2 under the one rule of
+    _entropy: an |Ent| at or below 1e-10 of int |f|^beta dmu counts as 0, so
+    a constant member gets a NaN ratio rather than an infinite constant, and
+    a member that vanishes on the grid is refused."""
     if not mu.log_concave:
         raise ValueError("refused: measure is not log-concave")
     if not alpha > 1.0:
         raise ValueError("alpha must exceed 1")
     beta = alpha / (alpha - 1.0)
+    F_log = log_entropy()
 
     eps_used = None
     for eps in (0.05, 0.1, 0.2):
@@ -718,16 +728,8 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
         v = np.abs(m.values)
         g = v**beta
         mg = mu.integrate(g)
-        if mg > 0:
-            ent_terms = np.zeros_like(g)
-            pos = g > 0
-            ent_terms[pos] = g[pos] * np.log(g[pos] / mg)
-            lhs = float(mu.integrate(ent_terms))
-            if abs(lhs) <= _ENT_ROUNDING * mg:
-                lhs = 0.0
-        else:
-            lhs = 0.0
-        rhs_grad = float(mu.integrate(np.abs(m.dvalues) ** beta))
+        lhs = _entropy(mu, g, mg, _level_entropy(F_log, v, g, mg))
+        rhs_grad = cost_energy(mu, m, beta)
         half = v ** (0.5 * beta)
         rhs_var = _variance(mu, half, mu.integrate(half))
         return lhs, rhs_var, rhs_grad, rhs_grad + rhs_var, None
@@ -787,7 +789,7 @@ def lemma_3_3_check(mu: Measure1D, F: EntropyFunction, f, g) -> Lemma33Report:
         with np.errstate(over="ignore"):
             phi_vals[pos] = np.exp(log_Phi(F, 0.5 * u[pos]))
     C = 2.0 * float(mu.integrate(phi_vals)) - 1.0
-    rhs = 2.0 * _entropy(mu, F, vf, sqf, m2f) + C * m2f
+    rhs = 2.0 * _entropy(mu, sqf, m2f, _level_entropy(F, vf, sqf, m2f)) + C * m2f
     margin = rhs - lhs
     scale = max(1.0, abs(rhs), abs(lhs) if np.isfinite(lhs) else 0.0)
     finite_u = u[np.isfinite(u)]
@@ -827,10 +829,10 @@ def lemma_3_4_check(mu: Measure1D, F: EntropyFunction, K: float, family: TestFam
     for m in family.members(mu):
         v, m2 = m.values, m.m2
         sq = v * v
-        Fh = _level_entropy(F, sq, m2)
-        integrand = np.where(v > 0, sq * Fh, 0.0)
+        Fh = _level_entropy(F, v, sq, m2)
+        integrand = sq * Fh
 
-        full = float(mu.integrate(integrand))
+        full = _entropy(mu, sq, m2, Fh)
         restricted = _restricted_integral(mu, integrand, sq - K * m2)
         var = _variance(mu, v, mu.integrate(v))
         margin1 = c_used * var + full - restricted

@@ -47,13 +47,13 @@ class TestVerdicts:
         mu = builtin_measure("exp_power", alpha=1.5, n=4096)
         singles = [check_exp_power(mu, 1.5, tau) for tau in (1.0, 2.0 / 3.0)]
         passes = []
-        reports = checker._condition_reports
+        report = checker._condition_report
 
-        def counted(spec, deltas, n_per_decade):
+        def counted(spec, n_per_decade):
             passes.append(spec.form)
-            return reports(spec, deltas, n_per_decade)
+            return report(spec, n_per_decade)
 
-        monkeypatch.setattr(checker, "_condition_reports", counted)
+        monkeypatch.setattr(checker, "_condition_report", counted)
         shared = checker._exp_power_reports(mu, 1.5, (1.0, 2.0 / 3.0, 1.0))
         assert sorted(passes) == ["general", "general", "quadratic"]
         assert shared == [singles[0], singles[1], singles[0]]

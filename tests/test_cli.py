@@ -344,6 +344,20 @@ class TestTestCommand:
         assert np.isfinite(payload["C_hat"]) and payload["C_hat"] > 0
         assert payload["details"]["beta"] == 3
 
+    def test_power_beta_level_underflow_is_finite_without_numpy_warnings(self, capsys):
+        # |f|^3 / int |f|^3 dmu of f = e^{15x} underflows to 0 at the left nodes,
+        # where |f|^3 is still positive: read as log 0 there, it made entropy_F
+        # -inf and C_hat 0
+        argv = ["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--alpha", "1.5",
+                "--family", "exponential", "--params", "30", "--n", "4096"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        row = payload["rows"][0]
+        assert np.isfinite(row["entropy_F"]) and row["entropy_F"] > 0
+        assert payload["C_hat"] == row["ratio"] > 0
+
     def test_bad_params_exit_two(self, capsys):
         assert main(["test", "--params", "abc"]) == 2
         assert "params" in capsys.readouterr().err
@@ -425,13 +439,13 @@ class TestPaperExamplesCommand:
     def test_each_distinct_condition_runs_once(self, tmp_path, monkeypatch):
         # loglog, the two cost runs, and one endpoint run shared by both taus
         passes = []
-        reports = checker._condition_reports
+        report = checker._condition_report
 
-        def counted(spec, deltas, n_per_decade):
+        def counted(spec, n_per_decade):
             passes.append((spec.F.name, spec.form))
-            return reports(spec, deltas, n_per_decade)
+            return report(spec, n_per_decade)
 
-        monkeypatch.setattr(checker, "_condition_reports", counted)
+        monkeypatch.setattr(checker, "_condition_report", counted)
         assert main(["paper-examples", "--n", "4096", "--n-per-decade", "16", "--out", str(tmp_path / "p.json")]) == 0
         assert sorted(passes) == sorted([
             ("log", "quadratic"),
@@ -749,6 +763,8 @@ _REFUSALS = [
     (["check", "--entropy", "ftau:0"], "tau must lie in (0, 1]"),
     (["check", "--entropy", "ftau:1.5"], "tau must lie in (0, 1]"),
     (["check", "--entropy", "expr:x^2", *_N], "(A1-A2)"),
+    (["profile", "--profile-kind", "if", "--measure", "gauss", "--entropy", "expr:log(x)+5e-10", "--grid", "0:4:5"],
+     "entropy profile must satisfy F(1) = 0"),
     (["check", "--measure", "exp", "--entropy", "expr:log(x)", "--cost", "c:1:3", *_N], "log-form"),
     (["check", "--measure", "expr:log(x)", *_N], "log of a nonpositive value"),
     (["check", "--K", "1", *_N], "K must exceed 1"),

@@ -10,7 +10,6 @@ from isocert.convex import (
     CostFunction,
     check_condition_H,
     conjugate_exponent,
-    cost_derivative,
     double_conjugate,
     dual_cost,
     eval_cost,
@@ -67,13 +66,6 @@ class TestClosedForm:
         c = CostFunction.closed_form(1.0, 2.0)
         with pytest.raises(ValueError):
             eval_cost(c, -1.0)
-
-    def test_derivative_matches_difference_quotient(self):
-        c = CostFunction.closed_form(1.0, 1.5)
-        x = np.array([0.3, 0.9, 1.5, 4.0])
-        h = 1e-6
-        fd = (eval_cost(c, x + h) - eval_cost(c, x - h)) / (2 * h)
-        assert np.allclose(cost_derivative(c, x), fd, rtol=1e-5)
 
 
 class TestDuality:

@@ -17,7 +17,6 @@ from isocert.entropy import (
     lemma32_bound_check,
     log_Phi,
     log_entropy,
-    psi_derivative,
 )
 from isocert.expr import parse_potential
 
@@ -132,12 +131,6 @@ class TestConcavePerturbation:
         y = np.geomspace(1.0, 1e8, 200)
         composed = eval_psi_tau_beta(tau, beta, Ft(y))
         assert np.allclose(composed, Fb(y), rtol=1e-12)
-
-    def test_derivative_matches_difference_quotient(self):
-        x = np.array([0.5, 2.0, 7.0])
-        h = 1e-7
-        fd = (eval_psi_tau_beta(0.5, 4.0, x + h) - eval_psi_tau_beta(0.5, 4.0, x - h)) / (2 * h)
-        assert np.allclose(psi_derivative(0.5, 4.0, x), fd, rtol=1e-5)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -318,15 +318,6 @@ class TestPowerEntropyInequality:
         with pytest.raises(ValueError):
             verify_theorem_4_4(exp_power_15, 1.0, fam)
 
-    def test_rounding_of_a_constant_is_no_evidence(self, gauss):
-        # Ent |f|^3 of f = 1000 is a rounding residue (2.2e-7 against
-        # int |f|^3 = 1e9); read as an entropy it gave C_hat = inf
-        fam = TestFamily("user", ("const",), user_fns=(_constant(1000.0),))
-        rep = verify_theorem_4_4(gauss, 1.5, fam)
-        assert rep.rows[0].entropy_F == 0.0
-        assert np.isnan(rep.rows[0].ratio)
-        assert rep.C_hat == 0.0
-
     def test_insufficient_decay_is_rejected(self):
         mu = builtin_measure("exp_power", alpha=1.1, n=4096)
         fam = TestFamily("stretched_exp", (0.25,))
@@ -339,6 +330,31 @@ def _constant(c):
 
 
 class TestRatioEngine:
+    # a constant member's entropy is a rounding residue over a zero energy or
+    # variance, so it reads as 0: no evidence, a NaN ratio and no infinite
+    # constant.  Read as an entropy, the residue (4.2e-16 for f = 1.37 on 2.1
+    # and 1.1, 2.2e-7 against int |f|^3 = 1e9 for f = 1000 on 4.4, 2.7e-15
+    # for f = 3.5 on lemma 3.4) gave C_hat = inf, B16_hat = 8.5e15 on 2.1 and
+    # B_hat = inf on lemma 3.4
+    @pytest.mark.parametrize("entry", ["2.1", "1.1", "4.4", "lemma_3_4"])
+    def test_rounding_of_a_constant_is_no_evidence(self, gauss, F_log, entry):
+        flat = TestFamily("shifted_linear", (0.0,), floor=0.37)
+        if entry == "lemma_3_4":
+            rep = lemma_3_4_check(builtin_measure("exp", n=4096), F_log, 2.0, dataclasses.replace(flat, floor=2.5))
+            assert rep.rows[0]["full"] == 0.0 and rep.B_hat == 0.0
+            return
+        if entry == "2.1":
+            rep = verify_theorem_2_1(gauss, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, flat)
+            assert rep.B_hat == 0.0 and rep.details["B16_hat"] == 0.0
+        elif entry == "1.1":
+            rep = verify_theorem_1_1(builtin_measure("exp_power", alpha=1.8, n=4096), 1.8, 0.9, 1.0, flat)
+        else:
+            rep = verify_theorem_4_4(gauss, 1.5, TestFamily("user", ("const",), user_fns=(_constant(1000.0),)))
+        row = rep.rows[0]
+        assert row.entropy_F == 0.0 and row.modified_energy == 0.0
+        assert np.isnan(row.ratio)
+        assert rep.C_hat == 0.0
+
     # constant members have zero energy and an entropy that is a rounding
     # residue <= 0 on this measure: no evidence, so a NaN ratio that C_hat skips
     @pytest.mark.parametrize("display", ["2.1", "1.1", "4.4"])
@@ -560,7 +576,7 @@ class TestSharedTables:
             for sf in fam.members(gauss):
                 v = sf.values
                 m2 = gauss.integrate(v * v)
-                integrand = v * v * tester._level_entropy(F_log, v * v, m2)
+                integrand = v * v * tester._level_entropy(F_log, v, v * v, m2)
                 want = _reference_restricted_integral(gauss, integrand, v * v - K * m2)
                 assert _bits(tester._restricted_integral(gauss, integrand, v * v - K * m2)) == _bits(want), sf.name
 
