@@ -101,11 +101,13 @@ def eval_cost(c, x, return_flag=False):
         raise ValueError("cost argument must be nonnegative")
     if c.is_closed_form:
         A, a = c.A, c.alpha
-        inner = 0.5 * x * x
-        with np.errstate(over="ignore"):
-            outer = A ** (2.0 - a) * x ** a / a + A * A * (a - 2.0) / (2.0 * a)
-        out = np.where(x <= A, inner, outer)
-        flag = np.zeros_like(x, dtype=bool)
+        out = 0.5 * x * x
+        hi = x > A
+        if hi.any():
+            xa = x[hi]
+            with np.errstate(over="ignore"):
+                out[hi] = A ** (2.0 - a) * xa**a / a + A * A * (a - 2.0) / (2.0 * a)
+        flag = np.zeros_like(x, dtype=bool) if return_flag else None
     else:
         out = np.interp(x, c.grid, c.values)
         flag = x > c.grid[-1]
@@ -114,7 +116,7 @@ def eval_cost(c, x, return_flag=False):
             out = np.where(flag, c.values[-1] + last_slope * (x - c.grid[-1]), out)
     if scalar:
         out = float(out[0])
-        flag = bool(flag[0])
+        flag = bool(flag[0]) if return_flag else None
     return (out, flag) if return_flag else out
 
 

@@ -113,9 +113,13 @@ def eval_F_tau(phi, tau, x):
 
 def _flatten(p, tau):
     """p where p <= 1, else (p^tau - 1)/tau + 1 as expm1(tau log p)/tau + 1,
-    which keeps full relative accuracy as tau -> 0."""
-    upper = np.expm1(tau * np.log(np.maximum(p, 1.0))) / tau + 1.0
-    return np.where(p <= 1.0, p, upper)
+    which keeps full relative accuracy as tau -> 0; the power branch is
+    evaluated only where it is taken (p > 1, and NaN)."""
+    out = np.array(p, dtype=float)
+    up = ~(out <= 1.0)
+    if up.any():
+        out[up] = np.expm1(tau * np.log(out[up])) / tau + 1.0
+    return out
 
 
 def _F_tau_log_phi(tau):

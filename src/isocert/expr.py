@@ -18,14 +18,16 @@ division, log or sqrt leaves its domain, so potentials are total on their
 declared support or fail loudly.
 
 Literals evaluate to Python floats that numpy broadcasts, so ``x^4`` calls
-pow with a scalar exponent.  ``a^b`` and ``pow(a, b)`` compute pow(|a|, b)
-and negate it where a has its sign bit and b is an odd integer: the value of
-pow(a, b), without pow's slow path on negative bases.  A negative base with
-a non-integer exponent is an ExprDomainError.
+pow with a scalar exponent, and a literal exponent or divisor is checked
+once, as a Python float, not as an array.  ``a^b`` and ``pow(a, b)``
+compute pow(|a|, b) and negate it where a has its sign bit and b is an odd
+integer: the value of pow(a, b), without pow's slow path on negative bases.
+A negative base with a non-integer exponent is an ExprDomainError.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -91,21 +93,29 @@ Node = Union[Num, Var, Op]
 def _power(a, b):
     """a^b as pow(|a|, b), negated where a has its sign bit and b is an odd
     integer: pow's value and sign rules (-0.0 bases included, +-inf exponents
-    counting as even) without pow's slow path on negative bases."""
-    frac = b != np.floor(b)
-    if np.any(frac) and np.any((a < 0.0) & frac):
+    counting as even) without pow's slow path on negative bases.  A float
+    exponent (a literal) is classified once, as a scalar."""
+    if isinstance(b, float):
+        frac = not (b.is_integer() or math.isinf(b))  # NaN counts as non-integer
+        odd = math.isfinite(b) and abs(math.fmod(b, 2.0)) == 1.0
+        any_frac, any_odd = frac, odd
+    else:
+        frac = b != np.floor(b)
+        with np.errstate(invalid="ignore"):
+            odd = np.abs(np.fmod(b, 2.0)) == 1.0
+        any_frac, any_odd = np.any(frac), np.any(odd)
+    if any_frac and np.any((a < 0.0) & frac):
         raise ExprDomainError("negative base with a non-integer exponent")
     with np.errstate(over="ignore"):
         out = np.power(np.abs(a), b)
-    with np.errstate(invalid="ignore"):
-        odd = np.abs(np.fmod(b, 2.0)) == 1.0
-    if np.any(odd):
+    if any_odd:
         out = np.where(odd & np.signbit(a), -out, out)
     return out
 
 
 def _divide(a, b):
-    if np.any(b == 0.0):
+    zero = b == 0.0 if isinstance(b, float) else np.any(b == 0.0)
+    if zero:
         raise ExprDomainError("division by zero")
     return a / b
 

@@ -18,14 +18,19 @@ integrals its admission computed (int f^2 and int f'^2), which the ratio
 engine and the lemmas read instead of recomputing them.
 
 Every entropy reported here comes from one pair: the level table
-F(f^2 / mu(f^2)) of `_level_entropy` and its integral against f^2 in
-`_entropy`, which reads an |Ent| within _ENT_ROUNDING of mu(f^2) as 0.
+F(f^2 / mu(f^2)) of `_level_entropy` (F of the whole table unless a level
+underflows to 0) and its integral against f^2 in `_entropy`, which reads an
+|Ent| within _ENT_ROUNDING of mu(f^2) as 0.  `lemma_3_3_check` refuses a g
+whose level g^2 / mu(g^2) underflows (below the smallest normal double) at a
+node where g > 0.
 
 The three `verify_theorem_*` routines share one ratio engine.  Each supplies a
 per-member `terms` function returning its entropy side, variance term, energy
 term (refused by name when not finite), ratio denominator and extras;
-`_ratio_table` adds the theorem-independent columns (classical entropy,
-gradient energy, median energy, saturation) and the member's parameter, and
+`_ratio_table` adds the theorem-independent columns (classical entropy of
+|f|, gradient energy, median energy, saturation) and the member's parameter
+(display 2.1 with F the log_entropy() profile passes its entropy side as the
+classical entropy, which it already is), and
 `_enrichment` runs `terms` alone on the members that the enriched family
 adds, for the stability check.  A member's ratio is entropy/denominator when
 the denominator is positive, +inf when a positive entropy meets a vanishing
@@ -34,7 +39,9 @@ ratio, or 0 when there is none, so every reported ratio is at most C_hat.
 
 Family members are evaluated independently and reduced in parameter order,
 so reports are deterministic.  The random_smooth phase table is built once
-per verify call, shared by the enrichment.
+per verify call, shared by the enrichment.  The median sorts a member's
+values only when they are not already nondecreasing and sums tied masses
+only when there are ties.
 """
 
 from __future__ import annotations
@@ -115,7 +122,7 @@ def _random_smooth(fam, mu, label, trig):
     a = rng.standard_normal(_RANDOM_TERMS)
     b = rng.standard_normal(_RANDOM_TERMS)
     g = cos @ (wts * a) + sin @ (wts * b)
-    gp = -sin @ (wts * a * j * omega) + cos @ (wts * b * j * omega)
+    gp = -(sin @ (wts * a * j * omega)) + cos @ (wts * b * j * omega)
     vals = np.exp(fam.scale * g)
     log_deriv = fam.scale * gp
     return vals, log_deriv * vals, log_deriv
@@ -124,9 +131,9 @@ def _random_smooth(fam, mu, label, trig):
 def _stretched_exp(fam, mu, lam):
     x = mu.grid
     p = fam.exponent
-    a2 = fam.smoothing**2
-    log_deriv = lam * (p * x * (x * x + a2) ** (0.5 * p - 1.0))
-    vals = np.exp(lam * (x * x + a2) ** (0.5 * p))
+    base = x * x + fam.smoothing**2
+    log_deriv = lam * (p * x * base ** (0.5 * p - 1.0))
+    vals = np.exp(lam * base ** (0.5 * p))
     return vals, log_deriv * vals, log_deriv
 
 
@@ -255,6 +262,7 @@ class _Member(SampledFunction):
 
 
 _LOG_MAX = math.log(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _admitted(mu: Measure1D, sf: SampledFunction, power: float = 2.0) -> _Member:
@@ -296,22 +304,27 @@ def entropy_functional(mu: Measure1D, f, F: EntropyFunction) -> float:
 
 
 def _classical_entropy(mu: Measure1D, m: _Member) -> float:
-    """entropy_functional(mu, m, log) of an admitted member, from its m2."""
+    """entropy_functional(mu, |m|, log) of an admitted member, from its m2:
+    Ent(f^2) does not depend on the sign of f, so f^2 >= 0 stands in for f
+    in _level_entropy's f >= 0 check."""
     sq = m.values * m.values
-    return _entropy(mu, sq, m.m2, _level_entropy(log_entropy(), m.values, sq, m.m2))
+    return _entropy(mu, sq, m.m2, _level_entropy(log_entropy(), sq, sq, m.m2))
 
 
 def _level_entropy(F: EntropyFunction, v: np.ndarray, sq: np.ndarray, m2: float) -> np.ndarray:
     """F(h) with h = f^2 / m2 (sq = f^2, m2 = int f^2 dmu) where h > 0, and 0
     where h is 0 (f = 0, or f^2 / m2 below the smallest double), so
-    F(0) = -inf never enters; requires f >= 0 and m2 > 0."""
+    F(0) = -inf never enters; requires f >= 0 and m2 > 0.  F is applied to
+    the whole table when no level is 0, the usual case."""
     if np.any(v < 0):
         raise ValueError("entropy_functional requires f >= 0 on the grid")
     if not m2 > 0:
         raise ValueError("integral of f^2 vanishes; entropy undefined")
     h = sq / m2
-    out = np.zeros_like(sq)
     pos = h > 0
+    if pos.all():
+        return np.asarray(F(h), dtype=float)
+    out = np.zeros_like(sq)
     out[pos] = np.asarray(F(h[pos]), dtype=float)
     return out
 
@@ -414,21 +427,27 @@ def median_of(mu: Measure1D, f) -> float:
 
 def _value_masses(mu: Measure1D, v: np.ndarray):
     """The distinct values of v in increasing order and the mass mu puts on
-    each.  A stable sort keeps each run of equal values in grid order, so
-    np.add.at sums every value's node masses in grid order, as it would
-    along np.unique's inverse index."""
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
+    each.  A stable sort keeps each run of equal values in grid order (and is
+    skipped when v is already nondecreasing: it would be the identity), so
+    np.bincount sums every value's node masses in grid order, as np.add.at
+    would along np.unique's inverse index; with no ties there is no sum."""
+    if np.all(v[1:] >= v[:-1]):
+        sv, mass = v, mu.node_mass
+    else:
+        order = np.argsort(v, kind="stable")
+        sv, mass = v[order], mu.node_mass[order]
     first = np.concatenate(([True], sv[1:] != sv[:-1]))
-    w = np.zeros(int(np.count_nonzero(first)))
-    np.add.at(w, np.cumsum(first) - 1, mu.node_mass[order])
-    return sv[first], w
+    if first.all():
+        return sv, mass
+    return sv[first], np.bincount(np.cumsum(first) - 1, weights=mass)
 
 
 def _median(mu: Measure1D, v: np.ndarray) -> float:
+    """The least value u_k whose strict upper tail sum(w[k+1:]) is at most
+    1/2: those tails, summed from the top, are cumsum(w[:0:-1]) read
+    backwards, a nondecreasing table that searchsorted cuts at 1/2."""
     u, w = _value_masses(mu, v)
-    suffix = np.concatenate((np.cumsum(w[::-1])[::-1][1:], [0.0]))
-    return float(u[int(np.argmax(suffix <= 0.5))])
+    return float(u[w.size - 1 - int(np.searchsorted(np.cumsum(w[:0:-1]), 0.5, "right"))])
 
 
 def median_energy(mu: Measure1D, f) -> float:
@@ -548,19 +567,23 @@ def _member_terms(terms, sf):
     return out
 
 
-def _ratio_table(mu: Measure1D, family: TestFamily, terms, power: float = 2.0, enrich: bool = False):
+def _ratio_table(
+    mu: Measure1D, family: TestFamily, terms, power: float = 2.0, enrich: bool = False, classical_lhs: bool = False
+):
     """Rows, C_hat, the members' extras in row order and, with enrich, the
     enrichment check (_enrichment, else {}), for one family whose members are
     admitted with the power the display integrates.  terms(m) returns the
     admitted member's (entropy side, variance term, energy term, ratio
-    denominator, extras); the theorem-independent columns are computed here.
+    denominator, extras); the theorem-independent columns are computed here,
+    except that with classical_lhs (an entropy side that is already
+    _classical_entropy's value) the entropy side is the classical column.
     One random_smooth phase table serves the family and its enrichment."""
     trig = _trig_basis(mu) if family.kind == "random_smooth" else None
     rows, extras = [], []
     for m, label in zip(family.members(mu, power=power, trig=trig), family._ordered_params()):
         lhs, var, energy, den, extra = _member_terms(terms, m)
         extras.append(extra)
-        classical = _classical_entropy(mu, m)
+        classical = lhs if classical_lhs else _classical_entropy(mu, m)
         rows.append(
             TestRow(
                 name=m.name,
@@ -653,7 +676,8 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
         }
         return lhs, var, full_energy, full_energy, (b_restricted, b_centered, step)
 
-    rows, c_hat, extras, _ = _ratio_table(mu, family, terms)
+    # with F = log the entropy side is the classical entropy, computed alike
+    rows, c_hat, extras, _ = _ratio_table(mu, family, terms, classical_lhs=F is log_entropy())
     b_restricted, b_centered, step1 = zip(*extras)
     return TestReport(
         family=family.kind,
@@ -775,6 +799,14 @@ def lemma_3_3_check(mu: Measure1D, F: EntropyFunction, f, g) -> Lemma33Report:
 
     h = vg * vg / m2g
     pos = h > 0
+    # an underflowed level makes F(0) = -inf meet f > 0 in lhs, and a
+    # subnormal one overflows h F'(h) in C, which integrates every node
+    lost = int(np.count_nonzero((vg > 0.0) & (h < _TINY)))
+    if lost:
+        raise ValueError(
+            f"lemma_3_3_check: g^2 / mu(g^2) underflows (below {_TINY:.4g}) at {lost} node(s) where g > 0, "
+            "so g's level and its entropy are not representable there"
+        )
     Fh = np.full_like(h, -np.inf)
     Fh[pos] = np.asarray(F(h[pos]), dtype=float)
 

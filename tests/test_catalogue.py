@@ -55,3 +55,22 @@ def test_digest_line_names_the_outcome_of_one_request():
     assert line == digest.digest_line(argv)
     rc, files, stderr, rest = line.split(" ", 3)
     assert rc == "0" and len(files) == len(stderr) == 64 and rest == " ".join(argv)
+
+
+def test_digest_runs_the_named_workloads_in_order(monkeypatch, capsys):
+    digest = _load("tools", "catalogue_digest")
+    monkeypatch.setattr(digest, "digest_line", lambda argv: " ".join(argv))
+
+    def lines(names):
+        assert digest.main(names) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def want(workloads):
+        return [" ".join(argv) for w in workloads for argv in mix.catalogue(w)]
+
+    assert lines(["tables", "certify"]) == want(["tables", "certify"])
+    assert lines([]) == want(mix.WORKLOADS)
+    with pytest.raises(SystemExit) as exc:
+        digest.main(["tables", "bogus"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err

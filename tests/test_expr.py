@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocert.expr import ExprDomainError, ExprError, parse_potential
+from isocert.expr import ExprDomainError, ExprError, Num, Op, PotentialExpr, Var, parse_potential
 
 
 class TestParsing:
@@ -171,3 +171,50 @@ class TestPowerAgainstNumpy:
         assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == xs.shape
         assert np.all(got == want)
         assert parse_potential(text)(0.5) == want
+
+
+def _reference_power(a, b):
+    """expr._power as written before a float exponent was classified as a scalar (the oracle)."""
+    frac = b != np.floor(b)
+    if np.any(frac) and np.any((a < 0.0) & frac):
+        raise ExprDomainError("negative base with a non-integer exponent")
+    with np.errstate(over="ignore"):
+        out = np.power(np.abs(a), b)
+    with np.errstate(invalid="ignore"):
+        odd = np.abs(np.fmod(b, 2.0)) == 1.0
+    if np.any(odd):
+        out = np.where(odd & np.signbit(a), -out, out)
+    return out
+
+
+class TestLiteralFastPath:
+    """A float exponent or divisor takes scalar tests, with the same bits as the array tests."""
+
+    bases = np.array([-np.inf, -1e300, -3.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.5, 1e300, np.inf])
+
+    @pytest.mark.parametrize("b", [2.0, 3.0, 4.0, 0.5, -1.0, 1.5, np.inf, -np.inf, np.nan])
+    def test_power_has_the_bits_of_the_array_path(self, b):
+        from isocert.expr import _power
+
+        integral = float(b).is_integer() or np.isinf(b)
+        a = self.bases if integral else self.bases[~(self.bases < 0.0)]  # -0.0 stays
+        with np.errstate(divide="ignore"):
+            want = _reference_power(a, b)
+            for got in (_power(a, b), _power(a, np.array(b)), PotentialExpr(Op("^", (Var(), Num(b))), "x^b")(a)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b", [0.5, np.nan])
+    def test_negative_base_with_a_non_integer_literal_is_refused(self, b):
+        from isocert.expr import _power
+
+        with pytest.raises(ExprDomainError, match="negative base"):
+            _power(np.array([1.0, -2.0]), b)
+        with pytest.raises(ExprDomainError, match="negative base"):
+            PotentialExpr(Op("pow", (Var(), Num(b))), "pow(x, b)")(np.array([1.0, -2.0]))
+
+    def test_division_by_a_zero_literal_is_refused(self):
+        with pytest.raises(ExprDomainError, match="division by zero"):
+            parse_potential("x/0")(np.array([1.0, 2.0]))
+        with pytest.raises(ExprDomainError, match="division by zero"):
+            parse_potential("x/(1-1)")(np.array([1.0, 2.0]))
+        assert parse_potential("x/(-0.5)")(np.array([1.0, -2.0])).tolist() == [-2.0, 4.0]

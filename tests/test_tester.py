@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from isocert.convex import CostFunction
+from isocert.convex import CostFunction, eval_cost
 from isocert.entropy import EntropyFunction, F_tau
 from isocert.expr import parse_potential
 from isocert.measure1d import SampledFunction, build_measure, builtin_measure
 import isocert.cli as cli
+import isocert.entropy as entropy
 import isocert.tester as tester
 from isocert.tester import (
     TestFamily,
@@ -324,6 +325,20 @@ class TestPowerEntropyInequality:
         with pytest.raises(ValueError):
             verify_theorem_4_4(mu, 2.0, fam)
 
+    def test_sign_changing_member_gets_the_classical_entropy_of_its_modulus(self, F_log):
+        mu = builtin_measure("exp_power", alpha=1.5, n=4096)
+        fam = TestFamily("user", ("tanh",), user_fns=((lambda x: np.tanh(x) + 0.5, lambda x: 1.0 - np.tanh(x) ** 2),))
+        sf = fam.members(mu)[0]
+        assert np.any(sf.values < 0)
+        rep = verify_theorem_4_4(mu, 1.5, fam)
+        modulus = SampledFunction(grid=mu.grid, values=np.abs(sf.values), dvalues=np.sign(sf.values) * sf.dvalues)
+        assert _bits(rep.rows[0].classical_entropy) == _bits(entropy_functional(mu, modulus, F_log))
+        # displays 2.1 and 1.1 are stated for f >= 0 and keep refusing the member
+        with pytest.raises(ValueError, match="requires f"):
+            verify_theorem_2_1(mu, F_log, CostFunction.closed_form(1.0, 2.0), 2.0, fam)
+        with pytest.raises(ValueError, match="requires f"):
+            verify_theorem_1_1(mu, 1.5, 0.9, 1.0, fam)
+
 
 def _constant(c):
     return (lambda x: np.full_like(x, c), lambda x: np.zeros_like(x))
@@ -512,6 +527,20 @@ def _reference_restricted_integral(mu, integrand, marker):
     return float(np.sum(contrib))
 
 
+def _reference_closed_form_cost(A, a, x):
+    """eval_cost's closed form as written before it took the power branch only above A (the oracle)."""
+    inner = 0.5 * x * x
+    with np.errstate(over="ignore"):
+        outer = A ** (2.0 - a) * x**a / a + A * A * (a - 2.0) / (2.0 * a)
+    return np.where(x <= A, inner, outer)
+
+
+def _reference_flatten(p, tau):
+    """entropy._flatten as written before it took the power branch only above 1 (the oracle)."""
+    upper = np.expm1(tau * np.log(np.maximum(p, 1.0))) / tau + 1.0
+    return np.where(p <= 1.0, p, upper)
+
+
 def _bits(x):
     """The bytes of a float, so that equality also tells -0.0 from 0.0 and matches NaN."""
     return np.float64(x).tobytes()
@@ -523,7 +552,14 @@ _MEDIAN_CASES = [
     ("gauss", TestFamily("user", ("const",), user_fns=(_constant(2.0),))),
     ("gauss", TestFamily("random_smooth", (0, 1), seed=3)),
     ("exp_power", TestFamily("exponential", (-1.0, 0.5))),
+    ("exp", TestFamily("shifted_linear", (0.5,), floor=0.25)),  # nondecreasing, tied at the floor
+    ("exp", TestFamily("shifted_linear", (-0.5,))),  # nonincreasing, tied at the floor
+    ("exp", TestFamily("exponential", (-0.5,))),  # strictly decreasing
 ]
+
+
+def _median_measure(name):
+    return builtin_measure(name, alpha=1.5) if name == "exp_power" else builtin_measure(name)
 
 
 def _mid(x, i):
@@ -549,13 +585,44 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("measure, family", _MEDIAN_CASES, ids=lambda c: getattr(c, "kind", c))
     def test_median_matches_the_reference(self, measure, family):
-        mu = builtin_measure(measure, alpha=1.5) if measure == "exp_power" else builtin_measure(measure)
+        mu = _median_measure(measure)
         for sf in family.members(mu):
             # the masses themselves, since a mass off in its last bit rarely moves the median
             for got, want in zip(tester._value_masses(mu, sf.values), _reference_value_masses(mu, sf.values)):
                 assert got.tobytes() == want.tobytes(), sf.name
             assert _bits(median_of(mu, sf)) == _bits(_reference_median_of(mu, sf)), sf.name
             assert _bits(median_energy(mu, sf)) == _bits(float(mu.integrate((sf.values - _reference_median_of(mu, sf)) ** 2)))
+
+    def test_median_cases_take_every_path(self):
+        """Sorted or not, with ties or without: each of _value_masses's four paths is pinned above."""
+        paths = set()
+        for measure, family in _MEDIAN_CASES:
+            for sf in family.members(_median_measure(measure)):
+                v = sf.values
+                paths.add((bool(np.all(v[1:] >= v[:-1])), bool(np.unique(v).size < v.size)))
+        assert paths == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("A, alpha", [(1.0, 3.0), (0.5, 1.5), (2.0, 2.0), (1.0, 1.2)])
+    def test_closed_form_cost_matches_the_reference(self, A, alpha):
+        c = CostFunction.closed_form(A, alpha)
+        x = np.concatenate(([0.0, A, np.nextafter(A, np.inf), 1e300, np.inf], np.linspace(0.0, 4.0 * A, 101)))
+        with np.errstate(over="ignore"):  # (1e300)^2 / 2
+            want = _reference_closed_form_cost(A, alpha, x)
+            assert eval_cost(c, x).tobytes() == want.tobytes()
+            got, flag = eval_cost(c, x, return_flag=True)
+            assert got.tobytes() == want.tobytes()
+            assert flag.shape == x.shape and not flag.any()
+            for xi, wi in zip(x, want):
+                assert _bits(eval_cost(c, xi)) == _bits(wi)
+                assert eval_cost(c, xi, return_flag=True) == (wi, False)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.5, 1e-3])
+    def test_flatten_matches_the_reference(self, tau):
+        p = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 2.0, np.e, 1e300, np.inf, np.nan])
+        want = _reference_flatten(p, tau)
+        assert entropy._flatten(p, tau).tobytes() == want.tobytes()
+        for pi, wi in zip(p, want):
+            assert _bits(entropy._flatten(pi, tau)) == _bits(wi)
 
     @pytest.mark.parametrize("marker", list(_MARKERS))
     def test_restricted_integral_matches_the_reference(self, gauss, marker):
@@ -580,7 +647,7 @@ class TestSharedTables:
                 want = _reference_restricted_integral(gauss, integrand, v * v - K * m2)
                 assert _bits(tester._restricted_integral(gauss, integrand, v * v - K * m2)) == _bits(want), sf.name
 
-    @pytest.mark.parametrize("display", ["2.1", "1.1", "4.4"])
+    @pytest.mark.parametrize("display", ["2.1", "2.1-log", "1.1", "4.4"])
     @pytest.mark.parametrize("family", [
         TestFamily("exponential", (0.25, 1.0)),
         TestFamily("shifted_linear", (0.1, 0.4)),
@@ -588,11 +655,17 @@ class TestSharedTables:
         TestFamily("random_smooth", (0, 1), seed=2),
         TestFamily("user", ("const", "tanh"), user_fns=(_constant(2.0), (lambda x: 2.0 + np.tanh(x), lambda x: 1.0 - np.tanh(x) ** 2))),
     ], ids=lambda fam: fam.kind)
-    def test_rows_equal_the_public_functionals(self, exp_power_15, F_log, display, family):
+    def test_rows_equal_the_public_functionals(self, exp_power_15, F_log, display, family, monkeypatch):
         mu = exp_power_15
         if display == "2.1":
             F, cost = F_tau(0.75), CostFunction.closed_form(1.0, 3.0)
             rep = verify_theorem_2_1(mu, F, cost, 2.0, family)
+        elif display == "2.1-log":
+            # the profile log_entropy() returns: its entropy side is the classical column
+            F, cost = tester.log_entropy(), CostFunction.closed_form(1.0, 3.0)
+            with monkeypatch.context() as m:
+                m.setattr(tester, "_classical_entropy", None)
+                rep = verify_theorem_2_1(mu, F, cost, 2.0, family)
         elif display == "1.1":
             F, cost = F_tau(0.9), tester.dual_cost(CostFunction.closed_form(1.0, 1.5 * 0.9 / 0.5))
             rep = verify_theorem_1_1(mu, 1.5, 0.9, 1.0, family)
@@ -641,6 +714,20 @@ class TestTwoFunctionComparison:
         assert rep.ok
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.C == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("lam, zero", [(44.0, True), (42.0, False)])  # g = e^{lam x / 2}
+    def test_underflowing_level_of_g_is_refused(self, F_log, lam, zero):
+        """Levels of 0 gave lhs -inf, subnormal ones rhs +inf; both said ok, with numpy warnings."""
+        mu = builtin_measure("gauss", n=4096)
+        f, g = exp_member(mu, 1.0), exp_member(mu, lam)
+        h = g.values * g.values / mu.integrate(g.values * g.values)
+        assert np.any(h == 0) == zero
+        lost = int(np.count_nonzero((g.values > 0) & (h < np.finfo(float).tiny)))
+        assert lost > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"underflows \(below 2.225e-308\) at {lost} node\(s\) where g > 0"):
+                lemma_3_3_check(mu, F_log, f, g)
 
     def test_flattened_profile_also_holds(self, gauss, F_half):
         f = exp_member(gauss, 1.0)

@@ -1,8 +1,9 @@
 """Digest of the outcome of every benchmark catalogue request.
 
 Runs each argv of `perfbench/mix.py`'s `catalogue(w)`, for the four
-workloads in order, in process through `isocert.cli.main`, each with
-`--out` into a fresh directory, and prints one line per request:
+workloads in `mix.WORKLOADS` order (or the ones named), in process through
+`isocert.cli.main`, each with `--out` into a fresh directory, and prints one
+line per request:
 
     <exit code> <SHA-256 of the output files> <SHA-256 of stderr> <argv>
 
@@ -14,12 +15,17 @@ when their digests do not differ:
     python tools/catalogue_digest.py > after.txt    # in the other
     diff before.txt after.txt
 
+Naming workloads digests only those, in the order given:
+
+    python tools/catalogue_digest.py empirical certify
+
 The isocert imported is the one under this checkout's `src/`.
 `perfbench/mix.py` is loaded by path and only read.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -60,9 +66,16 @@ def digest_line(argv) -> str:
     return f"{rc} {files} {stderr} {' '.join(argv)}"
 
 
-def main() -> int:
+def main(argv=None) -> int:
     mix = _load_mix()
-    for workload in mix.WORKLOADS:
+    parser = argparse.ArgumentParser(description="Digest the outcome of every benchmark catalogue request.")
+    parser.add_argument("workloads", nargs="*", metavar="workload",
+                        help=f"workloads to digest, in order (default: all of {', '.join(mix.WORKLOADS)})")
+    names = parser.parse_args(argv).workloads
+    unknown = [w for w in names if w not in mix.WORKLOADS]
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; expected some of {', '.join(mix.WORKLOADS)}")
+    for workload in names or mix.WORKLOADS:
         for argv in mix.catalogue(workload):
             print(digest_line(argv), flush=True)
     return 0
