@@ -7,7 +7,7 @@ given parameters, DIVERGENT_LIKELY means the fitted integrand exponent is
 way down the tail.
 """
 
-from isocert.checker import ConditionSpec, check_condition, check_condition_sweep, check_exp_power
+from isocert.checker import ConditionSpec, check_condition, check_exp_power
 from isocert.entropy import log_entropy
 from isocert.measure1d import builtin_measure
 
@@ -28,11 +28,13 @@ def main():
     show("exp,   delta=0.5", check_condition(ConditionSpec(expm, F, delta=0.5, K=2.0, form="quadratic")))
 
     print("\ndelta sweep on the Gaussian (largest delta that still converges):")
-    sweep = check_condition_sweep(ConditionSpec(gauss, F, K=2.0, form="quadratic"),
-                                  deltas=(0.25, 0.5, 1.0, 1.5, 2.0, 3.0))
-    for d, v in zip(sweep.deltas, sweep.verdicts):
-        print(f"  delta={d:4.2f}: {v}")
-    print(f"  best finite delta: {sweep.best_delta}")
+    finite = []
+    for d in (3.0, 2.0, 1.5, 1.0, 0.5, 0.25):
+        verdict = check_condition(ConditionSpec(gauss, F, delta=d, K=2.0, form="quadratic")).verdict
+        print(f"  delta={d:4.2f}: {verdict}")
+        if verdict == "FINITE":
+            finite.append(d)
+    print(f"  best finite delta: {max(finite, default=None)}")
 
     print("\npaired runs for the power-tail measure (alpha=1.5):")
     pair = check_exp_power(builtin_measure("exp_power", alpha=1.5), 1.5, 1.0)

@@ -23,7 +23,6 @@ from .entropy import (
     log_entropy,
     F_tau,
     eval_F_tau,
-    eval_psi_tau_beta,
     log_Phi,
     check_assumptions,
     lemma32_bound_check,
@@ -47,7 +46,6 @@ from .checker import (
     ConditionSpec,
     ConditionReport,
     check_condition,
-    check_condition_sweep,
     check_exp_power,
     verify_growth_condition,
 )

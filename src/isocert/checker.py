@@ -27,10 +27,11 @@ A profile's A1-A2 gate reads the report the profile keeps
 (check_assumptions), so a profile is sampled once however many conditions
 use it.  Reports themselves are never kept; instead _exp_power_reports,
 behind check_exp_power, takes several taus at once and evaluates each
-distinct condition among them once.
+distinct condition among them once.  Entry points: check_condition,
+check_exp_power (at A = 1, delta = 1/4, K = 4) and verify_growth_condition.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -256,30 +257,6 @@ def check_condition(spec, n_per_decade=256):
 
 
 @dataclass(frozen=True)
-class SweepReport:
-    deltas: tuple
-    verdicts: tuple
-    best_delta: Optional[float]  # largest sampled delta certified FINITE
-    reports: tuple
-
-
-def check_condition_sweep(spec, deltas=(1.0, 0.5, 0.25, 0.125, 0.0625), n_per_decade=256):
-    """check_condition at each delta of a sweep, largest first; any delta > 0
-    suffices for the inequality once the cost growth condition holds, so the
-    certificate is the largest sampled delta with a FINITE verdict."""
-    # replace() runs ConditionSpec's check on each delta
-    specs = [replace(spec, delta=d) for d in sorted(set(float(d) for d in deltas), reverse=True)]
-    deltas = tuple(s.delta for s in specs)
-    reports = tuple(check_condition(s, n_per_decade) for s in specs)
-    return SweepReport(
-        deltas=deltas,
-        verdicts=tuple(r.verdict for r in reports),
-        best_delta=next((d for d, r in zip(deltas, reports) if r.verdict == "FINITE"), None),
-        reports=reports,
-    )
-
-
-@dataclass(frozen=True)
 class ExpPowerReport:
     alpha: float
     tau: float
@@ -301,25 +278,27 @@ def exp_power_range(alpha, tau):
     return lo
 
 
-def check_exp_power(mu, alpha, tau, A=1.0, delta=0.25, K=4.0):
+def check_exp_power(mu, alpha, tau):
     """Both finiteness checks behind the exp-power entropy inequality.
 
-    For the measure mu = e^{-|x|^alpha}: first the pair (F_tau, cost c_{A, q*})
+    For the measure mu = e^{-|x|^alpha}: first the pair (F_tau, cost c_{1, q*})
     with q* = tau*alpha/(alpha(tau-1)+1) — the conjugate exponent of the
-    energy cost c_{A, alpha*tau/(alpha-1)} named by the inequality — then the
-    endpoint pair (F_{2/beta}, quadratic) with beta = alpha/(alpha-1) fixed.
+    energy cost c_{1, alpha*tau/(alpha-1)} named by the inequality — then the
+    endpoint pair (F_{2/beta}, quadratic) with beta = alpha/(alpha-1) fixed,
+    both at delta = 1/4 and K = 4.
     Requires 2(1 - 1/alpha) <= tau <= 1 (see exp_power_range).
     """
-    return _exp_power_reports(mu, alpha, (tau,), A, delta, K)[0]
+    return _exp_power_reports(mu, alpha, (tau,))[0]
 
 
-def _exp_power_reports(mu, alpha, taus, A=1.0, delta=0.25, K=4.0):
+def _exp_power_reports(mu, alpha, taus):
     """check_exp_power for each tau in taus, evaluating each distinct
     condition once: the endpoint pair does not depend on tau, so every
     report shares one run_quadratic, and a repeated tau shares its run_cost."""
     taus = [min(max(tau, exp_power_range(alpha, tau)), 1.0) for tau in taus]
     beta = alpha / (alpha - 1.0)
     q_stars = {tau: tau * alpha / (alpha * (tau - 1.0) + 1.0) for tau in taus}
+    A, delta, K = 1.0, 0.25, 4.0  # as check_exp_power documents
     cost_specs = {
         tau: ConditionSpec(measure=mu, F=F_tau(tau), cost=CostFunction.closed_form(A, q), delta=delta, K=K, form="general")
         for tau, q in q_stars.items()
@@ -331,7 +310,7 @@ def _exp_power_reports(mu, alpha, taus, A=1.0, delta=0.25, K=4.0):
         ExpPowerReport(
             alpha=float(alpha),
             tau=float(tau),
-            A=float(A),
+            A=A,
             q_star=float(q_stars[tau]),
             beta=float(beta),
             run_cost=run_cost[tau],
@@ -352,7 +331,7 @@ class GrowthReport:
     n_used: int
 
 
-def verify_growth_condition(mu, g, phi=None, alpha=2.0, n=600):
+def verify_growth_condition(mu, g, phi=None, alpha=2.0):
     """Fitted constant in the growth condition g(r) >= C r phi^{1-1/alpha}(e^{g(r)}).
 
     g must be increasing and e^{g(|x|)} integrable against mu (checked: the
@@ -361,7 +340,7 @@ def verify_growth_condition(mu, g, phi=None, alpha=2.0, n=600):
     reported, but the ratio uses g as given — the worked examples' algebra
     (e.g. g = eps r^2 on the Gaussian giving C = sqrt(eps)) is stated for the
     raw function.  phi=None means phi = log, evaluated overflow-free as
-    phi(e^g) = g.
+    phi(e^g) = g.  600 radii are sampled, from the half-mass radius to the edge.
     """
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
@@ -378,7 +357,7 @@ def verify_growth_condition(mu, g, phi=None, alpha=2.0, n=600):
     r_hi = 0.999 * max(abs(mu.truncation[0]), abs(mu.truncation[1]))
     if not R_half < r_hi:
         raise ValueError("no radii between the half-mass radius and the support edge")
-    r = np.linspace(R_half, r_hi, n)
+    r = np.linspace(R_half, r_hi, 600)
     gr = gv(r)
     if np.any(np.diff(gr) < -1e-12 * (1.0 + np.max(np.abs(gr)))):
         raise ValueError("g must be increasing on the sampled radii")

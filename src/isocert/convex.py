@@ -101,11 +101,12 @@ def eval_cost(c, x, return_flag=False):
         raise ValueError("cost argument must be nonnegative")
     if c.is_closed_form:
         A, a = c.A, c.alpha
-        out = 0.5 * x * x
-        hi = x > A
-        if hi.any():
-            xa = x[hi]
-            with np.errstate(over="ignore"):
+        # the quadratic overflows only where the power branch replaces it or c exceeds the largest double
+        with np.errstate(over="ignore"):
+            out = 0.5 * x * x
+            hi = x > A
+            if hi.any():
+                xa = x[hi]
                 out[hi] = A ** (2.0 - a) * xa**a / a + A * A * (a - 2.0) / (2.0 * a)
         flag = np.zeros_like(x, dtype=bool) if return_flag else None
     else:
@@ -143,7 +144,7 @@ class ConjugateTable:
         return np.interp(x, self.grid, self.values)
 
 
-def _primal_samples(f, dual_grid, n_primal):
+def _primal_samples(f, dual_grid):
     """Materialize (y, g(y)) samples for the supported input kinds."""
     if isinstance(f, CostFunction):
         if not f.is_closed_form:
@@ -156,13 +157,13 @@ def _primal_samples(f, dual_grid, n_primal):
         pos = dual_grid[dual_grid > 0]
         y_lo = min(A, float(pos[0]) if pos.size else A) / 64.0
         y_lo = max(y_lo, 1e-12)
-        y = np.concatenate(([0.0], np.geomspace(y_lo, y_hi, n_primal - 1)))
+        y = np.concatenate(([0.0], np.geomspace(y_lo, y_hi, 4095)))  # 4096 samples
         return y, eval_cost(f, y)
     y, g = f
     return np.asarray(y, dtype=float), np.asarray(g, dtype=float)
 
 
-def legendre_transform(f, dual_grid, n_primal=4096):
+def legendre_transform(f, dual_grid):
     """Discrete conjugate sup_y (x*y - f(y)) over a nonnegative dual grid.
 
     f may be a CostFunction or a (grid, values) pair.
@@ -174,7 +175,7 @@ def legendre_transform(f, dual_grid, n_primal=4096):
         raise ValueError("empty dual grid")
     if np.any(np.diff(dual_grid) <= 0) or dual_grid[0] < 0:
         raise ValueError("dual grid must be nonnegative and strictly increasing")
-    y, g = _primal_samples(f, dual_grid, n_primal)
+    y, g = _primal_samples(f, dual_grid)
     if y.size < 2:
         raise ValueError("empty primal grid")
 
@@ -194,7 +195,7 @@ def legendre_transform(f, dual_grid, n_primal=4096):
     return ConjugateTable(grid=dual_grid, values=values, argmax=y[j], truncated=dual_grid > slopes[-1])
 
 
-def double_conjugate(f, primal_grid=None, n_primal=4096):
+def double_conjugate(f, primal_grid=None):
     """Conjugate twice; exact (to roundoff) on the sampled hull interior.
 
     The intermediate dual grid contains every chord slope of the primal data,
@@ -206,7 +207,7 @@ def double_conjugate(f, primal_grid=None, n_primal=4096):
         y = np.asarray(primal_grid, dtype=float)
         g = eval_cost(f, y)
     else:
-        y, g = _primal_samples(f, np.array([1.0]), n_primal)
+        y, g = _primal_samples(f, np.array([1.0]))
     slopes = np.diff(g) / np.diff(y)
     dual = np.unique(np.concatenate(([0.0], np.maximum(slopes, 0.0))))
     dual = dual[dual >= 0]
@@ -224,8 +225,9 @@ class ConditionHReport:
     x_range: tuple
 
 
-def check_condition_H(c, ks, x_range=(1e-3, 1e3), n=4096):
-    """Sampled multiplicative-growth diagnostics n(k) = sup c(kx)/c(x).
+def check_condition_H(c, ks):
+    """Sampled multiplicative-growth diagnostics n(k) = sup c(kx)/c(x) over
+    4096 log-spaced x in [1e-3, 1e3].
 
     The supremum over a finite grid is a lower bound for the true constant;
     it is reported as such.  Points with c(x) = 0 are skipped (a superlinear
@@ -234,7 +236,8 @@ def check_condition_H(c, ks, x_range=(1e-3, 1e3), n=4096):
     ks = np.asarray(ks, dtype=float)
     if np.any(ks <= 0):
         raise ValueError("ks must be positive")
-    x = np.geomspace(x_range[0], x_range[1], n)
+    x_range = (1e-3, 1e3)
+    x = np.geomspace(*x_range, 4096)
 
     def ratios(cost):
         base = eval_cost(cost, x)
@@ -248,8 +251,7 @@ def check_condition_H(c, ks, x_range=(1e-3, 1e3), n=4096):
     if c.is_closed_form:
         n_dual = ratios(dual_cost(c))
     else:
-        xg = np.geomspace(x_range[0], x_range[1], n)
-        table = legendre_transform(c, np.concatenate(([0.0], xg)))
+        table = legendre_transform(c, np.concatenate(([0.0], x)))
         trusted = ~table.truncated
         dual_sampled = CostFunction.from_samples(table.grid[trusted], np.maximum(table.values[trusted], 0.0))
         n_dual = ratios(dual_sampled)

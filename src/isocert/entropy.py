@@ -12,10 +12,7 @@ The generalized family flattens a base profile phi above the point x0 where
 phi reaches 1:
 
     F_tau(x) = phi(x)                          for 0 < x <= x0
-    F_tau(x) = (1/tau) (phi(x)^tau - 1) + 1    for x >= x0,
-
-and the perturbation psi_{tau,beta} (identity below 1) composes with it so
-that psi_{tau,beta}(F_tau) equals F_{2/beta} exactly.
+    F_tau(x) = (1/tau) (phi(x)^tau - 1) + 1    for x >= x0.
 
 Phi = (y F(y) - y)^* drives every integrability condition.  log_Phi
 evaluates it in log space, with no table and so no slope range: with
@@ -198,23 +195,6 @@ def _build_F_tau(tau, phi, log_phi):
     return EntropyFunction(fn=fn, dfn=dfn, fn_log=fn_log, name=f"F_tau({phi.name},{tau:g})", x0=x0, log_phi=log_phi)
 
 
-def eval_psi_tau_beta(tau, beta, x):
-    """Concave perturbation: identity below 1, slowed growth above.
-
-    psi_{2/beta, beta} is the identity; requires tau >= 2/beta.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if tau < 2.0 / beta - 1e-12:
-        raise ValueError("psi undefined for tau < 2/beta")
-    x = np.asarray(x, dtype=float)
-    base = 1.0 + tau * (x - 1.0)
-    with np.errstate(invalid="ignore"):
-        upper = 0.5 * beta * (np.maximum(base, 0.0) ** (2.0 / (tau * beta)) - 1.0) + 1.0
-    out = np.where(x <= 1.0, x, upper)
-    return float(out) if out.ndim == 0 else out
-
-
 _EPS = float(np.finfo(float).eps)
 _ROOT_ITERATIONS = 200
 _FD_STEP = 1e-4  # central-difference step in u, relative to max(1, |u|)
@@ -395,9 +375,6 @@ class AssumptionReport:
     def __post_init__(self):
         object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
-    def all_pass(self):
-        return self.a1 and self.a2 and self.a3 and self.a4
-
 
 _ASSUMPTION_POINTS = 4096
 _F1_TOL = 1e-10  # |F(1)| up to which F(1) = 0 holds, for A1 and I_F_profile
@@ -473,15 +450,15 @@ class Lemma32Report:
     y_range: tuple
 
 
-def lemma32_bound_check(F, delta, y_range=(1.0, 1e6), n=2000):
-    """Worst-case margin of Phi(delta F(y)) <= y^{2 delta} on a log-spaced sweep.
+def lemma32_bound_check(F, delta, y_range=(1.0, 1e6)):
+    """Worst-case margin of Phi(delta F(y)) <= y^{2 delta} on a 2000-point log-spaced sweep.
 
     Phi is evaluated continuously in log space, so no truncation can occur;
     the reported T is the empirically smallest valid sampled threshold.
     """
     if not 0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    y = np.geomspace(y_range[0], y_range[1], n)
+    y = np.geomspace(y_range[0], y_range[1], 2000)
     args = delta * F(y)
     if np.any(args < 0):
         raise ValueError("sweep must start where F >= 0 (y >= 1)")

@@ -370,7 +370,7 @@ def build_measure(
     for table in (grid, v, density, cdf, tail, nm):
         table.flags.writeable = False
 
-    mu = Measure1D(
+    return Measure1D(
         grid=grid,
         potential_values=v,
         density=density,
@@ -380,7 +380,7 @@ def build_measure(
         Z=float(Z),
         log_norm=log_norm,
         v_min=v_min,
-        median=0.0,
+        median=float(np.interp(0.5, cdf, grid)),
         support=(a, b),
         truncation=(float(lo), float(hi)),
         log_concave=bool(log_concave),
@@ -388,8 +388,6 @@ def build_measure(
         name=name,
         params=dict(params or {}),
     )
-    object.__setattr__(mu, "median", float(mu.quantile(0.5)))
-    return mu
 
 
 def builtin_measure(name, alpha=None, n=16384, support=(-np.inf, np.inf), grid_kind="hybrid"):
@@ -529,10 +527,9 @@ def I_F_profile(mu, F, r_grid):
     return IFProfile(r_grid=r, s_values=s, values=vals, zero_flag=zero, trusted=trusted)
 
 
-def cheeger_constant(mu, t_grid=None):
-    """sup over sampled t of min(t, 1-t) / tilde_I(t) on (0, 1/2]."""
-    if t_grid is None:
-        t_grid = np.concatenate((np.geomspace(1e-9, 0.45, 1500), np.linspace(0.451, 0.5, 500)))
+def cheeger_constant(mu):
+    """sup of min(t, 1-t) / tilde_I(t) over 2000 sampled t in [1e-9, 1/2]."""
+    t_grid = np.concatenate((np.geomspace(1e-9, 0.45, 1500), np.linspace(0.451, 0.5, 500)))
     prof = tilde_profile(mu, t_grid)
     with np.errstate(divide="ignore"):
         ratio = np.where(prof.tilde_I > 0, np.minimum(prof.t_grid, 1.0 - prof.t_grid) / prof.tilde_I, np.inf)
@@ -545,12 +542,12 @@ def cheeger_constant(mu, t_grid=None):
 
 @dataclass(frozen=True)
 class BobkovGoetzeReport:
-    left_value: Optional[float]
-    left_arg: Optional[float]
-    left_status: Optional[str]
-    right_value: Optional[float]
-    right_arg: Optional[float]
-    right_status: Optional[str]
+    left_value: float
+    left_arg: float
+    left_status: str
+    right_value: float
+    right_arg: float
+    right_status: str
 
 
 def _bg_side(grid, tail, log_inv_rho, m, log_inv_rho_m):
@@ -591,24 +588,18 @@ def _bg_side(grid, tail, log_inv_rho, m, log_inv_rho_m):
     return value, arg, status
 
 
-def bobkov_goetze(mu, which="both"):
+def bobkov_goetze(mu):
     """Two-sided sup of F(x) log(1/F(x)) int_x^m dx/rho (and the mirror image).
 
     The left side is the right side of the mirrored measure: grid -x,
     cdf as tail, median -m (see _bg_side).
     """
-    if which not in ("left", "right", "both"):
-        raise ValueError("which must be 'left', 'right', or 'both'")
     m = mu.median
     log_inv_rho = (mu.potential_values - mu.v_min) + mu.log_norm
     log_inv_rho_m = float((mu.potential_at(np.array([m]))[0] - mu.v_min) + mu.log_norm)
-    lv = la = ls = rv = ra = rs = None
-    if which in ("left", "both"):
-        lv, la, ls = _bg_side(-mu.grid[::-1], mu.cdf[::-1], log_inv_rho[::-1], -m, log_inv_rho_m)
-        la = -la
-    if which in ("right", "both"):
-        rv, ra, rs = _bg_side(mu.grid, mu.tail, log_inv_rho, m, log_inv_rho_m)
-    return BobkovGoetzeReport(left_value=lv, left_arg=la, left_status=ls, right_value=rv, right_arg=ra, right_status=rs)
+    lv, la, ls = _bg_side(-mu.grid[::-1], mu.cdf[::-1], log_inv_rho[::-1], -m, log_inv_rho_m)
+    rv, ra, rs = _bg_side(mu.grid, mu.tail, log_inv_rho, m, log_inv_rho_m)
+    return BobkovGoetzeReport(left_value=lv, left_arg=-la, left_status=ls, right_value=rv, right_arg=ra, right_status=rs)
 
 
 @dataclass(frozen=True, eq=False)

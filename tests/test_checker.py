@@ -1,6 +1,6 @@
 """Integrability verdicts and growth-condition fitting."""
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,13 +9,11 @@ import isocert.checker as checker
 from isocert.checker import (
     ConditionSpec,
     check_condition,
-    check_condition_sweep,
     check_exp_power,
     verify_growth_condition,
 )
 from isocert.convex import CostFunction
 from isocert.entropy import EntropyFunction, F_tau
-from isocert.expr import parse_potential
 from isocert.measure1d import builtin_measure
 
 
@@ -92,40 +90,6 @@ class TestQuadratureBehavior:
         a = check_condition(spec, n_per_decade=256)
         b = check_condition(spec, n_per_decade=512)
         assert b.integral_estimate == pytest.approx(a.integral_estimate, rel=1e-6)
-
-
-class TestSweep:
-    def test_sweep_reports_best_finite_delta(self, gauss, F_log):
-        spec = ConditionSpec(gauss, F_log, delta=1.0, K=2.0, form="quadratic")
-        sw = check_condition_sweep(spec, deltas=(4.0, 1.0, 0.5))
-        assert sw.verdicts[0] == "DIVERGENT_LIKELY"
-        assert sw.verdicts[1] == "FINITE" and sw.verdicts[2] == "FINITE"
-        assert sw.best_delta == 1.0
-
-    def test_sweep_with_no_finite_delta(self, exp_measure, F_log):
-        spec = ConditionSpec(exp_measure, F_log, delta=1.0, K=2.0, form="quadratic")
-        sw = check_condition_sweep(spec, deltas=(1.0, 0.5))
-        assert sw.best_delta is None
-
-    def test_sweep_refuses_a_non_superlinear_cost(self, gauss, F_log):
-        g = np.linspace(0.0, 100.0, 4097)
-        spec = ConditionSpec(gauss, F_log, cost=CostFunction.from_samples(g, g), form="general")
-        with pytest.raises(ValueError, match="superlinear"):
-            check_condition(spec)
-        with pytest.raises(ValueError, match="superlinear"):
-            check_condition_sweep(spec)
-
-    def test_each_sweep_report_is_the_check_at_its_delta(self, gauss):
-        # the generic log_Phi route (no closed-form log Phi) with a sampled cost
-        V = parse_potential("2*(x^0.5-1)")
-        F = EntropyFunction(fn=lambda y: np.asarray(V(y), dtype=float), name="expr:2*(x^0.5-1)")
-        g = np.linspace(0.0, 100.0, 4097)
-        cost = CostFunction.from_samples(g, g**2 / 2 + g**4 / 4)
-        spec = ConditionSpec(gauss, F, cost=cost, K=3.0, form="general")
-        sw = check_condition_sweep(spec, deltas=(0.0625, 1.0, 0.25), n_per_decade=64)
-        assert sw.deltas == (1.0, 0.25, 0.0625)
-        for d, rep in zip(sw.deltas, sw.reports):
-            assert rep == check_condition(replace(spec, delta=d), n_per_decade=64)
 
 
 class TestSpecValidation:

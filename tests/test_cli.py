@@ -225,6 +225,14 @@ class TestConjugateCommand:
         assert main(["conjugate", "--grid=-1:1:5"]) == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    def test_huge_grid_points_write_nothing_to_stderr(self, capsys):
+        # the quadratic branch of c_{1,1.5} overflows at 1e200, where the
+        # power branch takes over
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["conjugate", "--cost", "c:1:1.5", "--grid", "0:1e200:3"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestProfileCommand:
     def test_two_sided_profile_csv(self, tmp_path):

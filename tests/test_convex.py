@@ -1,5 +1,7 @@
 """Cost functions and discrete Legendre conjugation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,13 @@ class TestClosedForm:
             CostFunction.closed_form(0.0, 2.0)
         with pytest.raises(ValueError):
             CostFunction.closed_form(1.0, 1.0)
+
+    def test_power_branch_past_the_quadratic_overflow_warns_nothing(self):
+        c = CostFunction.closed_form(1.0, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = eval_cost(c, 1e200)
+        assert value == pytest.approx(1e300 / 1.5, rel=1e-12)
 
     def test_negative_argument_rejected(self):
         c = CostFunction.closed_form(1.0, 2.0)

@@ -13,7 +13,6 @@ from isocert.entropy import (
     F_tau,
     check_assumptions,
     eval_F_tau,
-    eval_psi_tau_beta,
     lemma32_bound_check,
     log_Phi,
     log_entropy,
@@ -108,35 +107,17 @@ class TestFlattenedProfile:
 
 
 class TestConcavePerturbation:
-    def test_identity_below_one(self):
-        x = np.array([0.1, 0.5, 1.0])
-        assert np.allclose(eval_psi_tau_beta(1.0, 4.0, x), x, rtol=0)
-
-    def test_value_above_one_by_hand(self):
-        # beta/2 ((1 + tau(x-1))^{2/(tau beta)} - 1) + 1 at tau=1, beta=4, x=5:
-        # 2 (5^{1/2} - 1) + 1
-        want = 2.0 * (np.sqrt(5.0) - 1.0) + 1.0
-        assert eval_psi_tau_beta(1.0, 4.0, 5.0) == pytest.approx(want, rel=1e-14)
-        assert eval_psi_tau_beta(1.0, 4.0, 5.0) == pytest.approx(3.4721359549995796, rel=1e-14)
-
-    def test_identity_member_of_family(self):
-        x = np.linspace(0.0, 20.0, 101)
-        assert np.allclose(eval_psi_tau_beta(0.5, 4.0, x), x, rtol=1e-12)
-
     def test_composition_flattens_the_exponent(self, F_log):
-        # psi_{tau, beta} after the tau-flattening gives the 2/beta-flattening
+        # psi_{tau, beta}, the identity up to 1 and
+        # beta/2 ((1 + tau (x - 1))^{2/(tau beta)} - 1) + 1 above it, turns
+        # the tau-flattening into the 2/beta-flattening
         tau, beta = 0.5, 4.0
         Ft = F_tau(tau)
         Fb = F_tau(2.0 / beta)
         y = np.geomspace(1.0, 1e8, 200)
-        composed = eval_psi_tau_beta(tau, beta, Ft(y))
+        x = Ft(y)
+        composed = np.where(x <= 1.0, x, 0.5 * beta * ((1.0 + tau * (x - 1.0)) ** (2.0 / (tau * beta)) - 1.0) + 1.0)
         assert np.allclose(composed, Fb(y), rtol=1e-12)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            eval_psi_tau_beta(0.4, 4.0, 1.0)  # tau below 2/beta
-        with pytest.raises(ValueError):
-            eval_psi_tau_beta(1.0, -1.0, 1.0)
 
 
 class TestPhiTransform:
@@ -277,19 +258,20 @@ class TestLogPhiOracle:
 class TestAssumptionChecks:
     def test_log_passes_all(self, F_log):
         rep = check_assumptions(F_log)
-        assert rep.all_pass()
+        assert rep.a1 and rep.a2 and rep.a3 and rep.a4
         assert rep.delta > 0
         assert rep.y0 is not None
         assert rep.f_at_1 == pytest.approx(0.0, abs=1e-12)
 
     def test_flattened_passes_all(self, F_half):
-        assert check_assumptions(F_half).all_pass()
+        rep = check_assumptions(F_half)
+        assert rep.a1 and rep.a2 and rep.a3 and rep.a4
 
     def test_convex_profile_fails_concavity(self):
         bad = EntropyFunction(fn=lambda y: y * y - 1.0)
         rep = check_assumptions(bad)
         assert not rep.a1
-        assert not rep.all_pass()
+        assert not (rep.a1 and rep.a2 and rep.a3 and rep.a4)
 
     def test_shifted_profile_fails_normalization(self):
         shifted = EntropyFunction(fn=lambda y: np.log(y) + 0.5)
