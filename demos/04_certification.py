@@ -23,14 +23,14 @@ def main():
     expm = builtin_measure("exp")
 
     print("verdicts:")
-    show("gauss, delta=0.5", check_condition(ConditionSpec(gauss, F, delta=0.5, K=2.0, form="quadratic")))
-    show("gauss, delta=3.0", check_condition(ConditionSpec(gauss, F, delta=3.0, K=2.0, form="quadratic")))
-    show("exp,   delta=0.5", check_condition(ConditionSpec(expm, F, delta=0.5, K=2.0, form="quadratic")))
+    show("gauss, delta=0.5", check_condition(ConditionSpec(gauss, F, delta=0.5, K=2.0)))
+    show("gauss, delta=3.0", check_condition(ConditionSpec(gauss, F, delta=3.0, K=2.0)))
+    show("exp,   delta=0.5", check_condition(ConditionSpec(expm, F, delta=0.5, K=2.0)))
 
     print("\ndelta sweep on the Gaussian (largest delta that still converges):")
     finite = []
     for d in (3.0, 2.0, 1.5, 1.0, 0.5, 0.25):
-        verdict = check_condition(ConditionSpec(gauss, F, delta=d, K=2.0, form="quadratic")).verdict
+        verdict = check_condition(ConditionSpec(gauss, F, delta=d, K=2.0)).verdict
         print(f"  delta={d:4.2f}: {verdict}")
         if verdict == "FINITE":
             finite.append(d)

@@ -40,7 +40,6 @@ from .measure1d import (
     bobkov_bound_check,
     rearrange,
     lemma41_ratio,
-    fitted_profile_lower_bound,
 )
 from .checker import (
     ConditionSpec,

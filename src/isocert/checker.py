@@ -38,10 +38,9 @@ import numpy as np
 
 from .convex import CostFunction, eval_cost
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi
-from .measure1d import TRUST_TAIL, Measure1D, _vec, fitted_profile_lower_bound, tilde_profile
+from .measure1d import TRUST_TAIL, Measure1D, _vec, tilde_profile
 
 _LN10 = float(np.log(10.0))
-_FORMS = ("general", "quadratic", "one_d_quadratic")
 
 
 def _logsumexp(a, axis=None):
@@ -60,10 +59,10 @@ def _logsumexp(a, axis=None):
 class ConditionSpec:
     """One integrability question: measure, entropy profile, cost, scales.
 
-    form 'general' evaluates Phi(delta * c(ratio)) and needs a CostFunction;
-    'quadratic' and 'one_d_quadratic' evaluate Phi(delta * ratio^2) whatever
-    the cost, the latter naming the profile-based one-dimensional variant, for which K > 2
-    is enforced.
+    The cost alone picks the integrand: None evaluates Phi(delta * r^2), the
+    quadratic condition, and a CostFunction c evaluates Phi(delta * c(r)),
+    where r = t F(1/t) / tilde_I(t).  A report names the first form
+    'quadratic' and the second 'general'.
     """
 
     measure: Measure1D
@@ -71,25 +70,17 @@ class ConditionSpec:
     cost: Optional[CostFunction] = None
     delta: float = 1.0
     K: float = 2.0
-    form: str = "quadratic"
-    profile_choice: str = "tilde"
     t_min: float = 1e-12
 
     def __post_init__(self):
-        if self.form not in _FORMS:
-            raise ValueError(f"form must be one of {_FORMS}")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if not self.K > 1:
             raise ValueError("K must exceed 1")
-        if self.form == "one_d_quadratic" and not self.K > 2:
-            raise ValueError("the one-dimensional quadratic condition requires K > 2")
         if not TRUST_TAIL <= self.t_min < 1.0 / self.K:
             raise ValueError(f"t_min must lie in [{TRUST_TAIL:g}, 1/K)")
-        if self.form == "general" and not isinstance(self.cost, CostFunction):
-            raise ValueError("form 'general' requires a CostFunction")
-        if self.profile_choice not in ("tilde", "lower_bound_model"):
-            raise ValueError("profile_choice must be 'tilde' or 'lower_bound_model'")
+        if self.cost is not None and not isinstance(self.cost, CostFunction):
+            raise ValueError("cost must be None (the quadratic condition) or a CostFunction")
 
 
 @dataclass(frozen=True)
@@ -107,33 +98,6 @@ class ConditionReport:
     measure: str = ""
     entropy: str = ""
     cost: str = ""
-
-
-def _profile_fn(spec):
-    """Returns tilde_I(t) for vector t in (0, 1/2]."""
-    mu = spec.measure
-    if spec.profile_choice == "tilde":
-        def prof(t):
-            # the profile is symmetric in t <-> 1-t; fold (1/2, 1) back
-            return tilde_profile(mu, np.minimum(t, 1.0 - t)).tilde_I
-
-        return prof
-    alpha = mu.params.get("alpha")
-    if alpha is None:
-        raise ValueError("lower_bound_model needs a measure with an 'alpha' parameter")
-    base = tilde_profile(mu, np.geomspace(max(spec.t_min, TRUST_TAIL), 0.3, 400))
-    k = fitted_profile_lower_bound(base, alpha).k
-    expo = 1.0 - 1.0 / alpha
-
-    def prof(t):
-        tt = np.minimum(t, 1.0 - t)
-        return k * tt * np.log(1.0 / tt) ** expo
-
-    return prof
-
-
-def _cost_label(spec):
-    return spec.cost.label if spec.form == "general" else "quadratic"
 
 
 def _decade_edges(K, t_min):
@@ -154,7 +118,7 @@ def _condition_report(spec, n_per_decade):
     rep = check_assumptions(spec.F)
     if not (rep.a1 and rep.a2):
         raise ValueError("entropy profile fails the concavity/limit assumptions (A1-A2)")
-    if spec.form == "general" and not spec.cost.superlinearity_ok():
+    if spec.cost is not None and not spec.cost.superlinearity_ok():
         raise ValueError("cost must be superlinear (c(x)/x unbounded)")
 
     edges = _decade_edges(spec.K, spec.t_min)
@@ -162,14 +126,15 @@ def _condition_report(spec, n_per_decade):
     s_all = s.ravel()
     t_all = np.exp(-s_all)
     ratio = t_all * spec.F.at_log(s_all)  # t * F(1/t)
-    I_all = _profile_fn(spec)(t_all)
+    # the profile is symmetric in t <-> 1-t; fold (1/2, 1) back
+    I_all = tilde_profile(spec.measure, np.minimum(t_all, 1.0 - t_all)).tilde_I
     flags = []
     if np.any(I_all <= 0):
         flags.append("profile_zero_divergent_integrand")
         I_all = np.maximum(I_all, 1e-300)
     ratio = ratio / I_all
 
-    if spec.form == "general":
+    if spec.cost is not None:
         carg, trunc = eval_cost(spec.cost, ratio, return_flag=True)
         if np.any(trunc):
             flags.append("cost_extrapolated_beyond_grid")
@@ -236,11 +201,11 @@ def _classify(spec, H, S, log_partials, partials, t_edges, flags):
         tail_p=tail_p,
         decades=decades,
         flags=tuple(flags),
-        form=spec.form,
+        form="quadratic" if spec.cost is None else "general",
         t_min=spec.t_min,
         measure=spec.measure.name,
         entropy=spec.F.name,
-        cost=_cost_label(spec),
+        cost="quadratic" if spec.cost is None else spec.cost.label,
     )
 
 
@@ -300,10 +265,10 @@ def _exp_power_reports(mu, alpha, taus):
     q_stars = {tau: tau * alpha / (alpha * (tau - 1.0) + 1.0) for tau in taus}
     A, delta, K = 1.0, 0.25, 4.0  # as check_exp_power documents
     cost_specs = {
-        tau: ConditionSpec(measure=mu, F=F_tau(tau), cost=CostFunction.closed_form(A, q), delta=delta, K=K, form="general")
+        tau: ConditionSpec(measure=mu, F=F_tau(tau), cost=CostFunction.closed_form(A, q), delta=delta, K=K)
         for tau, q in q_stars.items()
     }
-    endpoint = ConditionSpec(measure=mu, F=F_tau(2.0 / beta), delta=delta, K=K, form="quadratic")
+    endpoint = ConditionSpec(measure=mu, F=F_tau(2.0 / beta), delta=delta, K=K)
     run_cost = {tau: check_condition(spec) for tau, spec in cost_specs.items()}
     run_quadratic = check_condition(endpoint)
     return [

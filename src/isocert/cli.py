@@ -184,8 +184,6 @@ class RunConfig:
     delta: Optional[float] = _setting(None, _CHECKED, float)
     K: float = _setting(2.0, ("check", "test", "certify"), float)
     t_min: float = _setting(1e-12, _CHECKED, float)
-    form: Optional[str] = _setting(None, _CHECKED, choices=("quadratic", "general", "one_d_quadratic"))
-    profile_choice: str = _setting("tilde", _CHECKED, choices=("tilde", "lower_bound_model"))
     n_per_decade: int = _setting(256, _CHECKED + ("paper-examples",), int)
     family: str = _setting("exponential", _TESTED, choices=tuple(_MEMBERS))
     params: str = _setting("0.25,0.5,1", _TESTED, help="comma-separated family parameters")
@@ -199,7 +197,6 @@ class RunConfig:
     tau: float = _setting(1.0, ("test",), float)
     A: float = _setting(1.0, ("test",), float)
     n: int = _setting(16384, _MEASURED + ("paper-examples",), int)
-    grid_kind: str = _setting("hybrid", _MEASURED, choices=("hybrid", "uniform"))
     support: Optional[str] = _setting(None, _MEASURED, help="lo:hi")
     grid: Optional[str] = _setting(None, ("conjugate", "profile"), help="lo:hi:n")
     t_grid: Optional[str] = _setting(None, ("profile",), help="lo:hi:n in (0, 1/2]")
@@ -269,34 +266,35 @@ def _parse_range(text: str, what: str, n_required: bool = True):
 
 
 @functools.lru_cache(maxsize=8)
-def _measure(kind, arg, support, n, grid_kind):
+def _measure(kind, arg, support, n):
     """The measure a request resolves to, built once per process per key.
 
     kind is a builtin name or "expr"; arg is the exp_power alpha (a float) or
     the parsed PotentialExpr, else None; support is the parsed --support, or
-    None for the whole line.  So `exp_power:1.5` and `--alpha 1.5` share an
-    entry.  A refused measure raises and is not kept, so it is refused again
-    on every request.  An entry holds about 0.8 MB at the default n; the
-    measure's tables are read-only, so requests can share it."""
+    None for the whole line; n is --n.  Every measure is built on the hybrid
+    grid.  So `exp_power:1.5` and `--alpha 1.5` share an entry.  A refused
+    measure raises and is not kept, so it is refused again on every request.
+    An entry holds about 0.8 MB at the default n; the measure's tables are
+    read-only, so requests can share it."""
     if kind == "expr":
         support = (-np.inf, np.inf) if support is None else support
-        return build_measure(arg, support=support, n=n, grid_kind=grid_kind, name=f"expr:{arg.text}")
+        return build_measure(arg, support=support, n=n, name=f"expr:{arg.text}")
     options = {} if support is None else {"support": support}
     if kind == "exp_power":
         options["alpha"] = arg
-    return builtin_measure(kind, n=n, grid_kind=grid_kind, **options)
+    return builtin_measure(kind, n=n, **options)
 
 
 def _build_measure(cfg: RunConfig):
     spec = cfg.measure.strip()
     support = None if cfg.support is None else _parse_range(cfg.support, "support", n_required=False)
+    name, colon, arg = spec.partition(":")
     if spec in ("gauss", "exp", "loglog"):
-        return _measure(spec, None, support, cfg.n, cfg.grid_kind)
-    if spec.startswith("exp_power"):
-        alpha = float(spec.split(":", 1)[1]) if ":" in spec else float(cfg.alpha)
-        return _measure("exp_power", alpha, support, cfg.n, cfg.grid_kind)
-    if spec.startswith("expr:"):
-        return _measure("expr", parse_potential(spec[5:]), support, cfg.n, cfg.grid_kind)
+        return _measure(spec, None, support, cfg.n)
+    if name == "exp_power":
+        return _measure("exp_power", float(arg) if colon else float(cfg.alpha), support, cfg.n)
+    if name == "expr" and colon:
+        return _measure("expr", parse_potential(arg), support, cfg.n)
     raise ConfigError(f"unknown measure {spec!r}")
 
 
@@ -320,28 +318,33 @@ def _expr_entropy(expr: PotentialExpr) -> EntropyFunction:
 
 
 def _build_cost(cfg: RunConfig):
-    """(cost, form, delta) for --cost: the cost, the checker form it selects,
-    and the checker's delta (the one quadratic:delta names, else 1; a
-    --delta that differs from a named one is refused).
+    """(cost, check_cost, delta) for --cost: the cost of conjugate tables and
+    tester energies, the checker's cost, and the checker's delta (the one
+    quadratic:delta names, else 1; a --delta that differs from a named one is
+    refused).
 
     quadratic:delta is the one place that names c_{1,2}(x) = x^2/2: conjugate
-    tables and tester energies use that cost, while the checker evaluates its
-    own 'quadratic' form Phi(delta r^2)."""
+    tables and tester energies use that cost, while its checker cost is None,
+    the quadratic condition Phi(delta r^2).  Any other cost is also the
+    checker's, which evaluates Phi(delta c(r))."""
     spec = cfg.cost.strip()
-    if spec.startswith("quadratic"):
-        delta = float(spec.split(":", 1)[1]) if ":" in spec else 1.0
+    name, colon, arg = spec.partition(":")
+    if name == "quadratic":
+        delta = float(arg) if colon else 1.0
         if delta <= 0:
             raise ConfigError("quadratic delta must be positive")
-        return CostFunction.closed_form(1.0, 2.0), "quadratic", delta
-    if spec.startswith("c:"):
+        return CostFunction.closed_form(1.0, 2.0), None, delta
+    if name == "c" and colon:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError("cost must look like c:A:alpha")
-        return CostFunction.closed_form(float(parts[1]), float(parts[2])), "general", 1.0
-    if spec.startswith("expr:"):
+        cost = CostFunction.closed_form(float(parts[1]), float(parts[2]))
+    elif name == "expr" and colon:
         grid = np.linspace(0.0, 100.0, 4097)
-        return CostFunction.from_samples(grid, parse_potential(spec[5:])(grid)), "general", 1.0
-    raise ConfigError(f"unknown cost {spec!r}")
+        cost = CostFunction.from_samples(grid, parse_potential(arg)(grid))
+    else:
+        raise ConfigError(f"unknown cost {spec!r}")
+    return cost, cost, 1.0
 
 
 def _build_family(cfg: RunConfig) -> TestFamily:
@@ -364,7 +367,7 @@ def _build_family(cfg: RunConfig) -> TestFamily:
 
 
 def _cmd_conjugate(cfg: RunConfig) -> int:
-    cost, _, _ = _build_cost(cfg)
+    cost = _build_cost(cfg)[0]
     grid_spec = cfg.grid if cfg.grid is not None else "0:10:2000"
     lo, hi, n = _parse_range(grid_spec, "grid")
     if lo < 0:
@@ -397,31 +400,25 @@ def _cmd_profile(cfg: RunConfig) -> int:
 
 
 def _make_condition_spec(cfg: RunConfig):
+    """(spec, cost): the checker's ConditionSpec and the tester's cost."""
     mu = _build_measure(cfg)
     F = _build_entropy(cfg)
-    cost, form, delta = _build_cost(cfg)
+    cost, check_cost, delta = _build_cost(cfg)
     if cfg.delta is not None and cfg.cost.strip().startswith("quadratic:") and cfg.delta != delta:
         raise ConfigError(f"delta {cfg.delta:g} conflicts with the delta {delta:g} of the cost {cfg.cost.strip()!r}")
-    if cfg.form is not None and cfg.form != form:
-        if cfg.form == "general":
-            raise ConfigError("form 'general' needs a c:A:alpha or expr: cost")
-        if form == "general":
-            raise ConfigError(f"form {cfg.form!r} evaluates Phi(delta r^2) and cannot use the cost {cfg.cost.strip()!r}")
-        form = cfg.form
-    return ConditionSpec(
+    spec = ConditionSpec(
         measure=mu,
         F=F,
-        cost=cost,
+        cost=check_cost,
         delta=cfg.delta if cfg.delta is not None else delta,
         K=cfg.K,
-        form=form,
-        profile_choice=cfg.profile_choice,
         t_min=cfg.t_min,
     )
+    return spec, cost
 
 
 def _cmd_check(cfg: RunConfig) -> int:
-    spec = _make_condition_spec(cfg)
+    spec, _ = _make_condition_spec(cfg)
     report = check_condition(spec, n_per_decade=cfg.n_per_decade)
     _write_text(cfg.out, _dump_json(report) + "\n")
     return 3 if report.verdict == "INCONCLUSIVE" else 0
@@ -432,14 +429,13 @@ def _run_test_report(cfg: RunConfig):
     if cfg.display == "restricted":
         mu = _build_measure(cfg)
         F = _build_entropy(cfg)
-        cost, _, _ = _build_cost(cfg)
-        return verify_theorem_2_1(mu, F, cost, cfg.K, family)
+        return verify_theorem_2_1(mu, F, _build_cost(cfg)[0], cfg.K, family)
     if cfg.display == "exp-power":
         exp_power_range(cfg.alpha, cfg.tau)
         # --measure gauss (the default) still means exp_power(alpha) on this
         # display: perfbench/reference.json pins it (see its FOUND line in CHANGES.md)
         if cfg.measure.strip() == "gauss" and cfg.support is None:
-            mu = _measure("exp_power", float(cfg.alpha), None, cfg.n, cfg.grid_kind)
+            mu = _measure("exp_power", float(cfg.alpha), None, cfg.n)
         else:
             mu = _build_measure(cfg)
         return verify_theorem_1_1(mu, cfg.alpha, cfg.tau, cfg.A, family)
@@ -460,10 +456,10 @@ def _cmd_test(cfg: RunConfig) -> int:
 
 
 def _cmd_certify(cfg: RunConfig) -> int:
-    spec = _make_condition_spec(cfg)
+    spec, cost = _make_condition_spec(cfg)
     check_report = check_condition(spec, n_per_decade=cfg.n_per_decade)
     family = _build_family(cfg)
-    test_report = verify_theorem_2_1(spec.measure, spec.F, spec.cost, cfg.K, family)
+    test_report = verify_theorem_2_1(spec.measure, spec.F, cost, cfg.K, family)
 
     margins_ok = all(row["ok"] for row in test_report.details["step1"])
     b_finite = test_report.B_hat is not None and np.isfinite(test_report.B_hat)
@@ -484,10 +480,8 @@ def _cmd_certify(cfg: RunConfig) -> int:
 
 
 def _cmd_paper_examples(cfg: RunConfig) -> int:
-    exp_power = _measure("exp_power", 1.5, None, cfg.n, "hybrid")  # shared by three fixtures
-    loglog = ConditionSpec(
-        measure=_measure("loglog", None, None, cfg.n, "hybrid"), F=log_entropy(), delta=0.5, K=2.0, form="quadratic"
-    )
+    exp_power = _measure("exp_power", 1.5, None, cfg.n)  # shared by three fixtures
+    loglog = ConditionSpec(measure=_measure("loglog", None, None, cfg.n), F=log_entropy(), delta=0.5, K=2.0)
     family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
     loglog_report = check_condition(loglog, n_per_decade=cfg.n_per_decade)
     upper, lower = _exp_power_reports(exp_power, 1.5, (1.0, 2.0 / 3.0))  # one shared endpoint run

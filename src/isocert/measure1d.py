@@ -725,29 +725,3 @@ def lemma41_ratio(mu, r_range=None, n=800):
         sup, arg = 0.0, r_lo
     return Lemma41Report(r_values=r, ratios=ratios, sup=sup, arg_r=arg, R_half=R_half)
 
-
-@dataclass(frozen=True)
-class ProfileFitReport:
-    k: float
-    exponent: float
-    t_lo: float
-    t_hi: float
-    n_used: int
-
-
-def fitted_profile_lower_bound(profile, alpha):
-    """Largest k with tilde_I(t) >= k t log(1/t)^{1 - 1/alpha} on the trusted grid.
-
-    Positive k certifies the power-of-log lower-bound model for the sampled
-    range (restricted to t <= 1/e so the log factor stays >= 1).
-    """
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    expo = 1.0 - 1.0 / alpha
-    m = profile.trusted & (profile.t_grid <= 1.0 / np.e)
-    if not np.any(m):
-        raise ValueError("no trusted profile points with t <= 1/e")
-    t = profile.t_grid[m]
-    model = t * np.log(1.0 / t) ** expo
-    k = float(np.min(profile.tilde_I[m] / model))
-    return ProfileFitReport(k=k, exponent=expo, t_lo=float(t.min()), t_hi=float(t.max()), n_used=int(t.size))

@@ -114,20 +114,20 @@ def test_06_integrability_verdict_table():
     F = log_entropy()
 
     t0 = time.perf_counter()
-    rep = check_condition(ConditionSpec(builtin_measure("gauss"), F, delta=0.5, K=2.0, form="quadratic"))
+    rep = check_condition(ConditionSpec(builtin_measure("gauss"), F, delta=0.5, K=2.0))
     assert rep.verdict == "FINITE"
     assert time.perf_counter() - t0 < 5.0
 
     exp_mu = builtin_measure("exp")
     for delta in (0.25, 1.0, 2.0):
         t0 = time.perf_counter()
-        rep = check_condition(ConditionSpec(exp_mu, F, delta=delta, K=2.0, form="quadratic"))
+        rep = check_condition(ConditionSpec(exp_mu, F, delta=delta, K=2.0))
         assert rep.verdict == "DIVERGENT_LIKELY"
         assert time.perf_counter() - t0 < 5.0
 
     t0 = time.perf_counter()
     rep = check_condition(
-        ConditionSpec(builtin_measure("loglog"), iterated_log_entropy(), delta=0.25, K=4.0, form="quadratic")
+        ConditionSpec(builtin_measure("loglog"), iterated_log_entropy(), delta=0.25, K=4.0)
     )
     assert rep.verdict == "FINITE"
     assert rep.tail_p < 1.0  # fitted integrand exponent

@@ -183,6 +183,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             RunConfig.from_sources("/nonexistent/run.cfg", argparse.Namespace())
 
+    @pytest.mark.parametrize("line", ["form = quadratic", "profile_choice = tilde", "grid_kind = uniform"])
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            RunConfig.from_sources(str(cfg_file), argparse.Namespace())
+
     def test_config_error_exit_code_through_main(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("frobnicate = 1\n")
@@ -284,14 +291,30 @@ class TestCheckCommand:
         mu = builtin_measure("gauss", n=4096)
         grid = np.linspace(0.0, 2.0, 257)
         cost = CostFunction.from_samples(grid, grid * grid / 2.0)
-        spec = ConditionSpec(measure=mu, F=log_entropy(), cost=cost, delta=0.5,
-                             K=2.0, form="general")
+        spec = ConditionSpec(measure=mu, F=log_entropy(), cost=cost, delta=0.5, K=2.0)
         report = check_condition(spec)
         assert report.verdict == "INCONCLUSIVE"  # cost grid too short to trust
         monkeypatch.setattr(cli, "check_condition", lambda s, n_per_decade=256: report)
         rc = main(["check", "--measure", "gauss"])
         assert rc == 3
         assert json.loads(capsys.readouterr().out)["verdict"] == "INCONCLUSIVE"
+
+    @pytest.mark.parametrize("cost, form, name, delta", [
+        ("quadratic", "quadratic", "quadratic", 1),
+        ("quadratic:0.5", "quadratic", "quadratic", 0.5),
+        ("c:1:3", "general", "c_{1,3}", 1),
+        ("expr:x^2/2", "general", "sampled", 1),
+    ])
+    def test_cost_picks_the_checked_form(self, cost, form, name, delta, capsys):
+        assert main(["check", "--measure", "gauss", "--cost", cost, "--n", "4096"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["form"], payload["cost"], payload["delta"]) == (form, name, delta)
+
+    def test_exp_power_alpha_may_be_named_in_the_measure(self, capsys):
+        assert main(["check", "--measure", "exp_power", "--alpha", "1.5", "--n", "4096"]) == 0
+        flag = capsys.readouterr().out
+        assert main(["check", "--measure", "exp_power:1.5", "--n", "4096"]) == 0
+        assert capsys.readouterr().out == flag
 
     def test_unknown_measure_exits_two(self, capsys):
         assert main(["check", "--measure", "banana"]) == 2
@@ -303,7 +326,7 @@ class TestCheckCommand:
 
     def test_argparse_rejects_unknown_choice(self):
         with pytest.raises(SystemExit) as exc:
-            main(["check", "--form", "pentagonal"])
+            main(["test", "--display", "pentagonal"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("n", ["0", "3"])
@@ -375,18 +398,6 @@ class TestTestCommand:
         assert main(["test", "--display", "exp-power", "--measure", "gauss", "--alpha", "2.5"]) == 2
         assert capsys.readouterr().err == "error: alpha must lie in (1, 2]\n"
 
-    def test_exp_power_display_passes_the_grid_kind(self, monkeypatch):
-        calls = []
-
-        def recording(name, **kwargs):
-            calls.append((name, kwargs))
-            return builtin_measure(name, **kwargs)
-
-        monkeypatch.setattr(cli, "builtin_measure", recording)
-        rc = main(["test", "--display", "exp-power", "--grid-kind", "uniform", "--params", "0.5", "--n", "4096"])
-        assert rc == 0
-        assert calls == [("exp_power", {"alpha": 1.5, "n": 4096, "grid_kind": "uniform"})]
-
     def test_invalid_display_parameters_exit_two(self, capsys):
         rc = main(["test", "--display", "exp-power", "--alpha", "3", "--tau", "1", "--A", "1"])
         assert rc == 2
@@ -450,7 +461,7 @@ class TestPaperExamplesCommand:
         report = checker._condition_report
 
         def counted(spec, n_per_decade):
-            passes.append((spec.F.name, spec.form))
+            passes.append((spec.F.name, "quadratic" if spec.cost is None else "general"))
             return report(spec, n_per_decade)
 
         monkeypatch.setattr(checker, "_condition_report", counted)
@@ -466,7 +477,7 @@ class TestPaperExamplesCommand:
         out = tmp_path / "p.json"
         assert main(["paper-examples", "--n", "4096", "--n-per-decade", "16", "--out", str(out)]) == 0
         exp_power = builtin_measure("exp_power", alpha=1.5, n=4096)
-        loglog = ConditionSpec(builtin_measure("loglog", n=4096), log_entropy(), delta=0.5, K=2.0, form="quadratic")
+        loglog = ConditionSpec(builtin_measure("loglog", n=4096), log_entropy(), delta=0.5, K=2.0)
         family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
         fixtures = {
             "loglog_quadratic": check_condition(loglog, n_per_decade=16),
@@ -529,7 +540,6 @@ class TestMeasureCache:
             ("--measure", "exp_power:1.5", "--n", "4096"),
             ("--measure", "exp_power", "--alpha", "1.5", "--n", "4096"),  # the same alpha: same entry
             ("--measure", "exp_power:1.5", "--n", "2048"),
-            ("--measure", "exp_power:1.5", "--n", "4096", "--grid-kind", "uniform"),
             ("--measure", "exp_power:1.5", "--n", "4096", "--support=-5:5"),
             ("--measure", "exp_power:1.6", "--n", "4096"),
             ("--measure", "expr:x^2/2", "--n", "4096"),
@@ -540,7 +550,7 @@ class TestMeasureCache:
         for flags in requests:
             assert self._profile(tmp_path, *flags) == 0
             counts.append(len(builds))
-        assert counts == [1, 1, 2, 3, 4, 5, 6, 7, 7]
+        assert counts == [1, 1, 2, 3, 4, 5, 6, 6]
 
     def test_exp_power_display_shares_the_measure_entry(self, monkeypatch):
         builds = self._count_builds(monkeypatch)
@@ -595,7 +605,7 @@ class TestMeasureCache:
 
     def test_cached_tables_are_read_only(self):
         # one measure serves every request with its key, so no caller may write to it
-        mu = cli._measure("gauss", None, None, 256, "hybrid")
+        mu = cli._measure("gauss", None, None, 256)
         with pytest.raises(ValueError):
             mu.density[0] = 0
         for table in (mu.grid, mu.potential_values, mu.cdf, mu.tail, mu.node_mass):
@@ -624,8 +634,8 @@ _REQUESTS = [
     ["conjugate", "--cost", "expr:x^2/2"],
     ["profile", "--measure", "exp_power", "--alpha", "1.5", "--n", "4096", "--t-grid", "0.1:0.5:3"],
     ["profile", "--profile-kind", "if", "--measure", "gauss", "--support=-9:9", "--n", "4096", "--grid", "0:4:5"],
-    ["check", "--measure", "exp_power", "--n", "4096", "--cost", "c:1:3", "--delta", "0.5", "--form", "general",
-     "--profile-choice", "lower_bound_model", "--t-min", "1e-10", "--n-per-decade", "16", "--grid-kind", "uniform"],
+    ["check", "--measure", "exp_power", "--n", "4096", "--cost", "c:1:3", "--delta", "0.5", "--t-min", "1e-10",
+     "--n-per-decade", "16"],
     ["test", "--measure", "gauss", "--n", "4096", "--cost", "quadratic:0.5", "--family", "random_smooth",
      "--params", "0,1", "--seed", "1", "--scale", "0.4", "--floor", "1e-5"],
     ["test", "--display", "exp-power", "--alpha", "2", "--tau", "1", "--A", "1", "--params", "0.5", "--n", "4096"],
@@ -641,7 +651,15 @@ class TestPerSubcommandFlags:
     @pytest.mark.parametrize("argv", [
         ["conjugate", "--measure", "gauss", "--family", "bump", "--grid", "0:1:3"],
         ["paper-examples", "--cost", "c:1:3"],
-        ["check", "--grid", "0:1:3"],  # no abbreviation of --grid-kind
+        ["check", "--grid", "0:1:3"],
+        ["check", "--form", "quadratic"],
+        ["certify", "--profile-choice", "tilde"],
+        ["profile", "--grid-kind", "uniform"],
+        ["check", "--profile-choice", "tilde"],
+        ["check", "--grid-kind", "uniform"],
+        ["certify", "--form", "general"],
+        ["certify", "--grid-kind", "uniform"],
+        ["test", "--grid-kind", "uniform"],
     ])
     def test_unread_flag_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -664,9 +682,9 @@ class TestPerSubcommandFlags:
 
     def test_config_value_outside_the_choices_is_refused(self, tmp_path, capsys):
         cfg_file = tmp_path / "problem.cfg"
-        cfg_file.write_text("form = pentagonal\n")
-        assert main(["check", "--config", str(cfg_file)]) == 2
-        assert "form must be one of" in capsys.readouterr().err
+        cfg_file.write_text("display = pentagonal\n")
+        assert main(["test", "--config", str(cfg_file)]) == 2
+        assert "display must be one of" in capsys.readouterr().err
 
     def test_fields_read_are_the_declared_flags(self, tmp_path):
         read = {name: set() for name in cli._COMMANDS}
@@ -713,16 +731,6 @@ class TestPerSubcommandFlags:
         assert main(argv + [f"{flag}={value}", "--out", str(joined)]) == 0
         assert spaced.read_bytes() == joined.read_bytes()
 
-    def test_general_form_refuses_the_quadratic_cost(self, capsys):
-        assert main(["check", "--form", "general", "--cost", "quadratic:0.5"]) == 2
-        assert "form 'general'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["check", "certify"])
-    @pytest.mark.parametrize("form, cost", [("quadratic", "c:1:3"), ("one_d_quadratic", "expr:x^2/2")])
-    def test_quadratic_form_refuses_a_non_quadratic_cost(self, command, form, cost, capsys):
-        # the quadratic forms evaluate Phi(delta r^2): a cost they would not use is refused, by name
-        assert main([command, "--form", form, "--cost", cost, "--K", "3"]) == 2
-        assert repr(cost) in capsys.readouterr().err
 
 
 class TestReadmeCommands:
@@ -751,6 +759,11 @@ _REFUSALS = [
     (["check", "--measure", "banana"], "unknown measure 'banana'"),
     (["check", "--entropy", "banana"], "unknown entropy 'banana'"),
     (["check", "--cost", "banana"], "unknown cost 'banana'"),
+    (["check", "--cost", "quadraticXYZ"], "unknown cost 'quadraticXYZ'"),
+    (["check", "--measure", "exp_powerX"], "unknown measure 'exp_powerX'"),
+    (["certify", "--cost", "quadraticXYZ"], "unknown cost 'quadraticXYZ'"),
+    (["conjugate", "--cost", "quadratic2"], "unknown cost 'quadratic2'"),
+    (["profile", "--measure", "exp_power2"], "unknown measure 'exp_power2'"),
     (["check", "--measure", "expr:abs(x"], "expected ')'"),
     (["check", "--measure", "expr:x^2/2+y"], "unknown identifier 'y'"),
     (["check", "--entropy", "ftau:abc"], "could not convert string to float"),
@@ -780,11 +793,7 @@ _REFUSALS = [
     (["check", "--delta", "0", *_N], "delta must be positive"),
     (["check", "--measure", "gauss", "--cost", "quadratic:0.25", "--delta", "0.5", *_N],
      "delta 0.5 conflicts with the delta 0.25 of the cost 'quadratic:0.25'"),
-    (["check", "--form", "one_d_quadratic", "--K", "2", *_N], "requires K > 2"),
     (["check", "--t-min", "0.9", *_N], "t_min must lie in"),
-    (["check", "--form", "general", "--cost", "quadratic:0.5"], "form 'general'"),
-    (["check", "--form", "quadratic", "--cost", "c:1:3"], "cannot use the cost 'c:1:3'"),
-    (["check", "--profile-choice", "lower_bound_model", *_N], "'alpha' parameter"),
     (["check", "--n", "10"], "grid size too small"),
     (["check", "--support", "1:1"], "empty support interval"),
     (["check", "--support", "a:b"], "bad support"),

@@ -328,7 +328,7 @@ class TestSharedProfiles:
 
     def test_failing_profile_is_refused_on_every_call(self, gauss, monkeypatch):
         calls = self._count_samples(monkeypatch)
-        spec = ConditionSpec(gauss, EntropyFunction(fn=lambda y: y * y - 1.0, name="convex"), form="quadratic")
+        spec = ConditionSpec(gauss, EntropyFunction(fn=lambda y: y * y - 1.0, name="convex"))
         for _ in range(3):
             with pytest.raises(ValueError, match="A1-A2"):
                 check_condition(spec, n_per_decade=16)

@@ -41,11 +41,9 @@ from isocert.measure1d import (
     bobkov_goetze,
     builtin_measure,
     cheeger_constant,
-    fitted_profile_lower_bound,
     kolmogorov_distance,
     lemma41_ratio,
     rearrange,
-    tilde_profile,
 )
 from isocert.tester import TestFamily, lemma_3_3_check, lemma_3_4_check
 
@@ -161,9 +159,6 @@ LIBRARY_CASES = {
     "bobkov_bound_check exp_power:1.5": lambda: bobkov_bound_check(_mu("exp_power"), np.geomspace(1e-12, 0.5, 60)),
     "rearrange gauss": lambda: rearrange(_mu("gauss"), _wave(_mu("gauss"))),
     "kolmogorov_distance gauss": lambda: kolmogorov_distance(_mu("gauss"), _wave(_mu("gauss")), rearrange(_mu("gauss"), _wave(_mu("gauss")))),
-    "fitted_profile_lower_bound exp_power:1.5": lambda: fitted_profile_lower_bound(
-        tilde_profile(_mu("exp_power"), np.geomspace(1e-12, 0.3, 400)), 1.5
-    ),
 }
 
 

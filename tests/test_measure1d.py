@@ -16,7 +16,6 @@ from isocert.measure1d import (
     build_measure,
     builtin_measure,
     cheeger_constant,
-    fitted_profile_lower_bound,
     kolmogorov_distance,
     lemma41_ratio,
     rearrange,
@@ -395,20 +394,6 @@ class TestSampledFunction:
     def test_integrate_constant(self, gauss):
         one = np.ones_like(gauss.grid)
         assert gauss.integrate(one) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestProfileFit:
-    def test_gaussian_lower_bound_constant_is_positive(self, gauss):
-        t = np.geomspace(1e-8, 0.3, 400)
-        prof = tilde_profile(gauss, t)
-        rep = fitted_profile_lower_bound(prof, 2.0)
-        assert rep.k > 0.5  # the true constant is about 0.7 at alpha = 2
-        assert rep.exponent == pytest.approx(0.5)
-
-    def test_alpha_validation(self, gauss):
-        prof = tilde_profile(gauss, np.geomspace(1e-6, 0.3, 50))
-        with pytest.raises(ValueError):
-            fitted_profile_lower_bound(prof, 0.5)
 
 
 class TestTwoSidedCriterion:
