@@ -25,12 +25,16 @@ decade whose sum overflows float range reports log10_partial_sum only.
 
 A profile's A1-A2 gate reads the report the profile keeps
 (check_assumptions), so a profile is sampled once however many conditions
-use it.  Reports themselves are never kept; instead _exp_power_reports,
+use it.  The measure's tilde profile at the quadrature nodes depends only on
+the measure and the node layout (K, t_min, n_per_decade), so it is computed
+once per layout and kept, read-only, with the measure (_node_profile).
+Reports themselves are never kept; instead _exp_power_reports,
 behind check_exp_power, takes several taus at once and evaluates each
 distinct condition among them once.  Entry points: check_condition,
 check_exp_power (at A = 1, delta = 1/4, K = 4) and verify_growth_condition.
 """
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,6 +114,28 @@ def _decade_edges(K, t_min):
     return edges[edges >= s0 - 1e-12]
 
 
+_KEPT_LAYOUTS = 4  # node profiles a measure keeps; the oldest layout goes first
+_KEPT_LOCK = threading.Lock()  # threads may share a measure
+
+
+def _node_profile(mu, layout, t):
+    """tilde_I at the quadrature nodes t of layout = (K, t_min, n_per_decade),
+    the profile folded by its symmetry t <-> 1-t.  The table depends on the
+    measure and the layout only, so it is computed once and kept, read-only,
+    in mu.node_profiles (for mu's last _KEPT_LAYOUTS layouts) and is freed
+    with mu."""
+    kept = mu.node_profiles
+    table = kept.get(layout)
+    if table is None:
+        table = tilde_profile(mu, np.minimum(t, 1.0 - t)).tilde_I
+        table.flags.writeable = False
+        with _KEPT_LOCK:  # evict and insert as one step
+            if len(kept) >= _KEPT_LAYOUTS:
+                del kept[next(iter(kept))]
+            kept[layout] = table
+    return table
+
+
 def _condition_report(spec, n_per_decade):
     """The ConditionReport of spec: one evaluation of the profile, F and the
     cost on the quadrature nodes and one log_Phi call."""
@@ -126,8 +152,7 @@ def _condition_report(spec, n_per_decade):
     s_all = s.ravel()
     t_all = np.exp(-s_all)
     ratio = t_all * spec.F.at_log(s_all)  # t * F(1/t)
-    # the profile is symmetric in t <-> 1-t; fold (1/2, 1) back
-    I_all = tilde_profile(spec.measure, np.minimum(t_all, 1.0 - t_all)).tilde_I
+    I_all = _node_profile(spec.measure, (spec.K, spec.t_min, n_per_decade), t_all)
     flags = []
     if np.any(I_all <= 0):
         flags.append("profile_zero_divergent_integrand")
@@ -256,10 +281,11 @@ def check_exp_power(mu, alpha, tau):
     return _exp_power_reports(mu, alpha, (tau,))[0]
 
 
-def _exp_power_reports(mu, alpha, taus):
+def _exp_power_reports(mu, alpha, taus, n_per_decade=256):
     """check_exp_power for each tau in taus, evaluating each distinct
     condition once: the endpoint pair does not depend on tau, so every
-    report shares one run_quadratic, and a repeated tau shares its run_cost."""
+    report shares one run_quadratic, and a repeated tau shares its run_cost.
+    n_per_decade is check_condition's."""
     taus = [min(max(tau, exp_power_range(alpha, tau)), 1.0) for tau in taus]
     beta = alpha / (alpha - 1.0)
     q_stars = {tau: tau * alpha / (alpha * (tau - 1.0) + 1.0) for tau in taus}
@@ -269,8 +295,8 @@ def _exp_power_reports(mu, alpha, taus):
         for tau, q in q_stars.items()
     }
     endpoint = ConditionSpec(measure=mu, F=F_tau(2.0 / beta), delta=delta, K=K)
-    run_cost = {tau: check_condition(spec) for tau, spec in cost_specs.items()}
-    run_quadratic = check_condition(endpoint)
+    run_cost = {tau: check_condition(spec, n_per_decade) for tau, spec in cost_specs.items()}
+    run_quadratic = check_condition(endpoint, n_per_decade)
     return [
         ExpPowerReport(
             alpha=float(alpha),

@@ -15,7 +15,10 @@ subcommand does.  A process keeps the last 8 measures it built, keyed by
 the resolved measure settings, and the last 8 `expr:` entropies, keyed by
 the parsed expression, so a repeated measure is built once and a repeated
 profile is built and checked (A1-A4) once; `log` and `ftau:t` profiles are
-shared by the entropy module itself.  Reports are never kept: every request
+shared by the entropy module itself.  A kept measure also keeps the
+checker's tilde profile at the quadrature nodes of its last 4 node layouts
+(K, t_min, --n-per-decade), so `check` and `certify` on a repeated measure
+and layout sample the profile once.  Reports are never kept: every request
 computes its own.  The argument parser is built once per subcommand.  JSON
 and CSV are each written by one writer, in one pass; the JSON writer picks a
 value's form from one isinstance chain.  An `expr:` measure or entropy is
@@ -274,8 +277,9 @@ def _measure(kind, arg, support, n):
     None for the whole line; n is --n.  Every measure is built on the hybrid
     grid.  So `exp_power:1.5` and `--alpha 1.5` share an entry.  A refused
     measure raises and is not kept, so it is refused again on every request.
-    An entry holds about 0.8 MB at the default n; the measure's tables are
-    read-only, so requests can share it."""
+    An entry holds about 0.8 MB at the default n, plus at most 4 node
+    profiles of about 25 KB (checker._node_profile); the measure's tables
+    are read-only, so requests can share it."""
     if kind == "expr":
         support = (-np.inf, np.inf) if support is None else support
         return build_measure(arg, support=support, n=n, name=f"expr:{arg.text}")
@@ -285,6 +289,14 @@ def _measure(kind, arg, support, n):
     return builtin_measure(kind, n=n, **options)
 
 
+def _spec_float(text: str, what: str, spec: str) -> float:
+    """float(text), a part of the --<what> spec; refused naming the spec."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} {spec!r}: {exc}") from None
+
+
 def _build_measure(cfg: RunConfig):
     spec = cfg.measure.strip()
     support = None if cfg.support is None else _parse_range(cfg.support, "support", n_required=False)
@@ -292,7 +304,7 @@ def _build_measure(cfg: RunConfig):
     if spec in ("gauss", "exp", "loglog"):
         return _measure(spec, None, support, cfg.n)
     if name == "exp_power":
-        return _measure("exp_power", float(arg) if colon else float(cfg.alpha), support, cfg.n)
+        return _measure("exp_power", _spec_float(arg, "measure", spec) if colon else float(cfg.alpha), support, cfg.n)
     if name == "expr" and colon:
         return _measure("expr", parse_potential(arg), support, cfg.n)
     raise ConfigError(f"unknown measure {spec!r}")
@@ -303,7 +315,7 @@ def _build_entropy(cfg: RunConfig) -> EntropyFunction:
     if spec == "log":
         return log_entropy()
     if spec.startswith("ftau:"):
-        return F_tau(float(spec.split(":", 1)[1]))
+        return F_tau(_spec_float(spec[5:], "entropy", spec))
     if spec.startswith("expr:"):
         return _expr_entropy(parse_potential(spec[5:]))
     raise ConfigError(f"unknown entropy {spec!r}")
@@ -330,7 +342,7 @@ def _build_cost(cfg: RunConfig):
     spec = cfg.cost.strip()
     name, colon, arg = spec.partition(":")
     if name == "quadratic":
-        delta = float(arg) if colon else 1.0
+        delta = _spec_float(arg, "cost", spec) if colon else 1.0
         if delta <= 0:
             raise ConfigError("quadratic delta must be positive")
         return CostFunction.closed_form(1.0, 2.0), None, delta
@@ -338,7 +350,7 @@ def _build_cost(cfg: RunConfig):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError("cost must look like c:A:alpha")
-        cost = CostFunction.closed_form(float(parts[1]), float(parts[2]))
+        cost = CostFunction.closed_form(_spec_float(parts[1], "cost", spec), _spec_float(parts[2], "cost", spec))
     elif name == "expr" and colon:
         grid = np.linspace(0.0, 100.0, 4097)
         cost = CostFunction.from_samples(grid, parse_potential(arg)(grid))
@@ -484,7 +496,7 @@ def _cmd_paper_examples(cfg: RunConfig) -> int:
     loglog = ConditionSpec(measure=_measure("loglog", None, None, cfg.n), F=log_entropy(), delta=0.5, K=2.0)
     family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
     loglog_report = check_condition(loglog, n_per_decade=cfg.n_per_decade)
-    upper, lower = _exp_power_reports(exp_power, 1.5, (1.0, 2.0 / 3.0))  # one shared endpoint run
+    upper, lower = _exp_power_reports(exp_power, 1.5, (1.0, 2.0 / 3.0), cfg.n_per_decade)  # one shared endpoint run
     fixtures = {
         "loglog_quadratic": loglog_report,
         "exp_power_tau_upper": upper,

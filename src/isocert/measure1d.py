@@ -122,6 +122,9 @@ class Measure1D:
     accurate in its own end down to TRUST_TAIL; density_at evaluates the
     density exactly from the potential rather than by interpolation.  The
     tables are read-only, so one built measure can serve many requests.
+    node_profiles holds the checker's read-only node profiles of this
+    measure, one per node layout (see checker._node_profile); it is freed
+    with the measure.
     """
 
     grid: np.ndarray
@@ -140,6 +143,7 @@ class Measure1D:
     potential_fn: Callable
     name: str = "measure"
     params: dict = field(default_factory=dict)
+    node_profiles: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- pointwise evaluations ------------------------------------------------
     def potential_at(self, x):

@@ -38,8 +38,10 @@ denominator, and NaN (no evidence) otherwise; C_hat is the largest non-NaN
 ratio, or 0 when there is none, so every reported ratio is at most C_hat.
 
 Family members are evaluated independently and reduced in parameter order,
-so reports are deterministic.  The random_smooth phase table is built once
-per verify call, shared by the enrichment.  The median sorts a member's
+so reports are deterministic.  What every member of a family reads and no
+parameter changes (`_SHARED`: random_smooth's phase table, stretched_exp's
+lam-free powers) is built once per verify call, shared by the enrichment,
+and not kept across calls.  The median sorts a member's
 values only when they are not already nondecreasing and sums tied masses
 only when there are ties.
 """
@@ -105,17 +107,17 @@ def _shifted_linear(fam, mu, eps):
     return np.maximum(lin, 0.0) + fam.floor, np.where(lin > 0.0, eps, 0.0), None
 
 
-def _trig_basis(mu):
+def _trig_basis(fam, mu):
     """(omega, cos, sin) with cos and sin of the phases j*omega*x on mu's grid,
-    j = 1.._RANDOM_TERMS and omega = pi / max|truncation|: the one table that
-    every random_smooth label of a verify call shares, its enrichment's too."""
+    j = 1.._RANDOM_TERMS and omega = pi / max|truncation|: random_smooth's
+    shared table, which depends on the grid only."""
     omega = np.pi / max(abs(mu.truncation[0]), abs(mu.truncation[1]))
     phase = np.outer(mu.grid, np.arange(1, _RANDOM_TERMS + 1, dtype=float) * omega)
     return omega, np.cos(phase), np.sin(phase)
 
 
-def _random_smooth(fam, mu, label, trig):
-    omega, cos, sin = trig
+def _random_smooth(fam, mu, label, table):
+    omega, cos, sin = table
     j = np.arange(1, _RANDOM_TERMS + 1, dtype=float)
     wts = 1.0 / j**2
     rng = np.random.default_rng([fam.seed, label])
@@ -128,17 +130,25 @@ def _random_smooth(fam, mu, label, trig):
     return vals, log_deriv * vals, log_deriv
 
 
-def _stretched_exp(fam, mu, lam):
+def _stretched_powers(fam, mu):
+    """(P, D) = (base^{p/2}, p x base^{p/2 - 1}) with base = x^2 + smoothing^2
+    and p the exponent: stretched_exp's shared table, free of lam, so that a
+    member is e^{lam P} with log-derivative lam D."""
     x = mu.grid
     p = fam.exponent
     base = x * x + fam.smoothing**2
-    log_deriv = lam * (p * x * base ** (0.5 * p - 1.0))
-    vals = np.exp(lam * base ** (0.5 * p))
+    return base ** (0.5 * p), p * x * base ** (0.5 * p - 1.0)
+
+
+def _stretched_exp(fam, mu, lam, table):
+    P, D = table
+    log_deriv = lam * D
+    vals = np.exp(lam * P)
     return vals, log_deriv * vals, log_deriv
 
 
 # kind -> member(family, measure, parameter) = (values, dvalues, log_deriv or None);
-# random_smooth also takes trig=_trig_basis(measure)
+# a kind in _SHARED also takes table=_SHARED[kind](family, measure)
 _MEMBERS = {
     "exponential": _exponential,
     "bump": _bump,
@@ -146,6 +156,24 @@ _MEMBERS = {
     "random_smooth": _random_smooth,
     "stretched_exp": _stretched_exp,
 }
+
+# kind -> table(family, measure): what every member of the family reads and
+# no parameter changes, so a verify call builds it once for the family and
+# its enrichment (which differs only in its parameters)
+_SHARED = {"random_smooth": _trig_basis, "stretched_exp": _stretched_powers}
+
+
+def _shared_table(family, mu):
+    """_SHARED's table of family on mu, read-only, or None for a kind without one."""
+    build = _SHARED.get(family.kind)
+    if build is None:
+        return None
+    with np.errstate(over="ignore"):  # an overflowing member is refused by name in members()
+        table = build(family, mu)
+    for part in table:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -199,16 +227,17 @@ class TestFamily:
             return tuple(int(p) for p in self.params)
         return tuple(sorted(float(p) for p in self.params))
 
-    def members(self, mu: Measure1D, *, power: float = 2.0, trig=None):
+    def members(self, mu: Measure1D, *, power: float = 2.0, table=None):
         """Materialize the family on the measure grid, ordered by parameter;
         each member is admitted (_admitted, with the power the display
         integrates) or refused by name.  A member is named kind(p), with p in
-        %g form when it is a float parameter and as given otherwise.  trig,
-        when given, is _trig_basis(mu), built once by a caller that evaluates
-        several random_smooth families on mu."""
+        %g form when it is a float parameter and as given otherwise.  table,
+        when given, is _shared_table(self, mu), built once by a caller that
+        evaluates several families of this kind, exponent and smoothing on
+        mu; it is built here otherwise."""
         member = _MEMBERS.get(self.kind)
-        if self.kind == "random_smooth":
-            member = functools.partial(member, trig=_trig_basis(mu) if trig is None else trig)
+        if self.kind in _SHARED:
+            member = functools.partial(member, table=_shared_table(self, mu) if table is None else table)
         out = []
         for i, p in enumerate(self._ordered_params()):
             name = f"{self.kind}({p:g})" if isinstance(p, float) and self.kind != "user" else f"{self.kind}({p})"
@@ -577,10 +606,10 @@ def _ratio_table(
     denominator, extras); the theorem-independent columns are computed here,
     except that with classical_lhs (an entropy side that is already
     _classical_entropy's value) the entropy side is the classical column.
-    One random_smooth phase table serves the family and its enrichment."""
-    trig = _trig_basis(mu) if family.kind == "random_smooth" else None
+    One shared table (_shared_table) serves the family and its enrichment."""
+    table = _shared_table(family, mu)
     rows, extras = [], []
-    for m, label in zip(family.members(mu, power=power, trig=trig), family._ordered_params()):
+    for m, label in zip(family.members(mu, power=power, table=table), family._ordered_params()):
         lhs, var, energy, den, extra = _member_terms(terms, m)
         extras.append(extra)
         classical = lhs if classical_lhs else _classical_entropy(mu, m)
@@ -599,18 +628,18 @@ def _ratio_table(
             )
         )
     c_hat = _sup_ratio(r.ratio for r in rows)
-    stability = _enrichment(mu, family, terms, c_hat, power, trig) if enrich else {}
+    stability = _enrichment(mu, family, terms, c_hat, power, table) if enrich else {}
     return tuple(rows), c_hat, extras, stability
 
 
-def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float, power: float, trig) -> dict:
+def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float, power: float, table) -> dict:
     """C_hat over the enriched family and whether it stays within 10% of
     c_hat.  Only the members the enrichment adds are evaluated (terms only,
     no rows): a member is fixed by its kind, parameter, seed and grid, so the
     family's own ratios are already in c_hat."""
     given = set(family._ordered_params())
     added = tuple(p for p in family.enriched()._ordered_params() if p not in given)
-    members = replace(family, params=added).members(mu, power=power, trig=trig) if added else []
+    members = replace(family, params=added).members(mu, power=power, table=table) if added else []
     ratios = (_ratio(lhs, den) for lhs, _, _, den, _ in (_member_terms(terms, sf) for sf in members))
     c_enr = max(c_hat, _sup_ratio(ratios))
     stable = bool(np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10)

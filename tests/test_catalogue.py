@@ -4,9 +4,11 @@ perfbench/reference.json holds the expected outcome (exit code, verdicts,
 headline numbers) of every request a benchmark mix can produce.  This runs
 every `certify`, `tables` and `paper-examples` catalogue request and every
 8th `empirical` one in process, as perfbench/run.py does, and compares each
-outcome with the reference.  perfbench/mix.py and perfbench/reference.py are
-loaded by path and only read, as is tools/catalogue_digest.py, whose digest
-line is checked on one request."""
+outcome with the reference; the `certify` and `paper-examples` requests also
+run twice in one process, the second pass writing the first pass's bytes.
+perfbench/mix.py and perfbench/reference.py are loaded by path and only
+read, as is tools/catalogue_digest.py, whose digest line is checked on one
+request."""
 
 import importlib.util
 from pathlib import Path
@@ -46,6 +48,25 @@ def test_catalogue_requests_match_the_reference(workload, tmp_path):
         for mismatch in reference.mismatches(expected[key], reference.outcome(argv, rc, path)):
             bad.append(f"{key}: {mismatch}")
     assert not bad, "\n".join(bad)
+
+
+def test_warm_pass_writes_the_bytes_of_the_cold_pass(tmp_path):
+    """The second pass over the catalogues takes every cache-hit path (kept
+    measures, profiles, node profiles) that the benchmark's warm loop takes."""
+    argvs = mix.catalogue("certify") + mix.catalogue("paper-examples")
+    passes = []
+    for p in range(2):
+        outcomes = []
+        for i, argv in enumerate(argvs):
+            rundir = tmp_path / f"{p}-{i}"
+            rundir.mkdir()
+            rc = main(list(argv) + ["--out", reference.output_path(str(rundir), argv)])
+            outcomes.append((rc, {f.name: f.read_bytes() for f in sorted(rundir.iterdir())}))
+        passes.append(outcomes)
+    cold, warm = passes
+    assert all(files for _, files in cold)
+    for argv, a, b in zip(argvs, cold, warm):
+        assert a == b, " ".join(argv)
 
 
 def test_digest_line_names_the_outcome_of_one_request():

@@ -1,5 +1,9 @@
 """Integrability verdicts and growth-condition fitting."""
 
+import gc
+import sys
+import threading
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -14,7 +18,7 @@ from isocert.checker import (
 )
 from isocert.convex import CostFunction
 from isocert.entropy import EntropyFunction, F_tau
-from isocert.measure1d import builtin_measure
+from isocert.measure1d import builtin_measure, tilde_profile
 
 
 class TestVerdicts:
@@ -180,6 +184,97 @@ class TestSerialization:
     def test_exp_power_cost_run_names_its_dual_exponent(self):
         rep = check_exp_power(builtin_measure("exp_power", alpha=1.5, n=4096), 1.5, 1.0)
         assert rep.run_cost.cost == "c_{1,1.5}"
+
+
+def _folded_nodes(K, t_min, n_per_decade):
+    """The one-sided masses min(t, 1-t) at the checker's quadrature nodes."""
+    edges = checker._decade_edges(K, t_min)
+    t = np.exp(-np.linspace(edges[:-1], edges[1:], n_per_decade + 1, axis=1).ravel())
+    return np.minimum(t, 1.0 - t)
+
+
+class TestNodeProfileCache:
+    """The tilde profile at the quadrature nodes is kept with the measure, per node layout."""
+
+    @staticmethod
+    def _check(mu, K, F, n_per_decade=256):
+        return check_condition(ConditionSpec(mu, F, delta=0.5, K=K), n_per_decade)
+
+    def test_repeated_and_interleaved_calls_equal_cold_calls(self, F_log, monkeypatch):
+        names = ("gauss", "loglog")
+        mus = [builtin_measure(name, n=4096) for name in names]
+        profiles = []
+        monkeypatch.setattr(checker, "tilde_profile", lambda mu, t: profiles.append(mu) or tilde_profile(mu, t))
+        order = [(0, 2.0), (1, 4.0), (0, 4.0), (1, 2.0)] * 2
+        warm = [asdict(self._check(mus[i], K, F_log)) for i, K in order]
+        # one profile per measure and layout, however often it is asked for
+        assert len(profiles) == 4 and all(len(mu.node_profiles) == 2 for mu in mus)
+        cold = [asdict(self._check(builtin_measure(names[i], n=4096), K, F_log)) for i, K in order]
+        assert warm == cold
+
+    def test_kept_table_is_read_only(self, F_log):
+        mu = builtin_measure("gauss", n=4096)
+        self._check(mu, 2.0, F_log)
+        (table,) = mu.node_profiles.values()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    def test_a_measure_keeps_its_last_layouts(self, F_log):
+        mu = builtin_measure("gauss", n=4096)
+        layouts = [(2.0, 1e-12, n) for n in (2, 4, 8, 16, 32)]
+        for K, _, n in layouts:
+            self._check(mu, K, F_log, n)
+        assert list(mu.node_profiles) == layouts[-checker._KEPT_LAYOUTS:]
+
+    def test_threads_sharing_a_measure_get_cold_reports(self, F_log):
+        mu = builtin_measure("gauss", n=4096)
+        layouts = (2, 4, 6, 8, 10, 12)  # more than a measure keeps, so threads also evict
+        want = {n: asdict(self._check(builtin_measure("gauss", n=4096), 2.0, F_log, n)) for n in layouts}
+        bad = []
+
+        def work(k):
+            try:
+                for i in range(24):
+                    n = layouts[(k + i) % len(layouts)]
+                    if asdict(self._check(mu, 2.0, F_log, n)) != want[n]:
+                        bad.append(n)
+            except Exception as exc:  # a lost eviction raises here
+                bad.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == [] and len(mu.node_profiles) <= checker._KEPT_LAYOUTS
+
+    def test_dropped_measure_is_freed(self, F_log):
+        mu = builtin_measure("gauss", n=4096)
+        self._check(mu, 2.0, F_log)
+        ref = weakref.ref(mu)
+        del mu
+        gc.collect()
+        assert ref() is None
+
+    def test_new_measure_never_reads_a_freed_measures_table(self, F_log):
+        names = ("gauss", "exp")
+        expected = {name: asdict(self._check(builtin_measure(name, n=4096), 2.0, F_log)) for name in names}
+        nodes = _folded_nodes(2.0, 1e-12, 256)
+        for i in range(6):  # each measure dropped before the next is built, so ids may repeat
+            name = names[i % 2]
+            mu = builtin_measure(name, n=4096)
+            assert mu.node_profiles == {}
+            assert asdict(self._check(mu, 2.0, F_log)) == expected[name]
+            assert mu.node_profiles[(2.0, 1e-12, 256)].tobytes() == tilde_profile(mu, nodes).tilde_I.tobytes()
+            del mu
+            gc.collect()
 
 
 class TestGrowthCondition:

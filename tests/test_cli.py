@@ -481,11 +481,25 @@ class TestPaperExamplesCommand:
         family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
         fixtures = {
             "loglog_quadratic": check_condition(loglog, n_per_decade=16),
-            "exp_power_tau_upper": checker.check_exp_power(exp_power, 1.5, 1.0),
-            "exp_power_tau_lower": checker.check_exp_power(exp_power, 1.5, 2.0 / 3.0),
+            # each tau alone, so its endpoint condition runs again
+            "exp_power_tau_upper": checker._exp_power_reports(exp_power, 1.5, (1.0,), 16)[0],
+            "exp_power_tau_lower": checker._exp_power_reports(exp_power, 1.5, (2.0 / 3.0,), 16)[0],
             "power_entropy": verify_theorem_4_4(exp_power, 1.5, family),
         }
         assert out.read_bytes() == (_dump_json({"fixtures": fixtures}) + "\n").encode("utf-8")
+
+    def test_n_per_decade_reaches_every_condition(self, tmp_path):
+        reports = []
+        for extra in ([], ["--n-per-decade", "16"]):
+            out = tmp_path / f"p{len(reports)}.json"
+            assert main(["paper-examples", "--n", "4096", *extra, "--out", str(out)]) == 0
+            fixtures = json.loads(read_text(out))["fixtures"]
+            reports.append([fixtures["loglog_quadratic"]] + [
+                fixtures[key][run] for key in ("exp_power_tau_upper", "exp_power_tau_lower") for run in ("run_cost", "run_quadratic")
+            ])
+        for default, coarse in zip(*reports):
+            assert [d["t_lo"] for d in default["decades"]] == [d["t_lo"] for d in coarse["decades"]]
+            assert default["log10_integral_estimate"] != coarse["log10_integral_estimate"]
 
     def test_thread_env_is_not_read(self, tmp_path, monkeypatch):
         # like every other subcommand, paper-examples ignores ISOCERT_THREADS
@@ -767,6 +781,9 @@ _REFUSALS = [
     (["check", "--measure", "expr:abs(x"], "expected ')'"),
     (["check", "--measure", "expr:x^2/2+y"], "unknown identifier 'y'"),
     (["check", "--entropy", "ftau:abc"], "could not convert string to float"),
+    (["check", "--cost", "quadratic:"], "bad cost 'quadratic:'"),
+    (["check", "--measure", "exp_power:"], "bad measure 'exp_power:'"),
+    (["check", "--entropy", "ftau:"], "bad entropy 'ftau:'"),
     (["check", "--cost", "c:1"], "cost must look like c:A:alpha"),
     (["check", "--cost", "c:1:x"], "could not convert string to float"),
     (["check", "--cost", "quadratic:0"], "quadratic delta must be positive"),

@@ -473,18 +473,20 @@ class TestMemberEvaluation:
     @pytest.mark.parametrize("kind, params, distinct", [
         ("exponential", (0.25, 0.5, 1.0), 5),  # 3 given, 2 midpoints
         ("random_smooth", (0, 1, 2), 6),  # 3 given, 3 fresh labels
+        ("stretched_exp", (0.25, 0.5, 1.0), 5),  # 3 given, 2 midpoints
     ])
     def test_each_distinct_member_is_evaluated_once(self, exp_power_15, monkeypatch, display, kind, params, distinct):
         evaluated, tables, calls = [], [], []
-        member, trig_basis, members = tester._MEMBERS[kind], tester._trig_basis, TestFamily.members
+        member, members = tester._MEMBERS[kind], TestFamily.members
         monkeypatch.setitem(tester._MEMBERS, kind, lambda fam, mu, p, **kw: evaluated.append(p) or member(fam, mu, p, **kw))
-        monkeypatch.setattr(tester, "_trig_basis", lambda mu: tables.append(mu) or trig_basis(mu))
+        for shared_kind, build in tester._SHARED.items():
+            monkeypatch.setitem(tester._SHARED, shared_kind, lambda fam, mu, build=build: tables.append(fam) or build(fam, mu))
         monkeypatch.setattr(TestFamily, "members", lambda fam, mu, **kw: calls.append(fam) or members(fam, mu, **kw))
         _verify(display, exp_power_15, TestFamily(kind, params))
         assert len(evaluated) == len(set(evaluated)) == distinct
-        # one phase table for the family and its enrichment (two members() calls)
+        # one shared table for the family and its enrichment (two members() calls)
         assert len(calls) == 2
-        assert len(tables) == (1 if kind == "random_smooth" else 0)
+        assert len(tables) == (1 if kind in tester._SHARED else 0)
 
 
 def _reference_value_masses(mu, v):
@@ -539,6 +541,16 @@ def _reference_flatten(p, tau):
     """entropy._flatten as written before it took the power branch only above 1 (the oracle)."""
     upper = np.expm1(tau * np.log(np.maximum(p, 1.0))) / tau + 1.0
     return np.where(p <= 1.0, p, upper)
+
+
+def _reference_stretched_exp(fam, mu, lam):
+    """A stretched_exp member as written before its lam-free powers were shared (the oracle)."""
+    x = mu.grid
+    p = fam.exponent
+    base = x * x + fam.smoothing**2
+    log_deriv = lam * (p * x * base ** (0.5 * p - 1.0))
+    vals = np.exp(lam * base ** (0.5 * p))
+    return vals, log_deriv * vals, log_deriv
 
 
 def _bits(x):
@@ -646,6 +658,27 @@ class TestSharedTables:
                 integrand = v * v * tester._level_entropy(F_log, v, v * v, m2)
                 want = _reference_restricted_integral(gauss, integrand, v * v - K * m2)
                 assert _bits(tester._restricted_integral(gauss, integrand, v * v - K * m2)) == _bits(want), sf.name
+
+    @pytest.mark.parametrize("measure", ["exp_power:1.5", "expr:x^2/2+abs(x-1)^3/3"])
+    @pytest.mark.parametrize("family", [
+        TestFamily("stretched_exp", (0.25, 0.5, 1.0)),
+        TestFamily("stretched_exp", (-0.5, 0.1, 2.0), exponent=1.3, smoothing=0.2),
+    ], ids=lambda fam: f"p{fam.exponent:g}")
+    def test_stretched_members_match_the_reference(self, measure, family):
+        if measure.startswith("expr:"):
+            mu = build_measure(parse_potential(measure[5:]), name=measure)
+            assert not np.array_equal(mu.grid, -mu.grid[::-1])  # the grid is not symmetric
+        else:
+            mu = builtin_measure("exp_power", alpha=1.5)
+        # the family's table, read by its members and by the enrichment's midpoints
+        table = tester._shared_table(family, mu)
+        enriched = family.enriched()
+        assert len(enriched.params) == 5
+        for sf, lam in zip(enriched.members(mu, table=table), enriched._ordered_params()):
+            want = _reference_stretched_exp(family, mu, lam)
+            for name, ref in zip(("values", "dvalues", "log_deriv"), want):
+                assert getattr(sf, name).tobytes() == ref.tobytes(), (sf.name, name)
+        assert all(not part.flags.writeable for part in table)
 
     @pytest.mark.parametrize("display", ["2.1", "2.1-log", "1.1", "4.4"])
     @pytest.mark.parametrize("family", [
