@@ -77,8 +77,8 @@ class ConditionSpec:
     t_min: float = 1e-12
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not self.K > 1:
             raise ValueError("K must exceed 1")
         if not TRUST_TAIL <= self.t_min < 1.0 / self.K:

@@ -245,6 +245,9 @@ class RunConfig:
             flag = getattr(ns, name, None)
             if flag is not None:
                 setattr(cfg, name, flag)
+            value = getattr(cfg, name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         return cfg
 
 
@@ -280,21 +283,21 @@ def _measure(kind, arg, support, n):
     An entry holds about 0.8 MB at the default n, plus at most 4 node
     profiles of about 25 KB (checker._node_profile); the measure's tables
     are read-only, so requests can share it."""
+    support = (-np.inf, np.inf) if support is None else support
     if kind == "expr":
-        support = (-np.inf, np.inf) if support is None else support
         return build_measure(arg, support=support, n=n, name=f"expr:{arg.text}")
-    options = {} if support is None else {"support": support}
-    if kind == "exp_power":
-        options["alpha"] = arg
-    return builtin_measure(kind, n=n, **options)
+    return builtin_measure(kind, alpha=arg, n=n, support=support)
 
 
 def _spec_float(text: str, what: str, spec: str) -> float:
-    """float(text), a part of the --<what> spec; refused naming the spec."""
+    """float(text), a finite number in the --<what> spec; refused naming the spec."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"bad {what} {spec!r}: {exc}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"bad {what} {spec!r}: {value} is not a finite number")
+    return value
 
 
 def _build_measure(cfg: RunConfig):

@@ -394,35 +394,29 @@ def build_measure(
     )
 
 
+# name -> potential V(x, alpha) of the built-in measure e^{-V}
+_BUILTIN = {
+    "gauss": lambda x, alpha: 0.5 * x * x,
+    "exp": lambda x, alpha: np.abs(x),
+    "exp_power": lambda x, alpha: np.abs(x) ** alpha,
+    "loglog": lambda x, alpha: np.abs(x) * np.log1p(x * x),
+}
+
+
 def builtin_measure(name, alpha=None, n=16384, support=(-np.inf, np.inf), grid_kind="hybrid"):
     """Built-in families: gauss (e^{-x^2/2}), exp (e^{-|x|}/2), exp_power
     (e^{-|x|^alpha}, alpha in [1,2]), loglog (e^{-|x| log(1+x^2)})."""
-    if name == "gauss":
-        return build_measure(lambda x: 0.5 * x * x, support=support, n=n, grid_kind=grid_kind, name="gauss", log_concave=True)
-    if name == "exp":
-        return build_measure(lambda x: np.abs(x), support=support, n=n, grid_kind=grid_kind, name="exp", log_concave=True)
+    potential = _BUILTIN.get(name)
+    if potential is None:
+        raise ValueError(f"unknown builtin measure '{name}'")
+    params = {}
     if name == "exp_power":
         if alpha is None or not 1.0 <= alpha <= 2.0:
             raise ValueError("exp_power requires alpha in [1, 2]")
-        return build_measure(
-            lambda x: np.abs(x) ** alpha,
-            support=support,
-            n=n,
-            grid_kind=grid_kind,
-            name=f"exp_power({alpha:g})",
-            params={"alpha": float(alpha)},
-            log_concave=True,
-        )
-    if name == "loglog":
-        return build_measure(
-            lambda x: np.abs(x) * np.log1p(x * x),
-            support=support,
-            n=n,
-            grid_kind=grid_kind,
-            name="loglog",
-            log_concave=True,
-        )
-    raise ValueError(f"unknown builtin measure '{name}'")
+        name, params = f"exp_power({alpha:g})", {"alpha": float(alpha)}
+    return build_measure(
+        lambda x: potential(x, alpha), support=support, n=n, grid_kind=grid_kind, name=name, params=params, log_concave=True
+    )
 
 
 # -- sampled functions --------------------------------------------------------

@@ -30,25 +30,24 @@ term (refused by name when not finite), ratio denominator and extras;
 `_ratio_table` adds the theorem-independent columns (classical entropy of
 |f|, gradient energy, median energy, saturation) and the member's parameter
 (display 2.1 with F the log_entropy() profile passes its entropy side as the
-classical entropy, which it already is), and
-`_enrichment` runs `terms` alone on the members that the enriched family
-adds, for the stability check.  A member's ratio is entropy/denominator when
-the denominator is positive, +inf when a positive entropy meets a vanishing
-denominator, and NaN (no evidence) otherwise; C_hat is the largest non-NaN
-ratio, or 0 when there is none, so every reported ratio is at most C_hat.
+classical entropy, which it already is), and runs `terms` alone on the
+members that the enriched family adds, for the stability check.  A member's
+ratio is entropy/denominator when the denominator is positive, +inf when a
+positive entropy meets a vanishing denominator, and NaN (no evidence)
+otherwise; C_hat is the largest non-NaN ratio, or 0 when there is none, so
+every reported ratio is at most C_hat.
 
-Family members are evaluated independently and reduced in parameter order,
-so reports are deterministic.  What every member of a family reads and no
-parameter changes (`_SHARED`: random_smooth's phase table, stretched_exp's
-lam-free powers) is built once per verify call, shared by the enrichment,
-and not kept across calls.  The median sorts a member's
-values only when they are not already nondecreasing and sums tied masses
-only when there are ties.
+Family members are evaluated independently and reduced in label order, so
+reports are deterministic.  A family kind is one row of `_MEMBERS`: its
+member builder, its label type and the table its members read that no label
+changes (random_smooth's phase table, stretched_exp's lam-free powers), built
+once per `members()` call, for the family and its enrichment together, and
+not kept.  The median sorts a member's values only when they are not already
+nondecreasing and sums tied masses only when there are ties.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
@@ -88,13 +87,13 @@ _SATURATION_TOL = 1e-3
 _RANDOM_TERMS = 6  # trigonometric terms in a random_smooth member
 
 
-def _exponential(fam, mu, lam):
+def _exponential(fam, mu, lam, table):
     x = mu.grid
     vals = np.exp(0.5 * lam * x)
     return vals, 0.5 * lam * vals, np.full_like(x, 0.5 * lam)
 
 
-def _bump(fam, mu, w):
+def _bump(fam, mu, w, table):
     if w <= 0:
         raise ValueError("bump width must be positive")
     x = mu.grid
@@ -102,7 +101,7 @@ def _bump(fam, mu, w):
     return fam.floor + core, -(x / w**2) * core, None
 
 
-def _shifted_linear(fam, mu, eps):
+def _shifted_linear(fam, mu, eps, table):
     lin = 1.0 + eps * mu.grid
     return np.maximum(lin, 0.0) + fam.floor, np.where(lin > 0.0, eps, 0.0), None
 
@@ -147,33 +146,16 @@ def _stretched_exp(fam, mu, lam, table):
     return vals, log_deriv * vals, log_deriv
 
 
-# kind -> member(family, measure, parameter) = (values, dvalues, log_deriv or None);
-# a kind in _SHARED also takes table=_SHARED[kind](family, measure)
+# kind -> (member, label type, table or None): member(family, measure, label,
+# table) = (values, dvalues, log_deriv or None), with table(family, measure)
+# what all members read and no label changes (see members and enriched)
 _MEMBERS = {
-    "exponential": _exponential,
-    "bump": _bump,
-    "shifted_linear": _shifted_linear,
-    "random_smooth": _random_smooth,
-    "stretched_exp": _stretched_exp,
+    "exponential": (_exponential, float, None),
+    "bump": (_bump, float, None),
+    "shifted_linear": (_shifted_linear, float, None),
+    "random_smooth": (_random_smooth, int, _trig_basis),
+    "stretched_exp": (_stretched_exp, float, _stretched_powers),
 }
-
-# kind -> table(family, measure): what every member of the family reads and
-# no parameter changes, so a verify call builds it once for the family and
-# its enrichment (which differs only in its parameters)
-_SHARED = {"random_smooth": _trig_basis, "stretched_exp": _stretched_powers}
-
-
-def _shared_table(family, mu):
-    """_SHARED's table of family on mu, read-only, or None for a kind without one."""
-    build = _SHARED.get(family.kind)
-    if build is None:
-        return None
-    with np.errstate(over="ignore"):  # an overflowing member is refused by name in members()
-        table = build(family, mu)
-    for part in table:
-        if isinstance(part, np.ndarray):
-            part.flags.writeable = False
-    return table
 
 
 @dataclass(frozen=True)
@@ -219,36 +201,48 @@ class TestFamily:
             raise ValueError("family has no members")
         if self.floor < 0:
             raise ValueError("floor must be nonnegative")
+        for name in ("floor", "scale", "exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 < self.smoothing < math.inf:
+            raise ValueError(f"smoothing must be positive and finite, got {self.smoothing}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        label = _MEMBERS.get(self.kind, (None,) * 3)[1]  # None for user labels, kept as given
+        for p in self.params if label is not None else ():
+            q = float(p)
+            if not (q >= 0 and q.is_integer() if label is int else math.isfinite(q)):
+                raise ValueError(f"{self.kind} label {p} is not {'a non-negative integer' if label is int else 'finite'}")
 
     def _ordered_params(self):
-        if self.kind == "user":
+        label = _MEMBERS.get(self.kind, (None,) * 3)[1]
+        if label is None:
             return tuple(self.params) if self.params else tuple(range(len(self.user_fns)))
-        if self.kind == "random_smooth":
-            return tuple(int(p) for p in self.params)
-        return tuple(sorted(float(p) for p in self.params))
+        labels = tuple(map(label, self.params))
+        return labels if label is int else tuple(sorted(labels))
 
-    def members(self, mu: Measure1D, *, power: float = 2.0, table=None):
-        """Materialize the family on the measure grid, ordered by parameter;
-        each member is admitted (_admitted, with the power the display
-        integrates) or refused by name.  A member is named kind(p), with p in
-        %g form when it is a float parameter and as given otherwise.  table,
-        when given, is _shared_table(self, mu), built once by a caller that
-        evaluates several families of this kind, exponent and smoothing on
-        mu; it is built here otherwise."""
-        member = _MEMBERS.get(self.kind)
-        if self.kind in _SHARED:
-            member = functools.partial(member, table=_shared_table(self, mu) if table is None else table)
+    def members(self, mu: Measure1D, *, power: float = 2.0):
+        """Materialize the family on the measure grid, in label order; each
+        member is admitted (_admitted, with the power the display integrates)
+        or refused by name.  A member is named kind(p), with p in %g form for
+        a float label and as given otherwise.  The table the kind's members
+        share (_MEMBERS) is built once per call, read-only, and not kept."""
+        member, label, shared = _MEMBERS.get(self.kind, (None,) * 3)
+        with np.errstate(over="ignore"):  # an overflowing member is refused by name below
+            table = None if shared is None else shared(self, mu)
+        for part in table or ():
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
         out = []
         for i, p in enumerate(self._ordered_params()):
-            name = f"{self.kind}({p:g})" if isinstance(p, float) and self.kind != "user" else f"{self.kind}({p})"
-            if self.kind == "user":
+            name = f"{self.kind}({p:g})" if label is float else f"{self.kind}({p})"
+            if member is None:
                 fn = self.user_fns[i]
                 f, df = fn if isinstance(fn, tuple) else (fn, None)
                 sf = SampledFunction.from_callable(mu, f, dfn=df, name=name)
             else:
-                # overflow here is caught by the finiteness gate below
-                with np.errstate(over="ignore"):
-                    vals, dvals, log_deriv = member(self, mu, p)
+                with np.errstate(over="ignore"):  # caught by the finiteness gate below
+                    vals, dvals, log_deriv = member(self, mu, p, table)
                 sf = SampledFunction(grid=mu.grid, values=vals, dvalues=dvals, log_deriv=log_deriv, name=name)
             if not np.all(np.isfinite(sf.values)):
                 raise ValueError(f"family member {sf.name} overflows on the measure grid")
@@ -256,19 +250,18 @@ class TestFamily:
         return out
 
     def enriched(self):
-        """A denser version of the family: midpoints between consecutive
-        parameters for numeric kinds; for random_smooth the given labels
-        followed by as many fresh ones above their maximum.  User families
-        cannot be enriched and are returned unchanged."""
-        if self.kind == "user":
+        """A denser version of the family: float labels gain the midpoints of
+        consecutive ones, int labels as many fresh ones above their maximum
+        (after the given ones).  A user family is returned unchanged."""
+        label = _MEMBERS.get(self.kind, (None,) * 3)[1]
+        if label is None:
             return self
-        if self.kind == "random_smooth":
-            labels = self._ordered_params()
+        labels = self._ordered_params()
+        if label is int:
             top = max(labels) + 1
             return replace(self, params=labels + tuple(range(top, top + len(labels))))
-        ps = sorted(float(p) for p in self.params)
-        mids = [0.5 * (a + b) for a, b in zip(ps[:-1], ps[1:])]
-        return replace(self, params=tuple(sorted(ps + mids)))
+        mids = tuple(0.5 * (a + b) for a, b in zip(labels[:-1], labels[1:]))
+        return replace(self, params=tuple(sorted(labels + mids)))
 
 
 def _as_sampled(mu: Measure1D, f: SampledFunction) -> SampledFunction:
@@ -599,17 +592,24 @@ def _member_terms(terms, sf):
 def _ratio_table(
     mu: Measure1D, family: TestFamily, terms, power: float = 2.0, enrich: bool = False, classical_lhs: bool = False
 ):
-    """Rows, C_hat, the members' extras in row order and, with enrich, the
-    enrichment check (_enrichment, else {}), for one family whose members are
-    admitted with the power the display integrates.  terms(m) returns the
-    admitted member's (entropy side, variance term, energy term, ratio
-    denominator, extras); the theorem-independent columns are computed here,
-    except that with classical_lhs (an entropy side that is already
-    _classical_entropy's value) the entropy side is the classical column.
-    One shared table (_shared_table) serves the family and its enrichment."""
-    table = _shared_table(family, mu)
-    rows, extras = [], []
-    for m, label in zip(family.members(mu, power=power, table=table), family._ordered_params()):
+    """Rows, C_hat, the members' extras in row order and the enrichment
+    check: C_hat over the enriched family (the family itself unless enrich)
+    and whether it stays within 10% of C_hat.  Members are admitted with the
+    power the display integrates; terms(m) returns the admitted member's
+    (entropy side, variance term, energy term, ratio denominator, extras), and
+    the theorem-independent columns are computed here, except that with
+    classical_lhs (an entropy side that is already _classical_entropy's value)
+    the entropy side is the classical column.  One members() call gives the
+    family's own members and those its enrichment adds, split by label; the
+    added ones run terms alone (no rows), the own ratios being in C_hat."""
+    own = family._ordered_params()
+    added = tuple(p for p in family.enriched()._ordered_params() if p not in own) if enrich else ()
+    both = replace(family, params=own + added) if added else family
+    rows, extras, added_members = [], [], []
+    for m, label in zip(both.members(mu, power=power), both._ordered_params()):
+        if label in added:
+            added_members.append(m)
+            continue
         lhs, var, energy, den, extra = _member_terms(terms, m)
         extras.append(extra)
         classical = lhs if classical_lhs else _classical_entropy(mu, m)
@@ -628,22 +628,10 @@ def _ratio_table(
             )
         )
     c_hat = _sup_ratio(r.ratio for r in rows)
-    stability = _enrichment(mu, family, terms, c_hat, power, table) if enrich else {}
-    return tuple(rows), c_hat, extras, stability
-
-
-def _enrichment(mu: Measure1D, family: TestFamily, terms, c_hat: float, power: float, table) -> dict:
-    """C_hat over the enriched family and whether it stays within 10% of
-    c_hat.  Only the members the enrichment adds are evaluated (terms only,
-    no rows): a member is fixed by its kind, parameter, seed and grid, so the
-    family's own ratios are already in c_hat."""
-    given = set(family._ordered_params())
-    added = tuple(p for p in family.enriched()._ordered_params() if p not in given)
-    members = replace(family, params=added).members(mu, power=power, table=table) if added else []
-    ratios = (_ratio(lhs, den) for lhs, _, _, den, _ in (_member_terms(terms, sf) for sf in members))
+    ratios = (_ratio(lhs, den) for lhs, _, _, den, _ in (_member_terms(terms, m) for m in added_members))
     c_enr = max(c_hat, _sup_ratio(ratios))
     stable = bool(np.isfinite(c_hat) and np.isfinite(c_enr) and c_hat > 0 and abs(c_enr / c_hat - 1.0) <= 0.10)
-    return {"C_hat_enriched": c_enr, "stable": stable}
+    return tuple(rows), c_hat, extras, {"C_hat_enriched": c_enr, "stable": stable}
 
 
 def _least_constant(excess: float, var: float) -> float:

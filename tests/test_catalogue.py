@@ -8,9 +8,11 @@ outcome with the reference; the `certify` and `paper-examples` requests also
 run twice in one process, the second pass writing the first pass's bytes.
 perfbench/mix.py and perfbench/reference.py are loaded by path and only
 read, as is tools/catalogue_digest.py, whose digest line is checked on one
-request."""
+request and whose --rev export is checked on the `tables` workload."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,22 @@ def test_digest_runs_the_named_workloads_in_order(monkeypatch, capsys):
         digest.main(["tables", "bogus"])
     assert exc.value.code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True)
+
+
+def test_rev_digests_against_an_export_of_that_revision(capsys):
+    if shutil.which("git") is None or _git("rev-parse", "--verify", "HEAD").returncode != 0:
+        pytest.skip("not a git checkout")
+    digest = _load("tools", "catalogue_digest")
+    argvs = mix.catalogue("tables")
+    assert digest.main(["--rev", "HEAD", "tables"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 3)[3] for line in lines] == [" ".join(argv) for argv in argvs]
+    if _git("diff", "--quiet", "HEAD", "--", "src").returncode == 0:
+        # src/ is as committed, so the export is this code and digests alike
+        assert lines == [digest.digest_line(argv) for argv in argvs]
+    assert digest.main(["--rev", "no-such-revision", "tables"]) == 2
+    assert capsys.readouterr().out == ""

@@ -101,6 +101,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ConditionSpec(gauss, F_log, K=1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("inf"), float("nan")])
+    def test_delta_must_be_positive_and_finite(self, gauss, F_log, delta):
+        with pytest.raises(ValueError, match=f"^delta must be positive and finite, got {delta}$"):
+            ConditionSpec(gauss, F_log, delta=delta)
+
     @pytest.mark.parametrize("cost", ["c:1:3", 2.0, lambda r: r * r])
     def test_cost_that_is_not_a_cost_function_is_refused(self, gauss, F_log, cost):
         with pytest.raises(ValueError, match="CostFunction"):

@@ -190,6 +190,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown key"):
             RunConfig.from_sources(str(cfg_file), argparse.Namespace())
 
+    @pytest.mark.parametrize("line", ["delta = inf", "K = nan", "smoothing = -inf"])
+    def test_non_finite_number_is_refused_naming_the_setting(self, tmp_path, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        key, _, value = line.partition(" = ")
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+            RunConfig.from_sources(str(cfg_file), argparse.Namespace())
+        # a finite flag overrides the file's value, so nothing is refused
+        assert getattr(RunConfig.from_sources(str(cfg_file), argparse.Namespace(**{key: 2.0})), key) == 2.0
+
     def test_config_error_exit_code_through_main(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("frobnicate = 1\n")
@@ -264,6 +274,18 @@ class TestProfileCommand:
         assert lines[0] == "r,s,I_F"
         first = [float(p) for p in lines[1].split(",")]
         assert first == [0.0, 1.0, 0.0]
+
+    def test_support_keeps_an_infinite_end(self, tmp_path):
+        # exp on the half-line [0, inf): t-quantiles -log(1 - t) and -log t, and tilde_I(t) = t
+        out = tmp_path / "prof.csv"
+        rc = main(["profile", "--measure", "exp", "--support", "0:inf", "--n", "4096",
+                   "--t-grid", "0.01:0.5:3", "--out", str(out)])
+        assert rc == 0
+        rows = [[float(p) for p in line.split(",")] for line in read_text(out).strip().split("\n")[1:]]
+        t, u, v, ii = (np.array(col) for col in zip(*rows))
+        assert u == pytest.approx(-np.log1p(-t), abs=1e-4)
+        assert v == pytest.approx(-np.log(t), abs=1e-4)
+        assert ii == pytest.approx(t, abs=1e-4)
 
     def test_bad_t_grid_rejected(self, capsys):
         assert main(["profile", "--t-grid", "0.1:0.9:5"]) == 2
@@ -841,6 +863,25 @@ _REFUSALS = [
     (["test", "--display", "exp-power", "--A", "0", *_N], "A must be positive"),
     (["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--alpha", "1", *_N], "alpha must exceed 1"),
     (["test", "--display", "power-beta", "--measure", "expr:x^4-4*x^2", *_N], "not log-concave"),
+    # a family setting outside what its kind reads
+    (["test", "--family", "random_smooth", "--params", "0.7", *_N], "random_smooth label 0.7 is not a non-negative integer"),
+    (["test", "--family", "random_smooth", "--params", "-1", *_N], "random_smooth label -1.0 is not a non-negative integer"),
+    (["test", "--family", "random_smooth", "--seed", "-3", *_N], "seed must be nonnegative, got -3"),
+    (["test", "--family", "stretched_exp", "--params", "nan", *_N], "stretched_exp label nan is not finite"),
+    (["test", "--family", "exponential", "--params", "inf", *_N], "exponential label inf is not finite"),
+    (["test", "--family", "stretched_exp", "--smoothing", "0", *_N], "smoothing must be positive and finite, got 0.0"),
+    (["test", "--floor", "nan", *_N], "floor must be finite, got nan"),
+    (["test", "--scale", "inf", *_N], "scale must be finite, got inf"),
+    (["test", "--exponent=-inf", *_N], "exponent must be finite, got -inf"),
+    # a non-finite number in a float setting or inside a spec
+    (["check", "--delta", "inf", *_N], "delta must be finite, got inf"),
+    (["test", "--K", "inf", *_N], "K must be finite, got inf"),
+    (["certify", "--t-min", "nan", *_N], "t_min must be finite, got nan"),
+    (["check", "--cost", "quadratic:inf", *_N], "bad cost 'quadratic:inf': inf is not a finite number"),
+    (["test", "--cost", "c:inf:3", *_N], "bad cost 'c:inf:3': inf is not a finite number"),
+    (["check", "--cost", "c:1:inf", *_N], "bad cost 'c:1:inf': inf is not a finite number"),
+    (["check", "--measure", "exp_power:nan", *_N], "bad measure 'exp_power:nan': nan is not a finite number"),
+    (["check", "--entropy", "ftau:-inf", *_N], "bad entropy 'ftau:-inf': -inf is not a finite number"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Entropy/energy functionals, test families, and the inequality drivers."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -131,6 +132,37 @@ class TestFamilies:
         sf = fam.members(gauss)[0]
         assert sf.name == "user(lin)"
         assert np.allclose(sf.values, 2.0 + np.tanh(gauss.grid))
+
+    def test_user_labels_keep_the_form_they_were_given_in(self, gauss):
+        # only a kind's float labels are written %g; a user label is its own name
+        fns = (lambda x: 2.0 + np.tanh(x), lambda x: 3.0 + np.tanh(x))
+        fam = TestFamily("user", (0.1 + 0.2, 7), user_fns=fns)
+        assert [sf.name for sf in fam.members(gauss)] == ["user(0.30000000000000004)", "user(7)"]
+        assert fam._ordered_params() == (0.30000000000000004, 7)
+
+    @pytest.mark.parametrize("kind, settings, fragment", [
+        ("exponential", {"params": (0.5, float("inf"))}, "exponential label inf is not finite"),
+        ("stretched_exp", {"params": (float("nan"),)}, "stretched_exp label nan is not finite"),
+        ("random_smooth", {"params": (0, 0.7)}, "random_smooth label 0.7 is not a non-negative integer"),
+        ("random_smooth", {"params": (-1,)}, "random_smooth label -1 is not a non-negative integer"),
+        ("random_smooth", {"seed": -3}, "seed must be nonnegative, got -3"),
+        ("stretched_exp", {"smoothing": 0.0}, "smoothing must be positive and finite, got 0.0"),
+        ("stretched_exp", {"smoothing": float("inf")}, "smoothing must be positive and finite, got inf"),
+        ("bump", {"floor": float("nan")}, "floor must be finite, got nan"),
+        ("random_smooth", {"scale": float("inf")}, "scale must be finite, got inf"),
+        ("stretched_exp", {"exponent": float("-inf")}, "exponent must be finite, got -inf"),
+    ])
+    def test_settings_outside_the_kind_are_refused_by_value(self, kind, settings, fragment):
+        with pytest.raises(ValueError, match=f"^{re.escape(fragment)}$"):
+            TestFamily(kind, **{"params": (0, 1), **settings})
+
+    def test_integral_float_labels_are_int_labels(self, gauss):
+        # the command line reads every label as a float
+        a = TestFamily("random_smooth", (2.0, 0.0), seed=1)
+        assert a._ordered_params() == (2, 0)
+        assert a.enriched()._ordered_params() == (2, 0, 3, 4)
+        b = TestFamily("random_smooth", (2, 0), seed=1)
+        assert [sf.name for sf in a.members(gauss)] == [sf.name for sf in b.members(gauss)] == ["random_smooth(2)", "random_smooth(0)"]
 
     def test_overflowing_member_is_rejected(self, gauss):
         with pytest.raises(ValueError):
@@ -477,16 +509,23 @@ class TestMemberEvaluation:
     ])
     def test_each_distinct_member_is_evaluated_once(self, exp_power_15, monkeypatch, display, kind, params, distinct):
         evaluated, tables, calls = [], [], []
-        member, members = tester._MEMBERS[kind], TestFamily.members
-        monkeypatch.setitem(tester._MEMBERS, kind, lambda fam, mu, p, **kw: evaluated.append(p) or member(fam, mu, p, **kw))
-        for shared_kind, build in tester._SHARED.items():
-            monkeypatch.setitem(tester._SHARED, shared_kind, lambda fam, mu, build=build: tables.append(fam) or build(fam, mu))
+        (member, label, shared), members = tester._MEMBERS[kind], TestFamily.members
+
+        def counted_member(fam, mu, p, table):
+            evaluated.append(p)
+            return member(fam, mu, p, table)
+
+        def counted_table(fam, mu):
+            tables.append(fam)
+            return shared(fam, mu)
+
+        monkeypatch.setitem(tester._MEMBERS, kind, (counted_member, label, None if shared is None else counted_table))
         monkeypatch.setattr(TestFamily, "members", lambda fam, mu, **kw: calls.append(fam) or members(fam, mu, **kw))
         _verify(display, exp_power_15, TestFamily(kind, params))
         assert len(evaluated) == len(set(evaluated)) == distinct
-        # one shared table for the family and its enrichment (two members() calls)
-        assert len(calls) == 2
-        assert len(tables) == (1 if kind in tester._SHARED else 0)
+        # one members() call, and at most one table, for the family and its enrichment
+        assert len(calls) == 1
+        assert len(tables) == (0 if shared is None else 1)
 
 
 def _reference_value_masses(mu, v):
@@ -664,21 +703,25 @@ class TestSharedTables:
         TestFamily("stretched_exp", (0.25, 0.5, 1.0)),
         TestFamily("stretched_exp", (-0.5, 0.1, 2.0), exponent=1.3, smoothing=0.2),
     ], ids=lambda fam: f"p{fam.exponent:g}")
-    def test_stretched_members_match_the_reference(self, measure, family):
+    def test_stretched_members_match_the_reference(self, measure, family, monkeypatch):
         if measure.startswith("expr:"):
             mu = build_measure(parse_potential(measure[5:]), name=measure)
             assert not np.array_equal(mu.grid, -mu.grid[::-1])  # the grid is not symmetric
         else:
             mu = builtin_measure("exp_power", alpha=1.5)
-        # the family's table, read by its members and by the enrichment's midpoints
-        table = tester._shared_table(family, mu)
+        member, label, shared = tester._MEMBERS["stretched_exp"]
+        tables = []
+        monkeypatch.setitem(tester._MEMBERS, "stretched_exp", (member, label, lambda fam, mu: tables.append(shared(fam, mu)) or tables[-1]))
+        # the family's members and its enrichment's midpoints, which read one table
         enriched = family.enriched()
         assert len(enriched.params) == 5
-        for sf, lam in zip(enriched.members(mu, table=table), enriched._ordered_params()):
+        members = enriched.members(mu)
+        for sf, lam in zip(members, enriched._ordered_params()):
             want = _reference_stretched_exp(family, mu, lam)
             for name, ref in zip(("values", "dvalues", "log_deriv"), want):
                 assert getattr(sf, name).tobytes() == ref.tobytes(), (sf.name, name)
-        assert all(not part.flags.writeable for part in table)
+        assert len(members) == 5 and len(tables) == 1
+        assert all(not part.flags.writeable for part in tables[0])
 
     @pytest.mark.parametrize("display", ["2.1", "2.1-log", "1.1", "4.4"])
     @pytest.mark.parametrize("family", [
