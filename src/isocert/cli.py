@@ -20,16 +20,19 @@ checker's tilde profile at the quadrature nodes of its last 4 node layouts
 (K, t_min, --n-per-decade), so `check` and `certify` on a repeated measure
 and layout sample the profile once.  Reports are never kept: every request
 computes its own.  The argument parser is built once per subcommand.  JSON
-and CSV are each written by one writer, in one pass; the JSON writer picks a
-value's form from one isinstance chain.  An `expr:` measure or entropy is
-named in reports `expr:` plus its text as given.  A flag value may start
-with `-` (`--support -5:5`), in either the spaced or the `=` form.
+and CSV are each written by one writer; the JSON writer picks a value's
+form from one isinstance chain, in one pass, and a CSV body is one
+%-format over the cells flattened in row order.  An `expr:` measure or
+entropy is named in reports `expr:` plus its text as given.  A flag value
+may start with `-` (`--support -5:5`, `--support -inf:0`), in either the
+spaced or the `=` form.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import re
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -137,10 +140,18 @@ def _csv_column(values):
 
 
 def _table(names, *columns) -> str:
-    """CSV text: a header of names, then row i of every column (see _csv_column)."""
-    formats, cells = zip(*map(_csv_column, columns))
-    row = ",".join(formats)
-    return "\n".join([",".join(names), *(row % r for r in zip(*cells))]) + "\n"
+    """CSV text: a header of names, then row i of every column (see
+    _csv_column), as many rows as the shortest column has cells.  The body
+    is one %-format, the row format repeated once per row, applied to the
+    cells flattened in row order; float arrays of one length are flattened
+    by numpy."""
+    n = len(columns[0])
+    if all(isinstance(c, np.ndarray) and c.dtype == float and c.shape == (n,) for c in columns):
+        formats, flat = ("%.17g",) * len(columns), tuple(np.column_stack(columns).ravel().tolist())
+    else:
+        formats, cells = zip(*map(_csv_column, columns))
+        flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+    return ",".join(names) + "\n" + (",".join(formats) + "\n") * (len(flat) // len(columns)) % flat
 
 
 def _report_table(report) -> str:
@@ -260,6 +271,8 @@ def _parse_range(text: str, what: str, n_required: bool = True):
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"bad {what}: {text!r}")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ConfigError(f"--{what.replace('_', '-')} needs finite lo and hi, got {text!r}")
         if n < 2 or not hi > lo:
             raise ConfigError(f"{what} needs hi > lo and n >= 2")
         return lo, hi, n
@@ -559,15 +572,18 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     return parser
 
 
+_DASH_VALUE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
+
+
 def _join_dash_values(argv):
     """argv with `--flag -5:5` written `--flag=-5:5`.  argparse reads a word
     that starts with `-` as an option unless it is a plain negative number;
-    no isocert option starts with a digit or a dot, so such a word after a
-    flag is that flag's value (every flag but --help takes one)."""
+    no isocert option starts with a digit, a dot, `inf` or `nan`, so such a
+    word after a flag is that flag's value (every flag but --help takes one)."""
     out = []
     for word in argv:
         prev = out[-1] if out else ""
-        if re.match(r"-[\d.]", word) and prev.startswith("--") and "=" not in prev and prev not in ("--", "--help"):
+        if _DASH_VALUE.match(word) and prev.startswith("--") and "=" not in prev and prev not in ("--", "--help"):
             out[-1] = f"{prev}={word}"
         else:
             out.append(word)

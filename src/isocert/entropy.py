@@ -27,11 +27,15 @@ depends on what the EntropyFunction carries:
                      differences of G, stopped on a residual check, then
                      a few Newton steps with 100 times finer differences,
                      which keep a C^1 kink of F (F_tau's x0) accurate.
+                     Each root starts from the profile's stationarity
+                     table: the residual is H(u) - (x + 1) with
+                     H = G + G' free of x, so H tabulated once gives every
+                     level inside it a closed bracket and a start.
 
 Profiles are immutable, so a profile is built and checked once:
 log_entropy() and F_tau(tau) over log return one shared instance per
-argument (the last 64 taus), and check_assumptions keeps its report on the
-profile it checked.
+argument (the last 64 taus), and a profile keeps its check_assumptions
+report and its stationarity table once sampled.
 """
 
 import functools
@@ -83,6 +87,14 @@ class EntropyFunction:
     @functools.cached_property
     def assumptions(self):
         return _sample_assumptions(self, _ASSUMPTION_POINTS)
+
+    @functools.cached_property
+    def stationarity_table(self):
+        """(H, u): H(u) = G(u) + G'(u), the stationarity residual at
+        x = -1, on a fixed grid of u, kept where it is finite and above
+        every earlier entry; log_Phi's generic route starts each root from
+        it.  Sampled on first use and kept with the profile."""
+        return _stationarity_table(self)
 
 
 @functools.lru_cache(maxsize=1)
@@ -273,6 +285,41 @@ def _stationarity_residual(F, step=_FD_STEP):
     return resid
 
 
+def _search_bound(F):
+    return _U_LIMIT if F.fn_log is not None else _U_EVAL
+
+
+def _stationarity_table(F):
+    """See EntropyFunction.stationarity_table.  The grid is u in [-50, 50]
+    at step 1/16, then 400 geometric steps up to min(0.999 bound, 1e5),
+    whose stencils stay inside the search bound.  H is exactly the coarse
+    residual plus x + 1, so each adjacent pair brackets the root of every
+    level between its two values; the kept entries increase strictly, as H
+    does for an admissible F."""
+    u = np.concatenate((np.arange(-800, 801) / 16.0, np.geomspace(50.0, min(0.999 * _search_bound(F), 1e5), 401)[1:]))
+    with np.errstate(all="ignore"):
+        H = _stationarity_residual(F)(u, np.full_like(u, -1.0))[0]
+    keep = np.isfinite(H)
+    keep[keep] = H[keep] > np.concatenate(([-np.inf], np.maximum.accumulate(H[keep])[:-1]))
+    return H[keep], u[keep]
+
+
+def _table_start(F, x):
+    """(start, lo, hi) of the coarse solve: where x + 1 lies inside F's
+    stationarity table, the bracket of the two entries around it and the
+    linear interpolant between them; elsewhere the open walk from
+    clip(x, -50, 50)."""
+    start, lo, hi = np.clip(x, -50.0, 50.0), np.full_like(x, -np.inf), np.full_like(x, np.inf)
+    H, u = F.stationarity_table
+    i = np.searchsorted(H, x + 1.0)
+    inside = np.nonzero((i > 0) & (i < H.size))[0]
+    if inside.size:
+        k = i[inside]
+        lo[inside], hi[inside] = u[k - 1], u[k]
+        start[inside] = np.interp(x[inside] + 1.0, H, u)
+    return start, lo, hi
+
+
 def _fine_newton_steps(F, u, x):
     """u after up to _FINE_STEPS Newton steps on the residual with
     differences 100 times finer, each taken where it matters.
@@ -316,7 +363,9 @@ def log_Phi(F, x):
                        F_tau over log (see _F_tau_log_phi);
       anything else    vectorised Newton on the residual, safeguarded by
                        bisection, with G' and G'' from central differences
-                       in u, stopped on a residual check; then up to 4
+                       in u, started inside a bracket of F's stationarity
+                       table where x + 1 lies in it (from clip(x, -50, 50)
+                       elsewhere), stopped on a residual check; then up to 4
                        Newton steps with 100 times finer differences where
                        they are long enough to matter (_fine_newton_steps);
                        then u* + log(x + 1 - G(u*)), insensitive to
@@ -333,9 +382,10 @@ def log_Phi(F, x):
     if F.log_phi is not None:
         out = np.asarray(F.log_phi(x), dtype=float)
     else:
-        bound = _U_LIMIT if F.fn_log is not None else _U_EVAL
+        bound = _search_bound(F)
         tol = 1e-10 * (1.0 + np.abs(x))
-        u = _increasing_root(_stationarity_residual(F), x, np.clip(x, -50.0, 50.0), tol, bound=bound)
+        start, lo, hi = _table_start(F, x)
+        u = _increasing_root(_stationarity_residual(F), x, start, tol, lo, hi, bound)
         # a root at the upper bound lies beyond it; at the lower bound there
         # is none, the objective only grows as y -> 0
         if np.any(u >= bound * (1.0 - 1e-9)):

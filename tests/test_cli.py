@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isocert.checker as checker
 import isocert.cli as cli
@@ -115,7 +117,35 @@ class TestJsonDump:
         assert json.loads(_dump_json({text: text})) == {text: text}
 
 
+def _per_row_table(names, *columns):
+    """The CSV formula _table replaced, one %-format per row: the reference."""
+    formats, cells = zip(*map(cli._csv_column, columns))
+    row = ",".join(formats)
+    return "\n".join([",".join(names), *(row % r for r in zip(*cells))]) + "\n"
+
+
+_CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 2.5e-310, np.inf, -np.inf, np.nan, 1e300, -1e-300])
+_CSV_COLUMNS = st.one_of(
+    st.lists(st.text() | st.just("50% of 100%")),
+    st.lists(st.booleans()),
+    st.lists(_CSV_FLOATS),
+    st.lists(_CSV_FLOATS.map(np.float64)),
+    st.lists(_CSV_FLOATS).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.integers(-(10**20), 10**20)),
+)
+# float arrays of one length, the columns conjugate and profile write
+_CSV_FLOAT_ARRAYS = st.integers(0, 30).flatmap(
+    lambda n: st.lists(st.lists(_CSV_FLOATS, min_size=n, max_size=n).map(np.array), min_size=1, max_size=4)
+)
+
+
 class TestCsvTable:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=st.lists(_CSV_COLUMNS, min_size=1, max_size=5) | _CSV_FLOAT_ARRAYS)
+    def test_matches_the_per_row_formula(self, columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        assert cli._table(names, *columns) == _per_row_table(names, *columns)
+
     def test_one_cell_rule_for_every_column_type(self):
         got = cli._table(("a", "b", "c", "d"), ["x", "y"], [True, False], np.array([0.1, 2.0]), [float("nan"), -np.inf])
         assert got == "a,b,c,d\nx,true,0.10000000000000001,nan\ny,false,2,-inf\n"
@@ -760,6 +790,8 @@ class TestPerSubcommandFlags:
         (["profile", "--t-grid", "0.1:0.5:3", "--n", "4096"], "--support", "-.5:.5"),
         (["test", "--n", "4096"], "--params", "-0.5,0.5"),
         (["conjugate"], "--grid", "-0:1:5"),
+        (["profile", "--t-grid", "0.1:0.5:3", "--n", "4096"], "--support", "-inf:0"),
+        (["profile", "--t-grid", "0.1:0.5:3", "--n", "4096"], "--support", "-INF:0"),
     ])
     def test_a_value_starting_with_a_dash_may_be_a_separate_word(self, tmp_path, argv, flag, value):
         spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
@@ -845,6 +877,8 @@ _REFUSALS = [
     (["conjugate", "--grid", "0:1"], "grid must look like lo:hi:n"),
     (["conjugate", "--grid", "1:0:5"], "hi > lo"),
     (["conjugate", "--grid", "0:1:1"], "n >= 2"),
+    (["conjugate", "--grid", "0:inf:5"], "--grid needs finite lo and hi, got '0:inf:5'"),
+    (["profile", "--t-grid", "0.1:1e400:3", *_N], "--t-grid needs finite lo and hi, got '0.1:1e400:3'"),
     (["profile", "--t-grid", "0.1:0.9:5", *_N], "t_grid must lie in (0, 1/2]"),
     (["profile", "--t-grid=-0.1:0.5:5", *_N], "t_grid must lie in (0, 1/2]"),
     (["profile", "--t-grid", "0:0.5:5", *_N], "t_grid must lie in (0, 1/2]"),
@@ -873,6 +907,7 @@ _REFUSALS = [
     (["test", "--floor", "nan", *_N], "floor must be finite, got nan"),
     (["test", "--scale", "inf", *_N], "scale must be finite, got inf"),
     (["test", "--exponent=-inf", *_N], "exponent must be finite, got -inf"),
+    (["test", "--exponent", "-inf", *_N], "exponent must be finite, got -inf"),  # refused by value, not by argparse
     # a non-finite number in a float setting or inside a spec
     (["check", "--delta", "inf", *_N], "delta must be finite, got inf"),
     (["test", "--K", "inf", *_N], "K must be finite, got inf"),

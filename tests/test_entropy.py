@@ -210,7 +210,9 @@ class TestLogPhiOracle:
         _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
 
     @settings(max_examples=40, deadline=None)
-    @given(x=st.floats(-2.5, 300.0))
+    @given(x=st.floats(-2.5, 300.0) | st.floats(0.3, 4e12))
+    @example(x=0.3)
+    @example(x=4e12)
     def test_expr_entropy(self, x):
         expr = parse_potential("2*(x^0.5-1)")
         F = EntropyFunction(fn=lambda y: np.asarray(expr(y), dtype=float), name="expr")
@@ -247,6 +249,24 @@ class TestLogPhiOracle:
     def test_vector_matches_scalar_calls(self, F_half):
         x = np.linspace(-5.0, 80.0, 37)
         assert np.array_equal(log_Phi(F_half, x), np.array([log_Phi(F_half, v) for v in x]))
+
+    def test_fast_growing_expr_entropy_takes_few_coarse_passes(self, monkeypatch):
+        # each root starts inside a bracket of the profile's stationarity table
+        F = EntropyFunction(fn=parse_potential("2*(x^0.5-1)"), name="expr:2*(x^0.5-1)")
+        passes = []
+        solve = entropy._increasing_root
+        monkeypatch.setattr(
+            entropy, "_increasing_root", lambda resid, *a: solve(lambda u, x: passes.append(u.size) or resid(u, x), *a)
+        )
+        log_Phi(F, np.geomspace(0.3, 4e12, 2000))
+        assert 1 <= len(passes) <= 4
+
+    def test_stationarity_table_is_increasing_and_kept(self):
+        F = EntropyFunction(fn=parse_potential("2*(x^0.5-1)"), name="expr:2*(x^0.5-1)")
+        H, u = F.stationarity_table
+        assert F.stationarity_table is F.stationarity_table
+        assert np.all(np.diff(H) > 0) and np.all(np.diff(u) > 0)
+        assert u[0] == -50.0 and u[-1] < entropy._U_EVAL and H.size > 1900
 
     def test_missing_log_form_is_a_value_error(self):
         fplain = EntropyFunction(fn=lambda y: np.log(y), name="plainlog")
