@@ -143,14 +143,9 @@ def _table(names, *columns) -> str:
     """CSV text: a header of names, then row i of every column (see
     _csv_column), as many rows as the shortest column has cells.  The body
     is one %-format, the row format repeated once per row, applied to the
-    cells flattened in row order; float arrays of one length are flattened
-    by numpy."""
-    n = len(columns[0])
-    if all(isinstance(c, np.ndarray) and c.dtype == float and c.shape == (n,) for c in columns):
-        formats, flat = ("%.17g",) * len(columns), tuple(np.column_stack(columns).ravel().tolist())
-    else:
-        formats, cells = zip(*map(_csv_column, columns))
-        flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+    cells flattened in row order."""
+    formats, cells = zip(*map(_csv_column, columns))
+    flat = tuple(itertools.chain.from_iterable(zip(*cells)))
     return ",".join(names) + "\n" + (",".join(formats) + "\n") * (len(flat) // len(columns)) % flat
 
 

@@ -292,11 +292,20 @@ def _search_bound(F):
 def _stationarity_table(F):
     """See EntropyFunction.stationarity_table.  The grid is u in [-50, 50]
     at step 1/16, then 400 geometric steps up to min(0.999 bound, 1e5),
-    whose stencils stay inside the search bound.  H is exactly the coarse
-    residual plus x + 1, so each adjacent pair brackets the root of every
-    level between its two values; the kept entries increase strictly, as H
-    does for an admissible F."""
-    u = np.concatenate((np.arange(-800, 801) / 16.0, np.geomspace(50.0, min(0.999 * _search_bound(F), 1e5), 401)[1:]))
+    whose stencils stay inside the search bound; an fn_log that refuses
+    u > 700 (F_tau over a base without one) gets the grid up to 0.999 of
+    the bound without fn_log instead.  H is exactly the coarse residual plus
+    x + 1, so each adjacent pair brackets the root of every level between
+    its two values; the kept entries increase strictly, as H does for an
+    admissible F."""
+    try:
+        return _sampled_stationarity(F, min(0.999 * _search_bound(F), 1e5))
+    except OverflowError:
+        return _sampled_stationarity(F, 0.999 * _U_EVAL)
+
+
+def _sampled_stationarity(F, top):
+    u = np.concatenate((np.arange(-800, 801) / 16.0, np.geomspace(50.0, top, 401)[1:]))
     with np.errstate(all="ignore"):
         H = _stationarity_residual(F)(u, np.full_like(u, -1.0))[0]
     keep = np.isfinite(H)

@@ -210,6 +210,20 @@ class TestLogPhiOracle:
         _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
 
     @settings(max_examples=40, deadline=None)
+    @given(tau=st.floats(0.5, 1.0), x=st.floats(-2.5, 50.0))
+    @example(tau=0.5, x=1.0)
+    def test_F_tau_over_a_base_without_a_log_form(self, tau, x):
+        # F_tau's fn_log evaluates phi(e^u), which refuses u > 700 for this
+        # base, so the stationarity table stops below e^700
+        phi = EntropyFunction(fn=lambda y: 2.0 * np.log(y), dfn=lambda y: 2.0 / y, name="2log")
+        F = F_tau(tau, phi)
+        assert F.log_phi is None and F.fn_log is not None
+        G = lambda u: _root_power(2.0 * u, tau)[0]
+        dG = lambda u: 2.0 * _root_power(2.0 * u, tau)[1]
+        _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
+        assert 690.0 < F.stationarity_table[1][-1] < 700.0
+
+    @settings(max_examples=40, deadline=None)
     @given(x=st.floats(-2.5, 300.0) | st.floats(0.3, 4e12))
     @example(x=0.3)
     @example(x=4e12)
