@@ -136,9 +136,17 @@ def _node_profile(mu, layout, t):
     return table
 
 
-def _condition_report(spec, n_per_decade):
-    """The ConditionReport of spec: one evaluation of the profile, F and the
-    cost on the quadrature nodes and one log_Phi call."""
+def check_condition(spec, n_per_decade=256):
+    """Evaluate the condition integral and classify its tail.
+
+    The cost must be convex superlinear with c(0) = 0 and F must pass the
+    concavity/limit assumptions (A1-A2); sampled costs that get extrapolated
+    beyond their chord range taint a FINITE verdict down to INCONCLUSIVE,
+    since linear extrapolation underestimates a superlinear cost.
+    n_per_decade is the Simpson panel count per decade: even and at least 2.
+    The report takes one evaluation of the profile, F and the cost on the
+    quadrature nodes and one log_Phi call.
+    """
     if not (n_per_decade >= 2 and n_per_decade % 2 == 0):
         raise ValueError(f"n_per_decade must be an even integer >= 2 (Simpson panels), got {n_per_decade}")
     rep = check_assumptions(spec.F)
@@ -232,18 +240,6 @@ def _classify(spec, H, S, log_partials, partials, t_edges, flags):
         entropy=spec.F.name,
         cost="quadratic" if spec.cost is None else spec.cost.label,
     )
-
-
-def check_condition(spec, n_per_decade=256):
-    """Evaluate the condition integral and classify its tail.
-
-    The cost must be convex superlinear with c(0) = 0 and F must pass the
-    concavity/limit assumptions (A1-A2); sampled costs that get extrapolated
-    beyond their chord range taint a FINITE verdict down to INCONCLUSIVE,
-    since linear extrapolation underestimates a superlinear cost.
-    n_per_decade is the Simpson panel count per decade: even and at least 2.
-    """
-    return _condition_report(spec, n_per_decade)
 
 
 @dataclass(frozen=True)

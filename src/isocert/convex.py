@@ -10,8 +10,7 @@ Its Legendre conjugate is the member of the same family with the dual
 exponent b, 1/a + 1/b = 1.  Conjugation of sampled functions uses the fact
 that for convex data the maximizer of x*y - c(y) moves monotonically with x,
 so the dual grid can be merged against the nondecreasing chord slopes in a
-single sweep; a full scan is kept as a fallback for inputs that fail the
-convexity diagnostic.
+single sweep; samples that are not convex are refused.
 """
 
 from dataclasses import dataclass
@@ -23,6 +22,15 @@ import numpy as np
 def _tol_scale(values):
     # convexity checks use 1e-12 * (1 + max|values|), grid-size independent
     return 1e-12 * (1.0 + float(np.max(np.abs(values))) if len(values) else 1.0)
+
+
+def _convex_slopes(grid, values):
+    """The chord slopes of samples, refused unless nondecreasing (convex
+    samples) up to _tol_scale(values)."""
+    slopes = np.diff(values) / np.diff(grid)
+    if np.any(np.diff(slopes) < -_tol_scale(values)):
+        raise ValueError("cost values must be convex on the grid")
+    return slopes
 
 
 def conjugate_exponent(alpha):
@@ -60,9 +68,7 @@ class CostFunction:
             raise ValueError("grid must be nonnegative and strictly increasing")
         if np.any(values < -_tol_scale(values)):
             raise ValueError("cost values must be nonnegative")
-        slopes = np.diff(values) / np.diff(grid)
-        if np.any(np.diff(slopes) < -_tol_scale(values)):
-            raise ValueError("cost values must be convex on the grid")
+        _convex_slopes(grid, values)
         return cls(grid=grid, values=values)
 
     @property
@@ -166,7 +172,8 @@ def _primal_samples(f, dual_grid):
 def legendre_transform(f, dual_grid):
     """Discrete conjugate sup_y (x*y - f(y)) over a nonnegative dual grid.
 
-    f may be a CostFunction or a (grid, values) pair.
+    f may be a CostFunction or a (grid, values) pair; samples that are not
+    convex are refused as CostFunction.from_samples refuses them.
     Dual points beyond the final chord slope are flagged truncated: there the
     true conjugate of a superlinear input is not recoverable from the grid.
     """
@@ -179,18 +186,10 @@ def legendre_transform(f, dual_grid):
     if y.size < 2:
         raise ValueError("empty primal grid")
 
-    slopes = np.diff(g) / np.diff(y)
-    convex = not np.any(np.diff(slopes) < -_tol_scale(g))
-    if convex:
-        # monotone sweep: merge sorted dual points against nondecreasing slopes;
-        # the maximizer index never moves left as x grows (leftmost on ties)
-        j = np.searchsorted(slopes, dual_grid, side="left")
-    else:
-        j = np.empty(dual_grid.size, dtype=int)
-        step = max(1, 2**22 // max(y.size, 1))
-        for k in range(0, dual_grid.size, step):
-            xs = dual_grid[k : k + step]
-            j[k : k + step] = np.argmax(xs[:, None] * y[None, :] - g[None, :], axis=1)
+    slopes = _convex_slopes(y, g)
+    # monotone sweep: merge sorted dual points against nondecreasing slopes;
+    # the maximizer index never moves left as x grows (leftmost on ties)
+    j = np.searchsorted(slopes, dual_grid, side="left")
     values = dual_grid * y[j] - g[j]
     return ConjugateTable(grid=dual_grid, values=values, argmax=y[j], truncated=dual_grid > slopes[-1])
 

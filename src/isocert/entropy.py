@@ -15,22 +15,23 @@ phi reaches 1:
     F_tau(x) = (1/tau) (phi(x)^tau - 1) + 1    for x >= x0.
 
 Phi = (y F(y) - y)^* drives every integrability condition.  log_Phi
-evaluates it in log space, with no table and so no slope range: with
-y = e^u and G(u) = F(e^u), log Phi(x) = max_u u + log(x + 1 - G(u)), whose
-maximiser solves the stationarity condition x + 1 - G(u) = G'(u).  The route
+evaluates it in log space, with no conjugate table and so no slope range:
+with y = e^u and G(u) = F(e^u), log Phi(x) = max_u u + log(x + 1 - G(u)),
+whose maximiser solves the stationarity condition x + 1 - G(u) = G'(u), by
+rtsafe (Newton safeguarded by bisection) inside a closed bracket.  The route
 depends on what the EntropyFunction carries:
 
   log_phi (exact)    F = log gives log Phi(x) = x; F_tau over log solves a
-                     scalar equation in u by Newton on a closed bracket;
-  otherwise          vectorised Newton on the stationarity residual, with
-                     bisection as a safeguard and derivatives from central
-                     differences of G, stopped on a residual check, then
-                     a few Newton steps with 100 times finer differences,
-                     which keep a C^1 kink of F (F_tau's x0) accurate.
-                     Each root starts from the profile's stationarity
-                     table: the residual is H(u) - (x + 1) with
-                     H = G + G' free of x, so H tabulated once gives every
-                     level inside it a closed bracket and a start.
+                     scalar equation in u from a closed-form bracket;
+  otherwise          the stationarity residual, with derivatives from
+                     central differences of G, stopped on a residual check,
+                     then a few Newton steps with 100 times finer
+                     differences, which keep a C^1 kink of F (F_tau's x0)
+                     accurate.  The profile's stationarity table brackets
+                     each root: the residual is H(u) - (x + 1) with
+                     H = G + G' free of x, so H tabulated once puts a level
+                     between two entries, or between the table's end and
+                     the end of the search range.
 
 Profiles are immutable, so a profile is built and checked once:
 log_entropy() and F_tau(tau) over log return one shared instance per
@@ -137,7 +138,8 @@ def _F_tau_log_phi(tau):
     For x <= 1 the maximiser is u* = x and log Phi(x) = x.  Above, u* solves
     (u^tau - 1)/tau + 1 + u^(tau-1) = x + 1, whose left side increases for
     u > 1 and lies within 1 of (u^tau - 1)/tau + 1, which brackets the root by
-    [(1 + tau (x - 1))^(1/tau), (1 + tau x)^(1/tau)].  The value is then
+    [(1 + tau (x - 1))^(1/tau), (1 + tau x)^(1/tau)], the upper end capped at
+    the largest double.  The value is then
     u* + log G'(u*) = u* + (tau - 1) log u*, equal to the objective at the
     root but free of the cancellation in x + 1 - G(u*) when G'(u*) is tiny.
     """
@@ -159,6 +161,7 @@ def _F_tau_log_phi(tau):
                 u0 = np.exp(np.log1p(tau * (xb - lo ** (tau - 1.0))) / tau)
             u = np.full_like(xb, np.inf)  # a root past float range: Phi overflows
             ok = u0 < np.inf
+            hi = np.minimum(hi, _MAX_FLOAT)
             # the residual carries rounding noise of a few ulp of x
             u[ok] = _increasing_root(resid, xb[ok], u0[ok], 8.0 * _EPS * (1.0 + xb[ok]), lo[ok], hi[ok])
             with np.errstate(invalid="ignore"):
@@ -186,9 +189,9 @@ def _build_F_tau(tau, phi, log_phi):
     if not 0 < tau <= 1:
         raise ValueError("tau must lie in (0, 1]")
     x0 = phi.x0
-    if x0 is None:  # phi(x0) = 1, searched from e on (1, 1e9)
+    if x0 is None:  # phi(x0) = 1, searched from e on [1, 1e9]
         resid = lambda y, _: (phi(y) - 1.0, phi.derivative(y))  # noqa: E731
-        x0 = float(_increasing_root(resid, np.zeros(1), np.array([np.e]), 0.0, lo=1.0, bound=1e9)[0])
+        x0 = float(_increasing_root(resid, np.zeros(1), np.array([np.e]), 0.0, 1.0, 1e9)[0])
         if not phi(np.array([x0]))[0] >= 1.0 - 1e-12:
             raise ValueError("the base profile does not reach 1 below 1e9")
 
@@ -201,13 +204,13 @@ def _build_F_tau(tau, phi, log_phi):
         dp = phi.derivative(y)
         return np.where(p <= 1.0, dp, np.maximum(p, 1e-300) ** (tau - 1.0) * dp)
 
-    def fn_log(u):
-        return _flatten(phi.at_log(u), tau)
-
+    # without a base log form, at_log's fallback fn(e^u) has the same values
+    fn_log = None if phi.fn_log is None else (lambda u: _flatten(phi.at_log(u), tau))
     return EntropyFunction(fn=fn, dfn=dfn, fn_log=fn_log, name=f"F_tau({phi.name},{tau:g})", x0=x0, log_phi=log_phi)
 
 
 _EPS = float(np.finfo(float).eps)
+_MAX_FLOAT = float(np.finfo(float).max)
 _ROOT_ITERATIONS = 200
 _FD_STEP = 1e-4  # central-difference step in u, relative to max(1, |u|)
 _FD_STEP_FINE = 1e-6  # the step of the final Newton steps (_fine_newton_steps)
@@ -219,24 +222,19 @@ _U_EVAL = 699.9
 _U_LIMIT = 2.0 ** 64
 
 
-def _increasing_root(resid, x, u, tol, lo=-np.inf, hi=np.inf, bound=np.inf):
+def _increasing_root(resid, x, u, tol, lo, hi):
     """Zeros of increasing residuals r(u; x), one per entry of x, vectorised.
 
-    resid(u, x) returns r and dr/du first.  The search starts at u with the
-    bracket (lo, hi), r(lo) <= 0 <= r(hi), either end possibly infinite, and
-    never evaluates r at |u| >= bound.  While the root's side of the bracket
-    is open the search walks out: the Newton step, but at least twice the last
-    step and at most a radius that starts at max(1, |u|, |x|) and doubles.
-    Once closed it is rtsafe: the Newton step when it stays inside and at
-    least halves the step before last, otherwise bisection.  A step that
-    would reach the bound goes halfway to it instead.  An entry stops once
-    |r| <= tol, its Newton step or bracket shrinks to rounding level, or it
-    reaches the bound; only unfinished entries are evaluated again.
+    resid(u, x) returns r and dr/du first.  The search starts at u inside
+    the finite bracket [lo, hi], r(lo) <= 0 <= r(hi), and evaluates r only
+    inside it.  It is rtsafe: the Newton step when it stays inside the
+    bracket and at least halves the step before last, otherwise bisection.
+    An entry stops once |r| <= tol or its Newton step or bracket shrinks to
+    rounding level; only unfinished entries are evaluated again.
     """
     u = np.array(u, dtype=float)
     lo, hi, tol = (np.array(np.broadcast_to(a, u.shape), dtype=float) for a in (lo, hi, tol))
-    radius = np.maximum(1.0, np.maximum(np.abs(u), np.abs(x)))
-    step = np.where(np.isfinite(hi - lo), hi - lo, 0.0)
+    step = hi - lo
     step_old = step.copy()
     todo = np.arange(u.size)
     ua, xa = u, x
@@ -248,22 +246,15 @@ def _increasing_root(resid, x, u, tol, lo=-np.inf, hi=np.inf, bound=np.inf):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = ua - r / dr
         ulp = 4.0 * _EPS * np.maximum(1.0, np.abs(ua))
-        done = (np.abs(r) <= tol) | (np.abs(newton - ua) <= ulp) | (hi - lo <= ulp) | np.isnan(r)
-        done |= bound - np.abs(ua) <= ulp
-        keep = ~done
+        keep = ~((np.abs(r) <= tol) | (np.abs(newton - ua) <= ulp) | (hi - lo <= ulp) | np.isnan(r))
         if not np.any(keep):
             return u
-        todo, ua, xa, r, lo, hi, tol, newton, radius, step, step_old = (
-            a[keep] for a in (todo, ua, xa, r, lo, hi, tol, newton, radius, step, step_old)
+        todo, ua, xa, lo, hi, tol, newton, step, step_old = (
+            a[keep] for a in (todo, ua, xa, lo, hi, tol, newton, step, step_old)
         )
-        closed = np.isfinite(lo) & np.isfinite(hi)
-        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
-        rtsafe = np.where(inside & (np.abs(newton - ua) <= 0.5 * np.abs(step_old)), newton, 0.5 * (lo + hi))
-        walk = np.fmin(np.fmax(np.where(inside, np.abs(newton - ua), 0.0), 2.0 * np.abs(step)), radius)
-        walk = np.where(walk > 0, walk, radius)
-        nxt = np.where(closed, rtsafe, ua - np.sign(r) * walk)
-        nxt = np.where(np.abs(nxt) < bound, nxt, 0.5 * (ua + np.sign(nxt) * bound))
-        radius = np.where(closed, radius, 2.0 * radius)
+        inside = (newton > lo) & (newton < hi)
+        # halves taken separately: lo + hi overflows near the largest double
+        nxt = np.where(inside & (np.abs(newton - ua) <= 0.5 * np.abs(step_old)), newton, 0.5 * lo + 0.5 * hi)
         step_old, step, ua = step, nxt - ua, nxt
     raise ValueError("the stationarity condition of log Phi did not converge")
 
@@ -292,19 +283,11 @@ def _search_bound(F):
 def _stationarity_table(F):
     """See EntropyFunction.stationarity_table.  The grid is u in [-50, 50]
     at step 1/16, then 400 geometric steps up to min(0.999 bound, 1e5),
-    whose stencils stay inside the search bound; an fn_log that refuses
-    u > 700 (F_tau over a base without one) gets the grid up to 0.999 of
-    the bound without fn_log instead.  H is exactly the coarse residual plus
-    x + 1, so each adjacent pair brackets the root of every level between
-    its two values; the kept entries increase strictly, as H does for an
-    admissible F."""
-    try:
-        return _sampled_stationarity(F, min(0.999 * _search_bound(F), 1e5))
-    except OverflowError:
-        return _sampled_stationarity(F, 0.999 * _U_EVAL)
-
-
-def _sampled_stationarity(F, top):
+    whose stencils stay inside the search bound.  H is exactly the coarse
+    residual plus x + 1, so each adjacent pair brackets the root of every
+    level between its two values; the kept entries increase strictly, as H
+    does for an admissible F."""
+    top = min(0.999 * _search_bound(F), 1e5)
     u = np.concatenate((np.arange(-800, 801) / 16.0, np.geomspace(50.0, top, 401)[1:]))
     with np.errstate(all="ignore"):
         H = _stationarity_residual(F)(u, np.full_like(u, -1.0))[0]
@@ -314,19 +297,17 @@ def _sampled_stationarity(F, top):
 
 
 def _table_start(F, x):
-    """(start, lo, hi) of the coarse solve: where x + 1 lies inside F's
-    stationarity table, the bracket of the two entries around it and the
-    linear interpolant between them; elsewhere the open walk from
-    clip(x, -50, 50)."""
-    start, lo, hi = np.clip(x, -50.0, 50.0), np.full_like(x, -np.inf), np.full_like(x, np.inf)
+    """(start, lo, hi) of the coarse solve from F's stationarity table:
+    where x + 1 lies inside it, the two entries around it and the linear
+    interpolant between them; below or above it, the table's end and
+    -/+ the search bound, starting at that end."""
     H, u = F.stationarity_table
+    if H.size == 0:
+        raise ValueError(f"the stationarity residual of entropy {F.name} is nowhere finite, so no root is bracketed")
+    bound = _search_bound(F)
+    ends = np.concatenate(([-bound], u, [bound]))
     i = np.searchsorted(H, x + 1.0)
-    inside = np.nonzero((i > 0) & (i < H.size))[0]
-    if inside.size:
-        k = i[inside]
-        lo[inside], hi[inside] = u[k - 1], u[k]
-        start[inside] = np.interp(x[inside] + 1.0, H, u)
-    return start, lo, hi
+    return np.interp(x + 1.0, H, u), ends[i], ends[i + 1]
 
 
 def _fine_newton_steps(F, u, x):
@@ -372,18 +353,19 @@ def log_Phi(F, x):
                        F_tau over log (see _F_tau_log_phi);
       anything else    vectorised Newton on the residual, safeguarded by
                        bisection, with G' and G'' from central differences
-                       in u, started inside a bracket of F's stationarity
-                       table where x + 1 lies in it (from clip(x, -50, 50)
-                       elsewhere), stopped on a residual check; then up to 4
-                       Newton steps with 100 times finer differences where
-                       they are long enough to matter (_fine_newton_steps);
-                       then u* + log(x + 1 - G(u*)), insensitive to
-                       first-order errors in u*, or u* + log G'(u*) where
-                       that remainder is below the rounding of x.
+                       in u, started inside a closed bracket from F's
+                       stationarity table (_table_start), stopped on a
+                       residual check; then up to 4 Newton steps with 100
+                       times finer differences where they are long enough to
+                       matter (_fine_newton_steps); then
+                       u* + log(x + 1 - G(u*)), insensitive to first-order
+                       errors in u*, or u* + log G'(u*) where that remainder
+                       is below the rounding of x.
 
     The result never drops below the y = 1 ordinate log1p(x).  The generic
-    route evaluates F(e^u) past u = 700 only through F.fn_log; without it a
-    root beyond e^700 raises ValueError.
+    route searches |u| < 2^64 when F has fn_log, and |u| < 699.9 without it,
+    since fn(e^u) overflows past e^700; a maximiser at either end of that
+    range lies beyond it and raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -394,15 +376,16 @@ def log_Phi(F, x):
         bound = _search_bound(F)
         tol = 1e-10 * (1.0 + np.abs(x))
         start, lo, hi = _table_start(F, x)
-        u = _increasing_root(_stationarity_residual(F), x, start, tol, lo, hi, bound)
-        # a root at the upper bound lies beyond it; at the lower bound there
-        # is none, the objective only grows as y -> 0
+        u = _increasing_root(_stationarity_residual(F), x, start, tol, lo, hi)
+        # a root at either end of the search range lies beyond it
         if np.any(u >= bound * (1.0 - 1e-9)):
             if F.fn_log is not None:
                 raise ValueError("F does not reach the requested level; A2 growth violated")
             raise ValueError(
                 f"Phi for entropy {F.name} needs F(e^u) beyond u = 700, but {F.name} has no log-form evaluation (fn_log)"
             )
+        if np.any(u <= -bound * (1.0 - 1e-9)):
+            raise ValueError(f"the maximiser of log Phi for entropy {F.name} lies below y = e^{-bound:g}, outside the search range")
         u = _fine_newton_steps(F, u, x)
         rem = x + 1.0 - F.at_log(u)
         low = rem <= _EPS * (1.0 + np.abs(x))  # all cancellation: take G'(u*), equal at the root

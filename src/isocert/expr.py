@@ -23,13 +23,16 @@ once, as a Python float, not as an array.  ``a^b`` and ``pow(a, b)``
 compute pow(|a|, b) and negate it where a has its sign bit and b is an odd
 integer: the value of pow(a, b), without pow's slow path on negative bases.
 A negative base with a non-integer exponent is an ExprDomainError.
+
+Parsing, evaluation and hashing recurse over the tree, so nesting deeper than
+_MAX_DEPTH levels (while parsing, or on one path of the tree) is an ExprError.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 import numpy as np
@@ -59,6 +62,7 @@ class ExprDomainError(ValueError):
 
 
 _ARITY = {"abs": 1, "log": 1, "exp": 1, "sqrt": 1, "pow": 2}
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,10 @@ class Op:
 
     fn: str
     args: Tuple["Node", ...]
+    depth: int = field(init=False, repr=False, compare=False)  # operations on the longest path down
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + max(getattr(a, "depth", 0) for a in self.args))
 
     def _eval(self, x):
         return _OPS[self.fn](*[a._eval(x) for a in self.args])
@@ -164,9 +172,19 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.level = 0  # nested parse_unary calls
 
     def error(self, message):
         raise ExprError(message, self.pos)
+
+    def check_depth(self, depth):
+        if depth > _MAX_DEPTH:
+            self.error(f"expression nested deeper than {_MAX_DEPTH} levels")
+
+    def op(self, fn, *args):
+        node = Op(fn, args)
+        self.check_depth(node.depth)
+        return node
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -195,7 +213,7 @@ class _Parser:
             ch = self.peek()
             if ch and ch in "+-":
                 self.pos += 1
-                node = Op(ch, (node, self.parse_term()))
+                node = self.op(ch, node, self.parse_term())
             else:
                 return node
 
@@ -205,20 +223,22 @@ class _Parser:
             ch = self.peek()
             if ch and ch in "*/":
                 self.pos += 1
-                node = Op(ch, (node, self.parse_unary()))
+                node = self.op(ch, node, self.parse_unary())
             else:
                 return node
 
     def parse_unary(self):
-        if self.take("-"):
-            return Op("neg", (self.parse_unary(),))
-        return self.parse_power()
+        self.level += 1
+        self.check_depth(self.level)
+        node = self.op("neg", self.parse_unary()) if self.take("-") else self.parse_power()
+        self.level -= 1
+        return node
 
     def parse_power(self):
         node = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
-            return Op("^", (node, self.parse_unary()))
+            return self.op("^", node, self.parse_unary())
         return node
 
     def parse_atom(self):
@@ -279,7 +299,7 @@ class _Parser:
             if len(args) != _ARITY[name]:
                 self.pos = start
                 self.error(f"{name} takes {_ARITY[name]} argument(s), got {len(args)}")
-            return Op(name, tuple(args))
+            return self.op(name, *args)
         self.pos = start
         self.error(f"unknown identifier {name!r}")
 

@@ -49,13 +49,13 @@ class TestVerdicts:
         mu = builtin_measure("exp_power", alpha=1.5, n=4096)
         singles = [check_exp_power(mu, 1.5, tau) for tau in (1.0, 2.0 / 3.0)]
         passes = []
-        report = checker._condition_report
+        report = checker.check_condition
 
         def counted(spec, n_per_decade):
             passes.append("quadratic" if spec.cost is None else "general")
             return report(spec, n_per_decade)
 
-        monkeypatch.setattr(checker, "_condition_report", counted)
+        monkeypatch.setattr(checker, "check_condition", counted)
         shared = checker._exp_power_reports(mu, 1.5, (1.0, 2.0 / 3.0, 1.0))
         assert sorted(passes) == ["general", "general", "quadratic"]
         assert shared == [singles[0], singles[1], singles[0]]

@@ -262,6 +262,13 @@ class TestConjugateCommand:
         # x^2/2 is self-dual up to sampling error on the slope grid
         assert np.allclose(got, ys * ys / 2.0, atol=2e-3, rtol=1e-3)
 
+    def test_sampled_cost_past_its_slope_range_warns(self, tmp_path, capsys):
+        # x^2/2 is sampled on [0, 100], so its last chord slope is about 100: the dual points 500 and 1000 lie past it
+        out = tmp_path / "dual.csv"
+        assert main(["conjugate", "--cost", "expr:x^2/2", "--grid", "0:1000:3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: dual grid extends past the recoverable slope range\n"
+        assert read_text(out).startswith("x,c_star\n") and len(read_text(out).splitlines()) == 4
+
     def test_stdout_default(self, capsys):
         assert main(["conjugate", "--grid", "0:1:5"]) == 0
         out = capsys.readouterr().out
@@ -322,6 +329,15 @@ class TestProfileCommand:
         assert "t_grid" in capsys.readouterr().err
 
 
+def _inconclusive_report():
+    mu = builtin_measure("gauss", n=4096)
+    grid = np.linspace(0.0, 2.0, 257)
+    cost = CostFunction.from_samples(grid, grid * grid / 2.0)
+    report = check_condition(ConditionSpec(measure=mu, F=log_entropy(), cost=cost, delta=0.5, K=2.0))
+    assert report.verdict == "INCONCLUSIVE"  # cost grid too short to trust
+    return report
+
+
 class TestCheckCommand:
     def test_finite_verdict_exits_zero(self, tmp_path):
         out = tmp_path / "check.json"
@@ -340,12 +356,7 @@ class TestCheckCommand:
         assert json.loads(read_text(out))["verdict"] == "DIVERGENT_LIKELY"
 
     def test_inconclusive_verdict_exits_three(self, tmp_path, monkeypatch, capsys):
-        mu = builtin_measure("gauss", n=4096)
-        grid = np.linspace(0.0, 2.0, 257)
-        cost = CostFunction.from_samples(grid, grid * grid / 2.0)
-        spec = ConditionSpec(measure=mu, F=log_entropy(), cost=cost, delta=0.5, K=2.0)
-        report = check_condition(spec)
-        assert report.verdict == "INCONCLUSIVE"  # cost grid too short to trust
+        report = _inconclusive_report()
         monkeypatch.setattr(cli, "check_condition", lambda s, n_per_decade=256: report)
         rc = main(["check", "--measure", "gauss"])
         assert rc == 3
@@ -467,6 +478,13 @@ class TestCertifyCommand:
         assert payload["check"]["verdict"] == "FINITE"
         assert payload["test"]["C_hat"] > 0
 
+    def test_inconclusive_check_exits_three_uncertified(self, monkeypatch, capsys):
+        report = _inconclusive_report()
+        monkeypatch.setattr(cli, "check_condition", lambda s, n_per_decade=256: report)
+        assert main(["certify", "--measure", "gauss", "--n", "4096"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certified"] is False and payload["check"]["verdict"] == "INCONCLUSIVE"
+
     def test_divergent_certification_exits_four(self, tmp_path):
         out = tmp_path / "cert.json"
         rc = main(["certify", "--measure", "exp", "--entropy", "log",
@@ -510,13 +528,14 @@ class TestPaperExamplesCommand:
     def test_each_distinct_condition_runs_once(self, tmp_path, monkeypatch):
         # loglog, the two cost runs, and one endpoint run shared by both taus
         passes = []
-        report = checker._condition_report
+        report = checker.check_condition
 
         def counted(spec, n_per_decade):
             passes.append((spec.F.name, "quadratic" if spec.cost is None else "general"))
             return report(spec, n_per_decade)
 
-        monkeypatch.setattr(checker, "_condition_report", counted)
+        monkeypatch.setattr(checker, "check_condition", counted)
+        monkeypatch.setattr(cli, "check_condition", counted)
         assert main(["paper-examples", "--n", "4096", "--n-per-decade", "16", "--out", str(tmp_path / "p.json")]) == 0
         assert sorted(passes) == sorted([
             ("log", "quadratic"),
@@ -920,12 +939,29 @@ _REFUSALS = [
 ]
 
 
+# expressions too deep to parse, evaluate or hash by recursion, and the byte where each is refused
+_DEEP = {
+    "parentheses": ("(" * 200 + "x" + ")" * 200, 100),
+    "sum": ("+".join(["x"] * 500), 203),
+    "minus": ("-" * 500 + "x", 100),
+}
+
+
 class TestRefusals:
     @pytest.mark.parametrize("argv, fragment", _REFUSALS, ids=[" ".join(argv) for argv, _ in _REFUSALS])
     def test_invalid_command_line_exits_two_with_a_message(self, argv, fragment, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and fragment in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--measure", "--entropy", "--cost"])
+    @pytest.mark.parametrize("shape", sorted(_DEEP))
+    def test_deep_expression_exits_two(self, flag, shape, capsys):
+        text, pos = _DEEP[shape]
+        assert main(["check", flag, "expr:" + text, *_N]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: expression nested deeper than 100 levels (at byte {pos})\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("name, command", [

@@ -128,6 +128,12 @@ class TestConjugateTable:
         with pytest.raises(ValueError):
             legendre_transform(c, np.array([0.0, 1.0, 1.0]))
 
+    def test_non_convex_samples_are_refused_as_a_cost_refuses_them(self):
+        y, g = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.5, 3.0])  # slopes 1, 0.5, 1.5
+        for build in (lambda: CostFunction.from_samples(y, g), lambda: legendre_transform((y, g), np.array([0.0, 1.0]))):
+            with pytest.raises(ValueError, match="^cost values must be convex on the grid$"):
+                build()
+
     def test_interpolation_and_range_errors(self):
         c = CostFunction.closed_form(1.0, 2.0)
         table = legendre_transform(c, np.linspace(0.0, 5.0, 201))

@@ -213,11 +213,11 @@ class TestLogPhiOracle:
     @given(tau=st.floats(0.5, 1.0), x=st.floats(-2.5, 50.0))
     @example(tau=0.5, x=1.0)
     def test_F_tau_over_a_base_without_a_log_form(self, tau, x):
-        # F_tau's fn_log evaluates phi(e^u), which refuses u > 700 for this
-        # base, so the stationarity table stops below e^700
+        # F_tau over a base without a log form has none either: F(e^u) is
+        # fn(e^u), which refuses u > 700, so the stationarity table stops below e^700
         phi = EntropyFunction(fn=lambda y: 2.0 * np.log(y), dfn=lambda y: 2.0 / y, name="2log")
         F = F_tau(tau, phi)
-        assert F.log_phi is None and F.fn_log is not None
+        assert F.log_phi is None and F.fn_log is None
         G = lambda u: _root_power(2.0 * u, tau)[0]
         dG = lambda u: 2.0 * _root_power(2.0 * u, tau)[1]
         _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
@@ -287,6 +287,89 @@ class TestLogPhiOracle:
         assert log_Phi(fplain, 300.0) == pytest.approx(300.0, rel=1e-12)
         with pytest.raises(ValueError, match="log-form"):
             log_Phi(fplain, np.array([1.0, 2000.0]))
+
+    def test_F_tau_over_a_base_without_a_log_form_refuses_a_root_past_e700(self):
+        # G(u) = 2 sqrt(2u) - 1 above u = 1/2 reaches 1001 only near u = 1.25e5
+        phi = EntropyFunction(fn=lambda y: 2.0 * np.log(y), dfn=lambda y: 2.0 / y, name="2log")
+        with pytest.raises(ValueError, match="log-form"):
+            log_Phi(F_tau(0.5, phi), 1000.0)
+
+    def test_root_below_the_search_range_is_a_value_error(self):
+        # the maximiser of expr:log(x) at x is u* = x, below -699.9 here:
+        # e^u underflows there, so the value -800 is out of reach
+        F = EntropyFunction(fn=parse_potential("log(x)"), name="expr:log(x)")
+        assert log_Phi(F, -600.0) == pytest.approx(-600.0, rel=1e-12)
+        with pytest.raises(ValueError, match="below"):
+            log_Phi(F, -800.0)
+
+    def test_profile_without_a_finite_residual_is_a_value_error(self):
+        F = EntropyFunction(fn=lambda y: np.full_like(y, np.nan), name="nan")
+        with pytest.raises(ValueError, match="nowhere finite"):
+            log_Phi(F, 1.0)
+
+    @staticmethod
+    def _spy_brackets(monkeypatch):
+        """Wrap _increasing_root so that it records each call's finite
+        bracket and fails on a residual evaluated outside it."""
+        solve = entropy._increasing_root
+        brackets = []
+
+        def spy(resid, x, u, tol, lo, hi):
+            assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+            bracket = dict(zip(x.tolist(), zip(lo.tolist(), hi.tolist())))
+            brackets.append(bracket)
+
+            def checked(ua, xa):
+                for v, level in zip(ua.tolist(), xa.tolist()):
+                    assert bracket[level][0] <= v <= bracket[level][1], (level, v, bracket[level])
+                return resid(ua, xa)
+
+            return solve(checked, x, u, tol, lo, hi)
+
+        monkeypatch.setattr(entropy, "_increasing_root", spy)
+        return brackets
+
+    def test_levels_outside_the_table_match_the_oracle_inside_their_bracket(self, monkeypatch):
+        # F = log without its exact log_phi: G(u) = u and the table spans
+        # u in [-50, 1e5], so x = -1e6 and -300 lie below it, 2e5 and 1e9 above
+        F = EntropyFunction(fn=lambda y: np.log(y), fn_log=lambda u: np.asarray(u, dtype=float), name="log")
+        x = np.array([-1e6, -300.0, -60.0, 0.5, 3e4, 2e5, 1e9])
+        H = F.stationarity_table[0]
+        assert np.any(x + 1.0 < H[0]) and np.any(x + 1.0 > H[-1])
+        brackets = self._spy_brackets(monkeypatch)
+        got = log_Phi(F, x)
+        assert len(brackets) == 1
+        for g, level in zip(got, x):
+            _assert_close(g, _oracle_log_Phi(lambda u: u, lambda u: 1.0, level))
+
+    @pytest.mark.parametrize("x", [300.0, 350.0, 420.0])  # u* from 5e15 to 1e17, below 2^64
+    def test_F_tau_over_a_slow_base_above_the_table(self, x, monkeypatch):
+        F, G, dG = self._slow_profile()
+        assert x + 1.0 > F.stationarity_table[0][-1]
+        self._spy_brackets(monkeypatch)
+        _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
+
+    def test_F_tau_over_log_solves_inside_finite_brackets(self, monkeypatch):
+        # at tau = 1e-3 the root for x = 1033 lies near 1e308 and the one
+        # for x = 1034 past the largest double, where Phi overflows
+        self._spy_brackets(monkeypatch)
+        got = log_Phi(F_tau(1e-3), np.array([2.0, 700.0, 1033.0, 1034.0]))
+        assert np.all(np.isfinite(got[:3])) and got[3] == np.inf
+
+    def test_root_solver_stays_inside_its_bracket(self):
+        # atan(u - x) flattens far from its root, so Newton steps from the
+        # bracket ends overshoot it; rtsafe bisects instead
+        x = np.array([-3.0, 0.0, 0.5, 7.0])
+        seen = []
+
+        def resid(u, xa):
+            seen.append(u.copy())
+            return np.arctan(u - xa), 1.0 / (1.0 + (u - xa) ** 2)
+
+        lo, hi = np.full(4, -10.0), np.full(4, 40.0)
+        u = entropy._increasing_root(resid, x, np.array([-10.0, 40.0, 30.0, -9.0]), 1e-14, lo, hi)
+        assert np.allclose(u, x, rtol=0.0, atol=1e-13)
+        assert all(np.all((ua >= -10.0) & (ua <= 40.0)) for ua in seen)
 
 
 class TestAssumptionChecks:

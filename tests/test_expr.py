@@ -87,6 +87,22 @@ class TestParseErrors:
         assert exc.value.pos == pos
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize("deepest, deeper, pos", [
+        ("(" * 99 + "x" + ")" * 99, "(" * 100 + "x" + ")" * 100, 100),
+        ("+".join(["x"] * 101), "+".join(["x"] * 102), 203),
+        ("-" * 99 + "x", "-" * 100 + "x", 100),
+        ("x" + "^x" * 99, "x" + "^x" * 100, 200),
+        ("exp(" * 99 + "x" + ")" * 99, "exp(" * 100 + "x" + ")" * 100, 400),
+    ], ids=["parentheses", "sum", "minus", "exponents", "calls"])
+    def test_nesting_past_the_limit_is_refused(self, deepest, deeper, pos):
+        p = parse_potential(deepest)
+        p(0.5)  # evaluates without exhausting the recursion
+        assert hash(p) == hash(parse_potential(deepest))
+        with pytest.raises(ExprError) as exc:
+            parse_potential(deeper)
+        assert exc.value.pos == pos
+        assert "nested deeper than 100 levels" in str(exc.value)
+
     def test_parse_error_is_value_error(self):
         # callers may catch the broad class
         with pytest.raises(ValueError):
