@@ -66,7 +66,9 @@ class ConditionSpec:
     The cost alone picks the integrand: None evaluates Phi(delta * r^2), the
     quadratic condition, and a CostFunction c evaluates Phi(delta * c(r)),
     where r = t F(1/t) / tilde_I(t).  A report names the first form
-    'quadratic' and the second 'general'.
+    'quadratic' and the second 'general'.  The integral runs over whole
+    decades anchored at powers of ten, so it stops at the power of ten at or
+    below t_min, not at t_min itself: t_min = 0.3 integrates down to t = 0.1.
     """
 
     measure: Measure1D
@@ -144,6 +146,8 @@ def check_condition(spec, n_per_decade=256):
     beyond their chord range taint a FINITE verdict down to INCONCLUSIVE,
     since linear extrapolation underestimates a superlinear cost.
     n_per_decade is the Simpson panel count per decade: even and at least 2.
+    The last decade ends at the power of ten at or below spec.t_min, which
+    the report echoes as given.
     The report takes one evaluation of the profile, F and the cost on the
     quadrature nodes and one log_Phi call.
     """
@@ -173,7 +177,8 @@ def check_condition(spec, n_per_decade=256):
             flags.append("cost_extrapolated_beyond_grid")
         x = spec.delta * carg
     else:
-        x = spec.delta * ratio * ratio
+        with np.errstate(over="ignore"):  # past the largest double r^2 is inf, and so is Phi of it
+            x = spec.delta * ratio * ratio
     # the generic log_Phi route takes 1-D arguments only
     log_phi = log_Phi(spec.F, x).reshape(s.shape)
 
@@ -220,10 +225,11 @@ def _classify(spec, H, S, log_partials, partials, t_edges, flags):
         verdict = "FINITE"
     else:
         verdict = "INCONCLUSIVE"
-    if verdict == "FINITE" and ("cost_extrapolated_beyond_grid" in flags or "profile_zero_divergent_integrand" in flags):
-        verdict = "INCONCLUSIVE"
+    # a zero of the profile makes the integrand infinite; an extrapolated cost only taints FINITE
     if "profile_zero_divergent_integrand" in flags:
         verdict = "DIVERGENT_LIKELY"
+    elif verdict == "FINITE" and "cost_extrapolated_beyond_grid" in flags:
+        verdict = "INCONCLUSIVE"
 
     return ConditionReport(
         verdict=verdict,

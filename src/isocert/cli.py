@@ -202,7 +202,7 @@ class RunConfig:
     exponent: float = _setting(0.7, _TESTED, float)
     smoothing: float = _setting(0.05, _TESTED, float)
     display: str = _setting("restricted", ("test",), choices=("restricted", "exp-power", "power-beta"))
-    alpha: float = _setting(1.5, _MEASURED, float)
+    alpha: float = _setting(1.5, ("test",), float)
     tau: float = _setting(1.0, ("test",), float)
     A: float = _setting(1.0, ("test",), float)
     n: int = _setting(16384, _MEASURED + ("paper-examples",), int)
@@ -286,11 +286,12 @@ def _measure(kind, arg, support, n):
     kind is a builtin name or "expr"; arg is the exp_power alpha (a float) or
     the parsed PotentialExpr, else None; support is the parsed --support, or
     None for the whole line; n is --n.  Every measure is built on the hybrid
-    grid.  So `exp_power:1.5` and `--alpha 1.5` share an entry.  A refused
-    measure raises and is not kept, so it is refused again on every request.
-    An entry holds about 0.8 MB at the default n, plus at most 4 node
-    profiles of about 25 KB (checker._node_profile); the measure's tables
-    are read-only, so requests can share it."""
+    grid.  So `exp_power:1.5` and the exp-power display's `--alpha 1.5`
+    share an entry.  A refused measure raises and is not kept, so it is
+    refused again on every request.  An entry holds about 0.8 MB at the
+    default n, plus at most 4 node profiles of about 25 KB
+    (checker._node_profile); the measure's tables are read-only, so requests
+    can share it."""
     support = (-np.inf, np.inf) if support is None else support
     if kind == "expr":
         return build_measure(arg, support=support, n=n, name=f"expr:{arg.text}")
@@ -314,8 +315,8 @@ def _build_measure(cfg: RunConfig):
     name, colon, arg = spec.partition(":")
     if spec in ("gauss", "exp", "loglog"):
         return _measure(spec, None, support, cfg.n)
-    if name == "exp_power":
-        return _measure("exp_power", _spec_float(arg, "measure", spec) if colon else float(cfg.alpha), support, cfg.n)
+    if name == "exp_power" and colon:
+        return _measure("exp_power", _spec_float(arg, "measure", spec), support, cfg.n)
     if name == "expr" and colon:
         return _measure("expr", parse_potential(arg), support, cfg.n)
     raise ConfigError(f"unknown measure {spec!r}")
@@ -409,12 +410,12 @@ def _cmd_conjugate(cfg: RunConfig) -> int:
 
 def _cmd_profile(cfg: RunConfig) -> int:
     mu = _build_measure(cfg)
+    F = _build_entropy(cfg)  # read on both kinds, so a malformed --entropy is refused on either
     if cfg.profile_kind == "tilde":
         t_spec = cfg.t_grid if cfg.t_grid is not None else "0.000001:0.5:500"
         prof = tilde_profile(mu, np.linspace(*_parse_range(t_spec, "t_grid")))
         text = _table(("t", "u", "v", "tilde_I"), prof.t_grid, prof.u_t, prof.v_t, prof.tilde_I)
     else:  # profile_kind "if"
-        F = _build_entropy(cfg)
         r_spec = cfg.grid if cfg.grid is not None else "0:8:400"
         prof = I_F_profile(mu, F, np.linspace(*_parse_range(r_spec, "grid")))
         text = _table(("r", "s", "I_F"), prof.r_grid, prof.s_values, prof.values)

@@ -137,12 +137,10 @@ class Measure1D:
     log_norm: float  # log of int exp(-(V - v_min)) over the truncated support
     v_min: float
     median: float
-    support: tuple
     truncation: tuple
     log_concave: bool
     potential_fn: Callable
     name: str = "measure"
-    params: dict = field(default_factory=dict)
     node_profiles: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- pointwise evaluations ------------------------------------------------
@@ -300,7 +298,6 @@ def build_measure(
     n=16384,
     grid_kind="hybrid",
     name="measure",
-    params=None,
     log_concave=None,
 ):
     """Tabulate e^{-V} dx / Z on an adaptively truncated grid.
@@ -385,12 +382,10 @@ def build_measure(
         log_norm=log_norm,
         v_min=v_min,
         median=float(np.interp(0.5, cdf, grid)),
-        support=(a, b),
         truncation=(float(lo), float(hi)),
         log_concave=bool(log_concave),
         potential_fn=potential,
         name=name,
-        params=dict(params or {}),
     )
 
 
@@ -409,14 +404,11 @@ def builtin_measure(name, alpha=None, n=16384, support=(-np.inf, np.inf), grid_k
     potential = _BUILTIN.get(name)
     if potential is None:
         raise ValueError(f"unknown builtin measure '{name}'")
-    params = {}
     if name == "exp_power":
         if alpha is None or not 1.0 <= alpha <= 2.0:
             raise ValueError("exp_power requires alpha in [1, 2]")
-        name, params = f"exp_power({alpha:g})", {"alpha": float(alpha)}
-    return build_measure(
-        lambda x: potential(x, alpha), support=support, n=n, grid_kind=grid_kind, name=name, params=params, log_concave=True
-    )
+        name = f"exp_power({alpha:g})"
+    return build_measure(lambda x: potential(x, alpha), support=support, n=n, grid_kind=grid_kind, name=name, log_concave=True)
 
 
 # -- sampled functions --------------------------------------------------------

@@ -1,10 +1,11 @@
 """Integrability verdicts and growth-condition fitting."""
 
 import gc
+import re
 import sys
 import threading
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from isocert.checker import (
     verify_growth_condition,
 )
 from isocert.convex import CostFunction
-from isocert.entropy import EntropyFunction, F_tau
-from isocert.measure1d import builtin_measure, tilde_profile
+from isocert.entropy import EntropyFunction, F_tau, log_entropy
+from isocert.expr import parse_potential
+from isocert.measure1d import build_measure, builtin_measure, tilde_profile
 
 
 class TestVerdicts:
@@ -88,6 +90,12 @@ class TestQuadratureBehavior:
         assert rep.decades[-1]["t_lo"] == pytest.approx(1e-12, rel=1e-6)
         total = sum(row["partial_sum"] for row in rep.decades)
         assert total == pytest.approx(rep.integral_estimate, rel=1e-12)
+
+    def test_last_decade_ends_at_the_power_of_ten_at_or_below_t_min(self, gauss, F_log):
+        for t_min, t_lo in ((0.3, 0.1), (0.01, 0.01), (2e-5, 1e-5)):
+            rep = check_condition(ConditionSpec(gauss, F_log, delta=0.5, K=2.0, t_min=t_min))
+            assert rep.t_min == t_min
+            assert rep.decades[-1]["t_lo"] == pytest.approx(t_lo, rel=1e-12)
 
     def test_doubling_panel_count_is_stable(self, gauss, F_log):
         spec = ConditionSpec(gauss, F_log, delta=0.5, K=2.0)
@@ -161,6 +169,83 @@ class TestTruncationDowngrade:
         rep = check_condition(ConditionSpec(gauss, F_log, cost=full, delta=0.5, K=2.0))
         assert rep.flags == ()
         assert rep.verdict == "FINITE"
+
+
+class TestZeroProfile:
+    @pytest.mark.parametrize("cost", [
+        None,
+        CostFunction.closed_form(1.0, 3.0),
+        CostFunction.from_samples(np.linspace(0.0, 2.0, 200), 0.5 * np.linspace(0.0, 2.0, 200) ** 2),  # extrapolated too
+    ], ids=["quadratic", "c_1_3", "short_samples"])
+    def test_a_zero_of_the_profile_is_divergent(self, F_log, cost, monkeypatch):
+        def one_zero(mu, t):
+            prof = tilde_profile(mu, t)
+            values = prof.tilde_I.copy()
+            values[len(values) // 2] = 0.0
+            return replace(prof, tilde_I=values)
+
+        monkeypatch.setattr(checker, "tilde_profile", one_zero)
+        mu = builtin_measure("gauss", n=4096)  # its own node profiles, not the shared fixture's
+        rep = check_condition(ConditionSpec(mu, F_log, cost=cost, delta=0.5, K=2.0))  # a RuntimeWarning fails the test
+        assert rep.verdict == "DIVERGENT_LIKELY"
+        assert "profile_zero_divergent_integrand" in rep.flags
+        assert rep.integral_estimate is None  # the sum overflows
+
+
+_SWEEP_DELTAS = np.logspace(-2.0, 2.0, 21)
+_VERDICT_CODES = {"FINITE": "F", "INCONCLUSIVE": "I", "DIVERGENT_LIKELY": "D"}
+
+
+def _finite_threshold(mu, F):
+    """The largest delta (to about 1e-15 relative) at which the quadratic
+    condition of mu and F at K = 2 is FINITE, by bisection on [0.01, 100]."""
+    finite = lambda delta: check_condition(ConditionSpec(mu, F, delta=delta, K=2.0)).verdict == "FINITE"
+    lo, hi = 0.01, 100.0
+    assert finite(lo) and not finite(hi)
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    return lo
+
+
+class TestVerdictRelations:
+    """Relations today's verdicts hold, which a change of the verdict rule
+    must keep or name.  They pin the checker, not the theory: for the
+    Gaussian and the log entropy the quadratic condition converges for
+    delta < 2, while the checker's FINITE threshold is 1.852."""
+
+    @pytest.mark.parametrize("name", ["gauss", "exp", "exp_power", "loglog"])
+    def test_verdicts_are_monotone_in_delta_and_agree_at_K_2_and_4(self, name):
+        mu = builtin_measure(name, alpha=1.5 if name == "exp_power" else None, n=4096)
+        for F in (log_entropy(), F_tau(0.5)):
+            for cost in (None, CostFunction.closed_form(1.0, 3.0)):
+                words = {
+                    K: "".join(
+                        _VERDICT_CODES[check_condition(ConditionSpec(mu, F, cost=cost, delta=d, K=K)).verdict]
+                        for d in _SWEEP_DELTAS
+                    )
+                    for K in (2.0, 4.0)
+                }
+                assert re.fullmatch("F*I?D*", words[2.0]), (F.name, cost, words[2.0])
+                assert words[4.0] == words[2.0], (F.name, cost)
+
+    def test_gaussian_threshold(self, gauss, F_log):
+        # measured 1.8520216; 1e-5 is about 6 times the grid effect seen under translation
+        assert _finite_threshold(gauss, F_log) == pytest.approx(1.85202, rel=1e-5)
+
+    @pytest.mark.parametrize("potential", ["(x-3)^2/2", "(x+40)^2/2"])
+    def test_translation_keeps_the_threshold(self, gauss, F_log, potential):
+        # measured 1.72e-6 relative for both shifts (the grids differ); 1e-5 is a margin of about 6
+        moved = build_measure(parse_potential(potential), name=potential)
+        assert _finite_threshold(moved, F_log) == pytest.approx(_finite_threshold(gauss, F_log), rel=1e-5)
+
+    def test_variance_four_divides_the_threshold_by_four(self, gauss, F_log):
+        # r = t F(1/t) / tilde_I(t) scales with sigma, so delta r^2 is unchanged at delta / sigma^2;
+        # measured 3.3e-15 relative (1.3e-13 with a coarser bisection); 1e-12 is a margin of about 8
+        wide = build_measure(parse_potential("x^2/8"), name="x^2/8")
+        assert 4.0 * _finite_threshold(wide, F_log) == pytest.approx(_finite_threshold(gauss, F_log), rel=1e-12)
 
 
 class TestSerialization:

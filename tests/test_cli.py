@@ -373,11 +373,21 @@ class TestCheckCommand:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["form"], payload["cost"], payload["delta"]) == (form, name, delta)
 
-    def test_exp_power_alpha_may_be_named_in_the_measure(self, capsys):
-        assert main(["check", "--measure", "exp_power", "--alpha", "1.5", "--n", "4096"]) == 0
-        flag = capsys.readouterr().out
-        assert main(["check", "--measure", "exp_power:1.5", "--n", "4096"]) == 0
-        assert capsys.readouterr().out == flag
+    def test_exp_power_alpha_is_named_in_the_measure(self, capsys):
+        assert main(["check", "--measure", "exp_power", "--n", "4096"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown measure 'exp_power'\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--measure", "exp_power:1.5", "--alpha", "1.5", "--n", "4096"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["4096", "16384"])
+    def test_natural_inconclusive_verdict_exits_three(self, n, capsys):
+        # tail_p < 1 but the last partial sums do not fall geometrically, and no flag is raised
+        assert main(["check", "--measure", "gauss", "--cost", "c:1:3", "--delta", "1.08", "--n", n]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verdict"], payload["flags"]) == ("INCONCLUSIVE", [])
+        assert payload["tail_p"] == pytest.approx(0.901, abs=1e-3)  # measured 0.90132 and 0.90091
 
     def test_unknown_measure_exits_two(self, capsys):
         assert main(["check", "--measure", "banana"]) == 2
@@ -623,7 +633,7 @@ class TestMeasureCache:
         builds = self._count_builds(monkeypatch)
         requests = (
             ("--measure", "exp_power:1.5", "--n", "4096"),
-            ("--measure", "exp_power", "--alpha", "1.5", "--n", "4096"),  # the same alpha: same entry
+            ("--measure", "exp_power:1.50", "--n", "4096"),  # the same alpha: same entry
             ("--measure", "exp_power:1.5", "--n", "2048"),
             ("--measure", "exp_power:1.5", "--n", "4096", "--support=-5:5"),
             ("--measure", "exp_power:1.6", "--n", "4096"),
@@ -717,9 +727,9 @@ class _ReadRecorder:
 _REQUESTS = [
     ["conjugate", "--cost", "c:1:3", "--grid", "0:1:5"],
     ["conjugate", "--cost", "expr:x^2/2"],
-    ["profile", "--measure", "exp_power", "--alpha", "1.5", "--n", "4096", "--t-grid", "0.1:0.5:3"],
+    ["profile", "--measure", "exp_power:1.5", "--n", "4096", "--t-grid", "0.1:0.5:3"],
     ["profile", "--profile-kind", "if", "--measure", "gauss", "--support=-9:9", "--n", "4096", "--grid", "0:4:5"],
-    ["check", "--measure", "exp_power", "--n", "4096", "--cost", "c:1:3", "--delta", "0.5", "--t-min", "1e-10",
+    ["check", "--measure", "exp_power:1.5", "--n", "4096", "--cost", "c:1:3", "--delta", "0.5", "--t-min", "1e-10",
      "--n-per-decade", "16"],
     ["test", "--measure", "gauss", "--n", "4096", "--cost", "quadratic:0.5", "--family", "random_smooth",
      "--params", "0,1", "--seed", "1", "--scale", "0.4", "--floor", "1e-5"],
@@ -727,7 +737,7 @@ _REQUESTS = [
     ["test", "--display", "exp-power", "--measure", "exp_power:2", "--alpha", "2", "--params", "0.5", "--n", "4096"],
     ["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--alpha", "1.5", "--family", "stretched_exp",
      "--params", "0.5", "--exponent", "0.7", "--smoothing", "0.05", "--n", "4096"],
-    ["certify", "--measure", "exp_power", "--alpha", "2", "--n", "4096", "--cost", "quadratic:0.5", "--params", "0.5"],
+    ["certify", "--measure", "exp_power:2", "--n", "4096", "--cost", "quadratic:0.5", "--params", "0.5"],
     ["paper-examples", "--n", "4096", "--n-per-decade", "16"],
 ]
 
@@ -745,6 +755,9 @@ class TestPerSubcommandFlags:
         ["certify", "--form", "general"],
         ["certify", "--grid-kind", "uniform"],
         ["test", "--grid-kind", "uniform"],
+        ["check", "--measure", "gauss", "--alpha", "1.7"],
+        ["certify", "--alpha", "2"],
+        ["profile", "--measure", "exp_power:1.5", "--alpha", "1.5"],
     ])
     def test_unread_flag_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -781,6 +794,15 @@ class TestPerSubcommandFlags:
             assert recorder.read <= _declared(command), argv
             read[command] |= recorder.read
         assert read == {name: _declared(name) for name in cli._COMMANDS}
+
+    @pytest.mark.parametrize("argv", [a for a in _REQUESTS if a[0] not in ("profile", "test")], ids=" ".join)
+    def test_each_request_reads_every_flag_of_its_subcommand(self, argv, tmp_path):
+        # conjugate, check, certify and paper-examples read all their settings on every
+        # request (profile's kinds and test's displays each read a part of theirs)
+        ns = cli._parser(argv[0]).parse_args(argv + ["--out", str(tmp_path / "out")])
+        recorder = _ReadRecorder(RunConfig.from_sources(None, ns))
+        assert cli.run(recorder, argv[0]) in (0, 3, 4)
+        assert recorder.read == _declared(argv[0])
 
     def test_check_request_builds_only_its_own_flags(self, monkeypatch):
         calls = []
@@ -863,7 +885,10 @@ _REFUSALS = [
     (["test", "--cost", "quadratic:-1"], "quadratic delta must be positive"),
     (["check", "--measure", "exp_power:abc"], "could not convert string to float"),
     (["check", "--measure", "exp_power:2.5"], "exp_power requires alpha in [1, 2]"),
-    (["profile", "--measure", "exp_power", "--alpha", "0.5"], "exp_power requires alpha in [1, 2]"),
+    (["profile", "--measure", "exp_power:0.5"], "exp_power requires alpha in [1, 2]"),
+    (["profile", "--measure", "exp_power"], "unknown measure 'exp_power'"),  # alpha is named in the spec only
+    (["profile", "--entropy", "nonsense!", "--t-grid", "0.1:0.5:2", *_N], "unknown entropy 'nonsense!'"),
+    (["profile", "--entropy", "ftau:2", "--t-grid", "0.1:0.5:2", *_N], "tau must lie in (0, 1]"),
     (["check", "--cost", "c:-1:3"], "A must be positive"),
     (["check", "--cost", "c:1:1"], "alpha must exceed 1"),
     (["certify", "--cost", "c:1:1"], "alpha must exceed 1"),
