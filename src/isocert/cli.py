@@ -11,21 +11,23 @@ verdict), 2 refused input, 3 inconclusive verdict, 4 certification failure
 are printed with 17 significant digits, a report's JSON keys are its
 dataclass fields in declaration order, and CSV uses LF line endings.
 Everything runs on one thread, and no environment variable changes what a
-subcommand does.  A process keeps the last 8 measures it built, keyed by
-the resolved measure settings, and the last 8 `expr:` entropies, keyed by
-the parsed expression, so a repeated measure is built once and a repeated
-profile is built and checked (A1-A4) once; `log` and `ftau:t` profiles are
-shared by the entropy module itself.  A kept measure also keeps the
-checker's tilde profile at the quadrature nodes of its last 4 node layouts
-(K, t_min, --n-per-decade), so `check` and `certify` on a repeated measure
-and layout sample the profile once.  Reports are never kept: every request
-computes its own.  The argument parser is built once per subcommand.  JSON
-and CSV are each written by one writer; the JSON writer picks a value's
-form from one isinstance chain, in one pass, and a CSV body is one
-%-format over the cells flattened in row order.  An `expr:` measure or
-entropy is named in reports `expr:` plus its text as given.  A flag value
-may start with `-` (`--support -5:5`, `--support -inf:0`), in either the
-spaced or the `=` form.
+subcommand does.  A process keeps at most 8 measures, keyed by the
+resolved measure settings (once 8 are kept, a new one is kept only on its
+second request, so one-off measures do not push out repeating ones), and
+the last 8 `expr:` entropies, keyed by the parsed expression, so a
+repeated measure is built once (twice when it first comes after the cache
+has filled), and a repeated profile is built and checked (A1-A4) once;
+`log` and `ftau:t` profiles are shared by the entropy module itself.  A
+kept measure also keeps the checker's tilde profile at the quadrature nodes
+of its last 4 node layouts (K, t_min, --n-per-decade), so `check` and
+`certify` on a repeated measure and layout sample the profile once.
+Reports are never kept: every request computes its own.  The argument
+parser is built once per subcommand.  JSON and CSV are each written by one
+writer; the JSON writer picks a value's form from one isinstance chain, in
+one pass, and a CSV body is one %-format over the cells flattened in row
+order.  An `expr:` measure or entropy is named in reports `expr:` plus its
+text as given.  A flag value may start with `-` (`--support -5:5`,
+`--support -inf:0`), in either the spaced or the `=` form.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import functools
 import itertools
 import re
 import sys
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
@@ -279,9 +282,59 @@ def _parse_range(text: str, what: str, n_required: bool = True):
         raise ConfigError(f"bad {what}: {text!r}")
 
 
-@functools.lru_cache(maxsize=8)
+_KEPT_MEASURES = 8  # measures a process keeps (about 0.8 MB each at the default n)
+_ASKED_ONCE = 32  # keys asked once that a process remembers, for admission
+
+
+class _MeasureCache:
+    """A lock-guarded LRU of at most _KEPT_MEASURES measures, keyed by the
+    arguments of the build it wraps, with an admission rule.  While fewer than
+    _KEPT_MEASURES are kept, every build is kept.  Once full, a new build is
+    returned but kept only on its key's second request; the last _ASKED_ONCE
+    keys asked once are remembered (keys, not measures).  A kept measure
+    evicts the least recently used one.  So measures asked once (a stream
+    of distinct `expr:` potentials) never push out measures that repeat.  A
+    build that raises keeps nothing."""
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self._build = build
+        self._lock = threading.Lock()
+        self._kept = {}  # key -> measure, least recently used first
+        self._asked_once = {}  # key -> None, oldest first
+
+    def __call__(self, *key):
+        with self._lock:
+            mu = self._kept.pop(key, None)
+            if mu is not None:
+                self._kept[key] = mu
+                return mu
+        mu = self._build(*key)
+        with self._lock:
+            if key in self._asked_once or len(self._kept) < _KEPT_MEASURES:
+                self._asked_once.pop(key, None)
+                self._kept[key] = mu
+                if len(self._kept) > _KEPT_MEASURES:
+                    del self._kept[next(iter(self._kept))]
+            else:
+                self._asked_once[key] = None
+                if len(self._asked_once) > _ASKED_ONCE:
+                    del self._asked_once[next(iter(self._asked_once))]
+        return mu
+
+    def __len__(self):
+        return len(self._kept)
+
+    def cache_clear(self):
+        with self._lock:
+            self._kept.clear()
+            self._asked_once.clear()
+
+
+@_MeasureCache
 def _measure(kind, arg, support, n):
-    """The measure a request resolves to, built once per process per key.
+    """The measure a request resolves to, built once per process per key
+    while it is kept (see _MeasureCache).
 
     kind is a builtin name or "expr"; arg is the exp_power alpha (a float) or
     the parsed PotentialExpr, else None; support is the parsed --support, or

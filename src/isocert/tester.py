@@ -40,10 +40,10 @@ every reported ratio is at most C_hat.
 Family members are evaluated independently and reduced in label order, so
 reports are deterministic.  A family kind is one row of `_MEMBERS`: its
 member builder, its label type and the table its members read that no label
-changes (random_smooth's phase table, stretched_exp's lam-free powers), built
-once per `members()` call, for the family and its enrichment together, and
-not kept.  The median sorts a member's values only when they are not already
-nondecreasing and sums tied masses only when there are ties.
+changes (random_smooth's cos and sin rows, stretched_exp's lam-free powers),
+built once per `members()` call, for the family and its enrichment together,
+and not kept.  The median sorts a member's values only when they are not
+already nondecreasing and sums tied masses only when there are ties.
 """
 
 from __future__ import annotations
@@ -107,23 +107,31 @@ def _shifted_linear(fam, mu, eps, table):
 
 
 def _trig_basis(fam, mu):
-    """(omega, cos, sin) with cos and sin of the phases j*omega*x on mu's grid,
-    j = 1.._RANDOM_TERMS and omega = pi / max|truncation|: random_smooth's
-    shared table, which depends on the grid only."""
+    """(omega, C, S) with rows C[j-1] = cos(j omega x) and S[j-1] = sin(j omega
+    x) on mu's grid, j = 1.._RANDOM_TERMS and omega = pi / max|truncation|:
+    random_smooth's shared table, which depends on the grid only.  cos and sin
+    are evaluated once, of omega x; rows j >= 2 follow by angle addition."""
     omega = np.pi / max(abs(mu.truncation[0]), abs(mu.truncation[1]))
-    phase = np.outer(mu.grid, np.arange(1, _RANDOM_TERMS + 1, dtype=float) * omega)
-    return omega, np.cos(phase), np.sin(phase)
+    C = np.empty((_RANDOM_TERMS, mu.grid.size))
+    S = np.empty_like(C)
+    theta = omega * mu.grid
+    np.cos(theta, out=C[0])
+    np.sin(theta, out=S[0])
+    for j in range(1, _RANDOM_TERMS):
+        C[j] = C[j - 1] * C[0] - S[j - 1] * S[0]
+        S[j] = S[j - 1] * C[0] + C[j - 1] * S[0]
+    return omega, C, S
 
 
 def _random_smooth(fam, mu, label, table):
-    omega, cos, sin = table
+    omega, C, S = table
     j = np.arange(1, _RANDOM_TERMS + 1, dtype=float)
     wts = 1.0 / j**2
     rng = np.random.default_rng([fam.seed, label])
     a = rng.standard_normal(_RANDOM_TERMS)
     b = rng.standard_normal(_RANDOM_TERMS)
-    g = cos @ (wts * a) + sin @ (wts * b)
-    gp = -(sin @ (wts * a * j * omega)) + cos @ (wts * b * j * omega)
+    g = (wts * a) @ C + (wts * b) @ S
+    gp = (wts * b * j * omega) @ C - (wts * a * j * omega) @ S
     vals = np.exp(fam.scale * g)
     log_deriv = fam.scale * gp
     return vals, log_deriv * vals, log_deriv

@@ -7,6 +7,7 @@ import re
 import shlex
 import shutil
 import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, fields
@@ -661,14 +662,64 @@ class TestMeasureCache:
         for _ in range(2):
             assert self._profile(tmp_path, "--measure", "expr:x^") == 2
             assert capsys.readouterr().err.startswith("error: ")
-        assert cli._measure.cache_info().currsize == 0
+        assert len(cli._measure) == 0
 
-    def test_cache_holds_at_most_eight_measures(self, tmp_path):
+    def test_cache_holds_at_most_eight_measures(self, tmp_path, monkeypatch):
+        builds = self._count_builds(monkeypatch)
         for n in range(64, 73):
             assert self._profile(tmp_path, "--n", str(n)) == 0
-        info = cli._measure.cache_info()
-        assert info.misses == 9
-        assert info.currsize <= 8
+        assert len(builds) == 9
+        assert len(cli._measure) <= 8
+
+    def test_one_off_measures_do_not_evict_repeating_ones(self, tmp_path, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        gauss = ("--measure", "gauss", "--n", "4096")
+        assert self._profile(tmp_path, *gauss) == 0
+        for k in range(2, 12):  # ten never-repeating potentials
+            assert self._profile(tmp_path, "--measure", f"expr:x^2/{k}", "--n", "4096") == 0
+        assert self._profile(tmp_path, *gauss) == 0
+        assert [args for args, _ in builds].count(("gauss",)) == 1
+        assert len(builds) == 11
+        assert len(cli._measure) <= 8
+
+    def test_a_full_cache_keeps_a_measure_on_its_second_request(self, tmp_path, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        for n in range(64, 72):
+            assert self._profile(tmp_path, "--n", str(n)) == 0
+        for _ in range(3):
+            assert self._profile(tmp_path, "--n", "72") == 0
+        assert len(builds) == 10  # 8 kept as they come, then n = 72 twice: kept on its second build
+        assert len(cli._measure) == 8
+        assert self._profile(tmp_path, "--n", "64") == 0  # the least recently used, evicted by n = 72
+        assert len(builds) == 11
+
+    def test_threads_sharing_the_cache_keep_its_bounds(self):
+        # a cache over a cheap build, so that threads mostly evict and admit
+        cache = cli._MeasureCache(lambda *key: key)
+        bad = []
+
+        def work(k):
+            try:
+                for i in range(3000):  # every third call repeats the thread's own key, the rest cycle over 41
+                    key = ("expr", (k * 3000 + i) % 41 if i % 3 else k, None, 64)
+                    if cache(*key) != key:
+                        bad.append(key)
+            except Exception as exc:  # a lost eviction raises here
+                bad.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
+        assert len(cache) == cli._KEPT_MEASURES and len(cache._asked_once) <= cli._ASKED_ONCE
 
     def test_expr_entropy_is_built_and_checked_once(self, tmp_path, monkeypatch):
         samples = []

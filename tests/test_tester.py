@@ -193,6 +193,17 @@ class TestFamilies:
         assert np.allclose(sf.values, np.exp(0.4 * g), rtol=1e-12)
         assert np.allclose(sf.log_deriv, 0.4 * gp, rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("measure", ["gauss", "exp_measure", "loglog", "exp_power_15"])
+    def test_trig_basis_rows_match_cos_and_sin(self, request, measure):
+        # rows j >= 2 come from angle addition; each stays within 1e-14 of a direct evaluation
+        mu = request.getfixturevalue(measure)
+        omega, C, S = tester._trig_basis(None, mu)
+        assert C.shape == S.shape == (6, mu.grid.size)
+        assert C.flags.c_contiguous and S.flags.c_contiguous
+        for j in range(1, 7):
+            assert np.max(np.abs(C[j - 1] - np.cos(j * omega * mu.grid))) <= 1e-14, j
+            assert np.max(np.abs(S[j - 1] - np.sin(j * omega * mu.grid))) <= 1e-14, j
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TestFamily("nope", (1.0,))
