@@ -37,7 +37,7 @@ def main():
     print(f"  best finite delta: {max(finite, default=None)}")
 
     print("\npaired runs for the power-tail measure (alpha=1.5):")
-    pair = check_exp_power(builtin_measure("exp_power", alpha=1.5), 1.5, 1.0)
+    (pair,) = check_exp_power(builtin_measure("exp_power", alpha=1.5), 1.5, (1.0,))
     print(f"  energy-cost run (exponent {pair.q_star:g} dual of {pair.alpha * pair.tau / (pair.alpha - 1):g}): "
           f"{pair.run_cost.verdict}")
     print(f"  endpoint quadratic run (beta={pair.beta:g}): {pair.run_quadratic.verdict}")

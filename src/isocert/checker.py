@@ -28,10 +28,10 @@ A profile's A1-A2 gate reads the report the profile keeps
 use it.  The measure's tilde profile at the quadrature nodes depends only on
 the measure and the node layout (K, t_min, n_per_decade), so it is computed
 once per layout and kept, read-only, with the measure (_node_profile).
-Reports themselves are never kept; instead _exp_power_reports,
-behind check_exp_power, takes several taus at once and evaluates each
-distinct condition among them once.  Entry points: check_condition,
-check_exp_power (at A = 1, delta = 1/4, K = 4) and verify_growth_condition.
+Reports themselves are never kept; instead check_exp_power takes several
+taus at once and evaluates each distinct condition among them once.  Entry
+points: check_condition, check_exp_power (at A = 1, delta = 1/4, K = 4) and
+verify_growth_condition.
 """
 
 import threading
@@ -270,28 +270,24 @@ def exp_power_range(alpha, tau):
     return lo
 
 
-def check_exp_power(mu, alpha, tau):
-    """Both finiteness checks behind the exp-power entropy inequality.
+def check_exp_power(mu, alpha, taus, n_per_decade=256):
+    """Both finiteness checks behind the exp-power entropy inequality, one
+    report per tau in taus.
 
     For the measure mu = e^{-|x|^alpha}: first the pair (F_tau, cost c_{1, q*})
     with q* = tau*alpha/(alpha(tau-1)+1) — the conjugate exponent of the
     energy cost c_{1, alpha*tau/(alpha-1)} named by the inequality — then the
     endpoint pair (F_{2/beta}, quadratic) with beta = alpha/(alpha-1) fixed,
-    both at delta = 1/4 and K = 4.
-    Requires 2(1 - 1/alpha) <= tau <= 1 (see exp_power_range).
+    both at delta = 1/4 and K = 4.  Each tau must satisfy
+    2(1 - 1/alpha) <= tau <= 1 (see exp_power_range).  Each distinct
+    condition is evaluated once: the endpoint pair does not depend on tau,
+    so every report shares one run_quadratic, and a repeated tau shares its
+    run_cost.  n_per_decade is check_condition's.
     """
-    return _exp_power_reports(mu, alpha, (tau,))[0]
-
-
-def _exp_power_reports(mu, alpha, taus, n_per_decade=256):
-    """check_exp_power for each tau in taus, evaluating each distinct
-    condition once: the endpoint pair does not depend on tau, so every
-    report shares one run_quadratic, and a repeated tau shares its run_cost.
-    n_per_decade is check_condition's."""
     taus = [min(max(tau, exp_power_range(alpha, tau)), 1.0) for tau in taus]
     beta = alpha / (alpha - 1.0)
     q_stars = {tau: tau * alpha / (alpha * (tau - 1.0) + 1.0) for tau in taus}
-    A, delta, K = 1.0, 0.25, 4.0  # as check_exp_power documents
+    A, delta, K = 1.0, 0.25, 4.0  # as documented above
     cost_specs = {
         tau: ConditionSpec(measure=mu, F=F_tau(tau), cost=CostFunction.closed_form(A, q), delta=delta, K=K)
         for tau, q in q_stars.items()

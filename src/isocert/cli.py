@@ -43,14 +43,14 @@ from typing import Optional
 
 import numpy as np
 
-from .checker import ConditionSpec, _exp_power_reports, check_condition, exp_power_range
+from .checker import ConditionSpec, check_condition, check_exp_power, exp_power_range
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, log_entropy
 from .expr import PotentialExpr, parse_potential
 from .measure1d import I_F_profile, build_measure, builtin_measure, tilde_profile
 from .tester import _MEMBERS, TestFamily, TestRow, verify_theorem_1_1, verify_theorem_2_1, verify_theorem_4_4
 
-__all__ = ["RunConfig", "PotentialExpr", "parse_potential", "main", "run"]
+__all__ = ["RunConfig", "main", "run"]
 
 
 class ConfigError(ValueError):
@@ -396,9 +396,9 @@ def _expr_entropy(expr: PotentialExpr) -> EntropyFunction:
 
 def _build_cost(cfg: RunConfig):
     """(cost, check_cost, delta) for --cost: the cost of conjugate tables and
-    tester energies, the checker's cost, and the checker's delta (the one
-    quadratic:delta names, else 1; a --delta that differs from a named one is
-    refused).
+    tester energies, the checker's cost, and the delta that quadratic:delta
+    names, else None (the checker then reads --delta, else 1; a --delta that
+    differs from a named one is refused).
 
     quadratic:delta is the one place that names c_{1,2}(x) = x^2/2: conjugate
     tables and tester energies use that cost, while its checker cost is None,
@@ -407,8 +407,8 @@ def _build_cost(cfg: RunConfig):
     spec = cfg.cost.strip()
     name, colon, arg = spec.partition(":")
     if name == "quadratic":
-        delta = _spec_float(arg, "cost", spec) if colon else 1.0
-        if delta <= 0:
+        delta = _spec_float(arg, "cost", spec) if colon else None
+        if delta is not None and delta <= 0:
             raise ConfigError("quadratic delta must be positive")
         return CostFunction.closed_form(1.0, 2.0), None, delta
     if name == "c" and colon:
@@ -421,7 +421,7 @@ def _build_cost(cfg: RunConfig):
         cost = CostFunction.from_samples(grid, parse_potential(arg)(grid))
     else:
         raise ConfigError(f"unknown cost {spec!r}")
-    return cost, cost, 1.0
+    return cost, cost, None
 
 
 def _build_family(cfg: RunConfig) -> TestFamily:
@@ -463,14 +463,15 @@ def _cmd_conjugate(cfg: RunConfig) -> int:
 
 def _cmd_profile(cfg: RunConfig) -> int:
     mu = _build_measure(cfg)
-    F = _build_entropy(cfg)  # read on both kinds, so a malformed --entropy is refused on either
+    # --entropy, --t-grid and --grid are read on both kinds, so a malformed one is refused on either
+    F = _build_entropy(cfg)
+    t_range = _parse_range(cfg.t_grid if cfg.t_grid is not None else "0.000001:0.5:500", "t_grid")
+    r_range = _parse_range(cfg.grid if cfg.grid is not None else "0:8:400", "grid")
     if cfg.profile_kind == "tilde":
-        t_spec = cfg.t_grid if cfg.t_grid is not None else "0.000001:0.5:500"
-        prof = tilde_profile(mu, np.linspace(*_parse_range(t_spec, "t_grid")))
+        prof = tilde_profile(mu, np.linspace(*t_range))
         text = _table(("t", "u", "v", "tilde_I"), prof.t_grid, prof.u_t, prof.v_t, prof.tilde_I)
     else:  # profile_kind "if"
-        r_spec = cfg.grid if cfg.grid is not None else "0:8:400"
-        prof = I_F_profile(mu, F, np.linspace(*_parse_range(r_spec, "grid")))
+        prof = I_F_profile(mu, F, np.linspace(*r_range))
         text = _table(("r", "s", "I_F"), prof.r_grid, prof.s_values, prof.values)
     _write_text(cfg.out, text)
     return 0
@@ -480,14 +481,15 @@ def _make_condition_spec(cfg: RunConfig):
     """(spec, cost): the checker's ConditionSpec and the tester's cost."""
     mu = _build_measure(cfg)
     F = _build_entropy(cfg)
-    cost, check_cost, delta = _build_cost(cfg)
-    if cfg.delta is not None and cfg.cost.strip().startswith("quadratic:") and cfg.delta != delta:
-        raise ConfigError(f"delta {cfg.delta:g} conflicts with the delta {delta:g} of the cost {cfg.cost.strip()!r}")
+    cost, check_cost, named = _build_cost(cfg)
+    delta = cfg.delta if cfg.delta is not None else named
+    if named is not None and delta != named:
+        raise ConfigError(f"delta {delta:g} conflicts with the delta {named:g} of the cost {cfg.cost.strip()!r}")
     spec = ConditionSpec(
         measure=mu,
         F=F,
         cost=check_cost,
-        delta=cfg.delta if cfg.delta is not None else delta,
+        delta=1.0 if delta is None else delta,
         K=cfg.K,
         t_min=cfg.t_min,
     )
@@ -503,21 +505,22 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 def _run_test_report(cfg: RunConfig):
     family = _build_family(cfg)
-    if cfg.display == "restricted":
-        mu = _build_measure(cfg)
-        F = _build_entropy(cfg)
-        return verify_theorem_2_1(mu, F, _build_cost(cfg)[0], cfg.K, family)
     if cfg.display == "exp-power":
         exp_power_range(cfg.alpha, cfg.tau)
-        # --measure gauss (the default) still means exp_power(alpha) on this
-        # display: perfbench/reference.json pins it (see its FOUND line in CHANGES.md)
-        if cfg.measure.strip() == "gauss" and cfg.support is None:
-            mu = _measure("exp_power", float(cfg.alpha), None, cfg.n)
-        else:
-            mu = _build_measure(cfg)
+    # --measure gauss (the default) still means exp_power(alpha) on the exp-power
+    # display: perfbench/reference.json pins it (see its FOUND line in CHANGES.md)
+    if cfg.display == "exp-power" and cfg.measure.strip() == "gauss" and cfg.support is None:
+        mu = _measure("exp_power", float(cfg.alpha), None, cfg.n)
+    else:
+        mu = _build_measure(cfg)
+    # built on every display, so a malformed --entropy or --cost is refused on each
+    F, cost = _build_entropy(cfg), _build_cost(cfg)[0]
+    if cfg.display == "restricted":
+        return verify_theorem_2_1(mu, F, cost, cfg.K, family)
+    if cfg.display == "exp-power":
         return verify_theorem_1_1(mu, cfg.alpha, cfg.tau, cfg.A, family)
     # display "power-beta"
-    return verify_theorem_4_4(_build_measure(cfg), cfg.alpha, family)
+    return verify_theorem_4_4(mu, cfg.alpha, family)
 
 
 def _cmd_test(cfg: RunConfig) -> int:
@@ -561,7 +564,7 @@ def _cmd_paper_examples(cfg: RunConfig) -> int:
     loglog = ConditionSpec(measure=_measure("loglog", None, None, cfg.n), F=log_entropy(), delta=0.5, K=2.0)
     family = TestFamily(kind="stretched_exp", params=(0.25, 0.5, 1.0), exponent=0.7, smoothing=0.05)
     loglog_report = check_condition(loglog, n_per_decade=cfg.n_per_decade)
-    upper, lower = _exp_power_reports(exp_power, 1.5, (1.0, 2.0 / 3.0), cfg.n_per_decade)  # one shared endpoint run
+    upper, lower = check_exp_power(exp_power, 1.5, (1.0, 2.0 / 3.0), cfg.n_per_decade)  # one shared endpoint run
     fixtures = {
         "loglog_quadratic": loglog_report,
         "exp_power_tau_upper": upper,

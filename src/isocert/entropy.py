@@ -111,16 +111,6 @@ def log_entropy():
     )
 
 
-def eval_F_tau(phi, tau, x):
-    """The flattened profile: phi below x0 (phi(x0)=1), power-tau growth above."""
-    if not 0 < tau <= 1:
-        raise ValueError("tau must lie in (0, 1]")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("F_tau argument must be positive")
-    return _flatten(phi(x), tau)
-
-
 def _flatten(p, tau):
     """p where p <= 1, else (p^tau - 1)/tau + 1 as expm1(tau log p)/tau + 1,
     which keeps full relative accuracy as tau -> 0; the power branch is
@@ -196,7 +186,10 @@ def _build_F_tau(tau, phi, log_phi):
             raise ValueError("the base profile does not reach 1 below 1e9")
 
     def fn(y):
-        return eval_F_tau(phi, tau, y)
+        y = np.asarray(y, dtype=float)
+        if np.any(y <= 0):
+            raise ValueError("F_tau argument must be positive")
+        return _flatten(phi(y), tau)
 
     def dfn(y):
         y = np.asarray(y, dtype=float)

@@ -134,7 +134,7 @@ def test_06_integrability_verdict_table():
     assert time.perf_counter() - t0 < 5.0
 
     t0 = time.perf_counter()
-    pair = check_exp_power(builtin_measure("exp_power", alpha=1.5), 1.5, 1.0)  # energy cost exponent 3, dual exponent 3/2
+    (pair,) = check_exp_power(builtin_measure("exp_power", alpha=1.5), 1.5, (1.0,))  # energy cost exponent 3, dual exponent 3/2
     assert pair.run_cost.verdict == "FINITE"
     assert pair.run_quadratic.verdict == "FINITE"
     assert time.perf_counter() - t0 < 5.0

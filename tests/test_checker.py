@@ -41,15 +41,15 @@ class TestVerdicts:
         assert rep.tail_p < 1.0
 
     def test_exp_power_pair_of_runs(self, exp_power_15):
-        rep = check_exp_power(exp_power_15, 1.5, 1.0)
+        (rep,) = check_exp_power(exp_power_15, 1.5, (1.0,))
         assert rep.run_cost.verdict == "FINITE"
         assert rep.run_quadratic.verdict == "FINITE"
         assert rep.q_star == pytest.approx(1.5)
         assert rep.beta == pytest.approx(3.0)
 
-    def test_exp_power_reports_run_each_distinct_condition_once(self, monkeypatch):
+    def test_exp_power_runs_each_distinct_condition_once(self, monkeypatch):
         mu = builtin_measure("exp_power", alpha=1.5, n=4096)
-        singles = [check_exp_power(mu, 1.5, tau) for tau in (1.0, 2.0 / 3.0)]
+        singles = [check_exp_power(mu, 1.5, (tau,))[0] for tau in (1.0, 2.0 / 3.0)]
         passes = []
         report = checker.check_condition
 
@@ -58,7 +58,7 @@ class TestVerdicts:
             return report(spec, n_per_decade)
 
         monkeypatch.setattr(checker, "check_condition", counted)
-        shared = checker._exp_power_reports(mu, 1.5, (1.0, 2.0 / 3.0, 1.0))
+        shared = checker.check_exp_power(mu, 1.5, (1.0, 2.0 / 3.0, 1.0))
         assert sorted(passes) == ["general", "general", "quadratic"]
         assert shared == [singles[0], singles[1], singles[0]]
         assert shared[0].run_quadratic is shared[1].run_quadratic
@@ -139,9 +139,9 @@ class TestSpecValidation:
 
     def test_exp_power_parameter_validation(self, exp_power_15):
         with pytest.raises(ValueError):
-            check_exp_power(exp_power_15, 2.5, 1.0)
+            check_exp_power(exp_power_15, 2.5, (1.0,))
         with pytest.raises(ValueError):
-            check_exp_power(exp_power_15, 1.5, 0.5)  # below 2(1 - 1/alpha) = 2/3
+            check_exp_power(exp_power_15, 1.5, (0.5,))  # below 2(1 - 1/alpha) = 2/3
 
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5, -2])
@@ -272,7 +272,7 @@ class TestSerialization:
         assert rep.cost == "sampled"
 
     def test_exp_power_cost_run_names_its_dual_exponent(self):
-        rep = check_exp_power(builtin_measure("exp_power", alpha=1.5, n=4096), 1.5, 1.0)
+        (rep,) = check_exp_power(builtin_measure("exp_power", alpha=1.5, n=4096), 1.5, (1.0,))
         assert rep.run_cost.cost == "c_{1,1.5}"
 
 

@@ -564,8 +564,8 @@ class TestPaperExamplesCommand:
         fixtures = {
             "loglog_quadratic": check_condition(loglog, n_per_decade=16),
             # each tau alone, so its endpoint condition runs again
-            "exp_power_tau_upper": checker._exp_power_reports(exp_power, 1.5, (1.0,), 16)[0],
-            "exp_power_tau_lower": checker._exp_power_reports(exp_power, 1.5, (2.0 / 3.0,), 16)[0],
+            "exp_power_tau_upper": checker.check_exp_power(exp_power, 1.5, (1.0,), 16)[0],
+            "exp_power_tau_lower": checker.check_exp_power(exp_power, 1.5, (2.0 / 3.0,), 16)[0],
             "power_entropy": verify_theorem_4_4(exp_power, 1.5, family),
         }
         assert out.read_bytes() == (_dump_json({"fixtures": fixtures}) + "\n").encode("utf-8")
@@ -1012,6 +1012,11 @@ _REFUSALS = [
     (["check", "--cost", "c:1:inf", *_N], "bad cost 'c:1:inf': inf is not a finite number"),
     (["check", "--measure", "exp_power:nan", *_N], "bad measure 'exp_power:nan': nan is not a finite number"),
     (["check", "--entropy", "ftau:-inf", *_N], "bad entropy 'ftau:-inf': -inf is not a finite number"),
+    # a spec the subcommand takes is parsed on every display and profile kind
+    (["test", "--display", "power-beta", "--entropy", "garbage!", *_N], "unknown entropy 'garbage!'"),
+    (["test", "--display", "exp-power", "--cost", "zzz", *_N], "unknown cost 'zzz'"),
+    (["profile", "--profile-kind", "tilde", "--grid", "garbage", *_N], "grid must look like lo:hi:n"),
+    (["profile", "--profile-kind", "if", "--t-grid", "garbage", "--grid", "0:1:3", *_N], "t_grid must look like lo:hi:n"),
 ]
 
 

@@ -12,7 +12,6 @@ from isocert.entropy import (
     EntropyFunction,
     F_tau,
     check_assumptions,
-    eval_F_tau,
     lemma32_bound_check,
     log_Phi,
     log_entropy,
@@ -88,7 +87,7 @@ class TestFlattenedProfile:
         with pytest.raises(ValueError):
             F_tau(1.5)
         with pytest.raises(ValueError):
-            eval_F_tau(log_entropy(), 0.5, np.array([-1.0]))
+            F_tau(0.5)(np.array([-1.0]))
 
     def test_log_form_agrees_with_direct_form(self, F_half):
         u = np.array([-2.0, 0.0, 1.0, 5.0, 40.0])
@@ -102,7 +101,7 @@ class TestFlattenedProfile:
         with mpmath.workdps(40):
             want = np.array([float(mpmath.expm1(tau * mpmath.log(v)) / tau + 1) for v in u])
         F = F_tau(tau)
-        for got in (F.at_log(u), F(np.exp(u[:3])), eval_F_tau(log_entropy(), tau, np.exp(u[:3]))):
+        for got in (F.at_log(u), F(np.exp(u[:3])), F_tau(tau, log_entropy())(np.exp(u[:3]))):
             assert np.allclose(got, want[: got.size], rtol=1e-14, atol=0.0)
 
 
