@@ -11,12 +11,16 @@ square, and I the half-line isoperimetric surrogate of the measure.
 Finiteness of an improper integral is numerically undecidable, so the
 checker's contract is a three-way verdict driven by the tail model
 
-    integrand(t) ~ exp(log^p(1/t)),  convergent iff p < 1:
+    integrand(t) ~ exp(log^p(1/t)),  convergent iff p < 1,
 
-  FINITE            fitted p < 1 AND the per-decade partial sums decrease
+read as tail_p = median(log H / log s) at the last 3 decade ends (H = log
+Phi, s = log(1/t)), which is p + log a / log s for H ~ a s^p, not p alone:
+
+  FINITE            tail_p < 1 AND the per-decade partial sums decrease
                     geometrically (ratio <= 0.95) over the last 3 decades;
-  DIVERGENT_LIKELY  fitted p >= 1 OR the last partial sums are non-decreasing;
-  INCONCLUSIVE      anything else.
+  DIVERGENT_LIKELY  tail_p >= 1 OR the last partial sums are non-decreasing;
+  INCONCLUSIVE      anything else (which no report flag marks), or a FINITE
+                    that a trust flag taints.
 
 Quadrature: substitution t = e^{-s}, composite Simpson with 256 panels per
 decade; decades are anchored at absolute powers of ten so that enlarging K

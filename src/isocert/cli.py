@@ -4,14 +4,16 @@ checks, empirical inequality tests, or the combined certification flow.
 
 Each input is checked once, where it enters: the CLI parses its own strings
 (specs, ranges, config lines, choices) and the library validates the values
-it is given.  Either refusal is a ValueError, which main prints as
-`error: <message>`.  Exit codes: 0 success (for `check`, any decisive
-verdict), 2 refused input, 3 inconclusive verdict, 4 certification failure
-(divergent verdict or a violated margin).  Output is deterministic: floats
-are printed with 17 significant digits, a report's JSON keys are its
-dataclass fields in declaration order, and CSV uses LF line endings.
-Everything runs on one thread, and no environment variable changes what a
-subcommand does.  A process keeps at most 8 measures, keyed by the
+it is given.  A flag is taken only by the subcommand, mode (`test
+--display`, `profile --profile-kind`) or family kind (`--family`) that
+reads it (RunConfig's table); any other exits 2, naming the mode.  Either
+refusal is a ValueError, which main prints as `error: <message>`.  Exit
+codes: 0 success (for `check`, any decisive verdict), 2 refused input, 3
+inconclusive verdict, 4 certification failure (divergent verdict or a
+violated margin).  Output is deterministic: floats are printed with 17
+significant digits, a report's JSON keys are its dataclass fields in
+declaration order, and CSV uses LF line endings.  Everything runs on one
+thread, and no environment variable changes what a subcommand does.  A process keeps at most 8 measures, keyed by the
 resolved measure settings (once 8 are kept, a new one is kept only on its
 second request, so one-off measures do not push out repeating ones), and
 the last 8 `expr:` entropies, keyed by the parsed expression, so a
@@ -170,12 +172,32 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 _MEASURED = ("profile", "check", "test", "certify")  # the subcommands that build a measure from the settings
 _CHECKED = ("check", "certify")
-_TESTED = ("test", "certify")
+_TESTED = ("test", "certify")  # the subcommands that build a family
+_RESTRICTED, _EXP_POWER, _POWER_BETA = (f"test --display {d}" for d in ("restricted", "exp-power", "power-beta"))
+
+
+def _kinds_reading(name):
+    """`--family <kind>` for each kind whose _MEMBERS row reads the TestFamily setting name."""
+    return tuple(f"--family {kind}" for kind, row in _MEMBERS.items() if name in row[3])
+
+
+def _run_readers(command, cfg):
+    """What a run of command reads settings as: the subcommand, its mode
+    (`test --display exp-power`, `profile --profile-kind if`) and the family
+    kind it builds (`--family bump`)."""
+    mode = {"test": "display", "profile": "profile_kind"}.get(command)
+    readers = [command] + ([f"{command} --{mode.replace('_', '-')} {getattr(cfg, mode)}"] if mode else [])
+    return readers + ([f"--family {cfg.family}"] if command in _TESTED else [])
+
+
+def _subcommands(readers):
+    """The subcommands that take a flag read by readers: a kind's are those that build a family."""
+    return {c for r in readers for c in (_TESTED if r.startswith("--family ") else (r.split()[0],))}
 
 
 def _setting(default, commands, convert=str, help=None, choices=None):
-    """A RunConfig field with how its value converts and which subcommands
-    read it; each of those takes the field as a flag."""
+    """A RunConfig field with how its value converts and its readers: subcommands
+    (`check`), their modes (`test --display restricted`) or family kinds (`--family bump`)."""
     return field(default=default, metadata={"commands": commands, "convert": convert, "help": help, "choices": choices})
 
 
@@ -183,35 +205,35 @@ def _setting(default, commands, convert=str, help=None, choices=None):
 class RunConfig:
     """Flat run configuration: the settings table of the command line.
 
-    Each field declares its default, converter, choices, help and the
-    subcommands that read it.  A subcommand takes a flag (`--t-min` for
-    t_min) only for the fields it reads, so any other flag is an error.  A
-    config file (one `key = value` per line, `#` comments) may set any
-    field, for every subcommand: one file can describe a problem that
-    `check`, `test` and `certify` share.  Flags win over the file."""
+    Each field declares its default, converter, choices, help and readers
+    (_setting).  A run takes a flag (`--t-min` for t_min) only for the fields
+    it reads, so any other flag is an error.  A config file (one `key =
+    value` per line, `#` comments) may set any field, for every run: one
+    file can describe a problem that `check`, `test` and `certify` share.
+    Flags win over the file."""
 
     measure: str = _setting("gauss", _MEASURED, help="gauss | exp | exp_power:a | loglog | expr:V(x)")
-    entropy: str = _setting("log", _MEASURED, help="log | ftau:t | expr:F(x)")
-    cost: str = _setting("quadratic", ("conjugate", "check", "test", "certify"), help="quadratic[:delta] | c:A:alpha | expr:c(x)")
+    entropy: str = _setting("log", ("profile --profile-kind if", _RESTRICTED) + _CHECKED, help="log | ftau:t | expr:F(x)")
+    cost: str = _setting("quadratic", ("conjugate", _RESTRICTED) + _CHECKED, help="quadratic[:delta] | c:A:alpha | expr:c(x)")
     delta: Optional[float] = _setting(None, _CHECKED, float)
-    K: float = _setting(2.0, ("check", "test", "certify"), float)
+    K: float = _setting(2.0, (_RESTRICTED,) + _CHECKED, float)
     t_min: float = _setting(1e-12, _CHECKED, float)
     n_per_decade: int = _setting(256, _CHECKED + ("paper-examples",), int)
     family: str = _setting("exponential", _TESTED, choices=tuple(_MEMBERS))
     params: str = _setting("0.25,0.5,1", _TESTED, help="comma-separated family parameters")
-    floor: float = _setting(1e-6, _TESTED, float)
-    seed: int = _setting(0, _TESTED, int)
-    scale: float = _setting(0.5, _TESTED, float)
-    exponent: float = _setting(0.7, _TESTED, float)
-    smoothing: float = _setting(0.05, _TESTED, float)
+    floor: float = _setting(1e-6, _kinds_reading("floor"), float)
+    seed: int = _setting(0, _kinds_reading("seed"), int)
+    scale: float = _setting(0.5, _kinds_reading("scale"), float)
+    exponent: float = _setting(0.7, _kinds_reading("exponent"), float)
+    smoothing: float = _setting(0.05, _kinds_reading("smoothing"), float)
     display: str = _setting("restricted", ("test",), choices=("restricted", "exp-power", "power-beta"))
-    alpha: float = _setting(1.5, ("test",), float)
-    tau: float = _setting(1.0, ("test",), float)
-    A: float = _setting(1.0, ("test",), float)
+    alpha: float = _setting(1.5, (_EXP_POWER, _POWER_BETA), float)
+    tau: float = _setting(1.0, (_EXP_POWER,), float)
+    A: float = _setting(1.0, (_EXP_POWER,), float)
     n: int = _setting(16384, _MEASURED + ("paper-examples",), int)
     support: Optional[str] = _setting(None, _MEASURED, help="lo:hi")
-    grid: Optional[str] = _setting(None, ("conjugate", "profile"), help="lo:hi:n")
-    t_grid: Optional[str] = _setting(None, ("profile",), help="lo:hi:n in (0, 1/2]")
+    grid: Optional[str] = _setting(None, ("conjugate", "profile --profile-kind if"), help="lo:hi:n")
+    t_grid: Optional[str] = _setting(None, ("profile --profile-kind tilde",), help="lo:hi:n in (0, 1/2]")
     profile_kind: str = _setting("tilde", ("profile",), choices=("tilde", "if"))
     out: Optional[str] = _setting(
         None, ("conjugate", "profile", "check", "test", "certify", "paper-examples"), help="output path (default stdout)"
@@ -220,12 +242,14 @@ class RunConfig:
     @classmethod
     def from_sources(cls, config_path: Optional[str], ns: argparse.Namespace) -> "RunConfig":
         """Defaults, overridden by the config file, overridden by the flags
-        set in ns (argparse has already converted those)."""
+        set in ns (argparse has already converted those).  A flag that the
+        run of ns.command (if set) does not read is refused; a config line is not."""
         cfg = cls()
         settings = {f.name: f.metadata for f in fields(cls)}
         if config_path is not None:
             try:
-                lines = open(config_path, "r", encoding="utf-8").read().splitlines()
+                with open(config_path, "r", encoding="utf-8") as fh:
+                    lines = fh.read().splitlines()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
             for lineno, raw in enumerate(lines, 1):
@@ -257,6 +281,12 @@ class RunConfig:
             value = getattr(cfg, name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        readers = _run_readers(ns.command, cfg) if getattr(ns, "command", None) else None
+        for name, meta in settings.items() if readers else ():
+            if getattr(ns, name, None) is not None and set(readers).isdisjoint(meta["commands"]):
+                # the flag's subcommand takes it, so its readers are this run's other modes or kinds
+                mode = readers[-1] if meta["commands"][0].startswith("--family ") else readers[1]
+                raise ConfigError(f"--{name.replace('_', '-')} is not read by {mode}")
         return cfg
 
 
@@ -425,19 +455,12 @@ def _build_cost(cfg: RunConfig):
 
 
 def _build_family(cfg: RunConfig) -> TestFamily:
+    """The --family kind with --params, given the settings its _MEMBERS row reads."""
     try:
         params = tuple(float(p) for p in cfg.params.split(",") if p.strip() != "")
     except ValueError:
         raise ConfigError(f"bad family params {cfg.params!r}")
-    return TestFamily(
-        kind=cfg.family,
-        params=params,
-        floor=cfg.floor,
-        seed=cfg.seed,
-        scale=cfg.scale,
-        exponent=cfg.exponent,
-        smoothing=cfg.smoothing,
-    )
+    return TestFamily(kind=cfg.family, params=params, **{name: getattr(cfg, name) for name in _MEMBERS[cfg.family][3]})
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -463,14 +486,12 @@ def _cmd_conjugate(cfg: RunConfig) -> int:
 
 def _cmd_profile(cfg: RunConfig) -> int:
     mu = _build_measure(cfg)
-    # --entropy, --t-grid and --grid are read on both kinds, so a malformed one is refused on either
-    F = _build_entropy(cfg)
-    t_range = _parse_range(cfg.t_grid if cfg.t_grid is not None else "0.000001:0.5:500", "t_grid")
-    r_range = _parse_range(cfg.grid if cfg.grid is not None else "0:8:400", "grid")
     if cfg.profile_kind == "tilde":
+        t_range = _parse_range(cfg.t_grid if cfg.t_grid is not None else "0.000001:0.5:500", "t_grid")
         prof = tilde_profile(mu, np.linspace(*t_range))
         text = _table(("t", "u", "v", "tilde_I"), prof.t_grid, prof.u_t, prof.v_t, prof.tilde_I)
     else:  # profile_kind "if"
+        F, r_range = _build_entropy(cfg), _parse_range(cfg.grid if cfg.grid is not None else "0:8:400", "grid")
         prof = I_F_profile(mu, F, np.linspace(*r_range))
         text = _table(("r", "s", "I_F"), prof.r_grid, prof.s_values, prof.values)
     _write_text(cfg.out, text)
@@ -485,14 +506,7 @@ def _make_condition_spec(cfg: RunConfig):
     delta = cfg.delta if cfg.delta is not None else named
     if named is not None and delta != named:
         raise ConfigError(f"delta {delta:g} conflicts with the delta {named:g} of the cost {cfg.cost.strip()!r}")
-    spec = ConditionSpec(
-        measure=mu,
-        F=F,
-        cost=check_cost,
-        delta=1.0 if delta is None else delta,
-        K=cfg.K,
-        t_min=cfg.t_min,
-    )
+    spec = ConditionSpec(measure=mu, F=F, cost=check_cost, delta=1.0 if delta is None else delta, K=cfg.K, t_min=cfg.t_min)
     return spec, cost
 
 
@@ -513,10 +527,8 @@ def _run_test_report(cfg: RunConfig):
         mu = _measure("exp_power", float(cfg.alpha), None, cfg.n)
     else:
         mu = _build_measure(cfg)
-    # built on every display, so a malformed --entropy or --cost is refused on each
-    F, cost = _build_entropy(cfg), _build_cost(cfg)[0]
     if cfg.display == "restricted":
-        return verify_theorem_2_1(mu, F, cost, cfg.K, family)
+        return verify_theorem_2_1(mu, _build_entropy(cfg), _build_cost(cfg)[0], cfg.K, family)
     if cfg.display == "exp-power":
         return verify_theorem_1_1(mu, cfg.alpha, cfg.tau, cfg.A, family)
     # display "power-beta"
@@ -546,17 +558,8 @@ def _cmd_certify(cfg: RunConfig) -> int:
     entropy_ok = all(r.entropy_F >= -1e-9 * max(1.0, abs(r.classical_entropy)) for r in test_report.rows)
     certified = check_report.verdict == "FINITE" and margins_ok and b_finite and entropy_ok
 
-    payload = {
-        "certified": bool(certified),
-        "check": check_report,
-        "test": test_report,
-    }
-    _write_text(cfg.out, _dump_json(payload) + "\n")
-    if check_report.verdict == "INCONCLUSIVE":
-        return 3
-    if not certified:
-        return 4
-    return 0
+    _write_text(cfg.out, _dump_json({"certified": bool(certified), "check": check_report, "test": test_report}) + "\n")
+    return 3 if check_report.verdict == "INCONCLUSIVE" else (0 if certified else 4)
 
 
 def _cmd_paper_examples(cfg: RunConfig) -> int:
@@ -605,8 +608,9 @@ def run(config: RunConfig, command: str) -> int:
 def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     """The isocert parser, built once per process for each subcommand name
     (or None).  Only the subparser for `command` gets flags: the RunConfig
-    fields that subcommand reads, plus --config.  The others stay empty and
-    are there so that `isocert -h` lists them."""
+    fields that subcommand or one of its modes or kinds reads, plus
+    --config.  The others stay empty and are there so that `isocert -h`
+    lists them."""
     parser = argparse.ArgumentParser(
         prog="isocert",
         description="certify and test entropy--energy inequalities for 1-D measures",
@@ -616,10 +620,10 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, allow_abbrev=False)
         if name != command:
             continue
-        sub.add_argument("--config", help="flat key = value file; it may set any setting, also one this subcommand ignores; flags win")
+        sub.add_argument("--config", help="flat key = value file; it may set any setting, also one this run ignores; flags win")
         for f in fields(RunConfig):
             meta = f.metadata
-            if name in meta["commands"]:
+            if name in _subcommands(meta["commands"]):
                 sub.add_argument("--" + f.name.replace("_", "-"), type=meta["convert"], choices=meta["choices"], help=meta["help"])
     return parser
 

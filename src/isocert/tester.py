@@ -39,11 +39,12 @@ every reported ratio is at most C_hat.
 
 Family members are evaluated independently and reduced in label order, so
 reports are deterministic.  A family kind is one row of `_MEMBERS`: its
-member builder, its label type and the table its members read that no label
+member builder, its label type, the table its members read that no label
 changes (random_smooth's cos and sin rows, stretched_exp's lam-free powers),
 built once per `members()` call, for the family and its enrichment together,
-and not kept.  The median sorts a member's values only when they are not
-already nondecreasing and sums tied masses only when there are ties.
+and not kept, and the TestFamily settings those two read.  The median sorts
+a member's values only when they are not already nondecreasing and sums
+tied masses only when there are ties.
 """
 
 from __future__ import annotations
@@ -154,15 +155,15 @@ def _stretched_exp(fam, mu, lam, table):
     return vals, log_deriv * vals, log_deriv
 
 
-# kind -> (member, label type, table or None): member(family, measure, label,
-# table) = (values, dvalues, log_deriv or None), with table(family, measure)
-# what all members read and no label changes (see members and enriched)
+# kind -> (member, label type, table or None, settings): member(family, measure, label, table) =
+# (values, dvalues, log_deriv or None), with table(family, measure) what all members read and no
+# label changes (see members and enriched), and settings the TestFamily fields those two read
 _MEMBERS = {
-    "exponential": (_exponential, float, None),
-    "bump": (_bump, float, None),
-    "shifted_linear": (_shifted_linear, float, None),
-    "random_smooth": (_random_smooth, int, _trig_basis),
-    "stretched_exp": (_stretched_exp, float, _stretched_powers),
+    "exponential": (_exponential, float, None, ()),
+    "bump": (_bump, float, None, ("floor",)),
+    "shifted_linear": (_shifted_linear, float, None, ("floor",)),
+    "random_smooth": (_random_smooth, int, _trig_basis, ("seed", "scale")),
+    "stretched_exp": (_stretched_exp, float, _stretched_powers, ("exponent", "smoothing")),
 }
 
 
@@ -235,7 +236,7 @@ class TestFamily:
         or refused by name.  A member is named kind(p), with p in %g form for
         a float label and as given otherwise.  The table the kind's members
         share (_MEMBERS) is built once per call, read-only, and not kept."""
-        member, label, shared = _MEMBERS.get(self.kind, (None,) * 3)
+        member, label, shared, _ = _MEMBERS.get(self.kind, (None,) * 4)
         with np.errstate(over="ignore"):  # an overflowing member is refused by name below
             table = None if shared is None else shared(self, mu)
         for part in table or ():

@@ -3,6 +3,7 @@ formats, and determinism."""
 
 import argparse
 import json
+import os
 import re
 import shlex
 import shutil
@@ -759,8 +760,13 @@ class TestMeasureCache:
                 table[0] = 0.0
 
 
-def _declared(command):
-    return {f.name for f in fields(RunConfig) if command in f.metadata["commands"]}
+def _declared(command, cfg=None):
+    """The settings that command takes as flags or, given a resolved cfg,
+    those its run reads (its subcommand, mode and family kind)."""
+    if cfg is None:
+        return {f.name for f in fields(RunConfig) if command in cli._subcommands(f.metadata["commands"])}
+    readers = set(cli._run_readers(command, cfg))
+    return {f.name for f in fields(RunConfig) if not readers.isdisjoint(f.metadata["commands"])}
 
 
 class _ReadRecorder:
@@ -774,7 +780,7 @@ class _ReadRecorder:
         return getattr(self.cfg, name)
 
 
-# representative requests: every subcommand, every --display and --profile-kind
+# representative requests: every subcommand, every --display, --profile-kind and --family kind
 _REQUESTS = [
     ["conjugate", "--cost", "c:1:3", "--grid", "0:1:5"],
     ["conjugate", "--cost", "expr:x^2/2"],
@@ -783,13 +789,38 @@ _REQUESTS = [
     ["check", "--measure", "exp_power:1.5", "--n", "4096", "--cost", "c:1:3", "--delta", "0.5", "--t-min", "1e-10",
      "--n-per-decade", "16"],
     ["test", "--measure", "gauss", "--n", "4096", "--cost", "quadratic:0.5", "--family", "random_smooth",
-     "--params", "0,1", "--seed", "1", "--scale", "0.4", "--floor", "1e-5"],
+     "--params", "0,1", "--seed", "1", "--scale", "0.4"],
     ["test", "--display", "exp-power", "--alpha", "2", "--tau", "1", "--A", "1", "--params", "0.5", "--n", "4096"],
     ["test", "--display", "exp-power", "--measure", "exp_power:2", "--alpha", "2", "--params", "0.5", "--n", "4096"],
     ["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--alpha", "1.5", "--family", "stretched_exp",
      "--params", "0.5", "--exponent", "0.7", "--smoothing", "0.05", "--n", "4096"],
+    ["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--family", "bump", "--params", "1",
+     "--floor", "1e-5", "--n", "4096"],
     ["certify", "--measure", "exp_power:2", "--n", "4096", "--cost", "quadratic:0.5", "--params", "0.5"],
+    ["certify", "--measure", "exp_power:2", "--n", "4096", "--family", "random_smooth", "--params", "0,1", "--seed", "2",
+     "--scale", "0.3", "--n-per-decade", "16"],
+    ["certify", "--measure", "exp_power:2", "--n", "4096", "--family", "stretched_exp", "--params", "0.5",
+     "--exponent", "1.2", "--smoothing", "0.1", "--n-per-decade", "16"],
+    ["certify", "--measure", "exp_power:2", "--n", "4096", "--family", "shifted_linear", "--params", "0.1",
+     "--floor", "1e-3", "--n-per-decade", "16"],
     ["paper-examples", "--n", "4096", "--n-per-decade", "16"],
+]
+
+
+# well-formed flags that the run's display, profile kind or family kind does not read, and the refusal
+_UNREAD = [
+    (["test", "--display", "restricted", "--tau", "-3"], "--tau is not read by test --display restricted"),
+    (["test", "--family", "exponential", "--seed", "5"], "--seed is not read by --family exponential"),
+    (["test", "--display", "exp-power", "--K", "7"], "--K is not read by test --display exp-power"),
+    (["test", "--display", "exp-power", "--cost", "c:1:3", "--entropy", "ftau:0.5"],
+     "--entropy is not read by test --display exp-power"),
+    (["test", "--display", "power-beta", "--A", "9", "--tau", "0.1"], "--tau is not read by test --display power-beta"),
+    (["test", "--family", "bump", "--scale", "3", "--exponent", "9"], "--scale is not read by --family bump"),
+    (["test", "--display", "restricted", "--alpha", "1.9", "--A", "3"], "--alpha is not read by test --display restricted"),
+    (["certify", "--smoothing", "2", "--floor", "0.3"], "--floor is not read by --family exponential"),
+    (["profile", "--profile-kind", "tilde", "--entropy", "ftau:0.5", "--grid", "0:1:3"],
+     "--entropy is not read by profile --profile-kind tilde"),
+    (["profile", "--profile-kind", "if", "--t-grid", "0.1:0.5:3"], "--t-grid is not read by profile --profile-kind if"),
 ]
 
 
@@ -829,6 +860,38 @@ class TestPerSubcommandFlags:
         assert main(["conjugate", "--config", str(cfg_file), "--grid", "0:1:3"]) == 0
         assert capsys.readouterr().out.startswith("x,c_star\n")
 
+    def test_config_may_hold_a_setting_the_mode_does_not_read(self, tmp_path, capsys):
+        # neither is read by display 2.1 with the exponential family, so neither is checked
+        cfg_file = tmp_path / "problem.cfg"
+        cfg_file.write_text("tau = 0.5\nfloor = -1\n")
+        assert main(["test", "--config", str(cfg_file), "--display", "restricted", "--params", "0.5", *_N]) == 0
+        assert json.loads(capsys.readouterr().out)["family"] == "exponential"
+
+    @pytest.mark.parametrize("argv, message", _UNREAD, ids=[" ".join(argv) for argv, _ in _UNREAD])
+    def test_flag_its_mode_does_not_read_exits_two(self, argv, message, capsys):
+        assert main(argv + _N) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_refused_flag_builds_no_measure(self, tmp_path, monkeypatch, capsys):
+        # the mode comes from the config file; the flag is checked against it before any work
+        cfg_file = tmp_path / "problem.cfg"
+        cfg_file.write_text("display = exp-power\n")
+        calls = []
+        monkeypatch.setattr(cli, "_measure", lambda *key: calls.append(key))
+        assert main(["test", "--config", str(cfg_file), "--cost", "c:1:3", *_N]) == 2
+        assert capsys.readouterr().err == "error: --cost is not read by test --display exp-power\n"
+        assert calls == []
+
+    def test_config_file_is_closed(self, tmp_path):
+        # -X dev shows an unclosed file as a ResourceWarning on stderr
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("cost = c:1:3\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m", "isocert.cli", "conjugate", "--config", str(cfg_file),
+                               "--grid", "0:1:3"], capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("x,c_star\n")
+
     def test_config_value_outside_the_choices_is_refused(self, tmp_path, capsys):
         cfg_file = tmp_path / "problem.cfg"
         cfg_file.write_text("display = pentagonal\n")
@@ -836,24 +899,29 @@ class TestPerSubcommandFlags:
         assert "display must be one of" in capsys.readouterr().err
 
     def test_fields_read_are_the_declared_flags(self, tmp_path):
-        read = {name: set() for name in cli._COMMANDS}
+        read, readers = {name: set() for name in cli._COMMANDS}, set()
         for argv in _REQUESTS:
             command = argv[0]
             ns = cli._parser(command).parse_args(argv + ["--out", str(tmp_path / "out")])
-            recorder = _ReadRecorder(RunConfig.from_sources(None, ns))
+            cfg = RunConfig.from_sources(None, ns)
+            recorder = _ReadRecorder(cfg)
             assert cli.run(recorder, command) in (0, 3, 4)
-            assert recorder.read <= _declared(command), argv
+            assert recorder.read == _declared(command, cfg), argv
             read[command] |= recorder.read
+            readers.update(cli._run_readers(command, cfg))
         assert read == {name: _declared(name) for name in cli._COMMANDS}
+        # the requests run every reader the settings name, and every family kind
+        named = {r for f in fields(RunConfig) for r in f.metadata["commands"]}
+        assert named | {f"--family {kind}" for kind in cli._MEMBERS} <= readers
 
-    @pytest.mark.parametrize("argv", [a for a in _REQUESTS if a[0] not in ("profile", "test")], ids=" ".join)
+    @pytest.mark.parametrize("argv", _REQUESTS, ids=" ".join)
     def test_each_request_reads_every_flag_of_its_subcommand(self, argv, tmp_path):
-        # conjugate, check, certify and paper-examples read all their settings on every
-        # request (profile's kinds and test's displays each read a part of theirs)
+        # every setting that the request's subcommand, mode and family kind read, and no other
         ns = cli._parser(argv[0]).parse_args(argv + ["--out", str(tmp_path / "out")])
-        recorder = _ReadRecorder(RunConfig.from_sources(None, ns))
+        cfg = RunConfig.from_sources(None, ns)
+        recorder = _ReadRecorder(cfg)
         assert cli.run(recorder, argv[0]) in (0, 3, 4)
-        assert recorder.read == _declared(argv[0])
+        assert recorder.read == _declared(argv[0], cfg)
 
     def test_check_request_builds_only_its_own_flags(self, monkeypatch):
         calls = []
@@ -912,6 +980,16 @@ class TestReadmeCommands:
         assert {name: sorted(re.findall(r"--[\w-]+", flags)) for name, flags in rows.items()} == \
             {name: sorted(flags) for name, flags in want.items()}
 
+    def test_mode_table_matches_the_settings(self):
+        text = self.README.read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `((?:test|profile) --[a-z-]+ [a-z-]+|--family [a-z_]+)` \| (.*) \|$", text, re.M))
+        choices = {f.name: f.metadata["choices"] for f in fields(RunConfig)}
+        modes = [f"test --display {d}" for d in choices["display"]] + \
+            [f"profile --profile-kind {k}" for k in choices["profile_kind"]] + [f"--family {k}" for k in choices["family"]]
+        want = {m: sorted("--" + f.name.replace("_", "-") for f in fields(RunConfig) if m in f.metadata["commands"])
+                for m in modes}
+        assert {m: sorted(re.findall(r"--[\w-]+", flags)) for m, flags in rows.items()} == want
+
 
 _N = ["--n", "4096"]
 # invalid command lines, each with a fragment of the message it must be refused with
@@ -938,8 +1016,9 @@ _REFUSALS = [
     (["check", "--measure", "exp_power:2.5"], "exp_power requires alpha in [1, 2]"),
     (["profile", "--measure", "exp_power:0.5"], "exp_power requires alpha in [1, 2]"),
     (["profile", "--measure", "exp_power"], "unknown measure 'exp_power'"),  # alpha is named in the spec only
-    (["profile", "--entropy", "nonsense!", "--t-grid", "0.1:0.5:2", *_N], "unknown entropy 'nonsense!'"),
-    (["profile", "--entropy", "ftau:2", "--t-grid", "0.1:0.5:2", *_N], "tau must lie in (0, 1]"),
+    (["profile", "--entropy", "nonsense!", "--t-grid", "0.1:0.5:2", *_N], "--entropy is not read by profile --profile-kind tilde"),
+    (["profile", "--entropy", "ftau:2", "--t-grid", "0.1:0.5:2", *_N], "--entropy is not read by profile --profile-kind tilde"),
+    (["profile", "--profile-kind", "if", "--entropy", "ftau:2", *_N], "tau must lie in (0, 1]"),
     (["check", "--cost", "c:-1:3"], "A must be positive"),
     (["check", "--cost", "c:1:1"], "alpha must exceed 1"),
     (["certify", "--cost", "c:1:1"], "alpha must exceed 1"),
@@ -982,7 +1061,8 @@ _REFUSALS = [
     (["test", "--params", "abc"], "bad family params"),
     (["test", "--params", ","], "family has no members"),
     (["test", "--family", "bump", "--params", "0", *_N], "bump width must be positive"),
-    (["test", "--floor", "-1"], "floor must be nonnegative"),
+    (["test", "--floor", "-1"], "--floor is not read by --family exponential"),
+    (["test", "--family", "bump", "--floor", "-1", *_N], "floor must be nonnegative"),
     (["test", "--measure", "expr:abs(x)^0.5", "--params", "0.5", *_N], "not in L^2"),
     (["test", "--display", "exp-power", "--alpha", "3", *_N], "alpha must lie in (1, 2]"),
     (["test", "--display", "exp-power", "--alpha", "1", *_N], "alpha must lie in (1, 2]"),
@@ -1012,11 +1092,16 @@ _REFUSALS = [
     (["check", "--cost", "c:1:inf", *_N], "bad cost 'c:1:inf': inf is not a finite number"),
     (["check", "--measure", "exp_power:nan", *_N], "bad measure 'exp_power:nan': nan is not a finite number"),
     (["check", "--entropy", "ftau:-inf", *_N], "bad entropy 'ftau:-inf': -inf is not a finite number"),
-    # a spec the subcommand takes is parsed on every display and profile kind
-    (["test", "--display", "power-beta", "--entropy", "garbage!", *_N], "unknown entropy 'garbage!'"),
-    (["test", "--display", "exp-power", "--cost", "zzz", *_N], "unknown cost 'zzz'"),
-    (["profile", "--profile-kind", "tilde", "--grid", "garbage", *_N], "grid must look like lo:hi:n"),
-    (["profile", "--profile-kind", "if", "--t-grid", "garbage", "--grid", "0:1:3", *_N], "t_grid must look like lo:hi:n"),
+    # a spec or range is parsed where the mode reads it; a mode refuses a flag it does not read
+    (["test", "--display", "power-beta", "--entropy", "garbage!", *_N], "--entropy is not read by test --display power-beta"),
+    (["test", "--display", "exp-power", "--cost", "zzz", *_N], "--cost is not read by test --display exp-power"),
+    (["profile", "--profile-kind", "tilde", "--grid", "garbage", *_N], "--grid is not read by profile --profile-kind tilde"),
+    (["profile", "--profile-kind", "if", "--t-grid", "garbage", "--grid", "0:1:3", *_N],
+     "--t-grid is not read by profile --profile-kind if"),
+    (["profile", "--profile-kind", "if", "--entropy", "nonsense!", *_N], "unknown entropy 'nonsense!'"),
+    (["profile", "--profile-kind", "tilde", "--t-grid", "garbage", *_N], "t_grid must look like lo:hi:n"),
+    (["profile", "--profile-kind", "if", "--grid", "garbage", *_N], "grid must look like lo:hi:n"),
+    (["test", "--display", "restricted", "--entropy", "garbage!", *_N], "unknown entropy 'garbage!'"),
 ]
 
 

@@ -119,6 +119,20 @@ class TestFamilies:
         i0 = int(np.argmin(np.abs(gauss.grid)))
         assert abs(sf.dvalues[i0]) < 1.0
 
+    @pytest.mark.parametrize("kind", sorted(tester._MEMBERS))
+    def test_each_kind_declares_the_settings_it_reads(self, gauss, kind):
+        # the command line passes a kind only the settings its row declares
+        member, label, shared, reads = tester._MEMBERS[kind]
+        family, read = TestFamily(kind, (label(1),)), set()
+
+        class Recorder:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(family, name)
+
+        member(Recorder(), gauss, label(1), None if shared is None else shared(Recorder(), gauss))
+        assert read == set(reads)
+
     def test_random_smooth_is_seed_deterministic(self, gauss):
         a = TestFamily("random_smooth", (0, 1), seed=0).members(gauss)
         b = TestFamily("random_smooth", (0, 1), seed=0).members(gauss)
@@ -520,7 +534,7 @@ class TestMemberEvaluation:
     ])
     def test_each_distinct_member_is_evaluated_once(self, exp_power_15, monkeypatch, display, kind, params, distinct):
         evaluated, tables, calls = [], [], []
-        (member, label, shared), members = tester._MEMBERS[kind], TestFamily.members
+        (member, label, shared, reads), members = tester._MEMBERS[kind], TestFamily.members
 
         def counted_member(fam, mu, p, table):
             evaluated.append(p)
@@ -530,7 +544,7 @@ class TestMemberEvaluation:
             tables.append(fam)
             return shared(fam, mu)
 
-        monkeypatch.setitem(tester._MEMBERS, kind, (counted_member, label, None if shared is None else counted_table))
+        monkeypatch.setitem(tester._MEMBERS, kind, (counted_member, label, None if shared is None else counted_table, reads))
         monkeypatch.setattr(TestFamily, "members", lambda fam, mu, **kw: calls.append(fam) or members(fam, mu, **kw))
         _verify(display, exp_power_15, TestFamily(kind, params))
         assert len(evaluated) == len(set(evaluated)) == distinct
@@ -720,9 +734,9 @@ class TestSharedTables:
             assert not np.array_equal(mu.grid, -mu.grid[::-1])  # the grid is not symmetric
         else:
             mu = builtin_measure("exp_power", alpha=1.5)
-        member, label, shared = tester._MEMBERS["stretched_exp"]
+        member, label, shared, reads = tester._MEMBERS["stretched_exp"]
         tables = []
-        monkeypatch.setitem(tester._MEMBERS, "stretched_exp", (member, label, lambda fam, mu: tables.append(shared(fam, mu)) or tables[-1]))
+        monkeypatch.setitem(tester._MEMBERS, "stretched_exp", (member, label, lambda fam, mu: tables.append(shared(fam, mu)) or tables[-1], reads))
         # the family's members and its enrichment's midpoints, which read one table
         enriched = family.enriched()
         assert len(enriched.params) == 5
