@@ -31,13 +31,17 @@ A profile's A1-A2 gate reads the report the profile keeps
 (check_assumptions), so a profile is sampled once however many conditions
 use it.  The measure's tilde profile at the quadrature nodes depends only on
 the measure and the node layout (K, t_min, n_per_decade), so it is computed
-once per layout and kept, read-only, with the measure (_node_profile).
+once per layout and kept, read-only, with the measure (_node_profile).  The
+layout's own tables (the nodes, e^{-s} there, the log Simpson weights and
+panel widths, e^{-s} at the decade edges) depend on nothing else, so the
+module keeps them, read-only, for its last 8 layouts (_layout).
 Reports themselves are never kept; instead check_exp_power takes several
 taus at once and evaluates each distinct condition among them once.  Entry
 points: check_condition, check_exp_power (at A = 1, delta = 1/4, K = 4) and
 verify_growth_condition.
 """
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -120,6 +124,24 @@ def _decade_edges(K, t_min):
     return edges[edges >= s0 - 1e-12]
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _layout(K, t_min, n_per_decade):
+    """The quadrature tables of the node layout (K, t_min, n_per_decade), kept
+    read-only for the last 8 layouts: the (decades, n_per_decade + 1) nodes s
+    (one row per decade), t = e^{-s} at the nodes flattened, the log Simpson
+    weights log(w/3), the log panel width of each decade and e^{-edges} at the
+    decade edges."""
+    edges = _decade_edges(K, t_min)
+    s = np.linspace(edges[:-1], edges[1:], n_per_decade + 1, axis=1)  # one row of nodes per decade
+    w = np.ones(n_per_decade + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    tables = (s, np.exp(-s.ravel()), np.log(w / 3.0), np.log(np.diff(edges) / n_per_decade), np.exp(-edges))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 _KEPT_LAYOUTS = 4  # node profiles a measure keeps; the oldest layout goes first
 _KEPT_LOCK = threading.Lock()  # threads may share a measure
 
@@ -163,10 +185,8 @@ def check_condition(spec, n_per_decade=256):
     if spec.cost is not None and not spec.cost.superlinearity_ok():
         raise ValueError("cost must be superlinear (c(x)/x unbounded)")
 
-    edges = _decade_edges(spec.K, spec.t_min)
-    s = np.linspace(edges[:-1], edges[1:], n_per_decade + 1, axis=1)  # one row of nodes per decade
+    s, t_all, log_w3, log_h, t_edges = _layout(spec.K, spec.t_min, n_per_decade)
     s_all = s.ravel()
-    t_all = np.exp(-s_all)
     ratio = t_all * spec.F.at_log(s_all)  # t * F(1/t)
     I_all = _node_profile(spec.measure, (spec.K, spec.t_min, n_per_decade), t_all)
     flags = []
@@ -187,12 +207,7 @@ def check_condition(spec, n_per_decade=256):
     log_phi = log_Phi(spec.F, x).reshape(s.shape)
 
     # Simpson weights per decade; Jacobian dt = e^{-s} ds
-    w = np.ones(n_per_decade + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    log_h = np.log(np.diff(edges) / n_per_decade)
-    log_partials = _logsumexp(log_phi - s + np.log(w / 3.0) + log_h[:, None], axis=-1)
-    t_edges = np.exp(-edges)
+    log_partials = _logsumexp(log_phi - s + log_w3 + log_h[:, None], axis=-1)
     with np.errstate(over="ignore"):
         partials = np.exp(log_partials)
     return _classify(spec, log_phi[:, -1][-3:], s[:, -1][-3:], log_partials, partials, t_edges, flags)

@@ -13,22 +13,28 @@ inconclusive verdict, 4 certification failure (divergent verdict or a
 violated margin).  Output is deterministic: floats are printed with 17
 significant digits, a report's JSON keys are its dataclass fields in
 declaration order, and CSV uses LF line endings.  Everything runs on one
-thread, and no environment variable changes what a subcommand does.  A process keeps at most 8 measures, keyed by the
-resolved measure settings (once 8 are kept, a new one is kept only on its
+thread, and no environment variable changes what a subcommand does.
+
+A process keeps at most 8 measures, keyed by the resolved measure settings (once 8 are kept, a new one is kept only on its
 second request, so one-off measures do not push out repeating ones), and
-the last 8 `expr:` entropies, keyed by the parsed expression, so a
-repeated measure is built once (twice when it first comes after the cache
-has filled), and a repeated profile is built and checked (A1-A4) once;
-`log` and `ftau:t` profiles are shared by the entropy module itself.  A
-kept measure also keeps the checker's tilde profile at the quadrature nodes
-of its last 4 node layouts (K, t_min, --n-per-decade), so `check` and
-`certify` on a repeated measure and layout sample the profile once.
+the last 8 `expr:` entropies and the last 8 `expr:` costs, each keyed by
+the parsed expression, so a repeated measure is built once (twice when it
+first comes after the cache has filled), a repeated profile is built and
+checked (A1-A4) once, and a repeated cost is sampled and checked for
+convexity once, keeping its chord slopes for every Legendre table; `log`
+and `ftau:t` profiles are shared by the entropy module itself.  A kept
+measure also keeps the checker's tilde profile at the quadrature nodes of
+its last 4 node layouts (K, t_min, --n-per-decade), and the checker keeps
+the nodes and weights of its last 8 layouts, so `check` and `certify` on a
+repeated measure and layout sample the profile and lay out the nodes once.
 Reports are never kept: every request computes its own.  The argument
 parser is built once per subcommand.  JSON and CSV are each written by one
-writer; the JSON writer picks a value's form from one isinstance chain, in
-one pass, and a CSV body is one %-format over the cells flattened in row
-order.  An `expr:` measure or entropy is named in reports `expr:` plus its
-text as given.  A flag value may start with `-` (`--support -5:5`,
+writer; the JSON writer, in one pass, writes each exact type with the
+writer one isinstance chain picked for it once per process, and a CSV body
+is one %-format over the cells flattened in row order.
+
+An `expr:` measure or entropy is named in reports `expr:` plus its text as
+given.  A flag value may start with `-` (`--support -5:5`,
 `--support -inf:0`), in either the spaced or the `=` form.
 """
 
@@ -93,33 +99,65 @@ def _dump_json(obj) -> str:
 
 
 def _emit(obj, out) -> None:
-    if isinstance(obj, float):  # numpy's float64 is a float
-        out.append(_format_float(obj))
-    elif isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif isinstance(obj, dict):
-        _emit_items(((_json_string(str(k)), v) for k, v in obj.items()), out)
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        _emit_sequence(obj, out)
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, np.floating):
-        out.append(_format_float(float(obj)))
-    elif is_dataclass(obj) and not isinstance(obj, type):  # a report: its fields, in declaration order
-        _emit_items((('"' + f.name + '"', getattr(obj, f.name)) for f in fields(obj)), out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    kind = type(obj)
+    handler = _HANDLERS.get(kind)
+    if handler is None:
+        handler = _HANDLERS[kind] = _handler(kind)
+    handler(obj, out)
 
 
-def _emit_items(items, out) -> None:
-    """An object from (quoted key, value) pairs."""
+def _handler(kind):
+    """The writer of values of exact type kind, picked once per type by one
+    isinstance chain in its order (so bool comes before int)."""
+    if issubclass(kind, float):  # numpy's float64 is a float
+        return lambda x, out: out.append(_format_float(x))
+    if issubclass(kind, str):
+        return lambda text, out: out.append(_json_string(text))
+    if issubclass(kind, dict):
+        return _emit_dict
+    if issubclass(kind, (list, tuple, np.ndarray)):
+        return _emit_sequence
+    if kind is type(None):
+        return lambda _, out: out.append("null")
+    if issubclass(kind, bool):
+        return lambda b, out: out.append("true" if b else "false")
+    if issubclass(kind, (int, np.integer)):
+        return lambda i, out: out.append(str(int(i)))
+    if issubclass(kind, np.floating):
+        return lambda x, out: out.append(_format_float(float(x)))
+    if is_dataclass(kind) and not issubclass(kind, type):  # a report: its fields, in declaration order
+        keys = tuple((f.name, '"' + f.name + '":') for f in fields(kind))
+        return lambda obj, out: _emit_fields(obj, keys, out)
+
+    def refuse(obj, out):
+        raise TypeError(f"cannot serialize {kind.__name__}")
+
+    return refuse
+
+
+_HANDLERS = {}  # exact type -> its writer (_handler)
+_KEYS = {}  # str dict key -> its quoted form and colon, for the first _KEPT_KEYS keys written
+_KEPT_KEYS = 256
+
+
+def _emit_fields(obj, keys, out) -> None:
     sep = "{"
-    for key, value in items:
-        out.append(sep + key + ":")
+    for name, key in keys:
+        out.append(sep + key)
+        _emit(getattr(obj, name), out)
+        sep = ","
+    out.append("}" if sep == "," else "{}")
+
+
+def _emit_dict(obj, out) -> None:
+    sep = "{"
+    for k, value in obj.items():
+        key = _KEYS.get(k) if type(k) is str else None
+        if key is None:
+            key = _json_string(str(k)) + ":"
+            if type(k) is str and len(_KEYS) < _KEPT_KEYS:
+                _KEYS[k] = key
+        out.append(sep + key)
         _emit(value, out)
         sep = ","
     out.append("}" if sep == "," else "{}")
@@ -424,6 +462,19 @@ def _expr_entropy(expr: PotentialExpr) -> EntropyFunction:
     return EntropyFunction(fn=expr, name=f"expr:{expr.text}")
 
 
+@functools.lru_cache(maxsize=8)
+def _expr_cost(expr: PotentialExpr) -> CostFunction:
+    """The cost of a parsed `expr:` cost, sampled at 4,097 points of [0, 100]
+    and checked once per process per expression (as _expr_entropy keeps
+    profiles); its grid, values and chord slopes are read-only.  A refused
+    cost raises and is not kept."""
+    grid = np.linspace(0.0, 100.0, 4097)
+    cost = CostFunction.from_samples(grid, expr(grid))
+    for table in (cost.grid, cost.values, cost.slopes):
+        table.flags.writeable = False
+    return cost
+
+
 def _build_cost(cfg: RunConfig):
     """(cost, check_cost, delta) for --cost: the cost of conjugate tables and
     tester energies, the checker's cost, and the delta that quadratic:delta
@@ -447,8 +498,7 @@ def _build_cost(cfg: RunConfig):
             raise ConfigError("cost must look like c:A:alpha")
         cost = CostFunction.closed_form(_spec_float(parts[1], "cost", spec), _spec_float(parts[2], "cost", spec))
     elif name == "expr" and colon:
-        grid = np.linspace(0.0, 100.0, 4097)
-        cost = CostFunction.from_samples(grid, parse_potential(arg)(grid))
+        cost = _expr_cost(parse_potential(arg))
     else:
         raise ConfigError(f"unknown cost {spec!r}")
     return cost, cost, None

@@ -13,6 +13,7 @@ so the dual grid can be merged against the nondecreasing chord slopes in a
 single sweep; samples that are not convex are refused.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +44,9 @@ def conjugate_exponent(alpha):
 @dataclass(frozen=True)
 class CostFunction:
     """A convex nondecreasing cost with c(0) = 0: the closed form c_{A,alpha}
-    (A and alpha set) or linear interpolation of samples (grid and values set)."""
+    (A and alpha set) or linear interpolation of samples (grid and values set).
+    A sampled cost keeps its chord slopes (slopes), computed and checked for
+    convexity once, by from_samples; legendre_transform reads them."""
 
     A: Optional[float] = None
     alpha: Optional[float] = None
@@ -68,8 +71,14 @@ class CostFunction:
             raise ValueError("grid must be nonnegative and strictly increasing")
         if np.any(values < -_tol_scale(values)):
             raise ValueError("cost values must be nonnegative")
-        _convex_slopes(grid, values)
-        return cls(grid=grid, values=values)
+        cost = cls(grid=grid, values=values)
+        cost.slopes  # refused here unless convex
+        return cost
+
+    @functools.cached_property
+    def slopes(self):
+        """The chord slopes of a sampled cost's samples (_convex_slopes)."""
+        return _convex_slopes(self.grid, self.values)
 
     @property
     def is_closed_form(self):
@@ -186,7 +195,7 @@ def legendre_transform(f, dual_grid):
     if y.size < 2:
         raise ValueError("empty primal grid")
 
-    slopes = _convex_slopes(y, g)
+    slopes = f.slopes if isinstance(f, CostFunction) and not f.is_closed_form else _convex_slopes(y, g)
     # monotone sweep: merge sorted dual points against nondecreasing slopes;
     # the maximizer index never moves left as x grows (leftmost on ties)
     j = np.searchsorted(slopes, dual_grid, side="left")

@@ -419,7 +419,10 @@ class SampledFunction:
     """f sampled on a measure grid with a derivative table.
 
     log_deriv, when present, is d/dx log f — exponential-family members use it
-    so ratio arguments |f'|/f stay accurate where f under/overflows.
+    so ratio arguments |f'|/f stay accurate where f under/overflows.  It is
+    either one value per node or, when it is constant, one value for every
+    node (an `exponential` member's lam/2); the modified energy, its only
+    reader, broadcasts it.
     """
 
     grid: np.ndarray

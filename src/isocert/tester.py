@@ -91,7 +91,7 @@ _RANDOM_TERMS = 6  # trigonometric terms in a random_smooth member
 def _exponential(fam, mu, lam, table):
     x = mu.grid
     vals = np.exp(0.5 * lam * x)
-    return vals, 0.5 * lam * vals, np.full_like(x, 0.5 * lam)
+    return vals, 0.5 * lam * vals, np.array([0.5 * lam])  # one log-derivative value, for every node
 
 
 def _bump(fam, mu, w, table):
@@ -156,8 +156,9 @@ def _stretched_exp(fam, mu, lam, table):
 
 
 # kind -> (member, label type, table or None, settings): member(family, measure, label, table) =
-# (values, dvalues, log_deriv or None), with table(family, measure) what all members read and no
-# label changes (see members and enriched), and settings the TestFamily fields those two read
+# (values, dvalues, log_deriv or None, one value when constant), with table(family, measure) what all
+# members read and no label changes (see members and enriched), and settings the TestFamily fields
+# those two read
 _MEMBERS = {
     "exponential": (_exponential, float, None, ()),
     "bump": (_bump, float, None, ("floor",)),
@@ -393,7 +394,8 @@ def _dual_evaluator(cost: CostFunction, r_max: float):
 
 
 def _modified_integrand(sf: SampledFunction, sq: np.ndarray, cost: CostFunction) -> np.ndarray:
-    """Pointwise f^2 c*(|f'|/f) with sq = f^2; requires f > 0."""
+    """Pointwise f^2 c*(|f'|/f) with sq = f^2; requires f > 0.  A one-value
+    log_deriv (a constant log-derivative) gives one c* value, broadcast."""
     v = sf.values
     if np.any(v <= 0):
         raise ValueError("modified energy requires f > 0; add a family floor")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import isocert.checker as checker
 import isocert.cli as cli
 import isocert.entropy as entropy
 from isocert.entropy import F_tau, log_entropy
@@ -11,11 +12,13 @@ from isocert.measure1d import builtin_measure
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    """Every test starts with empty measure, parser and profile caches, so
-    each sees its own builds and its own A1-A4 samples."""
+    """Every test starts with empty measure, parser, profile, cost and node
+    layout caches, so each sees its own builds and its own A1-A4 samples."""
     cli._measure.cache_clear()
     cli._parser.cache_clear()
     cli._expr_entropy.cache_clear()
+    cli._expr_cost.cache_clear()
+    checker._layout.cache_clear()
     entropy.log_entropy.cache_clear()
     entropy._F_tau_over_log.cache_clear()
 

@@ -367,6 +367,37 @@ class TestNodeProfileCache:
             gc.collect()
 
 
+class TestNodeLayoutCache:
+    """The quadrature tables of a node layout (K, t_min, n_per_decade) are
+    built once and kept, read-only, for the last 8 layouts; reports are not kept."""
+
+    def test_interleaved_layouts_give_cold_reports(self, F_log):
+        mu = builtin_measure("gauss", n=4096)
+        order = [(2.0, 16), (4.0, 256), (2.0, 256), (4.0, 16)] * 2
+        warm = [asdict(check_condition(ConditionSpec(mu, F_log, delta=0.5, K=K), n)) for K, n in order]
+        info = checker._layout.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
+        cold = []
+        for K, n in order:
+            checker._layout.cache_clear()
+            spec = ConditionSpec(builtin_measure("gauss", n=4096), F_log, delta=0.5, K=K)
+            cold.append(asdict(check_condition(spec, n)))
+        assert warm == cold
+
+    def test_kept_tables_are_read_only(self):
+        tables = checker._layout(2.0, 1e-12, 16)
+        assert len(tables) == 5 and not any(table.flags.writeable for table in tables)
+        with pytest.raises(ValueError):
+            tables[0][0, 0] = 1.0
+
+    def test_at_most_eight_layouts_are_kept(self, F_log):
+        mu = builtin_measure("gauss", n=4096)
+        for n in range(2, 22, 2):
+            check_condition(ConditionSpec(mu, F_log, delta=0.5, K=2.0), n)
+        info = checker._layout.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (8, 8, 10)
+
+
 class TestGrowthCondition:
     def test_gaussian_quarter_rate(self, gauss):
         rep = verify_growth_condition(gauss, lambda r: 0.25 * r * r, alpha=2.0)

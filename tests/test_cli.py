@@ -519,6 +519,39 @@ class TestCertifyCommand:
         assert rc == 4
         assert len(calls) == 1
 
+    def test_an_expr_cost_and_its_slopes_are_built_once_per_expression(self, tmp_path, monkeypatch, capsys):
+        import isocert.convex as convex
+
+        built, sloped = [], []
+        from_samples, convex_slopes = CostFunction.from_samples, convex._convex_slopes
+        monkeypatch.setattr(CostFunction, "from_samples", classmethod(lambda cls, *a: built.append(1) or from_samples(*a)))
+        monkeypatch.setattr(convex, "_convex_slopes", lambda *a: sloped.append(1) or convex_slopes(*a))
+
+        def certify(cost, name):
+            argv = ["certify", "--measure", "gauss", "--cost", cost, "--params", "0.25,0.5", "--n", "4096"]
+            return main(argv + ["--out", str(tmp_path / name)])
+
+        texts = []
+        for i in range(2):
+            assert certify("expr:x^2/2+x^4/4", f"same{i}.json") == 4
+            texts.append((tmp_path / f"same{i}.json").read_bytes())
+        assert texts[0] == texts[1]
+        assert (len(built), len(sloped)) == (1, 1)  # the tester's conjugate tables read the kept slopes
+        cost = cli._expr_cost.cache_info()
+        assert (cost.hits, cost.misses, cost.maxsize) == (1, 1, 8)
+        kept = cli._build_cost(RunConfig(cost="expr:x^2/2+x^4/4"))[0]
+        assert not any(table.flags.writeable for table in (kept.grid, kept.values, kept.slopes))
+
+        built.clear(), sloped.clear(), cli._expr_cost.cache_clear()
+        assert certify("expr:x^2/2+x^4/4", "a.json") == 4 and certify("expr:x^2/2+x^3/3", "b.json") in (0, 3, 4)
+        assert (len(built), len(sloped)) == (2, 2)
+
+        for _ in range(2):  # concave samples: refused, and not kept, on every request
+            capsys.readouterr()
+            assert certify("expr:sqrt(x)", "bad.json") == 2
+            assert capsys.readouterr().err == "error: cost values must be convex on the grid\n"
+        assert cli._expr_cost.cache_info().currsize == 2
+
 
 class TestPaperExamplesCommand:
     def test_repeat_runs_are_byte_identical(self, tmp_path):

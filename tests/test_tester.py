@@ -656,6 +656,78 @@ _MARKERS = {
 }
 
 
+def _reference_dump_json(obj) -> str:
+    """cli._dump_json as written before it picked a writer once per type (the oracle)."""
+    out = []
+    _reference_emit(obj, out)
+    return "".join(out)
+
+
+def _reference_emit(obj, out) -> None:
+    if isinstance(obj, float):
+        out.append(cli._format_float(obj))
+    elif isinstance(obj, str):
+        out.append(cli._json_string(obj))
+    elif isinstance(obj, dict):
+        _reference_emit_items(((cli._json_string(str(k)), v) for k, v in obj.items()), out)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        sep = "["
+        for value in obj:
+            out.append(sep)
+            _reference_emit(value, out)
+            sep = ","
+        out.append("]" if sep == "," else "[]")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, np.floating):
+        out.append(cli._format_float(float(obj)))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _reference_emit_items((('"' + f.name + '"', getattr(obj, f.name)) for f in dataclasses.fields(obj)), out)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_emit_items(items, out) -> None:
+    sep = "{"
+    for key, value in items:
+        out.append(sep + key + ":")
+        _reference_emit(value, out)
+        sep = ","
+    out.append("}" if sep == "," else "{}")
+
+
+def _catalogue_reports(workload, monkeypatch, tmp_path):
+    """The objects cli._dump_json writes for every request of a perfbench catalogue."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "mix.py"
+    spec = importlib.util.spec_from_file_location("perfbench_mix", path)
+    mix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mix)
+    reports, dump = [], cli._dump_json
+    monkeypatch.setattr(cli, "_dump_json", lambda obj: reports.append(obj) or dump(obj))
+    for argv in mix.catalogue(workload):
+        cli.main(list(argv) + ["--out", str(tmp_path / "report.json")])
+    return reports
+
+
+class _Float(float):
+    pass
+
+
+_COST_GRID = np.linspace(0.0, 100.0, 4097)  # the grid of an `expr:` cost
+
+
+@dataclasses.dataclass
+class _Empty:
+    pass
+
+
 class TestSharedTables:
     """The tester's one-pass helpers give the same bits as the code they replaced."""
 
@@ -793,6 +865,45 @@ class TestSharedTables:
             classical, grad = want["classical_entropy"], want["grad_energy"]
             assert row.saturation == bool(grad > 0 and abs(classical / (2.0 * grad) - 1.0) <= tester._SATURATION_TOL)
 
+
+    @pytest.mark.parametrize("cost", [
+        CostFunction.closed_form(1.0, 2.0),
+        CostFunction.closed_form(1.0, 3.0),  # lam/2 = 0.25 and 2: c*'s quadratic and power branches
+        CostFunction.from_samples(_COST_GRID, _COST_GRID**2 / 2 + _COST_GRID**3 / 3),
+    ], ids=["quadratic", "c:1:3", "sampled"])
+    def test_exponential_log_derivative_is_one_value(self, exp_power_15, cost):
+        mu = exp_power_15
+        family = TestFamily("exponential", (0.5, 4.0))
+        for sf, lam in zip(family.members(mu), family._ordered_params()):
+            assert sf.log_deriv.shape == (1,)
+            full = dataclasses.replace(sf, log_deriv=np.full_like(mu.grid, 0.5 * lam))  # the table it replaced
+            sq = sf.values * sf.values
+            got, want = tester._modified_integrand(sf, sq, cost), tester._modified_integrand(full, sq, cost)
+            assert got.shape == mu.grid.shape and got.tobytes() == want.tobytes(), sf.name
+            assert _bits(modified_energy(mu, sf, cost)) == _bits(modified_energy(mu, full, cost)), sf.name
+
+    @pytest.mark.parametrize("workload", ["certify", "paper-examples"])
+    def test_json_writer_matches_the_reference_on_the_catalogue(self, workload, monkeypatch, tmp_path):
+        reports = _catalogue_reports(workload, monkeypatch, tmp_path)
+        assert len(reports) >= (54 if workload == "certify" else 1)
+        for report in reports + reports:  # the second pass reads the kept writers and keys
+            assert cli._dump_json(report) == _reference_dump_json(report)
+
+    def test_json_writer_matches_the_reference_on_edge_values(self):
+        values = [
+            np.float64(0.1), np.float64(-0.0), np.int64(-7), np.float32(0.1), np.arange(3), np.array([[0.5, -0.0], [np.inf, np.nan]]),
+            -0.0, 0.0, float("inf"), float("-inf"), float("nan"), _Float(2.5), _Float("nan"), {}, [], (), _Empty(),
+            True, False, None, 3, "a\"b\\c\n\x01", {1: "int key", None: 2, 2.5: [1, {}]}, {True: 1}, {"k": {"k": [None]}},
+        ]
+        for value in values + [values]:
+            assert cli._dump_json(value) == _reference_dump_json(value), repr(value)
+        for bad in (np.bool_(True), object(), _Empty, {"x": {1, 2}}):
+            messages = []
+            for dump in (cli._dump_json, _reference_dump_json):
+                with pytest.raises(TypeError) as refused:
+                    dump(bad)
+                messages.append(str(refused.value))
+            assert messages[0] == messages[1], repr(bad)
 
 class TestTwoFunctionComparison:
     def test_cross_entropy_bound_holds(self, gauss, F_log):
