@@ -42,7 +42,6 @@ verify_growth_condition.
 """
 
 import functools
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from .convex import CostFunction, eval_cost
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi
-from .measure1d import TRUST_TAIL, Measure1D, _vec, tilde_profile
+from .measure1d import TRUST_TAIL, Measure1D, _kept, _vec, tilde_profile
 
 _LN10 = float(np.log(10.0))
 
@@ -143,7 +142,6 @@ def _layout(K, t_min, n_per_decade):
 
 
 _KEPT_LAYOUTS = 4  # node profiles a measure keeps; the oldest layout goes first
-_KEPT_LOCK = threading.Lock()  # threads may share a measure
 
 
 def _node_profile(mu, layout, t):
@@ -152,16 +150,13 @@ def _node_profile(mu, layout, t):
     measure and the layout only, so it is computed once and kept, read-only,
     in mu.node_profiles (for mu's last _KEPT_LAYOUTS layouts) and is freed
     with mu."""
-    kept = mu.node_profiles
-    table = kept.get(layout)
-    if table is None:
+
+    def build():
         table = tilde_profile(mu, np.minimum(t, 1.0 - t)).tilde_I
         table.flags.writeable = False
-        with _KEPT_LOCK:  # evict and insert as one step
-            if len(kept) >= _KEPT_LAYOUTS:
-                del kept[next(iter(kept))]
-            kept[layout] = table
-    return table
+        return table
+
+    return _kept(mu.node_profiles, layout, build, _KEPT_LAYOUTS)
 
 
 def check_condition(spec, n_per_decade=256):

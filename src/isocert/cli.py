@@ -27,11 +27,13 @@ measure also keeps the checker's tilde profile at the quadrature nodes of
 its last 4 node layouts (K, t_min, --n-per-decade), and the checker keeps
 the nodes and weights of its last 8 layouts, so `check` and `certify` on a
 repeated measure and layout sample the profile and lay out the nodes once.
-Reports are never kept: every request computes its own.  The argument
-parser is built once per subcommand.  JSON and CSV are each written by one
-writer; the JSON writer, in one pass, writes each exact type with the
-writer one isinstance chain picked for it once per process, and a CSV body
-is one %-format over the cells flattened in row order.
+A kept measure also keeps the measure-only scalars of its last 64 family
+members (tester.TestFamily.members).  Reports are never kept: every request
+computes its own.  The argument parser is built once per subcommand.  JSON
+and CSV are each written by one writer; the JSON writer, in one pass,
+writes each exact type with the writer one isinstance chain picked for it
+once per process, and a CSV body is one %-format over the cells flattened
+in row order.
 
 An `expr:` measure or entropy is named in reports `expr:` plus its text as
 given.  A flag value may start with `-` (`--support -5:5`,
@@ -411,8 +413,8 @@ def _measure(kind, arg, support, n):
     share an entry.  A refused measure raises and is not kept, so it is
     refused again on every request.  An entry holds about 0.8 MB at the
     default n, plus at most 4 node profiles of about 25 KB
-    (checker._node_profile); the measure's tables are read-only, so requests
-    can share it."""
+    (checker._node_profile) and the scalars of 64 family members; the
+    measure's tables are read-only, so requests can share it."""
     support = (-np.inf, np.inf) if support is None else support
     if kind == "expr":
         return build_measure(arg, support=support, n=n, name=f"expr:{arg.text}")

@@ -26,6 +26,7 @@ of f while making it radial and increasing.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -123,8 +124,9 @@ class Measure1D:
     density exactly from the potential rather than by interpolation.  The
     tables are read-only, so one built measure can serve many requests.
     node_profiles holds the checker's read-only node profiles of this
-    measure, one per node layout (see checker._node_profile); it is freed
-    with the measure.
+    measure, one per node layout (see checker._node_profile), and
+    member_columns the tester's family-member scalars (TestFamily.members);
+    both are filled by _kept and freed with the measure.
     """
 
     grid: np.ndarray
@@ -142,6 +144,7 @@ class Measure1D:
     potential_fn: Callable
     name: str = "measure"
     node_profiles: dict = field(default_factory=dict, init=False, repr=False)
+    member_columns: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- pointwise evaluations ------------------------------------------------
     def potential_at(self, x):
@@ -219,6 +222,22 @@ class Measure1D:
     @property
     def n(self):
         return self.grid.size
+
+
+_KEPT_LOCK = threading.Lock()  # threads may share a measure
+
+
+def _kept(table, key, build, bound):
+    """table[key], built by build() when missing and kept in table, one of a
+    measure's own dicts, for its last bound keys (the oldest out first)."""
+    value = table.get(key)
+    if value is None:
+        value = build()
+        with _KEPT_LOCK:  # evict and insert as one step
+            if len(table) >= bound:
+                del table[next(iter(table))]
+            table[key] = value
+    return value
 
 
 def _probe_symmetry(Vfn, hi):

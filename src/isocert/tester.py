@@ -13,9 +13,9 @@ for a display that integrates another power p, |f|^p and |f'|^p stay below
 the largest double at every node), and is refused by name with a ValueError
 otherwise: `TestFamily.members` returns admitted members only, and
 `lemma_3_3_check` admits its f and g.  The functionals take members as
-SampledFunctions on the measure's own grid.  An admitted member carries the
-integrals its admission computed (int f^2 and int f'^2), which the ratio
-engine and the lemmas read instead of recomputing them.
+SampledFunctions on the measure's own grid.  An admitted member carries its
+measure-only scalars (_Member), which the ratio engine and the lemmas read
+instead of recomputing them, and are kept with the measure (members()).
 
 Every entropy reported here comes from one pair: the level table
 F(f^2 / mu(f^2)) of `_level_entropy` (F of the whole table unless a level
@@ -42,9 +42,9 @@ reports are deterministic.  A family kind is one row of `_MEMBERS`: its
 member builder, its label type, the table its members read that no label
 changes (random_smooth's cos and sin rows, stretched_exp's lam-free powers),
 built once per `members()` call, for the family and its enrichment together,
-and not kept, and the TestFamily settings those two read.  The median sorts
-a member's values only when they are not already nondecreasing and sums
-tied masses only when there are ties.
+and not kept (only the members' scalar columns are), and the TestFamily
+settings those two read.  The median sorts a member's values only when they
+are not already nondecreasing and sums tied masses only when there are ties.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 from .checker import exp_power_range
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi, log_entropy
-from .measure1d import Measure1D, SampledFunction
+from .measure1d import Measure1D, SampledFunction, _kept
 
 __all__ = [
     "TestFamily",
@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 _SATURATION_TOL = 1e-3
+_KEPT_MEMBERS = 64  # family members whose columns a measure keeps; the oldest goes first
 
 
 # -- test-function families ----------------------------------------------------
@@ -236,8 +237,13 @@ class TestFamily:
         member is admitted (_admitted, with the power the display integrates)
         or refused by name.  A member is named kind(p), with p in %g form for
         a float label and as given otherwise.  The table the kind's members
-        share (_MEMBERS) is built once per call, read-only, and not kept."""
-        member, label, shared, _ = _MEMBERS.get(self.kind, (None,) * 4)
+        share (_MEMBERS) is built once per call, read-only, and not kept.
+        An admitted member's columns are kept in mu.member_columns, keyed by
+        the _MEMBERS row itself, the settings it reads, power and the label,
+        so a kept member is not admitted again; refused members and user
+        families are never kept."""
+        member, label, shared, reads = row = _MEMBERS.get(self.kind, (None,) * 4)
+        settings = tuple(getattr(self, name) for name in reads or ())
         with np.errstate(over="ignore"):  # an overflowing member is refused by name below
             table = None if shared is None else shared(self, mu)
         for part in table or ():
@@ -256,7 +262,9 @@ class TestFamily:
                 sf = SampledFunction(grid=mu.grid, values=vals, dvalues=dvals, log_deriv=log_deriv, name=name)
             if not np.all(np.isfinite(sf.values)):
                 raise ValueError(f"family member {sf.name} overflows on the measure grid")
-            out.append(_admitted(mu, sf, power))
+            kept = {} if member is None else mu.member_columns
+            c = _kept(kept, (row, settings, power, p), lambda: _admitted(mu, sf, power), _KEPT_MEMBERS)
+            out.append(_Member(**vars(sf), m2=c["m2"], grad=c["grad"], columns=c))
         return out
 
     def enriched(self):
@@ -285,26 +293,35 @@ def _as_sampled(mu: Measure1D, f: SampledFunction) -> SampledFunction:
 class _Member(SampledFunction):
     """An admitted member with the integrals its admission computed, which
     the ratio engine and the lemmas read: m2 = int f^2 dmu and
-    grad = int f'^2 dmu.  f^2 itself is not kept: a family's members are all
-    alive at once, so it would add a grid table per member to peak memory,
-    for a product that takes one pass to recompute."""
+    grad = int f'^2 dmu.  columns holds them with the member's other
+    measure-only scalars, each computed when first read (_column): "moments"
+    (int f dmu, Var f), "median_energy" and "classical".  f^2 itself is not
+    kept: a family's members are all alive at once."""
 
     m2: float = math.nan
     grad: float = math.nan
+    columns: dict = field(default_factory=dict)
+
+
+def _column(m: _Member, name: str, compute):
+    value = m.columns.get(name)
+    if value is None:
+        value = m.columns[name] = compute()
+    return value
 
 
 _LOG_MAX = math.log(np.finfo(float).max)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
-def _admitted(mu: Measure1D, sf: SampledFunction, power: float = 2.0) -> _Member:
-    """sf, once it may enter a functional: its supplied derivative agrees with
-    finite differences, f and f' lie in L^2(mu) on the grid and, for a power
-    p other than 2, |f|^p and |f'|^p stay below the largest double at every
-    node (compared in log space, so the check cannot overflow itself; their
-    integrals then cannot either, the node masses summing to 1).  So no
-    functional of a display integrating p overflows.  Refused by name
-    otherwise."""
+def _admitted(mu: Measure1D, sf: SampledFunction, power: float = 2.0) -> dict:
+    """sf's first columns (_Member), m2 and grad, once sf may enter a
+    functional: its supplied derivative agrees with finite differences, f
+    and f' lie in L^2(mu) on the grid and, for a power p other than 2, |f|^p
+    and |f'|^p stay below the largest double at every node (compared in log
+    space, so the check cannot overflow itself; their integrals then cannot
+    either, the node masses summing to 1).  So no functional of a display
+    integrating p overflows.  Refused by name otherwise."""
     if not sf.deriv_consistent:
         raise ValueError(f"member {sf.name} has a derivative that disagrees with its finite differences")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,7 +337,7 @@ def _admitted(mu: Measure1D, sf: SampledFunction, power: float = 2.0) -> _Member
                 f"member {sf.name} is not in L^{power:g}(mu) on the grid: "
                 f"max(|f|, |f'|)^{power:g} is e^{power * math.log(top):.6g}, past the largest double"
             )
-    return _Member(**{**vars(sf), "m2": m2, "grad": grad})
+    return {"m2": m2, "grad": grad}
 
 
 # -- scalar functionals ----------------------------------------------------------
@@ -451,6 +468,14 @@ def variance(mu: Measure1D, f) -> float:
 def _variance(mu: Measure1D, v: np.ndarray, m1: float) -> float:
     """int (f - m1)^2 dmu with m1 = int f dmu."""
     return float(mu.integrate((v - m1) ** 2))
+
+
+def _moments(mu: Measure1D, m: _Member):
+    """(int f dmu, Var f) of an admitted member, a column."""
+    if "moments" not in m.columns:
+        m1 = mu.integrate(m.values)
+        m.columns["moments"] = m1, _variance(mu, m.values, m1)
+    return m.columns["moments"]
 
 
 def median_of(mu: Measure1D, f) -> float:
@@ -623,7 +648,7 @@ def _ratio_table(
             continue
         lhs, var, energy, den, extra = _member_terms(terms, m)
         extras.append(extra)
-        classical = lhs if classical_lhs else _classical_entropy(mu, m)
+        classical = lhs if classical_lhs else _column(m, "classical", lambda: _classical_entropy(mu, m))
         rows.append(
             TestRow(
                 name=m.name,
@@ -633,7 +658,7 @@ def _ratio_table(
                 variance=var,
                 grad_energy=m.grad,
                 modified_energy=energy,
-                median_energy=_median_energy(mu, m.values),
+                median_energy=_column(m, "median_energy", lambda: _median_energy(mu, m.values)),
                 ratio=_ratio(lhs, den),
                 saturation=bool(m.grad > 0 and abs(classical / (2.0 * m.grad) - 1.0) <= _SATURATION_TOL),
             )
@@ -683,8 +708,7 @@ def verify_theorem_2_1(mu: Measure1D, F: EntropyFunction, cost: CostFunction, K:
         sq = v * v
         level = _level_entropy(F, v, sq, m2)
         lhs = _entropy(mu, sq, m2, level)
-        m1 = mu.integrate(v)
-        var = _variance(mu, v, m1)
+        m1, var = _moments(mu, m)
         integrand = _modified_integrand(m, sq, cost)
         full_energy = float(mu.integrate(integrand))
         restricted = _restricted_integral(mu, integrand, sq - K * m2)
@@ -734,7 +758,7 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
         v, m2 = m.values, m.m2
         sq = v * v
         energy = float(mu.integrate(_modified_integrand(m, sq, cost)))
-        return _entropy(mu, sq, m2, _level_entropy(F, v, sq, m2)), _variance(mu, v, mu.integrate(v)), energy, energy, None
+        return _entropy(mu, sq, m2, _level_entropy(F, v, sq, m2)), _moments(mu, m)[1], energy, energy, None
 
     rows, c_hat, _, stability = _ratio_table(mu, family, terms, enrich=True)
     return TestReport(
@@ -815,13 +839,14 @@ class Lemma33Report:
 
 
 def lemma_3_3_check(mu: Measure1D, F: EntropyFunction, f, g) -> Lemma33Report:
-    sf = _admitted(mu, _as_sampled(mu, f))
-    sg = _admitted(mu, _as_sampled(mu, g))
+    sf = _as_sampled(mu, f)
+    m2f = _admitted(mu, sf)["m2"]
+    sg = _as_sampled(mu, g)
+    m2g = _admitted(mu, sg)["m2"]
     vf = sf.values
     vg = sg.values
     if np.any(vf < 0) or np.any(vg < 0):
         raise ValueError("lemma_3_3_check requires nonnegative f and g")
-    m2f, m2g = sf.m2, sg.m2
     if not (m2f > 0 and m2g > 0):
         raise ValueError("f and g need nonvanishing second moments")
 
@@ -894,7 +919,7 @@ def lemma_3_4_check(mu: Measure1D, F: EntropyFunction, K: float, family: TestFam
 
         full = _entropy(mu, sq, m2, Fh)
         restricted = _restricted_integral(mu, integrand, sq - K * m2)
-        var = _variance(mu, v, mu.integrate(v))
+        var = _moments(mu, m)[1]
         margin1 = c_used * var + full - restricted
         scale1 = max(1.0, abs(full), c_used * var)
         ok1 = bool(margin1 >= -1e-9 * scale1)

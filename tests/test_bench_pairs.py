@@ -90,6 +90,15 @@ def test_record_has_the_keys_of_the_committed_records(tmp_path):
     json.dumps(out)  # a plain JSON document
 
 
+def test_record_names_how_the_change_tree_was_made():
+    runs = _runs([(100.0, 2.0), (101.0, 2.0)])
+    workloads = {"certify": bench.summarize(range(2), runs, runs, DIRECTIONS)}
+    copied = bench.record("abc1234", workloads, {}, None, BOUNDS, 10.0)
+    archived = bench.record("abc1234", workloads, {}, None, BOUNDS, 10.0, change_tree="a `git archive` of 1234abc")
+    assert "the change a copy of the working tree's tracked files" in copied["method"]
+    assert "the parent a `git archive` of abc1234, the change a `git archive` of 1234abc" in archived["method"]
+
+
 def test_a_median_past_its_bound_is_named():
     parent, change = _runs([(100.0, 2.0)] * 3), _runs([(70.0, 2.0)] * 3)
     text = bench.no_regression({"tables": bench.summarize(range(3), parent, change, DIRECTIONS)}, BOUNDS)

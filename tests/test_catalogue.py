@@ -4,8 +4,9 @@ perfbench/reference.json holds the expected outcome (exit code, verdicts,
 headline numbers) of every request a benchmark mix can produce.  This runs
 every `certify`, `tables` and `paper-examples` catalogue request and every
 8th `empirical` one in process, as perfbench/run.py does, and compares each
-outcome with the reference; the `certify` and `paper-examples` requests also
-run twice in one process, the second pass writing the first pass's bytes.
+outcome with the reference; the `certify` and `paper-examples` requests and
+the `empirical` ones outside its pooled slots also run twice in one process,
+the second pass writing the first pass's bytes.
 perfbench/mix.py and perfbench/reference.py are loaded by path and only
 read, as is tools/catalogue_digest.py, whose digest line is checked on one
 request and whose --rev export is checked on the `tables` workload."""
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import isocert.cli as cli
 from isocert.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,23 +54,35 @@ def test_catalogue_requests_match_the_reference(workload, tmp_path):
     assert not bad, "\n".join(bad)
 
 
+def _repeating(workload):
+    """The workload's catalogue requests that a benchmark loop repeats: all
+    but those of its pooled slots, whose `expr:` potentials never repeat."""
+    pooled = {argv for slot in mix._SLOTS[workload]() if isinstance(slot, mix.Pool) for argv in slot}
+    return [argv for argv in mix.catalogue(workload) if argv not in pooled]
+
+
 def test_warm_pass_writes_the_bytes_of_the_cold_pass(tmp_path):
-    """The second pass over the catalogues takes every cache-hit path (kept
-    measures, profiles, node profiles) that the benchmark's warm loop takes."""
-    argvs = mix.catalogue("certify") + mix.catalogue("paper-examples")
-    passes = []
-    for p in range(2):
-        outcomes = []
-        for i, argv in enumerate(argvs):
-            rundir = tmp_path / f"{p}-{i}"
-            rundir.mkdir()
-            rc = main(list(argv) + ["--out", reference.output_path(str(rundir), argv)])
-            outcomes.append((rc, {f.name: f.read_bytes() for f in sorted(rundir.iterdir())}))
-        passes.append(outcomes)
-    cold, warm = passes
-    assert all(files for _, files in cold)
-    for argv, a, b in zip(argvs, cold, warm):
-        assert a == b, " ".join(argv)
+    """Each workload's repeating requests run twice in one process that
+    starts the workload with no measure kept, as a benchmark run does.  The
+    second pass takes every cache-hit path (kept measures, profiles, node
+    profiles, members' columns) that the benchmark's warm loop takes, and
+    writes the first pass's bytes."""
+    for workload in ("certify", "paper-examples", "empirical"):
+        argvs = _repeating(workload)
+        cli._measure.cache_clear()
+        passes = []
+        for p in range(2):
+            outcomes = []
+            for i, argv in enumerate(argvs):
+                rundir = tmp_path / f"{workload}-{p}-{i}"
+                rundir.mkdir()
+                rc = main(list(argv) + ["--out", reference.output_path(str(rundir), argv)])
+                outcomes.append((rc, {f.name: f.read_bytes() for f in sorted(rundir.iterdir())}))
+            passes.append(outcomes)
+        cold, warm = passes
+        assert all(files for _, files in cold)
+        for argv, a, b in zip(argvs, cold, warm):
+            assert a == b, " ".join(argv)
 
 
 def test_digest_line_names_the_outcome_of_one_request():

@@ -1,0 +1,130 @@
+"""Metamorphic relations: exact symmetries of the problem hold the command
+line's numbers to each other without a closed form.
+
+Reflection x -> -x.  A measure e^{-V} and its mirror e^{-V(-x)} have the
+same `check` reports, the same `profile` tables (the tilde profile's u and v
+trading places as -v and -u), and the same `test` constants, the
+`exponential` family taking labels lam on V and -lam on V(-x) (its rows in
+reverse label order).  Neither measure below is symmetric, so each gets its
+own grid and the numbers agree to rounding only: each tolerance is the
+largest relative deviation measured over these cases times a margin.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from isocert.cli import main
+
+# (V, V(-x)) as `expr:` potentials, all convex, so power-beta takes them
+MIRRORS = [
+    ("x^2/2+abs(x)^3/3+x", "x^2/2+abs(x)^3/3-x"),
+    ("x^2/2+0.3*x^3/(1+x^2)", "x^2/2-0.3*x^3/(1+x^2)"),
+]
+N = ("--n", "4096")
+# measured 8.5e-14 relative (the sampled cost on the second pair); a margin of about 12
+CHECK_REL = 1e-12
+# measured 2.0e-14 relative (I_F), 1.9e-14 (s) and 3.6e-15 (tilde_I); a margin of about 10
+PROFILE_REL = 2e-13
+# measured 5.0e-16 of the largest |u| (or |v|): u and v are abscissae, which
+# cross 0, so they are compared on the scale of the support; a margin of 10
+QUANTILE_REL = 5e-15
+# measured 5.7e-14 relative (B16_hat on the second pair), 1.7e-14 on the rows; a margin of about 10
+TEST_REL = 6e-13
+
+
+def _run(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main(list(argv) + list(N) + ["--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _assert_close(a, b, rel, path=""):
+    """a and b have one shape; strings, bools and None are equal and numbers
+    are within rel of each other, relative to the larger magnitude."""
+    if isinstance(a, dict):
+        assert list(a) == list(b), path
+        for key in a:
+            _assert_close(a[key], b[key], rel, f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, rel, f"{path}[{i}]")
+    elif isinstance(a, float) and isinstance(b, float):
+        assert abs(a - b) <= rel * max(abs(a), abs(b)), (path, a, b)
+    else:
+        assert a == b, (path, a, b)
+
+
+def _table(text):
+    lines = text.splitlines()
+    return lines[0], np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+
+
+def _close_arrays(a, b, rel, scale=None):
+    """a == b or |a - b| <= rel * scale elementwise, scale the larger of |a|
+    and |b| by default."""
+    scale = np.maximum(np.abs(a), np.abs(b)) if scale is None else scale
+    return bool(np.all((a == b) | (np.abs(a - b) <= rel * scale)))
+
+
+@pytest.mark.parametrize("V, W", MIRRORS)
+@pytest.mark.parametrize("condition", [
+    ("--entropy", "ftau:0.5", "--cost", "c:1:3", "--delta", "0.5"),
+    ("--entropy", "log", "--cost", "quadratic:0.5"),
+    ("--entropy", "log", "--cost", "expr:x^2/2+x^4/4", "--K", "4"),
+], ids=["closed", "quadratic", "sampled"])
+def test_check_is_reflection_invariant(tmp_path, V, W, condition):
+    a, b = (json.loads(_run(tmp_path, ("check", "--measure", f"expr:{U}") + condition)) for U in (V, W))
+    assert (a.pop("measure"), b.pop("measure")) == (f"expr:{V}", f"expr:{W}")
+    _assert_close(a, b, CHECK_REL)
+
+
+@pytest.mark.parametrize("V, W", MIRRORS)
+def test_profiles_are_reflection_invariant(tmp_path, V, W):
+    head, a = _table(_run(tmp_path, ("profile", "--profile-kind", "tilde", "--measure", f"expr:{V}")))
+    _, b = _table(_run(tmp_path, ("profile", "--profile-kind", "tilde", "--measure", f"expr:{W}")))
+    assert head == "t,u,v,tilde_I"
+    assert np.array_equal(a[:, 0], b[:, 0])
+    for u, mirrored in ((a[:, 1], -b[:, 2]), (a[:, 2], -b[:, 1])):
+        assert _close_arrays(u, mirrored, QUANTILE_REL, scale=np.max(np.abs(u)))
+    assert _close_arrays(a[:, 3], b[:, 3], PROFILE_REL)
+    head, a = _table(_run(tmp_path, ("profile", "--profile-kind", "if", "--entropy", "log", "--measure", f"expr:{V}")))
+    _, b = _table(_run(tmp_path, ("profile", "--profile-kind", "if", "--entropy", "log", "--measure", f"expr:{W}")))
+    assert head == "r,s,I_F"
+    assert np.array_equal(a[:, 0], b[:, 0]) and np.array_equal(np.isinf(a), np.isinf(b))
+    assert _close_arrays(a[:, 1:], b[:, 1:], PROFILE_REL)
+
+
+def _mirrored(report):
+    """A `test` report of V(-x) with labels -lam, written as that of V with labels lam."""
+    rows, steps = report["rows"], report["details"].get("step1", [])
+    for items in (rows, steps):
+        items.reverse()
+        for item in items:
+            item["name"] = item["name"].replace("(-", "(")
+    for row in rows:
+        row["parameter"] = -row["parameter"]
+    return report
+
+
+@pytest.mark.parametrize("V, W", MIRRORS)
+@pytest.mark.parametrize("display", [
+    ("--display", "restricted"),
+    ("--display", "restricted", "--entropy", "ftau:0.75", "--cost", "c:1:3", "--K", "3"),
+    ("--display", "power-beta", "--alpha", "1.5"),
+], ids=["restricted", "restricted-ftau", "power-beta"])
+def test_exponential_family_mirrors_with_its_labels(tmp_path, V, W, display):
+    # the labels lam and -lam are distinct kept members of their measures, so
+    # the relation is checked on the cold requests and again on the warm ones
+    argvs = [
+        ("test", "--family", "exponential", "--measure", f"expr:{V}", "--params", "0.25,0.5,1") + display,
+        ("test", "--family", "exponential", "--measure", f"expr:{W}", "--params=-1,-0.5,-0.25") + display,
+    ]
+    cold = [_run(tmp_path, argv) for argv in argvs]
+    warm = [_run(tmp_path, argv) for argv in argvs]
+    assert warm == cold
+    a, b = json.loads(cold[0]), _mirrored(json.loads(cold[1]))
+    assert [row["name"] for row in b["rows"]] == ["exponential(0.25)", "exponential(0.5)", "exponential(1)"]
+    _assert_close(a, b, TEST_REL)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -507,6 +509,10 @@ _ENRICHED_FAMILIES = [
 
 
 def _verify(display, mu, family):
+    if display == "2.1":
+        return verify_theorem_2_1(mu, F_tau(0.75), CostFunction.closed_form(1.0, 3.0), 2.0, family)
+    if display == "2.1-log":
+        return verify_theorem_2_1(mu, tester.log_entropy(), CostFunction.closed_form(1.0, 2.0), 2.0, family)
     if display == "1.1":
         return verify_theorem_1_1(mu, 1.5, 0.9, 1.0, family)
     return verify_theorem_4_4(mu, 1.5, family)
@@ -551,6 +557,172 @@ class TestMemberEvaluation:
         # one members() call, and at most one table, for the family and its enrichment
         assert len(calls) == 1
         assert len(tables) == (0 if shared is None else 1)
+
+
+_KEPT_FAMILIES = [
+    TestFamily("exponential", (0.25, 0.5, 1.0)),
+    TestFamily("bump", (0.5, 1.0, 2.0)),
+    TestFamily("shifted_linear", (0.1, 0.2, 0.4)),
+    TestFamily("random_smooth", (0, 1, 2), seed=3),
+    TestFamily("stretched_exp", (0.25, 0.5, 1.0)),
+]
+_COLUMN_FUNCTIONS = ("_admitted", "_classical_entropy", "_median_energy", "_variance")
+
+
+class TestKeptColumns:
+    """A family member's measure-only columns are kept with the measure."""
+
+    @staticmethod
+    def _fresh():
+        return builtin_measure("exp_power", alpha=1.5, n=4096)
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = dict.fromkeys(_COLUMN_FUNCTIONS, 0)
+        for name in _COLUMN_FUNCTIONS:
+            fn = getattr(tester, name)
+            monkeypatch.setattr(tester, name, lambda *a, _n=name, _f=fn: calls.__setitem__(_n, calls[_n] + 1) or _f(*a))
+        return calls
+
+    @pytest.mark.parametrize("display", ["2.1", "2.1-log", "1.1", "4.4"])
+    @pytest.mark.parametrize("family", _KEPT_FAMILIES, ids=lambda fam: fam.kind)
+    def test_warm_rows_are_the_cold_rows(self, display, family, monkeypatch):
+        mu = self._fresh()
+        cold = cli._dump_json(_verify(display, mu, family))
+        # the family and, on 1.1 and 4.4, the members its enrichment adds
+        members = len(family.enriched().params if display in ("1.1", "4.4") else family.params)
+        assert len(mu.member_columns) == members
+        calls = self._count(monkeypatch)
+        for _ in range(2):
+            assert cli._dump_json(_verify(display, mu, family)) == cold
+        # warm requests read every column; 4.4 computes its Var |f|^{beta/2} per request
+        assert calls == {**dict.fromkeys(_COLUMN_FUNCTIONS, 0), "_variance": 2 * members if display == "4.4" else 0}
+        assert cli._dump_json(_verify(display, self._fresh(), family)) == cold
+
+    @pytest.mark.parametrize("entry", ["overflow", "L2", "power"])
+    def test_a_refused_member_is_refused_on_every_request_and_never_kept(self, entry):
+        mu = builtin_measure("gauss", n=4096)
+        if entry == "power":
+            # in L^2 (kept at power 2 by 2.1), but e^{30 x} cubed overflows at the grid's end
+            fam = TestFamily("exponential", (60.0,))
+            verify_theorem_2_1(mu, tester.log_entropy(), CostFunction.closed_form(1.0, 2.0), 2.0, fam)
+            request, match = (lambda: verify_theorem_4_4(mu, 1.5, fam)), r"exponential\(60\) is not in L\^3"
+        elif entry == "L2":
+            mu = build_measure(parse_potential("abs(x)^0.5"), n=4096)
+            fam = TestFamily("exponential", (0.5,))
+            request, match = (lambda: fam.members(mu)), r"exponential\(0\.5\) is not in L\^2"
+        else:
+            fam = TestFamily("exponential", (400.0,))
+            request, match = (lambda: fam.members(mu)), r"exponential\(400\) overflows"
+        kept = dict(mu.member_columns)
+        for _ in range(3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=match):
+                    request()
+            assert mu.member_columns == kept
+
+    def test_user_families_are_never_kept(self):
+        mu = self._fresh()
+        fam = _ENRICHED_FAMILIES[-1]
+        for display in ("2.1", "1.1", "4.4"):
+            _verify(display, mu, fam)
+        lemma_3_4_check(mu, tester.log_entropy(), 2.0, fam)
+        assert mu.member_columns == {}
+
+    @pytest.mark.parametrize("family, change", [
+        (TestFamily("bump", (0.5, 1.0)), {"floor": 1e-3}),
+        (TestFamily("shifted_linear", (0.1, 0.4)), {"floor": 1e-3}),
+        (TestFamily("random_smooth", (0, 1)), {"seed": 1}),
+        (TestFamily("random_smooth", (0, 1)), {"scale": 0.25}),
+        (TestFamily("stretched_exp", (0.25, 0.5)), {"exponent": 0.9}),
+        (TestFamily("stretched_exp", (0.25, 0.5)), {"smoothing": 0.1}),
+    ], ids=lambda c: c.kind if isinstance(c, TestFamily) else next(iter(c)))
+    def test_a_changed_setting_or_power_misses(self, family, change, monkeypatch):
+        mu = self._fresh()
+        family.members(mu)
+        calls = self._count(monkeypatch)
+        changed = dataclasses.replace(family, **change)
+        for fam, power in ((changed, 2.0), (family, 3.0)):
+            got = fam.members(mu, power=power)
+            want = fam.members(self._fresh(), power=power)
+            assert [_bits(m.m2) for m in got] == [_bits(m.m2) for m in want]
+        assert calls["_admitted"] == 2 * 2 * len(family.params)
+        assert len(mu.member_columns) == 3 * len(family.params)
+
+    def test_a_setting_the_kind_does_not_read_hits(self, monkeypatch):
+        mu = self._fresh()
+        TestFamily("exponential", (0.5, 1.0)).members(mu)
+        calls = self._count(monkeypatch)
+        TestFamily("exponential", (0.5, 1.0), floor=0.25, seed=9, scale=2.0, exponent=1.5, smoothing=1.0).members(mu)
+        assert calls["_admitted"] == 0 and len(mu.member_columns) == 2
+
+    @pytest.mark.parametrize("kind", ["exponential", "stretched_exp"])
+    def test_a_swapped_member_row_misses(self, kind, monkeypatch):
+        # exponential swaps its member function, stretched_exp its table function (the member function stays)
+        mu = self._fresh()
+        fam = TestFamily(kind, (0.5, 1.0))
+        m2 = [m.m2 for m in fam.members(mu)]
+        member, label, shared, reads = tester._MEMBERS[kind]
+
+        def doubled(fam, mu, lam, table):
+            vals, dvals, log_deriv = member(fam, mu, lam, table)
+            return 2.0 * vals, 2.0 * dvals, log_deriv
+
+        def doubled_table(fam, mu):
+            P, D = shared(fam, mu)
+            return 2.0 * P, 2.0 * D
+
+        row = (doubled, label, shared, reads) if shared is None else (member, label, doubled_table, reads)
+        with monkeypatch.context() as m:
+            m.setitem(tester._MEMBERS, kind, row)
+            swapped, want = ([x.m2 for x in fam.members(nu)] for nu in (mu, self._fresh()))
+        assert swapped == want and all(a != b for a, b in zip(swapped, m2))
+        calls = self._count(monkeypatch)
+        assert [x.m2 for x in fam.members(mu)] == m2 and calls["_admitted"] == 0
+        assert len(mu.member_columns) == 4
+
+    def test_threads_sharing_a_measure_get_cold_reports(self, monkeypatch):
+        monkeypatch.setattr(tester, "_KEPT_MEMBERS", 4)  # fewer than the members asked for, so threads also evict
+        families = [TestFamily("exponential", (lam, 2.0 * lam)) for lam in (0.25, 0.5, 1.0)] + _KEPT_FAMILIES[1:3]
+        want = [cli._dump_json(_verify("1.1", self._fresh(), fam)) for fam in families]
+        mu, bad = self._fresh(), []
+
+        def work(k):
+            try:
+                for i in range(12):
+                    j = (k + i) % len(families)
+                    if cli._dump_json(_verify("1.1", mu, families[j])) != want[j]:
+                        bad.append(j)
+            except Exception as exc:  # a lost eviction raises here
+                bad.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == [] and len(mu.member_columns) <= 4
+
+    def test_a_measure_keeps_its_last_members(self, monkeypatch):
+        monkeypatch.setattr(tester, "_KEPT_MEMBERS", 3)
+        mu = self._fresh()
+        assert mu.member_columns == {}
+        labels = (0.5, 0.25, 1.0, 2.0, 0.75)
+        for lam in labels:
+            TestFamily("exponential", (lam,)).members(mu)
+        assert [key[-1] for key in mu.member_columns] == list(labels[-3:])
+        TestFamily("exponential", (1.0,)).members(mu)  # a hit does not refresh the oldest
+        TestFamily("exponential", (3.0,)).members(mu)
+        assert [key[-1] for key in mu.member_columns] == [2.0, 0.75, 3.0]
+        assert all(set(c) == {"m2", "grad"} for c in mu.member_columns.values())
+        assert self._fresh().member_columns == {}
 
 
 def _reference_value_masses(mu, v):

@@ -4,12 +4,14 @@
         --seed-base 3001 --out BENCH_30.json
 
 Exports revision REV with `git archive` into one temporary directory and
-copies the working tree's tracked files (as they are on disk) into another,
-then runs `python3 perfbench/run.py --workload W --seed S --seconds S
---trace 0` in each, in alternation: pair i uses seed B + i and runs the
-parent first when i is even, the change first when it is odd.  Each run's
-last stdout line (perfbench's JSON summary) gives its end-to-end metrics and
-failed count, and its `health` line the machine and the host's steal share.
+copies the working tree's tracked files (as they are on disk) into another
+(or, with --change-rev C, exports C the same way: any tree-ish, such as
+`$(git write-tree)` for the index), then runs `python3 perfbench/run.py
+--workload W --seed S --seconds S --trace 0` in each, in alternation: pair
+i uses seed B + i and runs the parent first when i is even, the change
+first when it is odd.  Each run's last stdout line (perfbench's JSON
+summary) gives its end-to-end metrics and failed count, and its `health`
+line the machine and the host's steal share.
 
 It prints, per workload and end-to-end metric, the parent's and the
 change's medians, the parent's interquartile range (inclusive quartiles)
@@ -171,7 +173,8 @@ def machine_of(runs: list):
     return machine, max((s for s in steal if s is not None), default=None)
 
 
-def record(parent: str, workloads: dict, machine: dict, steal, bounds: dict, seconds: float, claim=None, trace=None) -> dict:
+def record(parent: str, workloads: dict, machine: dict, steal, bounds: dict, seconds: float, claim=None, trace=None,
+           change_tree="a copy of the working tree's tracked files") -> dict:
     """The BENCH_*.json record of the workloads (name -> summarize entry)."""
     seeds = "; ".join(f"{w} {e['seeds'][0]}-{e['seeds'][-1]} ({e['pairs']} pairs)" for w, e in workloads.items())
     return {
@@ -180,7 +183,7 @@ def record(parent: str, workloads: dict, machine: dict, steal, bounds: dict, sec
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "method": ("alternated parent/change pairs made by tools/bench_pairs.py (the parent runs first in even-numbered "
                    f"pairs, the change in odd ones), each side in its own copy of its tree (the parent a `git archive` of "
-                   f"{parent}, the change a copy of the working tree's tracked files); seeds {seeds}; medians and quartiles "
+                   f"{parent}, the change {change_tree}); seeds {seeds}; medians and quartiles "
                    "(inclusive method) over the runs; a win is a pair in which the change is better, ties count for neither; "
                    "timings scaled by perfbench's calibration kernel to a 5 ms reference host."),
         "claimed_gain": None if claim is None else claimed_gain(workloads, *claim),
@@ -228,6 +231,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed-base", type=int, required=True, help="pair i runs seed B + i, workload after workload")
     parser.add_argument("--out", help="write (or add the workloads to) this BENCH_*.json record")
     parser.add_argument("--claim", help="WORKLOAD:METRIC, the gain the record checks")
+    parser.add_argument("--change-rev", help="export the change side from this revision too, not the working tree")
     parser.add_argument("--trace-seconds", type=float, default=0.0, help="one --trace 1 run per side on the claimed workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -239,13 +243,18 @@ def main(argv=None) -> int:
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent = _git("rev-parse", "--short", args.rev).decode().strip()
+    change_tree = ("a copy of the working tree's tracked files" if args.change_rev is None
+                   else f"a `git archive` of {_git('rev-parse', '--short', args.change_rev).decode().strip()}")
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         for tree in trees.values():
             tree.mkdir()
         export_rev(args.rev, trees["parent"])
-        copy_tracked(trees["change"])
+        if args.change_rev is None:
+            copy_tracked(trees["change"])
+        else:
+            export_rev(args.change_rev, trees["change"])
         workloads, runs, seed = {}, [], args.seed_base
         for workload in args.workload:
             sides = {"parent": [], "change": []}
@@ -267,7 +276,7 @@ def main(argv=None) -> int:
     machine, steal = machine_of(runs)
     if args.out is not None:
         workloads, steal, claim, trace = merged(Path(args.out), parent, workloads, steal, claim, trace)
-    out = record(parent, workloads, machine, steal, bounds, args.seconds, claim, trace)
+    out = record(parent, workloads, machine, steal, bounds, args.seconds, claim, trace, change_tree)
     if args.out is not None:
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     if out["claimed_gain"] is not None:
