@@ -28,12 +28,14 @@ its last 4 node layouts (K, t_min, --n-per-decade), and the checker keeps
 the nodes and weights of its last 8 layouts, so `check` and `certify` on a
 repeated measure and layout sample the profile and lay out the nodes once.
 A kept measure also keeps the measure-only scalars of its last 64 family
-members (tester.TestFamily.members).  Reports are never kept: every request
-computes its own.  The argument parser is built once per subcommand.  JSON
-and CSV are each written by one writer; the JSON writer, in one pass,
-writes each exact type with the writer one isinstance chain picked for it
-once per process, and a CSV body is one %-format over the cells flattened
-in row order.
+members (tester.TestFamily.members), display 4.4's three terms per beta
+(power_terms) among them.  Reports are never kept: every request computes
+its own, and a one-request process or a one-off `expr:` measure gains
+nothing from what is kept.  The argument parser is built once per
+subcommand.  JSON and CSV are each written by one writer; the JSON writer,
+in one pass, writes each exact type with the writer one isinstance chain
+picked for it once per process, and a CSV body is one %-format over the
+cells flattened in row order.
 
 An `expr:` measure or entropy is named in reports `expr:` plus its text as
 given.  A flag value may start with `-` (`--support -5:5`,

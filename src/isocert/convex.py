@@ -242,7 +242,7 @@ def check_condition_H(c, ks):
     convex cost with c(0) = 0 vanishes only at 0).
     """
     ks = np.asarray(ks, dtype=float)
-    if np.any(ks <= 0):
+    if not np.all(ks > 0):
         raise ValueError("ks must be positive")
     x_range = (1e-3, 1e3)
     x = np.geomspace(*x_range, 4096)

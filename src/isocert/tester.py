@@ -15,7 +15,9 @@ otherwise: `TestFamily.members` returns admitted members only, and
 `lemma_3_3_check` admits its f and g.  The functionals take members as
 SampledFunctions on the measure's own grid.  An admitted member carries its
 measure-only scalars (_Member), which the ratio engine and the lemmas read
-instead of recomputing them, and are kept with the measure (members()).
+instead of recomputing them, and are kept with the measure (members()):
+display 4.4's three terms among them, keyed by the beta its members are
+admitted at.  A one-request process or a one-off measure reads none back.
 
 Every entropy reported here comes from one pair: the level table
 F(f^2 / mu(f^2)) of `_level_entropy` (F of the whole table unless a level
@@ -295,8 +297,10 @@ class _Member(SampledFunction):
     the ratio engine and the lemmas read: m2 = int f^2 dmu and
     grad = int f'^2 dmu.  columns holds them with the member's other
     measure-only scalars, each computed when first read (_column): "moments"
-    (int f dmu, Var f), "median_energy" and "classical".  f^2 itself is not
-    kept: a family's members are all alive at once."""
+    (int f dmu, Var f), "median_energy", "classical" and display 4.4's
+    "power_terms" (Ent |f|^beta, int |f'|^beta dmu, Var |f|^{beta/2}), whose
+    beta is the power the member was admitted at (members() keys by it).
+    f^2 itself is not kept: a family's members are all alive at once."""
 
     m2: float = math.nan
     grad: float = math.nan
@@ -394,7 +398,7 @@ def _entropy(mu: Measure1D, sq: np.ndarray, m2: float, level: np.ndarray) -> flo
 def cost_energy(mu: Measure1D, f, p: float) -> float:
     """Energy of the gradient alone: int |f'|^p dmu for an exponent p > 0."""
     p = float(p)
-    if p <= 0:
+    if not p > 0:
         raise ValueError("gradient exponent must be positive")
     return float(mu.integrate(np.abs(_as_sampled(mu, f).dvalues) ** p))
 
@@ -780,7 +784,9 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
     Ent |f|^beta is the entropy of (|f|^{beta/2})^2 under the one rule of
     _entropy: an |Ent| at or below 1e-10 of int |f|^beta dmu counts as 0, so
     a constant member gets a NaN ratio rather than an infinite constant, and
-    a member that vanishes on the grid is refused."""
+    a member that vanishes on the grid is refused.  A member's three terms
+    depend on mu, the member and beta only, so they are its "power_terms"
+    column (_Member), computed on the first request that reads them."""
     if not mu.log_concave:
         raise ValueError("refused: measure is not log-concave")
     if not alpha > 1.0:
@@ -800,7 +806,7 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
     if eps_used is None:
         raise ValueError("could not verify int e^{eps|x|^alpha} dmu finite on the grid")
 
-    def terms(m):
+    def power_terms(m):
         v = np.abs(m.values)
         g = v**beta
         mg = mu.integrate(g)
@@ -808,6 +814,11 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
         rhs_grad = cost_energy(mu, m, beta)
         half = v ** (0.5 * beta)
         rhs_var = _variance(mu, half, mu.integrate(half))
+        return lhs, rhs_var, rhs_grad
+
+    def terms(m):
+        # members() keys m's columns by power = beta, so the column is this beta's
+        lhs, rhs_var, rhs_grad = _column(m, "power_terms", lambda: power_terms(m))
         return lhs, rhs_var, rhs_grad, rhs_grad + rhs_var, None
 
     rows, c_hat, _, stability = _ratio_table(mu, family, terms, power=beta, enrich=True)

@@ -1,46 +1,69 @@
 """Shared fixtures: the builtin measures are immutable, so build each once."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-import isocert.checker as checker
-import isocert.cli as cli
-import isocert.entropy as entropy
+import isocert
 from isocert.entropy import F_tau, log_entropy
 from isocert.measure1d import builtin_measure
 
 
+def module_caches():
+    """{"module.name": cache} for every module-level cache of the isocert
+    modules: an object with cache_clear (not a class) defined in the module
+    that holds it, so a cache imported elsewhere is named once."""
+    caches = {}
+    for info in pkgutil.iter_modules(isocert.__path__):
+        module = importlib.import_module(f"isocert.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and not isinstance(obj, type) and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = obj
+    return caches
+
+
+_CACHES = module_caches()
+_SHARED_MEASURES = []  # the session fixtures' measures, whose kept columns and profiles each test empties
+
+
+def _shared(mu):
+    _SHARED_MEASURES.append(mu)
+    return mu
+
+
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    """Every test starts with empty measure, parser, profile, cost and node
-    layout caches, so each sees its own builds and its own A1-A4 samples."""
-    cli._measure.cache_clear()
-    cli._parser.cache_clear()
-    cli._expr_entropy.cache_clear()
-    cli._expr_cost.cache_clear()
-    checker._layout.cache_clear()
-    entropy.log_entropy.cache_clear()
-    entropy._F_tau_over_log.cache_clear()
+    """Every test starts with empty module caches (measures, parsers,
+    profiles, costs, node layouts) and with no node profile or member column
+    kept on the session measures, so each sees its own builds and its own
+    A1-A4 samples."""
+    for cache in _CACHES.values():
+        cache.cache_clear()
+    for mu in _SHARED_MEASURES:
+        mu.node_profiles.clear()
+        mu.member_columns.clear()
 
 
 @pytest.fixture(scope="session")
 def gauss():
-    return builtin_measure("gauss")
+    return _shared(builtin_measure("gauss"))
 
 
 @pytest.fixture(scope="session")
 def exp_measure():
-    return builtin_measure("exp")
+    return _shared(builtin_measure("exp"))
 
 
 @pytest.fixture(scope="session")
 def loglog():
-    return builtin_measure("loglog")
+    return _shared(builtin_measure("loglog"))
 
 
 @pytest.fixture(scope="session")
 def exp_power_15():
-    return builtin_measure("exp_power", alpha=1.5)
+    return _shared(builtin_measure("exp_power", alpha=1.5))
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +79,7 @@ def F_half():
 @pytest.fixture(scope="session")
 def gauss_wide_uniform():
     """Uniform grid wide enough that Gaussian tail truncation is negligible."""
-    return builtin_measure("gauss", n=4001, support=(-12.0, 12.0), grid_kind="uniform")
+    return _shared(builtin_measure("gauss", n=4001, support=(-12.0, 12.0), grid_kind="uniform"))
 
 
 def exp_member(mu, lam):

@@ -29,6 +29,8 @@ from isocert.entropy import log_entropy
 from isocert.measure1d import builtin_measure
 from isocert.tester import TestFamily, verify_theorem_4_4
 
+from conftest import module_caches
+
 
 def read_text(path):
     return path.read_bytes().decode("utf-8")
@@ -631,6 +633,18 @@ class TestPaperExamplesCommand:
 
 
 class TestMeasureCache:
+    def test_every_test_starts_with_empty_caches(self, gauss):
+        caches = module_caches()
+        assert set(caches) >= {
+            "cli._measure", "cli._parser", "cli._expr_entropy", "cli._expr_cost",
+            "checker._layout", "entropy.log_entropy", "entropy._F_tau_over_log",
+        }
+        assert len(cli._measure) == 0
+        assert all(cache.cache_info().currsize == 0 for name, cache in caches.items() if name != "cli._measure")
+        assert gauss.member_columns == {} and gauss.node_profiles == {}
+        TestFamily("exponential", (1.0,)).members(gauss)  # emptied again before the next test
+        assert len(gauss.member_columns) == 1
+
     @staticmethod
     def _count_builds(monkeypatch):
         builds = []

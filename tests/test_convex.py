@@ -196,6 +196,12 @@ class TestGrowthDiagnostics:
         with pytest.raises(ValueError):
             check_condition_H(CostFunction.closed_form(1.0, 2.0), [0.0, 1.0])
 
+    @pytest.mark.parametrize("ks", [[2.0, np.nan], [np.nan]])
+    def test_rejects_a_nan_k(self, ks):
+        # a NaN k is neither <= 0 nor > 0, so only `not k > 0` refuses it before it reaches a ratio
+        with pytest.raises(ValueError, match="ks must be positive"):
+            check_condition_H(CostFunction.closed_form(1.0, 2.0), ks)
+
 
 class TestSampledCosts:
     def test_extrapolation_flag(self):

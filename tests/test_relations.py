@@ -8,6 +8,13 @@ trading places as -v and -u), and the same `test` constants, the
 reverse label order).  Neither measure below is symmetric, so each gets its
 own grid and the numbers agree to rounding only: each tolerance is the
 largest relative deviation measured over these cases times a margin.
+
+Translation x -> x + s.  `check` reads the same integral on V(x - 1),
+V(x + 1) and V(x), each on its own grid.  Scaling x -> 2x.  The measure
+x^2/8 is the Gaussian stretched by 2, and its member e^{lam x/2} is the
+Gaussian's e^{lam y} at y = x/2: same entropy, a quarter of the quadratic
+energy, so `test` reads 4 times the Gaussian's C_hat.  Young's inequality.
+A `conjugate` table c* satisfies c(x) + c*(y) >= xy for every x, y >= 0.
 """
 
 import json
@@ -15,7 +22,8 @@ import json
 import numpy as np
 import pytest
 
-from isocert.cli import main
+from isocert.cli import RunConfig, _build_cost, main
+from isocert.convex import eval_cost
 
 # (V, V(-x)) as `expr:` potentials, all convex, so power-beta takes them
 MIRRORS = [
@@ -32,11 +40,15 @@ PROFILE_REL = 2e-13
 QUANTILE_REL = 5e-15
 # measured 5.7e-14 relative (B16_hat on the second pair), 1.7e-14 on the rows; a margin of about 10
 TEST_REL = 6e-13
+# measured 3.4e-8 relative (the shifted grids against the centred one, at the default --n); a margin of about 3
+TRANSLATION_REL = 1e-7
+# measured -5.6e-17 relative to max(1, xy) (the sampled cost); a margin of about 18
+YOUNG_REL = 1e-15
 
 
-def _run(tmp_path, argv):
+def _run(tmp_path, argv, n=N):
     out = tmp_path / "out.json"
-    assert main(list(argv) + list(N) + ["--out", str(out)]) == 0
+    assert main(list(argv) + list(n) + ["--out", str(out)]) == 0
     return out.read_text()
 
 
@@ -128,3 +140,36 @@ def test_exponential_family_mirrors_with_its_labels(tmp_path, V, W, display):
     a, b = json.loads(cold[0]), _mirrored(json.loads(cold[1]))
     assert [row["name"] for row in b["rows"]] == ["exponential(0.25)", "exponential(0.5)", "exponential(1)"]
     _assert_close(a, b, TEST_REL)
+
+
+def test_check_is_translation_invariant(tmp_path):
+    condition = ("--entropy", "ftau:0.5", "--cost", "c:1:3", "--delta", "0.5")
+    left, right, centred = (
+        json.loads(_run(tmp_path, ("check", "--measure", f"expr:{V}") + condition, n=()))["log10_integral_estimate"]
+        for V in ("(x-1)^2/2", "(x+1)^2/2", "x^2/2")
+    )
+    # the two shifts mirror each other, so they agree exactly; the centred grid differs by quadrature only
+    assert left == right
+    assert abs(left - centred) <= TRANSLATION_REL * abs(centred)
+
+
+def test_stretching_the_gaussian_scales_C_hat_by_4(tmp_path):
+    # the grid of x^2/8 is exactly twice the Gaussian's and the members stay
+    # in the quadratic cost's range, so the relation holds to the last bit
+    family = ("test", "--family", "exponential")
+    stretched = json.loads(_run(tmp_path, family + ("--measure", "expr:x^2/8", "--params", "0.5,1")))
+    gauss = json.loads(_run(tmp_path, family + ("--measure", "gauss", "--params", "1,2")))
+    assert stretched["C_hat"] == 4.0 * gauss["C_hat"]
+
+
+@pytest.mark.parametrize("cost", ["quadratic", "c:1:3", "c:2:4", "expr:x^2/2+x^3/3"])
+def test_conjugate_tables_satisfy_youngs_inequality(tmp_path, cost):
+    head, table = _table(_run(tmp_path, ("conjugate", "--cost", cost), n=()))
+    assert head == "x,c_star"
+    y, c_star = table[:, 0], table[:, 1]
+    # the table's own abscissae, the sampled cost's knots and a log-spaced range
+    x = np.concatenate((y, np.linspace(0.0, 100.0, 4097), np.geomspace(1e-3, 100.0, 3001)))
+    c = np.asarray(eval_cost(_build_cost(RunConfig(cost=cost))[0], x), dtype=float)
+    for rows in np.array_split(np.arange(x.size), 16):  # about 9 MB of pairs at a time
+        xy = np.outer(x[rows], y)
+        assert np.all(c[rows, None] + c_star[None, :] - xy >= -YOUNG_REL * np.maximum(1.0, xy))

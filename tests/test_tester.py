@@ -48,6 +48,11 @@ class TestFunctionals:
         v = variance(gauss, exp_member(gauss, 1.0))
         assert v == pytest.approx(0.3646958540123868, rel=1e-5)
 
+    @pytest.mark.parametrize("p", [-1.0, 0.0, np.nan])
+    def test_cost_energy_refuses_an_exponent_that_is_not_positive(self, gauss, p):
+        with pytest.raises(ValueError, match="gradient exponent must be positive"):
+            tester.cost_energy(gauss, exp_member(gauss, 0.5), p)
+
     def test_median_of_monotone_function(self, gauss):
         assert median_of(gauss, exp_member(gauss, 1.0)) == pytest.approx(1.0, abs=1e-9)
 
@@ -566,7 +571,8 @@ _KEPT_FAMILIES = [
     TestFamily("random_smooth", (0, 1, 2), seed=3),
     TestFamily("stretched_exp", (0.25, 0.5, 1.0)),
 ]
-_COLUMN_FUNCTIONS = ("_admitted", "_classical_entropy", "_median_energy", "_variance")
+# the functions that compute columns, and the two that display 4.4's column reads
+_COLUMN_FUNCTIONS = ("_admitted", "_classical_entropy", "_median_energy", "_variance", "cost_energy", "_entropy")
 
 
 class TestKeptColumns:
@@ -595,9 +601,42 @@ class TestKeptColumns:
         calls = self._count(monkeypatch)
         for _ in range(2):
             assert cli._dump_json(_verify(display, mu, family)) == cold
-        # warm requests read every column; 4.4 computes its Var |f|^{beta/2} per request
-        assert calls == {**dict.fromkeys(_COLUMN_FUNCTIONS, 0), "_variance": 2 * members if display == "4.4" else 0}
+        # warm requests read every column; 2.1 and 1.1 compute their F-entropy per request
+        assert calls == {**dict.fromkeys(_COLUMN_FUNCTIONS, 0), "_entropy": 0 if display == "4.4" else 2 * members}
         assert cli._dump_json(_verify(display, self._fresh(), family)) == cold
+
+    @pytest.mark.parametrize("family", _KEPT_FAMILIES, ids=lambda fam: fam.kind)
+    def test_a_changed_alpha_misses_the_power_column(self, family, monkeypatch):
+        mu = self._fresh()
+        verify_theorem_4_4(mu, 1.5, family)
+        members = len(family.enriched().params)
+        calls = self._count(monkeypatch)
+        # beta = 5 against beta = 3: every member is admitted and its column computed anew
+        want = cli._dump_json(verify_theorem_4_4(self._fresh(), 1.25, family))
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli._dump_json(verify_theorem_4_4(mu, 1.25, family)) == want
+        assert calls["_admitted"] == calls["cost_energy"] == members
+        assert len(mu.member_columns) == 2 * members
+        calls.update(dict.fromkeys(calls, 0))
+        verify_theorem_4_4(mu, 1.5, family)
+        assert set(calls.values()) == {0}
+
+    @pytest.mark.parametrize("order", [("4.4", "2.1", "1.1"), ("2.1", "1.1", "4.4")], ids=["4.4-first", "4.4-last"])
+    @pytest.mark.parametrize("family", _KEPT_FAMILIES, ids=lambda fam: fam.kind)
+    def test_alpha_2_shares_its_members_with_the_power_2_displays(self, family, order):
+        # beta = 2 is the power 2.1 and 1.1 admit at, so all three displays read one key per member
+        def verify(display, mu):
+            if display == "4.4":
+                return verify_theorem_4_4(mu, 2.0, family)
+            return _verify(display, mu, family)
+
+        fresh = lambda: builtin_measure("gauss", n=4096)
+        want = {display: cli._dump_json(verify(display, fresh())) for display in order}
+        mu = fresh()
+        for _ in range(2):
+            assert {display: cli._dump_json(verify(display, mu)) for display in order} == want
+        assert len(mu.member_columns) == len(family.enriched().params)
+        assert all({"m2", "grad", "power_terms", "moments"} <= set(c) for c in mu.member_columns.values())
 
     @pytest.mark.parametrize("entry", ["overflow", "L2", "power"])
     def test_a_refused_member_is_refused_on_every_request_and_never_kept(self, entry):
