@@ -42,6 +42,7 @@ verify_growth_condition.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -211,14 +212,15 @@ def check_condition(spec, n_per_decade=256):
 def _classify(spec, H, S, log_partials, partials, t_edges, flags):
     """The report of spec: H is log Phi and S is s at the last three decade
     ends, log_partials and partials are the per-decade sums."""
+    edges = t_edges.tolist()
     decades = tuple(
         {
-            "t_lo": float(t_edges[i + 1]),
-            "t_hi": float(t_edges[i]),
-            "partial_sum": float(ps) if np.isfinite(ps) else None,
-            "log10_partial_sum": float(lp / _LN10),
+            "t_lo": edges[i + 1],
+            "t_hi": edges[i],
+            "partial_sum": ps if math.isfinite(ps) else None,
+            "log10_partial_sum": lp / _LN10,
         }
-        for i, (lp, ps) in enumerate(zip(log_partials, partials))
+        for i, (lp, ps) in enumerate(zip(log_partials.tolist(), partials.tolist()))
     )
     log_total = _logsumexp(log_partials)
     with np.errstate(over="ignore"):

@@ -29,9 +29,13 @@ the nodes and weights of its last 8 layouts, so `check` and `certify` on a
 repeated measure and layout sample the profile and lay out the nodes once.
 A kept measure also keeps the measure-only scalars of its last 64 family
 members (tester.TestFamily.members), display 4.4's three terms per beta
-(power_terms) among them.  Reports are never kept: every request computes
-its own, and a one-request process or a one-off `expr:` measure gains
-nothing from what is kept.  The argument parser is built once per
+(power_terms) among them, and display 4.4's eps_used for its last 8
+alphas.  A kept member's tables are built, and checked finite, only when
+a display reads them, so a warm display 4.4 request builds no member
+table and runs no eps sweep; displays 2.1 and 1.1 build the tables on
+every request.  Reports are never kept: every request computes its own,
+and a one-request process or a one-off `expr:` measure gains nothing from
+what is kept.  The argument parser is built once per
 subcommand.  JSON and CSV are each written by one writer; the JSON writer,
 in one pass, writes each exact type with the writer one isinstance chain
 picked for it once per process, and a CSV body is one %-format over the

@@ -123,10 +123,14 @@ class Measure1D:
     accurate in its own end down to TRUST_TAIL; density_at evaluates the
     density exactly from the potential rather than by interpolation.  The
     tables are read-only, so one built measure can serve many requests.
-    node_profiles holds the checker's read-only node profiles of this
-    measure, one per node layout (see checker._node_profile), and
-    member_columns the tester's family-member scalars (TestFamily.members);
-    both are filled by _kept and freed with the measure.
+    cut_ends says, for the left and the right end of truncation, whether
+    build_measure cut an infinite support side there (rather than taking a
+    finite end of the support).  node_profiles holds the checker's read-only
+    node profiles of this measure, one per node layout (see
+    checker._node_profile), member_columns the tester's family-member scalars
+    (TestFamily.members) and eps_used display 4.4's integrability sweep, one
+    eps per alpha (tester.verify_theorem_4_4); all three are filled by _kept
+    and freed with the measure.
     """
 
     grid: np.ndarray
@@ -140,11 +144,13 @@ class Measure1D:
     v_min: float
     median: float
     truncation: tuple
+    cut_ends: tuple
     log_concave: bool
     potential_fn: Callable
     name: str = "measure"
     node_profiles: dict = field(default_factory=dict, init=False, repr=False)
     member_columns: dict = field(default_factory=dict, init=False, repr=False)
+    eps_used: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- pointwise evaluations ------------------------------------------------
     def potential_at(self, x):
@@ -402,6 +408,7 @@ def build_measure(
         v_min=v_min,
         median=float(np.interp(0.5, cdf, grid)),
         truncation=(float(lo), float(hi)),
+        cut_ends=(not np.isfinite(a), not np.isfinite(b)),
         log_concave=bool(log_concave),
         potential_fn=potential,
         name=name,

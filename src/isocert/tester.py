@@ -17,7 +17,11 @@ SampledFunctions on the measure's own grid.  An admitted member carries its
 measure-only scalars (_Member), which the ratio engine and the lemmas read
 instead of recomputing them, and are kept with the measure (members()):
 display 4.4's three terms among them, keyed by the beta its members are
-admitted at.  A one-request process or a one-off measure reads none back.
+admitted at.  A kept member's tables are built only when a display first
+reads them, and are checked finite whenever they are built; display 4.4's
+eps is kept with the measure too, per alpha (verify_theorem_4_4).  So a
+warm display 4.4 request builds no member table and runs no eps sweep.  A
+one-request process or a one-off measure reads none of it back.
 
 Every entropy reported here comes from one pair: the level table
 F(f^2 / mu(f^2)) of `_level_entropy` (F of the whole table unless a level
@@ -43,14 +47,16 @@ Family members are evaluated independently and reduced in label order, so
 reports are deterministic.  A family kind is one row of `_MEMBERS`: its
 member builder, its label type, the table its members read that no label
 changes (random_smooth's cos and sin rows, stretched_exp's lam-free powers),
-built once per `members()` call, for the family and its enrichment together,
-and not kept (only the members' scalar columns are), and the TestFamily
-settings those two read.  The median sorts a member's values only when they
-are not already nondecreasing and sums tied masses only when there are ties.
+built at most once per `members()` call, on its first read, for the family
+and its enrichment together, and not kept (only the members' scalar columns
+are), and the TestFamily settings those two read.  The median sorts a
+member's values only when they are not already nondecreasing and sums tied
+masses only when there are ties.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
@@ -238,35 +244,52 @@ class TestFamily:
         """Materialize the family on the measure grid, in label order; each
         member is admitted (_admitted, with the power the display integrates)
         or refused by name.  A member is named kind(p), with p in %g form for
-        a float label and as given otherwise.  The table the kind's members
-        share (_MEMBERS) is built once per call, read-only, and not kept.
-        An admitted member's columns are kept in mu.member_columns, keyed by
-        the _MEMBERS row itself, the settings it reads, power and the label,
-        so a kept member is not admitted again; refused members and user
-        families are never kept."""
+        a float label and as given otherwise.  An admitted member's columns
+        are kept in mu.member_columns, keyed by the _MEMBERS row itself, the
+        settings it reads, power and the label, so a kept member is not
+        admitted again; refused members and user families are never kept.
+        A member not kept yet has its tables built, checked finite and
+        admitted here; a kept one gets its tables from the same builder when
+        a display first reads them (_Member), checked finite again, and none
+        if no display does.  The table the kind's members share (_MEMBERS)
+        is built at most once per call, on the first member build, read-only,
+        and not kept."""
         member, label, shared, reads = row = _MEMBERS.get(self.kind, (None,) * 4)
         settings = tuple(getattr(self, name) for name in reads or ())
-        with np.errstate(over="ignore"):  # an overflowing member is refused by name below
-            table = None if shared is None else shared(self, mu)
-        for part in table or ():
-            if isinstance(part, np.ndarray):
-                part.flags.writeable = False
+        kept = {} if member is None else mu.member_columns
+
+        @functools.cache
+        def table():
+            with np.errstate(over="ignore"):  # an overflowing member is refused by name in build
+                parts = shared(self, mu)
+            for part in parts:
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            return parts
+
+        def build(p, name):
+            with np.errstate(over="ignore"):  # caught by the finiteness gate below
+                vals, dvals, log_deriv = member(self, mu, p, None if shared is None else table())
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"family member {name} overflows on the measure grid")
+            return vals, dvals, log_deriv
+
         out = []
         for i, p in enumerate(self._ordered_params()):
             name = f"{self.kind}({p:g})" if label is float else f"{self.kind}({p})"
+            key = (row, settings, power, p)
+            columns = kept.get(key)
+            if columns is not None:
+                out.append(_Member(mu.grid, name, columns, functools.partial(build, p, name)))
+                continue
             if member is None:
                 fn = self.user_fns[i]
                 f, df = fn if isinstance(fn, tuple) else (fn, None)
                 sf = SampledFunction.from_callable(mu, f, dfn=df, name=name)
             else:
-                with np.errstate(over="ignore"):  # caught by the finiteness gate below
-                    vals, dvals, log_deriv = member(self, mu, p, table)
-                sf = SampledFunction(grid=mu.grid, values=vals, dvalues=dvals, log_deriv=log_deriv, name=name)
-            if not np.all(np.isfinite(sf.values)):
-                raise ValueError(f"family member {sf.name} overflows on the measure grid")
-            kept = {} if member is None else mu.member_columns
-            c = _kept(kept, (row, settings, power, p), lambda: _admitted(mu, sf, power), _KEPT_MEMBERS)
-            out.append(_Member(**vars(sf), m2=c["m2"], grad=c["grad"], columns=c))
+                sf = SampledFunction(mu.grid, *build(p, name), name=name)
+            columns = _kept(kept, key, lambda: _admitted(mu, sf, power), _KEPT_MEMBERS)
+            out.append(_Member(mu.grid, name, columns, tables=(sf.values, sf.dvalues, sf.log_deriv)))
         return out
 
     def enriched(self):
@@ -291,7 +314,6 @@ def _as_sampled(mu: Measure1D, f: SampledFunction) -> SampledFunction:
     return f
 
 
-@dataclass(frozen=True, eq=False)
 class _Member(SampledFunction):
     """An admitted member with the integrals its admission computed, which
     the ratio engine and the lemmas read: m2 = int f^2 dmu and
@@ -300,11 +322,29 @@ class _Member(SampledFunction):
     (int f dmu, Var f), "median_energy", "classical" and display 4.4's
     "power_terms" (Ent |f|^beta, int |f'|^beta dmu, Var |f|^{beta/2}), whose
     beta is the power the member was admitted at (members() keys by it).
-    f^2 itself is not kept: a family's members are all alive at once."""
 
-    m2: float = math.nan
-    grad: float = math.nan
-    columns: dict = field(default_factory=dict)
+    Its tables (values, dvalues, log_deriv) are given, when members() has
+    just built them to admit the member, or built by build() when one is
+    first read: a kept member's, from the same member builder and shared
+    table as its cold build, so bit-identical to it, and checked finite
+    again.  They are held by this member alone, never kept; a warm display
+    4.4 request reads only columns and builds none.  f^2 itself is not
+    kept: a family's members are all alive at once."""
+
+    def __init__(self, grid, name, columns, build=None, tables=None):
+        for key, value in (("grid", grid), ("name", name), ("columns", columns), ("_build", build), ("_tables", tables)):
+            object.__setattr__(self, key, value)  # SampledFunction is frozen
+
+    def _table(self, i):
+        if self._tables is None:
+            object.__setattr__(self, "_tables", self._build())
+        return self._tables[i]
+
+    values = property(lambda self: self._table(0))
+    dvalues = property(lambda self: self._table(1))
+    log_deriv = property(lambda self: self._table(2))
+    m2 = property(lambda self: self.columns["m2"])
+    grad = property(lambda self: self.columns["grad"])
 
 
 def _column(m: _Member, name: str, compute):
@@ -774,19 +814,66 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
     )
 
 
+_KEPT_ALPHAS = 8  # display 4.4 sweeps a measure keeps; the oldest alpha goes first
+_FAR_REACH = 1e150  # outermost |x| of the far-field walk past a cut
+
+
+def _integrability_eps(mu: Measure1D, alpha: float) -> float:
+    """The first eps of 0.05, 0.1, 0.2 for which int e^{eps |x|^alpha} dmu is
+    verified finite, refused otherwise.  On the grid the sum must be finite
+    with at most 1e-8 of it in the four nodes at either end.  The grid ends
+    at the cuts, where e^{eps |x|^alpha - V} can still be tiny although its
+    integral on the line is infinite, so past each end that build_measure
+    cut (mu.cut_ends), W = V - eps |x|^alpha is walked outwards at doubling
+    steps (at cut * 2^k when |cut| >= 1) out to |x| <= 1e150 and must never
+    fall below W(cut).  The walk stops at the first W that is not finite
+    (V or |x|^alpha overflowing).  An exponent gap below about 0.01 crosses
+    only past 1e150, so it goes unseen."""
+    walks = []
+    for x, side, cut in zip(mu.truncation, (-1.0, 1.0), mu.cut_ends):
+        if cut:
+            scale = max(abs(x), 1.0)
+            steps = 2.0 ** np.arange(int(math.log2(_FAR_REACH / scale)) + 1) - 1.0  # 0, 1, 3, 7, ...
+            walks.append(x + side * scale * steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = [(mu.potential_at(xs), np.abs(xs) ** alpha) for xs in walks]
+    for eps in (0.05, 0.1, 0.2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            contrib = mu.node_mass * np.exp(eps * np.abs(mu.grid) ** alpha)
+            far_ok = all(_stays_above_start(V - eps * P) for V, P in far)
+        total = float(np.sum(contrib))
+        edge = float(np.sum(contrib[:4]) + np.sum(contrib[-4:]))
+        if np.isfinite(total) and edge <= 1e-8 * total and far_ok:
+            return eps
+    raise ValueError("could not verify int e^{eps|x|^alpha} dmu finite on the grid and past its cuts")
+
+
+def _stays_above_start(W: np.ndarray) -> bool:
+    """W[k] >= W[0] for every k before the first W that is not finite."""
+    bad = ~np.isfinite(W)
+    stop = int(np.argmax(bad)) if bad.any() else W.size
+    return bool(np.all(W[1:stop] >= W[0]))
+
+
 def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestReport:
     """Power-entropy display on a log-concave measure: with beta = alpha/(alpha-1),
     tests Ent |f|^beta <= C [ int |f'|^beta dmu + Var |f|^{beta/2} ] and reports
     the least such C over the family plus its stability under enrichment.
     Requires a log-concave measure and a numerically verified
-    int e^{eps |x|^alpha} dmu < infinity for a sampled eps.
+    int e^{eps |x|^alpha} dmu < infinity for a sampled eps, on the grid and
+    past its cuts (_integrability_eps).  That eps depends on mu and alpha
+    only, so it is kept in mu.eps_used, keyed by alpha, for mu's last 8
+    alphas; a refusal is not kept, so it is refused again on every request.
 
     Ent |f|^beta is the entropy of (|f|^{beta/2})^2 under the one rule of
     _entropy: an |Ent| at or below 1e-10 of int |f|^beta dmu counts as 0, so
     a constant member gets a NaN ratio rather than an infinite constant, and
     a member that vanishes on the grid is refused.  A member's three terms
     depend on mu, the member and beta only, so they are its "power_terms"
-    column (_Member), computed on the first request that reads them."""
+    column (_Member), computed on the first request that reads them.  So a
+    warm request (every member and the enrichment's kept at this beta, and
+    this alpha's eps kept) builds no member table, shared table or eps sweep:
+    it reads kept numbers and assembles the report."""
     if not mu.log_concave:
         raise ValueError("refused: measure is not log-concave")
     if not alpha > 1.0:
@@ -794,17 +881,7 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
     beta = alpha / (alpha - 1.0)
     F_log = log_entropy()
 
-    eps_used = None
-    for eps in (0.05, 0.1, 0.2):
-        with np.errstate(over="ignore"):
-            contrib = mu.node_mass * np.exp(eps * np.abs(mu.grid) ** alpha)
-        total = float(np.sum(contrib))
-        edge = float(np.sum(contrib[:4]) + np.sum(contrib[-4:]))
-        if np.isfinite(total) and edge <= 1e-8 * total:
-            eps_used = eps
-            break
-    if eps_used is None:
-        raise ValueError("could not verify int e^{eps|x|^alpha} dmu finite on the grid")
+    eps_used = _kept(mu.eps_used, alpha, lambda: _integrability_eps(mu, alpha), _KEPT_ALPHAS)
 
     def power_terms(m):
         v = np.abs(m.values)

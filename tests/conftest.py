@@ -25,7 +25,7 @@ def module_caches():
 
 
 _CACHES = module_caches()
-_SHARED_MEASURES = []  # the session fixtures' measures, whose kept columns and profiles each test empties
+_SHARED_MEASURES = []  # the session fixtures' measures, whose kept tables each test empties
 
 
 def _shared(mu):
@@ -36,14 +36,15 @@ def _shared(mu):
 @pytest.fixture(autouse=True)
 def _empty_caches():
     """Every test starts with empty module caches (measures, parsers,
-    profiles, costs, node layouts) and with no node profile or member column
-    kept on the session measures, so each sees its own builds and its own
-    A1-A4 samples."""
+    profiles, costs, node layouts) and with no node profile, member column
+    or display 4.4 eps kept on the session measures, so each sees its own
+    builds and its own A1-A4 samples."""
     for cache in _CACHES.values():
         cache.cache_clear()
     for mu in _SHARED_MEASURES:
         mu.node_profiles.clear()
         mu.member_columns.clear()
+        mu.eps_used.clear()
 
 
 @pytest.fixture(scope="session")

@@ -641,9 +641,9 @@ class TestMeasureCache:
         }
         assert len(cli._measure) == 0
         assert all(cache.cache_info().currsize == 0 for name, cache in caches.items() if name != "cli._measure")
-        assert gauss.member_columns == {} and gauss.node_profiles == {}
-        TestFamily("exponential", (1.0,)).members(gauss)  # emptied again before the next test
-        assert len(gauss.member_columns) == 1
+        assert gauss.member_columns == {} and gauss.node_profiles == {} and gauss.eps_used == {}
+        verify_theorem_4_4(gauss, 2.0, TestFamily("exponential", (1.0,)))  # emptied again before the next test
+        assert len(gauss.member_columns) == 1 and list(gauss.eps_used) == [2.0]
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -1119,6 +1119,7 @@ _REFUSALS = [
     (["test", "--display", "exp-power", "--A", "0", *_N], "A must be positive"),
     (["test", "--display", "power-beta", "--measure", "exp_power:1.5", "--alpha", "1", *_N], "alpha must exceed 1"),
     (["test", "--display", "power-beta", "--measure", "expr:x^4-4*x^2", *_N], "not log-concave"),
+    (["test", "--display", "power-beta", "--measure", "exp", "--alpha", "1.5", *_N], "dmu finite on the grid and past its cuts"),
     # a family setting outside what its kind reads
     (["test", "--family", "random_smooth", "--params", "0.7", *_N], "random_smooth label 0.7 is not a non-negative integer"),
     (["test", "--family", "random_smooth", "--params", "-1", *_N], "random_smooth label -1.0 is not a non-negative integer"),

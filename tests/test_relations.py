@@ -13,8 +13,11 @@ Translation x -> x + s.  `check` reads the same integral on V(x - 1),
 V(x + 1) and V(x), each on its own grid.  Scaling x -> 2x.  The measure
 x^2/8 is the Gaussian stretched by 2, and its member e^{lam x/2} is the
 Gaussian's e^{lam y} at y = x/2: same entropy, a quarter of the quadratic
-energy, so `test` reads 4 times the Gaussian's C_hat.  Young's inequality.
-A `conjugate` table c* satisfies c(x) + c*(y) >= xy for every x, y >= 0.
+energy, so `test` reads 4 times the Gaussian's C_hat.  Its profile is half
+the Gaussian's, so the quadratic condition Phi(delta r^2) at delta on x^2/8
+is the Gaussian's at 4 delta, on either side of the threshold.  Young's
+inequality.  A `conjugate` table c* satisfies c(x) + c*(y) >= xy for every
+x, y >= 0, with equality where y is a subgradient of c at x.
 """
 
 import json
@@ -44,6 +47,10 @@ TEST_REL = 6e-13
 TRANSLATION_REL = 1e-7
 # measured -5.6e-17 relative to max(1, xy) (the sampled cost); a margin of about 18
 YOUNG_REL = 1e-15
+# measured 8.0e-15 relative (log10_integral_estimate) and 6.6e-15 (tail_p); a margin of about 12
+DELTA_SCALING_REL = 1e-13
+# measured 3.5e-16 of max(1, xy) (c:1:1.5) and 1.1e-16 on the sampled costs; a margin of about 11
+YOUNG_EQUALITY_REL = 4e-15
 
 
 def _run(tmp_path, argv, n=N):
@@ -160,6 +167,39 @@ def test_stretching_the_gaussian_scales_C_hat_by_4(tmp_path):
     stretched = json.loads(_run(tmp_path, family + ("--measure", "expr:x^2/8", "--params", "0.5,1")))
     gauss = json.loads(_run(tmp_path, family + ("--measure", "gauss", "--params", "1,2")))
     assert stretched["C_hat"] == 4.0 * gauss["C_hat"]
+
+
+@pytest.mark.parametrize("entropy", ["log", "ftau:0.5", "ftau:0.75"])
+def test_check_scales_delta_by_sigma_squared(tmp_path, entropy):
+    # below the threshold (FINITE) and past it: log turns DIVERGENT_LIKELY at 0.5, ftau:0.75 at 1
+    for delta in (0.05, 0.1, 0.25, 0.4, 0.45, 0.5, 0.75, 1.0):
+        reports = []
+        for measure, d in (("expr:x^2/8", delta), ("gauss", 4.0 * delta)):
+            argv = ("check", "--measure", measure, "--entropy", entropy, "--delta", repr(d))
+            code = main(list(argv) + ["--out", str(tmp_path / "out.json")])
+            reports.append((code, json.loads((tmp_path / "out.json").read_text())))
+        (code, a), (want, b) = reports
+        assert code == want and a["verdict"] == b["verdict"], delta
+        for key in ("log10_integral_estimate", "tail_p"):
+            assert abs(a[key] - b[key]) <= DELTA_SCALING_REL * max(abs(a[key]), abs(b[key])), (delta, key)
+
+
+@pytest.mark.parametrize("cost", ["quadratic", "c:1:3", "c:2:4", "c:1:1.5", "expr:x^2/2+x^3/3", "expr:x^2/2+x^4/4"])
+def test_youngs_equality_holds_at_a_subgradient(tmp_path, cost):
+    head, table = _table(_run(tmp_path, ("conjugate", "--cost", cost, "--grid", "0:10:2000"), n=()))
+    y, c_star = table[:, 0], table[:, 1]
+    c = _build_cost(RunConfig(cost=cost))[0]
+    if c.is_closed_form:
+        # c' is x up to A and A^{2-a} x^{a-1} past it
+        A, a = c.A, c.alpha
+        x = np.where(y <= A, y, (y * A ** (a - 2.0)) ** (1.0 / (a - 1.0)))
+    else:
+        # the sample whose chord slopes (left, right) bracket y
+        j = np.searchsorted(c.slopes, y, side="left")
+        assert np.all(j < c.slopes.size) and np.all((j == 0) | (c.slopes[j - 1] <= y)) and np.all(y <= c.slopes[j])
+        x = c.grid[j]
+    gap = np.asarray(eval_cost(c, x), dtype=float) + c_star - x * y
+    assert np.all(np.abs(gap) <= YOUNG_EQUALITY_REL * np.maximum(1.0, x * y))
 
 
 @pytest.mark.parametrize("cost", ["quadratic", "c:1:3", "c:2:4", "expr:x^2/2+x^3/3"])

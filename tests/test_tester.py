@@ -12,7 +12,7 @@ import pytest
 from isocert.convex import CostFunction, eval_cost
 from isocert.entropy import EntropyFunction, F_tau
 from isocert.expr import parse_potential
-from isocert.measure1d import SampledFunction, build_measure, builtin_measure
+from isocert.measure1d import SampledFunction, build_measure, builtin_measure, kolmogorov_distance, rearrange
 import isocert.cli as cli
 import isocert.entropy as entropy
 import isocert.tester as tester
@@ -389,6 +389,44 @@ class TestPowerEntropyInequality:
         with pytest.raises(ValueError):
             verify_theorem_4_4(mu, 2.0, fam)
 
+    # (measure, its tail exponent p): V grows like |x|^p (loglog like |x| log|x|,
+    # which no |x|^alpha with alpha > 1 stays below), so int e^{eps |x|^alpha - V}
+    # is finite for some eps > 0 exactly when alpha <= p: 13 of these 36 pairs
+    @pytest.mark.parametrize("name, p", [("exp", 1.0), ("loglog", 1.0)] + [
+        (f"exp_power:{p:g}", p) for p in (1.1, 1.2, 1.4, 1.5, 1.6, 1.8, 2.0)
+    ])
+    def test_eps_is_verified_past_the_cuts(self, name, p):
+        kind, _, a = name.partition(":")
+        mu = builtin_measure(kind, alpha=float(a) if a else None, n=4096)
+        fam = TestFamily("stretched_exp", (0.25,))
+        for alpha in (1.2, 1.5, 1.8, 2.0):
+            if alpha <= p:
+                assert verify_theorem_4_4(mu, alpha, fam).details["eps_used"] == 0.05, alpha
+            else:  # e^{eps |x|^alpha - V} is still tiny at the cut (about e^-28 on exp), but its integral is infinite
+                with pytest.raises(ValueError, match=r"could not verify int e\^\{eps\|x\|\^alpha\} dmu finite on the grid and past"):
+                    verify_theorem_4_4(mu, alpha, fam)
+
+    @pytest.mark.parametrize("support, eps", [((-30.0, 30.0), 0.05), ((-5.0, 5.0), 0.05), ((0.0, np.inf), None)])
+    def test_only_a_cut_end_is_walked(self, support, eps):
+        # on a finite support the grid is the whole measure, as before the walk; a cut end is walked
+        mu = builtin_measure("exp", n=4096, support=support)
+        fam = TestFamily("stretched_exp", (0.25,))
+        assert mu.cut_ends == tuple(np.isinf(support))
+        if eps is None:
+            with pytest.raises(ValueError, match="past its cuts"):
+                verify_theorem_4_4(mu, 1.5, fam)
+        else:
+            assert verify_theorem_4_4(mu, 1.5, fam).details["eps_used"] == eps
+
+    @pytest.mark.parametrize("V", ["x^2/2-0.3*x^3/(1+x^2)", "x^2/2+x^4/4"])
+    def test_the_walk_stops_where_the_potential_overflows(self, V):
+        # x^3 overflows to -inf near 1e103 in the first, x^4 to +inf near 1e77 in the second
+        P = parse_potential(V)
+        mu = build_measure(lambda x: np.asarray(P(x), dtype=float), n=4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_theorem_4_4(mu, 1.5, TestFamily("exponential", (0.5,))).details["eps_used"] == 0.05
+
     def test_sign_changing_member_gets_the_classical_entropy_of_its_modulus(self, F_log):
         mu = builtin_measure("exp_power", alpha=1.5, n=4096)
         fam = TestFamily("user", ("tanh",), user_fns=((lambda x: np.tanh(x) + 0.5, lambda x: 1.0 - np.tanh(x) ** 2),))
@@ -621,6 +659,93 @@ class TestKeptColumns:
         verify_theorem_4_4(mu, 1.5, family)
         assert set(calls.values()) == {0}
 
+    @staticmethod
+    def _spy_builders(monkeypatch, kind, calls):
+        """Count the member builder, shared-table builder and eps sweep calls
+        (into calls) through kind's _MEMBERS row, set before any request so
+        that every key of the test holds the counting row."""
+        member, label, shared, reads = tester._MEMBERS[kind]
+
+        def counted_member(fam, mu, p, table):
+            calls["member"] += 1
+            return member(fam, mu, p, table)
+
+        def counted_table(fam, mu):
+            calls["table"] += 1
+            return shared(fam, mu)
+
+        def counted_eps(mu, alpha, _sweep=tester._integrability_eps):
+            calls["eps"] += 1
+            return _sweep(mu, alpha)
+
+        monkeypatch.setitem(tester._MEMBERS, kind, (counted_member, label, None if shared is None else counted_table, reads))
+        monkeypatch.setattr(tester, "_integrability_eps", counted_eps)
+
+    @pytest.mark.parametrize("family", _KEPT_FAMILIES, ids=lambda fam: fam.kind)
+    def test_a_warm_power_request_builds_no_table_and_no_sweep(self, family, monkeypatch):
+        calls = dict.fromkeys(("member", "table", "eps"), 0)
+        self._spy_builders(monkeypatch, family.kind, calls)
+        mu = self._fresh()
+        cold = cli._dump_json(verify_theorem_4_4(mu, 1.5, family))
+        shared = tester._MEMBERS[family.kind][2] is not None
+        assert calls == {"member": len(family.enriched().params), "table": int(shared), "eps": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        for _ in range(2):
+            assert cli._dump_json(verify_theorem_4_4(mu, 1.5, family)) == cold
+        assert calls == {"member": 0, "table": 0, "eps": 0}
+        assert list(mu.eps_used) == [1.5] and all("power_terms" in c for c in mu.member_columns.values())
+
+    @pytest.mark.parametrize("display", ["2.1", "1.1"])
+    @pytest.mark.parametrize("family", _KEPT_FAMILIES, ids=lambda fam: fam.kind)
+    def test_warm_tables_are_the_cold_tables(self, display, family, monkeypatch):
+        calls = dict.fromkeys(("member", "table", "eps"), 0)
+        self._spy_builders(monkeypatch, family.kind, calls)
+        got, members = [], TestFamily.members
+        monkeypatch.setattr(TestFamily, "members", lambda fam, mu, **kw: got.append(members(fam, mu, **kw)) or got[-1])
+        shared = tester._MEMBERS[family.kind][2] is not None
+        mu = self._fresh()
+
+        def tables():
+            calls.update(dict.fromkeys(calls, 0))
+            report = cli._dump_json(_verify(display, mu, family))
+            (out,) = got
+            got.clear()
+            # the display read every member's tables, each built once, the shared table once for the call
+            assert calls == {"member": len(out), "table": int(shared), "eps": 0}
+            return report, [tuple(_table_bytes(t) for t in (m.values, m.dvalues, m.log_deriv)) for m in out]
+
+        cold = tables()
+        assert tables() == cold and tables() == cold
+        assert len(mu.member_columns) == len(cold[1])
+
+    @pytest.mark.parametrize("family", _KEPT_FAMILIES[:1] + _KEPT_FAMILIES[-1:], ids=lambda fam: fam.kind)
+    def test_a_warm_member_is_rearranged_and_compared_as_the_cold_one(self, family, monkeypatch):
+        calls = dict.fromkeys(("member", "table", "eps"), 0)
+        self._spy_builders(monkeypatch, family.kind, calls)
+        mu = self._fresh()
+        cold = family.members(mu)
+        calls.update(dict.fromkeys(calls, 0))
+        warm = family.members(mu)
+        assert calls["member"] == 0
+        assert rearrange(mu, warm[0]).values.tobytes() == rearrange(mu, cold[0]).values.tobytes()
+        assert calls["member"] == 1
+        assert kolmogorov_distance(mu, warm[1], warm[2]) == kolmogorov_distance(mu, cold[1], cold[2])
+        assert calls["member"] == 3
+
+    def test_a_changed_alpha_misses_the_kept_eps(self, monkeypatch):
+        family = _KEPT_FAMILIES[0]
+        alphas = (1.5, 1.25, 1.5, 1.25, 1.2, 1.5)
+        want = {alpha: verify_theorem_4_4(self._fresh(), alpha, family).details["eps_used"] for alpha in alphas}
+        calls = dict.fromkeys(("member", "table", "eps"), 0)
+        self._spy_builders(monkeypatch, family.kind, calls)
+        monkeypatch.setattr(tester, "_KEPT_ALPHAS", 2)
+        mu = self._fresh()
+        for alpha, sweeps in zip(alphas, (1, 2, 2, 2, 3, 4)):
+            assert verify_theorem_4_4(mu, alpha, family).details["eps_used"] == want[alpha]
+            assert calls["eps"] == sweeps, alpha
+        # kept for the last two alphas, the oldest out first
+        assert list(mu.eps_used) == [1.2, 1.5]
+
     @pytest.mark.parametrize("order", [("4.4", "2.1", "1.1"), ("2.1", "1.1", "4.4")], ids=["4.4-first", "4.4-last"])
     @pytest.mark.parametrize("family", _KEPT_FAMILIES, ids=lambda fam: fam.kind)
     def test_alpha_2_shares_its_members_with_the_power_2_displays(self, family, order):
@@ -638,10 +763,15 @@ class TestKeptColumns:
         assert len(mu.member_columns) == len(family.enriched().params)
         assert all({"m2", "grad", "power_terms", "moments"} <= set(c) for c in mu.member_columns.values())
 
-    @pytest.mark.parametrize("entry", ["overflow", "L2", "power"])
+    @pytest.mark.parametrize("entry", ["overflow", "L2", "power", "eps"])
     def test_a_refused_member_is_refused_on_every_request_and_never_kept(self, entry):
         mu = builtin_measure("gauss", n=4096)
-        if entry == "power":
+        if entry == "eps":
+            # e^{eps |x|^1.5 - |x|} is not integrable; the members are kept (at power 3) before the refusal
+            mu, fam = builtin_measure("exp", n=4096), TestFamily("exponential", (0.25, 0.5))
+            fam.members(mu, power=3.0)
+            request, match = (lambda: verify_theorem_4_4(mu, 1.5, fam)), r"could not verify int e\^\{eps\|x\|\^alpha\}"
+        elif entry == "power":
             # in L^2 (kept at power 2 by 2.1), but e^{30 x} cubed overflows at the grid's end
             fam = TestFamily("exponential", (60.0,))
             verify_theorem_2_1(mu, tester.log_entropy(), CostFunction.closed_form(1.0, 2.0), 2.0, fam)
@@ -660,6 +790,7 @@ class TestKeptColumns:
                 with pytest.raises(ValueError, match=match):
                     request()
             assert mu.member_columns == kept
+            assert entry != "eps" or mu.eps_used == {}
 
     def test_user_families_are_never_kept(self):
         mu = self._fresh()
@@ -826,6 +957,11 @@ def _reference_stretched_exp(fam, mu, lam):
     log_deriv = lam * (p * x * base ** (0.5 * p - 1.0))
     vals = np.exp(lam * base ** (0.5 * p))
     return vals, log_deriv * vals, log_deriv
+
+
+def _table_bytes(t):
+    """A member table's bytes, with None (no log-derivative table) as itself."""
+    return None if t is None else t.tobytes()
 
 
 def _bits(x):
@@ -1087,7 +1223,8 @@ class TestSharedTables:
         family = TestFamily("exponential", (0.5, 4.0))
         for sf, lam in zip(family.members(mu), family._ordered_params()):
             assert sf.log_deriv.shape == (1,)
-            full = dataclasses.replace(sf, log_deriv=np.full_like(mu.grid, 0.5 * lam))  # the table it replaced
+            # the table it replaced
+            full = SampledFunction(mu.grid, sf.values, sf.dvalues, log_deriv=np.full_like(mu.grid, 0.5 * lam), name=sf.name)
             sq = sf.values * sf.values
             got, want = tester._modified_integrand(sf, sq, cost), tester._modified_integrand(full, sq, cost)
             assert got.shape == mu.grid.shape and got.tobytes() == want.tobytes(), sf.name
