@@ -43,6 +43,7 @@ verify_growth_condition.
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional
 
@@ -229,7 +230,7 @@ def _classify(spec, H, S, log_partials, partials, t_edges, flags):
     # tail model exp(log^p(1/t)): p from log(Phi-exponent) / log(s) at the last edges
     with np.errstate(divide="ignore", invalid="ignore"):
         p_vals = np.where(H > 1.0, np.log(np.maximum(H, 1.0 + 1e-12)) / np.log(S), 0.0)
-    tail_p = float(np.median(p_vals))
+    tail_p = float(statistics.median(p_vals.tolist()))  # 1-3 values: the middle one or the mean of two
 
     last = log_partials[-3:]
     geometric = last.size == 3 and bool(np.all(np.diff(last) <= np.log(0.95)))

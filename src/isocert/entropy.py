@@ -17,13 +17,14 @@ phi reaches 1:
 Phi = (y F(y) - y)^* drives every integrability condition.  log_Phi
 evaluates it in log space, with no conjugate table and so no slope range:
 with y = e^u and G(u) = F(e^u), log Phi(x) = max_u u + log(x + 1 - G(u)),
-whose maximiser solves the stationarity condition x + 1 - G(u) = G'(u), by
-rtsafe (Newton safeguarded by bisection) inside a closed bracket.  The route
-depends on what the EntropyFunction carries:
+whose maximiser solves the stationarity condition x + 1 - G(u) = G'(u).
+The route depends on what the EntropyFunction carries:
 
-  log_phi (exact)    F = log gives log Phi(x) = x; F_tau over log solves a
-                     scalar equation in u from a closed-form bracket;
-  otherwise          the stationarity residual, with derivatives from
+  log_phi (exact)    F = log gives log Phi(x) = x; F_tau over log solves
+                     the condition by Newton in z = u^tau - 1, where it is
+                     increasing and convex, so no bracket is needed;
+  otherwise          rtsafe (Newton safeguarded by bisection) on the
+                     stationarity residual, with derivatives from
                      central differences of G, stopped on a residual check,
                      then a few Newton steps with 100 times finer
                      differences, which keep a C^1 kink of F (F_tau's x0)
@@ -125,37 +126,46 @@ def _flatten(p, tau):
 def _F_tau_log_phi(tau):
     """Exact log Phi for F_tau over log, where G(u) = F(e^u) = u up to u = 1.
 
-    For x <= 1 the maximiser is u* = x and log Phi(x) = x.  Above, u* solves
-    (u^tau - 1)/tau + 1 + u^(tau-1) = x + 1, whose left side increases for
-    u > 1 and lies within 1 of (u^tau - 1)/tau + 1, which brackets the root by
-    [(1 + tau (x - 1))^(1/tau), (1 + tau x)^(1/tau)], the upper end capped at
-    the largest double.  The value is then
-    u* + log G'(u*) = u* + (tau - 1) log u*, equal to the objective at the
-    root but free of the cancellation in x + 1 - G(u*) when G'(u*) is tiny.
+    For x <= 1 (and NaN) u* = x and log Phi(x) = x.  Above, u* > 1 solves
+    G + G' = x + 1; in z = u^tau - 1 and k = (1 - tau)/tau that reads
+    g(z) = z/tau + (1 + z)^(-k) - x = 0, with g' >= 1 and g convex, so
+    Newton from the right of the root falls onto it monotonically, with no
+    bracket or bisection.  It starts at min(tau x, x - 1), right of the root
+    as g(z) > z - (x - 1), and takes one step of the increasing map
+    z -> tau (x - (1 + z)^(-k)) first.  z keeps full precision as tau -> 0,
+    where u^tau itself would not.  Each entry stops on its own step, once
+    that is within the rounding of z and of the residual (a few ulp of x
+    over g'); one still moving after _NEWTON_PASSES passes raises ValueError.
+    The value u* + log G'(u*) = u* + (tau - 1) log u*, log u* = log1p(z)/tau,
+    is the objective at the root without the cancellation in x + 1 - G(u*),
+    and +inf where u* lies past the largest double (and for x = +inf).
     """
-
-    def resid(u, x):
-        log_u = np.log(u)
-        p = np.exp((tau - 1.0) * log_u)
-        return np.expm1(tau * log_u) / tau + p - x, p / u * (u + tau - 1.0)
 
     def log_phi(x):
         out = np.array(x, dtype=float)
-        big = out > 1.0
-        if np.any(big):
-            xb = out[big]
-            with np.errstate(over="ignore"):
-                lo = np.exp(np.log1p(tau * (xb - 1.0)) / tau)
-                hi = np.exp(np.log1p(tau * xb) / tau)
-                # one step of the map whose fixed point is the root
-                u0 = np.exp(np.log1p(tau * (xb - lo ** (tau - 1.0))) / tau)
-            u = np.full_like(xb, np.inf)  # a root past float range: Phi overflows
-            ok = u0 < np.inf
-            hi = np.minimum(hi, _MAX_FLOAT)
-            # the residual carries rounding noise of a few ulp of x
-            u[ok] = _increasing_root(resid, xb[ok], u0[ok], 8.0 * _EPS * (1.0 + xb[ok]), lo[ok], hi[ok])
-            with np.errstate(invalid="ignore"):
-                out[big] = np.where(ok, u + (tau - 1.0) * np.log(u), np.inf)
+        idx = np.flatnonzero((out > 1.0) & (out < np.inf))
+        x = out[idx]
+        k = (1.0 - tau) / tau
+        z = np.minimum(tau * x, x - 1.0)
+        z = tau * (x - np.exp(-k * np.log1p(z)))
+        root = np.empty_like(z)
+        todo = np.arange(z.size)
+        for _ in range(_NEWTON_PASSES):
+            p = np.exp(-k * np.log1p(z))
+            slope = 1.0 / tau - k * p / (1.0 + z)
+            step = (z / tau + p - x) / slope
+            z = z - step
+            done = np.abs(step) <= 4.0 * _EPS * (z + x / slope)
+            root[todo[done]] = z[done]
+            live = ~done
+            todo, z, x = todo[live], z[live], x[live]
+            if todo.size == 0:
+                break
+        else:
+            raise ValueError("the stationarity condition of log Phi did not converge")
+        log_u = np.log1p(root) / tau
+        with np.errstate(over="ignore"):
+            out[idx] = np.exp(log_u) + (tau - 1.0) * log_u
         return out
 
     return log_phi
@@ -203,8 +213,8 @@ def _build_F_tau(tau, phi, log_phi):
 
 
 _EPS = float(np.finfo(float).eps)
-_MAX_FLOAT = float(np.finfo(float).max)
 _ROOT_ITERATIONS = 200
+_NEWTON_PASSES = 40  # F_tau over log takes at most 13 (tau = 1e-6, x - 1 near 1e-7)
 _FD_STEP = 1e-4  # central-difference step in u, relative to max(1, |u|)
 _FD_STEP_FINE = 1e-6  # the step of the final Newton steps (_fine_newton_steps)
 _FINE_STEPS = 4
@@ -342,8 +352,9 @@ def log_Phi(F, x):
     what F carries:
 
       log_entropy()    log_phi is exact: log Phi(x) = x;
-      F_tau(tau)       log_phi solves the scalar stationarity equation of
-                       F_tau over log (see _F_tau_log_phi);
+      F_tau(tau)       log_phi: Newton in z = u^tau - 1, monotone from
+                       the right of the root with no bracket or bisection,
+                       each entry stopped on its own step (_F_tau_log_phi);
       anything else    vectorised Newton on the residual, safeguarded by
                        bisection, with G' and G'' from central differences
                        in u, started inside a closed bracket from F's

@@ -821,14 +821,16 @@ _FAR_REACH = 1e150  # outermost |x| of the far-field walk past a cut
 def _integrability_eps(mu: Measure1D, alpha: float) -> float:
     """The first eps of 0.05, 0.1, 0.2 for which int e^{eps |x|^alpha} dmu is
     verified finite, refused otherwise.  On the grid the sum must be finite
-    with at most 1e-8 of it in the four nodes at either end.  The grid ends
-    at the cuts, where e^{eps |x|^alpha - V} can still be tiny although its
-    integral on the line is infinite, so past each end that build_measure
-    cut (mu.cut_ends), W = V - eps |x|^alpha is walked outwards at doubling
-    steps (at cut * 2^k when |cut| >= 1) out to |x| <= 1e150 and must never
-    fall below W(cut).  The walk stops at the first W that is not finite
-    (V or |x|^alpha overflowing).  An exponent gap below about 0.01 crosses
-    only past 1e150, so it goes unseen."""
+    with at most 1e-8 of it in the four nodes at each end that build_measure
+    cut (mu.cut_ends); an end of a finite support is not tested, since the
+    integrand is bounded there, so the integral is finite for every eps.  The
+    grid ends at the cuts, where e^{eps |x|^alpha - V} can still be tiny
+    although its integral on the line is infinite, so past each cut end,
+    W = V - eps |x|^alpha is walked outwards at doubling steps (at
+    cut * 2^k when |cut| >= 1) out to |x| <= 1e150 and must never fall below
+    W(cut).  The walk stops at the first W that is not finite (V or
+    |x|^alpha overflowing).  An exponent gap below about 0.01 crosses only
+    past 1e150, so it goes unseen."""
     walks = []
     for x, side, cut in zip(mu.truncation, (-1.0, 1.0), mu.cut_ends):
         if cut:
@@ -842,7 +844,7 @@ def _integrability_eps(mu: Measure1D, alpha: float) -> float:
             contrib = mu.node_mass * np.exp(eps * np.abs(mu.grid) ** alpha)
             far_ok = all(_stays_above_start(V - eps * P) for V, P in far)
         total = float(np.sum(contrib))
-        edge = float(np.sum(contrib[:4]) + np.sum(contrib[-4:]))
+        edge = sum(float(np.sum(end)) for end, cut in zip((contrib[:4], contrib[-4:]), mu.cut_ends) if cut)
         if np.isfinite(total) and edge <= 1e-8 * total and far_ok:
             return eps
     raise ValueError("could not verify int e^{eps|x|^alpha} dmu finite on the grid and past its cuts")

@@ -9,9 +9,11 @@ the `empirical` ones outside its pooled slots also run twice in one process,
 the second pass writing the first pass's bytes.
 perfbench/mix.py and perfbench/reference.py are loaded by path and only
 read, as is tools/catalogue_digest.py, whose digest line is checked on one
-request and whose --rev export is checked on the `tables` workload."""
+request, its --rev export on the `tables` workload, its --leaves line on
+two requests and its --compare mode on small synthetic leaf files."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -130,3 +132,73 @@ def test_rev_digests_against_an_export_of_that_revision(capsys):
         assert lines == [digest.digest_line(argv) for argv in argvs]
     assert digest.main(["--rev", "no-such-revision", "tables"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_leaves_line_flattens_json_and_summarises_csv_columns():
+    digest = _load("tools", "catalogue_digest")
+    conjugate = next(argv for argv in mix.catalogue("tables") if argv[0] == "conjugate")
+    obj = json.loads(digest.leaves_line(conjugate))
+    assert obj["argv"] == " ".join(conjugate) and obj["exit"] == 0 and len(obj["stderr"]) == 64
+    leaves = obj["leaves"]
+    assert leaves["req.json:x.count"] == leaves["req.json:c_star.count"] > 0
+    assert leaves["req.json:x.first"] == leaves["req.json:x.min"] and leaves["req.json:x.last"] == leaves["req.json:x.max"]
+    check = next(argv for argv in mix.catalogue("certify") if argv[0] == "check")
+    leaves = json.loads(digest.leaves_line(check))["leaves"]
+    assert leaves["req.json:verdict"] in ("FINITE", "DIVERGENT_LIKELY", "INCONCLUSIVE")
+    assert "req.json:decades[0].partial_sum" in leaves and "req.json:tail_p" in leaves
+
+
+def _leaf_file(path, requests):
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in requests), encoding="utf-8")
+    return str(path)
+
+
+def _request(argv, verdict="FINITE", tail_p=0.5, sums=(1.0, 2.0), rc=0):
+    leaves = {"req.json:verdict": verdict, "req.json:tail_p": tail_p, "req.json:flags[0]": "x"}
+    leaves.update({f"req.json:decades[{i}].partial_sum": s for i, s in enumerate(sums)})
+    return {"argv": argv, "exit": rc, "stderr": "e3", "leaves": leaves}
+
+
+def test_compare_reports_the_largest_move_per_leaf_name(tmp_path, capsys):
+    digest = _load("tools", "catalogue_digest")
+    before = _leaf_file(tmp_path / "a.jsonl", [_request("check a"), _request("check b", sums=(3.0, 4.0))])
+    same = _leaf_file(tmp_path / "b.jsonl", [_request("check b", sums=(3.0, 4.0)), _request("check a")])
+    assert digest.main(["--compare", before, same]) == 0
+    out = capsys.readouterr().out
+    assert "req.json:decades[].partial_sum       4             0  -" in out
+    assert "0 failing differences (rtol 1e-09)" in out
+
+    moved = _leaf_file(tmp_path / "c.jsonl", [_request("check a", sums=(1.0, 2.0 * (1 + 1e-12))),
+                                              _request("check b", sums=(3.0 * (1 + 3e-12), 4.0))])
+    assert digest.main(["--compare", before, moved]) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("req.json:decades[]"))
+    assert line.split()[1:3] == ["4", "3e-12"] and line.endswith("check b :: req.json:decades[0].partial_sum")
+    beyond = _leaf_file(tmp_path / "d.jsonl", [_request("check a"), _request("check b", sums=(3.0 * (1 + 3e-9), 4.0))])
+    assert digest.main(["--compare", before, beyond]) == 1
+    assert "FAIL moved 3e-09: check b :: req.json:decades[0].partial_sum: 3.0 -> 3.000000009" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change", [
+    dict(verdict="DIVERGENT_LIKELY"),  # a non-numeric leaf
+    dict(rc=3),  # the exit code
+    dict(tail_p=0.5 * (1 + 1e-8)),  # a number beyond 1e-9
+    dict(tail_p=None),  # a number that became null
+    dict(sums=(1.0,)),  # a leaf gone
+])
+def test_compare_fails_on_a_changed_outcome(change, tmp_path, capsys):
+    digest = _load("tools", "catalogue_digest")
+    before = _leaf_file(tmp_path / "a.jsonl", [_request("check a"), _request("check b")])
+    after = _leaf_file(tmp_path / "b.jsonl", [_request("check a", **change), _request("check b")])
+    assert digest.main(["--compare", before, after]) == 1
+    fails = [x for x in capsys.readouterr().out.splitlines() if x.startswith("FAIL")]
+    assert len(fails) == 1 and "check a ::" in fails[0]
+
+
+def test_compare_fails_on_a_request_only_on_one_side(tmp_path, capsys):
+    digest = _load("tools", "catalogue_digest")
+    before = _leaf_file(tmp_path / "a.jsonl", [_request("check a"), _request("check b")])
+    after = _leaf_file(tmp_path / "b.jsonl", [_request("check a")])
+    assert digest.main(["--compare", before, after]) == 1
+    assert f"FAIL only in {before}: check b" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        digest.main(["--compare", before, after, "tables"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import isocert.entropy as entropy
-from isocert.checker import ConditionSpec, check_condition
+from isocert.checker import ConditionSpec, check_condition, check_exp_power
 from isocert.entropy import (
     EntropyFunction,
     F_tau,
@@ -348,10 +348,9 @@ class TestLogPhiOracle:
         self._spy_brackets(monkeypatch)
         _assert_close(log_Phi(F, x), _oracle_log_Phi(G, dG, x))
 
-    def test_F_tau_over_log_solves_inside_finite_brackets(self, monkeypatch):
+    def test_F_tau_over_log_at_and_past_the_largest_double(self):
         # at tau = 1e-3 the root for x = 1033 lies near 1e308 and the one
         # for x = 1034 past the largest double, where Phi overflows
-        self._spy_brackets(monkeypatch)
         got = log_Phi(F_tau(1e-3), np.array([2.0, 700.0, 1033.0, 1034.0]))
         assert np.all(np.isfinite(got[:3])) and got[3] == np.inf
 
@@ -369,6 +368,70 @@ class TestLogPhiOracle:
         u = entropy._increasing_root(resid, x, np.array([-10.0, 40.0, 30.0, -9.0]), 1e-14, lo, hi)
         assert np.allclose(u, x, rtol=0.0, atol=1e-13)
         assert all(np.all((ua >= -10.0) & (ua <= 40.0)) for ua in seen)
+
+
+def _mp_log_Phi_F_tau(mpmath, tau, x):
+    """log Phi(x) of F_tau over log at 60 digits: the stationarity condition
+    (e^{tau v} - 1)/tau + e^{(tau - 1) v} = x in v = log u, solved by
+    mpmath's Anderson-Bjorck bracketing on [0, log1p(tau x)/tau], then
+    e^v + (tau - 1) v."""
+    with mpmath.workdps(60):
+        t, X = mpmath.mpf(tau), mpmath.mpf(x)
+        f = lambda v: mpmath.expm1(t * v) / t + mpmath.exp((t - 1) * v) - X  # noqa: E731
+        v = mpmath.findroot(f, (mpmath.mpf(0), mpmath.log1p(t * X) / t), solver="anderson", verify=False)
+        assert abs(f(v)) <= mpmath.mpf(10) ** -40 * X, (tau, x)
+        return float(mpmath.exp(v) + (t - 1) * v)
+
+
+class TestFTauOverLog:
+    """The exact route of F_tau over log: Newton in z = u^tau - 1 from the
+    right of the root (entropy._F_tau_log_phi)."""
+
+    TAUS = (1e-6, 1e-3, 0.1, 0.5, 2.0 / 3.0, 0.75, 0.9, 1.0)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_matches_mpmath_up_to_the_overflow_edge(self, tau):
+        # x from 1 + 1e-12 to where u* nears e^709; the error measured here
+        # is at most 1.2 eps log(Phi), the rounding of log u* in e^{log u*}
+        mpmath = pytest.importorskip("mpmath")
+        edge = float(np.expm1(tau * 709.0) / tau)
+        x = np.concatenate((1.0 + np.geomspace(1e-12, 1.0, 12), np.geomspace(2.0, edge, 24)))
+        got = log_Phi(F_tau(tau), x)
+        want = np.array([_mp_log_Phi_F_tau(mpmath, tau, v) for v in x])
+        tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.log(want))
+        assert np.all(np.abs(got - want) <= tol * want), np.max(np.abs(got - want) / want)
+
+    @pytest.mark.parametrize("dx", [1e-12, 1e-9])
+    def test_tiny_tau_just_above_one(self, dx):
+        # z* is near sqrt(2 tau^2 dx) there, where u^tau itself keeps few digits
+        mpmath = pytest.importorskip("mpmath")
+        x = 1.0 + dx
+        got = log_Phi(F_tau(1e-6), x)
+        assert abs(got - _mp_log_Phi_F_tau(mpmath, 1e-6, x)) <= 4.0 * np.finfo(float).eps * got
+
+    def test_overflow_edge_infinities_and_nan(self):
+        F = F_tau(1e-3)
+        got = F.log_phi(np.array([1033.0, 1034.0, np.inf, -np.inf, np.nan, 1.0, 0.5]))
+        assert 700.0 < np.log(got[0]) < 709.8 and got[1] == got[2] == np.inf
+        assert got[3] == -np.inf and np.isnan(got[4]) and got[5] == 1.0 and got[6] == 0.5
+
+    def test_each_entry_is_its_own_solve(self):
+        # values do not depend on the other entries of the array
+        for tau in (1e-6, 1e-3, 0.5, 2.0 / 3.0):
+            x = np.array([1.0 + 1e-12, 1.0 + 1e-9, 1.5, 3.0, 1e3, 1034.0, np.inf, np.nan, 1e8, 1.0 + 1e-7])
+            F = F_tau(tau)
+            assert np.array_equal(F.log_phi(x), np.concatenate([F.log_phi(x[i : i + 1]) for i in range(x.size)]), equal_nan=True)
+
+    def test_paper_examples_arrays_take_at_most_four_passes(self, exp_power_15, monkeypatch):
+        # the three F_tau conditions of paper-examples (taus 1 and 2/3, two
+        # of them sharing the endpoint run)
+        monkeypatch.setattr(entropy, "_NEWTON_PASSES", 4)
+        check_exp_power(exp_power_15, 1.5, (1.0, 2.0 / 3.0))
+
+    def test_an_entry_still_moving_at_the_pass_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(entropy, "_NEWTON_PASSES", 2)
+        with pytest.raises(ValueError, match="did not converge"):
+            log_Phi(F_tau(0.5), np.array([2.0, 1.0 + 1e-3, 50.0]))
 
 
 class TestAssumptionChecks:

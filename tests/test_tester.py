@@ -418,6 +418,15 @@ class TestPowerEntropyInequality:
         else:
             assert verify_theorem_4_4(mu, 1.5, fam).details["eps_used"] == eps
 
+    @pytest.mark.parametrize("name, support", [("exp", (-30.0, 30.0)), ("gauss", (0.0, np.inf)), ("gauss", (-np.inf, 1.0))])
+    def test_a_support_end_is_not_edge_tested(self, name, support):
+        # e^{eps x^2} only grows towards a support end, yet on a finite
+        # support its integral is finite for every eps; on exp it is
+        # infinite on the line and finite on [-30, 30]
+        mu = builtin_measure(name, n=4096, support=support)
+        fam = TestFamily("stretched_exp", (0.25,))
+        assert verify_theorem_4_4(mu, 2.0, fam).details["eps_used"] == 0.05
+
     @pytest.mark.parametrize("V", ["x^2/2-0.3*x^3/(1+x^2)", "x^2/2+x^4/4"])
     def test_the_walk_stops_where_the_potential_overflows(self, V):
         # x^3 overflows to -inf near 1e103 in the first, x^4 to +inf near 1e77 in the second
