@@ -34,7 +34,8 @@ the measure and the node layout (K, t_min, n_per_decade), so it is computed
 once per layout and kept, read-only, with the measure (_node_profile).  The
 layout's own tables (the nodes, e^{-s} there, the log Simpson weights and
 panel widths, e^{-s} at the decade edges) depend on nothing else, so the
-module keeps them, read-only, for its last 8 layouts (_layout).
+module keeps them, read-only (_layout).  README's "Performance" section
+gives each kept table's bound.
 Reports themselves are never kept; instead check_exp_power takes several
 taus at once and evaluates each distinct condition among them once.  Entry
 points: check_condition, check_exp_power (at A = 1, delta = 1/4, K = 4) and
@@ -51,7 +52,7 @@ import numpy as np
 
 from .convex import CostFunction, eval_cost
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi
-from .measure1d import TRUST_TAIL, Measure1D, _kept, _vec, tilde_profile
+from .measure1d import TRUST_TAIL, Measure1D, _vec, tilde_profile
 
 _LN10 = float(np.log(10.0))
 
@@ -128,7 +129,7 @@ def _decade_edges(K, t_min):
 @functools.lru_cache(maxsize=8, typed=True)
 def _layout(K, t_min, n_per_decade):
     """The quadrature tables of the node layout (K, t_min, n_per_decade), kept
-    read-only for the last 8 layouts: the (decades, n_per_decade + 1) nodes s
+    read-only: the (decades, n_per_decade + 1) nodes s
     (one row per decade), t = e^{-s} at the nodes flattened, the log Simpson
     weights log(w/3), the log panel width of each decade and e^{-edges} at the
     decade edges."""
@@ -143,22 +144,18 @@ def _layout(K, t_min, n_per_decade):
     return tables
 
 
-_KEPT_LAYOUTS = 4  # node profiles a measure keeps; the oldest layout goes first
-
-
 def _node_profile(mu, layout, t):
     """tilde_I at the quadrature nodes t of layout = (K, t_min, n_per_decade),
     the profile folded by its symmetry t <-> 1-t.  The table depends on the
     measure and the layout only, so it is computed once and kept, read-only,
-    in mu.node_profiles (for mu's last _KEPT_LAYOUTS layouts) and is freed
-    with mu."""
+    in mu.kept, and is freed with mu."""
 
     def build():
         table = tilde_profile(mu, np.minimum(t, 1.0 - t)).tilde_I
         table.flags.writeable = False
         return table
 
-    return _kept(mu.node_profiles, layout, build, _KEPT_LAYOUTS)
+    return mu.kept.get((_node_profile, layout), build)
 
 
 def check_condition(spec, n_per_decade=256):

@@ -15,31 +15,24 @@ significant digits, a report's JSON keys are its dataclass fields in
 declaration order, and CSV uses LF line endings.  Everything runs on one
 thread, and no environment variable changes what a subcommand does.
 
-A process keeps at most 8 measures, keyed by the resolved measure settings (once 8 are kept, a new one is kept only on its
-second request, so one-off measures do not push out repeating ones), and
-the last 8 `expr:` entropies and the last 8 `expr:` costs, each keyed by
-the parsed expression, so a repeated measure is built once (twice when it
-first comes after the cache has filled), a repeated profile is built and
-checked (A1-A4) once, and a repeated cost is sampled and checked for
-convexity once, keeping its chord slopes for every Legendre table; `log`
-and `ftau:t` profiles are shared by the entropy module itself.  A kept
-measure also keeps the checker's tilde profile at the quadrature nodes of
-its last 4 node layouts (K, t_min, --n-per-decade), and the checker keeps
-the nodes and weights of its last 8 layouts, so `check` and `certify` on a
-repeated measure and layout sample the profile and lay out the nodes once.
-A kept measure also keeps the measure-only scalars of its last 64 family
-members (tester.TestFamily.members), display 4.4's three terms per beta
-(power_terms) among them, and display 4.4's eps_used for its last 8
-alphas.  A kept member's tables are built, and checked finite, only when
-a display reads them, so a warm display 4.4 request builds no member
-table and runs no eps sweep; displays 2.1 and 1.1 build the tables on
-every request.  Reports are never kept: every request computes its own,
-and a one-request process or a one-off `expr:` measure gains nothing from
-what is kept.  The argument parser is built once per
-subcommand.  JSON and CSV are each written by one writer; the JSON writer,
-in one pass, writes each exact type with the writer one isinstance chain
-picked for it once per process, and a CSV body is one %-format over the
-cells flattened in row order.
+A process keeps the measures, `expr:` entropies and `expr:` costs it
+builds, each keyed by its resolved settings or parsed expression, so a
+repeated measure is built once, a repeated profile is built and checked
+(A1-A4) once, and a repeated cost is sampled and checked for convexity
+once, keeping its chord slopes for every Legendre table; `log` and `ftau:t`
+profiles are shared by the entropy module itself.  A kept measure keeps
+what the checker and the tester compute from it alone (node profiles,
+family members' scalars, display 4.4's eps).  README's "Performance"
+section lists each kept table with its key, bound and eviction rule.  A
+kept member's tables are built, and checked finite, only when a display
+reads them, so a warm display 4.4 request builds no member table and runs
+no eps sweep; displays 2.1 and 1.1 build the tables on every request.
+Reports are never kept: every request computes its own, and a one-request
+process or a one-off `expr:` measure gains nothing from what is kept.  The
+argument parser is built once per subcommand.  JSON and CSV are each
+written by one writer; the JSON writer, in one pass, writes each exact type
+with the writer one isinstance chain picked for it once per process, and a
+CSV body is one %-format over the cells flattened in row order.
 
 An `expr:` measure or entropy is named in reports `expr:` plus its text as
 given.  A flag value may start with `-` (`--support -5:5`,
@@ -53,7 +46,6 @@ import functools
 import itertools
 import re
 import sys
-import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
@@ -63,7 +55,7 @@ from .checker import ConditionSpec, check_condition, check_exp_power, exp_power_
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, log_entropy
 from .expr import PotentialExpr, parse_potential
-from .measure1d import I_F_profile, build_measure, builtin_measure, tilde_profile
+from .measure1d import I_F_profile, Kept, build_measure, builtin_measure, tilde_profile
 from .tester import _MEMBERS, TestFamily, TestRow, verify_theorem_1_1, verify_theorem_2_1, verify_theorem_4_4
 
 __all__ = ["RunConfig", "main", "run"]
@@ -358,73 +350,28 @@ def _parse_range(text: str, what: str, n_required: bool = True):
         raise ConfigError(f"bad {what}: {text!r}")
 
 
-_KEPT_MEASURES = 8  # measures a process keeps (about 0.8 MB each at the default n)
-_ASKED_ONCE = 32  # keys asked once that a process remembers, for admission
+_MEASURES = Kept(8, second_request=True)  # about 0.8 MB a measure at the default n
 
 
-class _MeasureCache:
-    """A lock-guarded LRU of at most _KEPT_MEASURES measures, keyed by the
-    arguments of the build it wraps, with an admission rule.  While fewer than
-    _KEPT_MEASURES are kept, every build is kept.  Once full, a new build is
-    returned but kept only on its key's second request; the last _ASKED_ONCE
-    keys asked once are remembered (keys, not measures).  A kept measure
-    evicts the least recently used one.  So measures asked once (a stream
-    of distinct `expr:` potentials) never push out measures that repeat.  A
-    build that raises keeps nothing."""
-
-    def __init__(self, build):
-        functools.update_wrapper(self, build)
-        self._build = build
-        self._lock = threading.Lock()
-        self._kept = {}  # key -> measure, least recently used first
-        self._asked_once = {}  # key -> None, oldest first
-
-    def __call__(self, *key):
-        with self._lock:
-            mu = self._kept.pop(key, None)
-            if mu is not None:
-                self._kept[key] = mu
-                return mu
-        mu = self._build(*key)
-        with self._lock:
-            if key in self._asked_once or len(self._kept) < _KEPT_MEASURES:
-                self._asked_once.pop(key, None)
-                self._kept[key] = mu
-                if len(self._kept) > _KEPT_MEASURES:
-                    del self._kept[next(iter(self._kept))]
-            else:
-                self._asked_once[key] = None
-                if len(self._asked_once) > _ASKED_ONCE:
-                    del self._asked_once[next(iter(self._asked_once))]
-        return mu
-
-    def __len__(self):
-        return len(self._kept)
-
-    def cache_clear(self):
-        with self._lock:
-            self._kept.clear()
-            self._asked_once.clear()
-
-
-@_MeasureCache
 def _measure(kind, arg, support, n):
     """The measure a request resolves to, built once per process per key
-    while it is kept (see _MeasureCache).
+    while it is kept in _MEASURES.
 
     kind is a builtin name or "expr"; arg is the exp_power alpha (a float) or
     the parsed PotentialExpr, else None; support is the parsed --support, or
     None for the whole line; n is --n.  Every measure is built on the hybrid
     grid.  So `exp_power:1.5` and the exp-power display's `--alpha 1.5`
     share an entry.  A refused measure raises and is not kept, so it is
-    refused again on every request.  An entry holds about 0.8 MB at the
-    default n, plus at most 4 node profiles of about 25 KB
-    (checker._node_profile) and the scalars of 64 family members; the
-    measure's tables are read-only, so requests can share it."""
-    support = (-np.inf, np.inf) if support is None else support
-    if kind == "expr":
-        return build_measure(arg, support=support, n=n, name=f"expr:{arg.text}")
-    return builtin_measure(kind, alpha=arg, n=n, support=support)
+    refused again on every request.  The measure's tables are read-only, so
+    requests can share it."""
+
+    def build():
+        line = (-np.inf, np.inf) if support is None else support
+        if kind == "expr":
+            return build_measure(arg, support=line, n=n, name=f"expr:{arg.text}")
+        return builtin_measure(kind, alpha=arg, n=n, support=line)
+
+    return _MEASURES.get((kind, arg, support, n), build)
 
 
 def _spec_float(text: str, what: str, spec: str) -> float:

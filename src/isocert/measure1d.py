@@ -23,10 +23,16 @@ divergence at the truncation boundary is detected and reported); the
 convex-measure two-point bound 2 r mu+(A) >= H(mu(A)) + log mu(B_r); and the
 monotone rearrangement f~ = G_{mu_f} o F_{mu_r}(|x|), which preserves the law
 of f while making it radial and increasing.
+
+Kept is the one bounded get-or-build table of the package: the command
+line keeps its measures in one, and each measure keeps what is computed
+from it alone in its own (Measure1D.kept).  README's "Performance" section
+lists every kept table with its key, bound and eviction rule.
 """
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -115,6 +121,64 @@ def _tail_decay_check(Vfn, x_peak, cut):
     return np.exp(-(v_cut - v_peak)) * abs(d) / (rate - 1.0)
 
 
+_ALL_KEPT = weakref.WeakSet()  # every Kept, so that each can be emptied
+_KEPT_PER_MEASURE = 64  # entries a measure keeps (Measure1D.kept)
+_MISSING = object()
+
+
+class Kept:
+    """A bounded get-or-build table, safe to share between threads: at most
+    bound entries, the least recently used out first.  With second_request,
+    a full table keeps a new key only on its second request, remembering
+    the last 4 * bound keys asked once, so keys asked once (a stream of
+    one-off `expr:` potentials) never push out keys that repeat.  A build
+    that raises keeps nothing; a key built meanwhile (by another thread, or
+    by the build itself) keeps its first value and evicts nothing."""
+
+    def __init__(self, bound, second_request=False):
+        self.bound, self.second_request = bound, second_request
+        self._lock = threading.Lock()
+        self._table = {}  # key -> value, least recently used first
+        self._asked_once = {}  # key -> None, oldest first
+        _ALL_KEPT.add(self)
+
+    def get(self, key, build):
+        """The value kept for key, else build()'s, kept under the rules above."""
+        with self._lock:
+            value = self._table.pop(key, _MISSING)
+            if value is not _MISSING:
+                self._table[key] = value
+                return value
+        value = build()
+        with self._lock:
+            first = self._table.get(key, _MISSING)
+            if first is not _MISSING:
+                return first
+            once = self._asked_once
+            if self.second_request and len(self._table) >= self.bound and once.pop(key, _MISSING) is _MISSING:
+                once[key] = None
+                if len(once) > 4 * self.bound:
+                    del once[next(iter(once))]
+                return value
+            if len(self._table) >= self.bound:
+                del self._table[next(iter(self._table))]
+            self._table[key] = value
+        return value
+
+    def items(self):
+        """(key, value) pairs, least recently used first."""
+        with self._lock:
+            return list(self._table.items())
+
+    def __len__(self):
+        return len(self._table)
+
+    def clear(self):
+        with self._lock:
+            self._table.clear()
+            self._asked_once.clear()
+
+
 @dataclass(frozen=True, eq=False)
 class Measure1D:
     """Tabulated probability measure e^{-V} dx / Z on a truncated interval.
@@ -125,12 +189,10 @@ class Measure1D:
     tables are read-only, so one built measure can serve many requests.
     cut_ends says, for the left and the right end of truncation, whether
     build_measure cut an infinite support side there (rather than taking a
-    finite end of the support).  node_profiles holds the checker's read-only
-    node profiles of this measure, one per node layout (see
-    checker._node_profile), member_columns the tester's family-member scalars
-    (TestFamily.members) and eps_used display 4.4's integrability sweep, one
-    eps per alpha (tester.verify_theorem_4_4); all three are filled by _kept
-    and freed with the measure.
+    finite end of the support).  kept holds what the checker and the tester
+    compute from this measure alone, each key tagged by the function that
+    fills it (checker._node_profile, a tester._MEMBERS row,
+    tester._integrability_eps), and is freed with the measure.
     """
 
     grid: np.ndarray
@@ -148,9 +210,7 @@ class Measure1D:
     log_concave: bool
     potential_fn: Callable
     name: str = "measure"
-    node_profiles: dict = field(default_factory=dict, init=False, repr=False)
-    member_columns: dict = field(default_factory=dict, init=False, repr=False)
-    eps_used: dict = field(default_factory=dict, init=False, repr=False)
+    kept: Kept = field(default_factory=lambda: Kept(_KEPT_PER_MEASURE), init=False, repr=False)
 
     # -- pointwise evaluations ------------------------------------------------
     def potential_at(self, x):
@@ -228,22 +288,6 @@ class Measure1D:
     @property
     def n(self):
         return self.grid.size
-
-
-_KEPT_LOCK = threading.Lock()  # threads may share a measure
-
-
-def _kept(table, key, build, bound):
-    """table[key], built by build() when missing and kept in table, one of a
-    measure's own dicts, for its last bound keys (the oldest out first)."""
-    value = table.get(key)
-    if value is None:
-        value = build()
-        with _KEPT_LOCK:  # evict and insert as one step
-            if len(table) >= bound:
-                del table[next(iter(table))]
-            table[key] = value
-    return value
 
 
 def _probe_symmetry(Vfn, hi):

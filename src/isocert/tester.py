@@ -21,7 +21,8 @@ admitted at.  A kept member's tables are built only when a display first
 reads them, and are checked finite whenever they are built; display 4.4's
 eps is kept with the measure too, per alpha (verify_theorem_4_4).  So a
 warm display 4.4 request builds no member table and runs no eps sweep.  A
-one-request process or a one-off measure reads none of it back.
+one-request process or a one-off measure reads none of it back.  README's
+"Performance" section gives the bound of what a measure keeps.
 
 Every entropy reported here comes from one pair: the level table
 F(f^2 / mu(f^2)) of `_level_entropy` (F of the whole table unless a level
@@ -66,7 +67,7 @@ import numpy as np
 from .checker import exp_power_range
 from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi, log_entropy
-from .measure1d import Measure1D, SampledFunction, _kept
+from .measure1d import Measure1D, SampledFunction
 
 __all__ = [
     "TestFamily",
@@ -88,7 +89,6 @@ __all__ = [
 ]
 
 _SATURATION_TOL = 1e-3
-_KEPT_MEMBERS = 64  # family members whose columns a measure keeps; the oldest goes first
 
 
 # -- test-function families ----------------------------------------------------
@@ -245,8 +245,8 @@ class TestFamily:
         member is admitted (_admitted, with the power the display integrates)
         or refused by name.  A member is named kind(p), with p in %g form for
         a float label and as given otherwise.  An admitted member's columns
-        are kept in mu.member_columns, keyed by the _MEMBERS row itself, the
-        settings it reads, power and the label, so a kept member is not
+        are kept in mu.kept, keyed by the _MEMBERS row itself, the settings
+        it reads, power and the label, so a kept member is not
         admitted again; refused members and user families are never kept.
         A member not kept yet has its tables built, checked finite and
         admitted here; a kept one gets its tables from the same builder when
@@ -256,7 +256,6 @@ class TestFamily:
         and not kept."""
         member, label, shared, reads = row = _MEMBERS.get(self.kind, (None,) * 4)
         settings = tuple(getattr(self, name) for name in reads or ())
-        kept = {} if member is None else mu.member_columns
 
         @functools.cache
         def table():
@@ -274,22 +273,26 @@ class TestFamily:
                 raise ValueError(f"family member {name} overflows on the measure grid")
             return vals, dvals, log_deriv
 
-        out = []
-        for i, p in enumerate(self._ordered_params()):
-            name = f"{self.kind}({p:g})" if label is float else f"{self.kind}({p})"
-            key = (row, settings, power, p)
-            columns = kept.get(key)
-            if columns is not None:
-                out.append(_Member(mu.grid, name, columns, functools.partial(build, p, name)))
-                continue
+        def admitted(i, p, name, fresh):  # fresh receives the tables a miss builds
             if member is None:
                 fn = self.user_fns[i]
                 f, df = fn if isinstance(fn, tuple) else (fn, None)
                 sf = SampledFunction.from_callable(mu, f, dfn=df, name=name)
             else:
                 sf = SampledFunction(mu.grid, *build(p, name), name=name)
-            columns = _kept(kept, key, lambda: _admitted(mu, sf, power), _KEPT_MEMBERS)
-            out.append(_Member(mu.grid, name, columns, tables=(sf.values, sf.dvalues, sf.log_deriv)))
+            fresh.append((sf.values, sf.dvalues, sf.log_deriv))
+            return _admitted(mu, sf, power)
+
+        out = []
+        for i, p in enumerate(self._ordered_params()):
+            name = f"{self.kind}({p:g})" if label is float else f"{self.kind}({p})"
+            fresh = []
+            admit = functools.partial(admitted, i, p, name, fresh)
+            columns = admit() if member is None else mu.kept.get((row, settings, power, p), admit)
+            if fresh:
+                out.append(_Member(mu.grid, name, columns, tables=fresh[0]))
+            else:
+                out.append(_Member(mu.grid, name, columns, functools.partial(build, p, name)))
         return out
 
     def enriched(self):
@@ -814,7 +817,6 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
     )
 
 
-_KEPT_ALPHAS = 8  # display 4.4 sweeps a measure keeps; the oldest alpha goes first
 _FAR_REACH = 1e150  # outermost |x| of the far-field walk past a cut
 
 
@@ -864,8 +866,8 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
     Requires a log-concave measure and a numerically verified
     int e^{eps |x|^alpha} dmu < infinity for a sampled eps, on the grid and
     past its cuts (_integrability_eps).  That eps depends on mu and alpha
-    only, so it is kept in mu.eps_used, keyed by alpha, for mu's last 8
-    alphas; a refusal is not kept, so it is refused again on every request.
+    only, so it is kept in mu.kept, keyed by alpha; a refusal is not kept,
+    so it is refused again on every request.
 
     Ent |f|^beta is the entropy of (|f|^{beta/2})^2 under the one rule of
     _entropy: an |Ent| at or below 1e-10 of int |f|^beta dmu counts as 0, so
@@ -883,7 +885,7 @@ def verify_theorem_4_4(mu: Measure1D, alpha: float, family: TestFamily) -> TestR
     beta = alpha / (alpha - 1.0)
     F_log = log_entropy()
 
-    eps_used = _kept(mu.eps_used, alpha, lambda: _integrability_eps(mu, alpha), _KEPT_ALPHAS)
+    eps_used = mu.kept.get((_integrability_eps, alpha), lambda: _integrability_eps(mu, alpha))
 
     def power_terms(m):
         v = np.abs(m.values)

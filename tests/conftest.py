@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import isocert
+from isocert import measure1d
 from isocert.entropy import F_tau, log_entropy
 from isocert.measure1d import builtin_measure
 
@@ -25,46 +26,38 @@ def module_caches():
 
 
 _CACHES = module_caches()
-_SHARED_MEASURES = []  # the session fixtures' measures, whose kept tables each test empties
-
-
-def _shared(mu):
-    _SHARED_MEASURES.append(mu)
-    return mu
 
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    """Every test starts with empty module caches (measures, parsers,
-    profiles, costs, node layouts) and with no node profile, member column
-    or display 4.4 eps kept on the session measures, so each sees its own
-    builds and its own A1-A4 samples."""
+    """Every test starts with empty module caches (parsers, profiles, costs,
+    node layouts) and empty kept tables (measure1d.Kept: the measures and,
+    on every measure still alive, the session fixtures' among them, what it
+    keeps), so each sees its own builds and its own A1-A4 samples."""
     for cache in _CACHES.values():
         cache.cache_clear()
-    for mu in _SHARED_MEASURES:
-        mu.node_profiles.clear()
-        mu.member_columns.clear()
-        mu.eps_used.clear()
+    for kept in list(measure1d._ALL_KEPT):
+        kept.clear()
 
 
 @pytest.fixture(scope="session")
 def gauss():
-    return _shared(builtin_measure("gauss"))
+    return builtin_measure("gauss")
 
 
 @pytest.fixture(scope="session")
 def exp_measure():
-    return _shared(builtin_measure("exp"))
+    return builtin_measure("exp")
 
 
 @pytest.fixture(scope="session")
 def loglog():
-    return _shared(builtin_measure("loglog"))
+    return builtin_measure("loglog")
 
 
 @pytest.fixture(scope="session")
 def exp_power_15():
-    return _shared(builtin_measure("exp_power", alpha=1.5))
+    return builtin_measure("exp_power", alpha=1.5)
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +73,7 @@ def F_half():
 @pytest.fixture(scope="session")
 def gauss_wide_uniform():
     """Uniform grid wide enough that Gaussian tail truncation is negligible."""
-    return _shared(builtin_measure("gauss", n=4001, support=(-12.0, 12.0), grid_kind="uniform"))
+    return builtin_measure("gauss", n=4001, support=(-12.0, 12.0), grid_kind="uniform")
 
 
 def exp_member(mu, lam):

@@ -10,7 +10,16 @@ the second pass writing the first pass's bytes.
 perfbench/mix.py and perfbench/reference.py are loaded by path and only
 read, as is tools/catalogue_digest.py, whose digest line is checked on one
 request, its --rev export on the `tables` workload, its --leaves line on
-two requests and its --compare mode on small synthetic leaf files."""
+two requests and its --compare mode on small synthetic leaf files.
+
+Every leaf of what those requests write (every JSON number, string and
+flag, and per CSV column its count, sum, extremes and ends) is compared,
+by --compare's tolerances, with the snapshot tests/data/catalogue_leaves.jsonl.
+A change that moves a number on purpose rewrites the snapshot with
+
+    PYTHONPATH=src python tests/test_catalogue.py
+
+and lists the moves that `tools/catalogue_digest.py --compare` prints."""
 
 import importlib.util
 import json
@@ -25,6 +34,7 @@ from isocert.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 STRIDE = {"certify": 1, "tables": 1, "paper-examples": 1, "empirical": 8}
+LEAVES = ROOT / "tests" / "data" / "catalogue_leaves.jsonl"
 
 
 def _load(directory, name):
@@ -38,11 +48,21 @@ mix = _load("perfbench", "mix")
 reference = _load("perfbench", "reference")
 
 
+def _requests(workload):
+    return mix.catalogue(workload)[:: STRIDE[workload]]
+
+
+def _leaves():
+    """The --leaves lines of every request this module runs, in STRIDE order."""
+    digest = _load("tools", "catalogue_digest")
+    return "".join(digest.leaves_line(argv) + "\n" for workload in STRIDE for argv in _requests(workload))
+
+
 @pytest.mark.parametrize("workload", list(STRIDE))
 def test_catalogue_requests_match_the_reference(workload, tmp_path):
     expected = reference.load()
     bad = []
-    for i, argv in enumerate(mix.catalogue(workload)[:: STRIDE[workload]]):
+    for i, argv in enumerate(_requests(workload)):
         rundir = tmp_path / str(i)
         rundir.mkdir()
         path = reference.output_path(str(rundir), argv)
@@ -71,7 +91,7 @@ def test_warm_pass_writes_the_bytes_of_the_cold_pass(tmp_path):
     writes the first pass's bytes."""
     for workload in ("certify", "paper-examples", "empirical"):
         argvs = _repeating(workload)
-        cli._measure.cache_clear()
+        cli._MEASURES.clear()
         passes = []
         for p in range(2):
             outcomes = []
@@ -85,6 +105,16 @@ def test_warm_pass_writes_the_bytes_of_the_cold_pass(tmp_path):
         assert all(files for _, files in cold)
         for argv, a, b in zip(argvs, cold, warm):
             assert a == b, " ".join(argv)
+
+
+def test_every_leaf_matches_the_snapshot(tmp_path, capsys):
+    digest = _load("tools", "catalogue_digest")
+    now = tmp_path / "leaves.jsonl"
+    now.write_text(_leaves(), encoding="utf-8")
+    failed = digest.compare(str(LEAVES), str(now))
+    out = capsys.readouterr().out
+    assert failed == 0, "\n".join(line for line in out.splitlines() if line.startswith("FAIL"))
+    assert out.splitlines()[-1].startswith("179 and 179 requests, 0 failing differences")
 
 
 def test_digest_line_names_the_outcome_of_one_request():
@@ -194,6 +224,20 @@ def test_compare_fails_on_a_changed_outcome(change, tmp_path, capsys):
     assert len(fails) == 1 and "check a ::" in fails[0]
 
 
+def test_compare_holds_empirical_constants_to_1e_6(tmp_path, capsys):
+    digest = _load("tools", "catalogue_digest")
+
+    def leaf_file(name, c_hat):
+        request = {"argv": "test a", "exit": 0, "stderr": "e3", "leaves": {"req.json:C_hat": c_hat, "req.json:fixtures.x.B_hat": 2.0}}
+        return _leaf_file(tmp_path / name, [request])
+
+    before = leaf_file("a.jsonl", 4.0)
+    assert digest.main(["--compare", before, leaf_file("b.jsonl", 4.0 * (1 + 5e-7))]) == 0
+    assert "0 failing differences (rtol 1e-09), C_hat and B_hat at 1e-06" in capsys.readouterr().out
+    assert digest.main(["--compare", before, leaf_file("c.jsonl", 4.0 * (1 + 2e-6))]) == 1
+    assert "FAIL moved 2e-06: test a :: req.json:C_hat" in capsys.readouterr().out
+
+
 def test_compare_fails_on_a_request_only_on_one_side(tmp_path, capsys):
     digest = _load("tools", "catalogue_digest")
     before = _leaf_file(tmp_path / "a.jsonl", [_request("check a"), _request("check b")])
@@ -202,3 +246,7 @@ def test_compare_fails_on_a_request_only_on_one_side(tmp_path, capsys):
     assert f"FAIL only in {before}: check b" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         digest.main(["--compare", before, after, "tables"])
+
+
+if __name__ == "__main__":
+    LEAVES.write_text(_leaves(), encoding="utf-8")

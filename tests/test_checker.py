@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import isocert.checker as checker
+import isocert.measure1d as measure1d
 from isocert.checker import (
     ConditionSpec,
     check_condition,
@@ -283,6 +284,11 @@ def _folded_nodes(K, t_min, n_per_decade):
     return np.minimum(t, 1.0 - t)
 
 
+def _node_profiles(mu):
+    """{layout: table} of the node profiles mu keeps, least recently used first."""
+    return {key[1]: table for key, table in mu.kept.items() if key[0] is checker._node_profile}
+
+
 class TestNodeProfileCache:
     """The tilde profile at the quadrature nodes is kept with the measure, per node layout."""
 
@@ -298,29 +304,34 @@ class TestNodeProfileCache:
         order = [(0, 2.0), (1, 4.0), (0, 4.0), (1, 2.0)] * 2
         warm = [asdict(self._check(mus[i], K, F_log)) for i, K in order]
         # one profile per measure and layout, however often it is asked for
-        assert len(profiles) == 4 and all(len(mu.node_profiles) == 2 for mu in mus)
+        assert len(profiles) == 4 and all(len(_node_profiles(mu)) == 2 for mu in mus)
         cold = [asdict(self._check(builtin_measure(names[i], n=4096), K, F_log)) for i, K in order]
         assert warm == cold
 
     def test_kept_table_is_read_only(self, F_log):
         mu = builtin_measure("gauss", n=4096)
         self._check(mu, 2.0, F_log)
-        (table,) = mu.node_profiles.values()
+        (table,) = _node_profiles(mu).values()
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1.0
 
-    def test_a_measure_keeps_its_last_layouts(self, F_log):
+    def test_a_measure_keeps_its_last_layouts(self, F_log, monkeypatch):
+        monkeypatch.setattr(measure1d, "_KEPT_PER_MEASURE", 4)
         mu = builtin_measure("gauss", n=4096)
         layouts = [(2.0, 1e-12, n) for n in (2, 4, 8, 16, 32)]
         for K, _, n in layouts:
             self._check(mu, K, F_log, n)
-        assert list(mu.node_profiles) == layouts[-checker._KEPT_LAYOUTS:]
+        assert list(_node_profiles(mu)) == layouts[-4:]
+        self._check(mu, 2.0, F_log, 4)  # a hit refreshes its layout: the oldest is now 8
+        self._check(mu, 2.0, F_log, 64)
+        assert list(_node_profiles(mu)) == [layouts[3], layouts[4], layouts[1], (2.0, 1e-12, 64)]
 
-    def test_threads_sharing_a_measure_get_cold_reports(self, F_log):
-        mu = builtin_measure("gauss", n=4096)
-        layouts = (2, 4, 6, 8, 10, 12)  # more than a measure keeps, so threads also evict
+    def test_threads_sharing_a_measure_get_cold_reports(self, F_log, monkeypatch):
+        layouts = (2, 4, 6, 8, 10, 12)
         want = {n: asdict(self._check(builtin_measure("gauss", n=4096), 2.0, F_log, n)) for n in layouts}
+        monkeypatch.setattr(measure1d, "_KEPT_PER_MEASURE", 4)  # fewer than the layouts, so threads also evict
+        mu = builtin_measure("gauss", n=4096)
         bad = []
 
         def work(k):
@@ -343,7 +354,7 @@ class TestNodeProfileCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert bad == [] and len(mu.node_profiles) <= checker._KEPT_LAYOUTS
+        assert bad == [] and len(mu.kept) <= 4
 
     def test_dropped_measure_is_freed(self, F_log):
         mu = builtin_measure("gauss", n=4096)
@@ -360,9 +371,9 @@ class TestNodeProfileCache:
         for i in range(6):  # each measure dropped before the next is built, so ids may repeat
             name = names[i % 2]
             mu = builtin_measure(name, n=4096)
-            assert mu.node_profiles == {}
+            assert len(mu.kept) == 0
             assert asdict(self._check(mu, 2.0, F_log)) == expected[name]
-            assert mu.node_profiles[(2.0, 1e-12, 256)].tobytes() == tilde_profile(mu, nodes).tilde_I.tobytes()
+            assert _node_profiles(mu)[(2.0, 1e-12, 256)].tobytes() == tilde_profile(mu, nodes).tilde_I.tobytes()
             del mu
             gc.collect()
 

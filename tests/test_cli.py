@@ -26,8 +26,8 @@ from isocert.checker import ConditionSpec, check_condition
 from isocert.cli import ConfigError, RunConfig, _dump_json, _parse_range, main
 from isocert.convex import CostFunction
 from isocert.entropy import log_entropy
-from isocert.measure1d import builtin_measure
-from isocert.tester import TestFamily, verify_theorem_4_4
+from isocert.measure1d import Kept, builtin_measure
+from isocert.tester import TestFamily, _integrability_eps, verify_theorem_4_4
 
 from conftest import module_caches
 
@@ -636,14 +636,15 @@ class TestMeasureCache:
     def test_every_test_starts_with_empty_caches(self, gauss):
         caches = module_caches()
         assert set(caches) >= {
-            "cli._measure", "cli._parser", "cli._expr_entropy", "cli._expr_cost",
+            "cli._parser", "cli._expr_entropy", "cli._expr_cost",
             "checker._layout", "entropy.log_entropy", "entropy._F_tau_over_log",
         }
-        assert len(cli._measure) == 0
-        assert all(cache.cache_info().currsize == 0 for name, cache in caches.items() if name != "cli._measure")
-        assert gauss.member_columns == {} and gauss.node_profiles == {} and gauss.eps_used == {}
+        assert len(cli._MEASURES) == 0
+        assert all(cache.cache_info().currsize == 0 for cache in caches.values())
+        assert len(gauss.kept) == 0
         verify_theorem_4_4(gauss, 2.0, TestFamily("exponential", (1.0,)))  # emptied again before the next test
-        assert len(gauss.member_columns) == 1 and list(gauss.eps_used) == [2.0]
+        (eps_key, _), (member_key, _) = gauss.kept.items()
+        assert eps_key == (_integrability_eps, 2.0) and member_key[-1] == 1.0
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -710,14 +711,14 @@ class TestMeasureCache:
         for _ in range(2):
             assert self._profile(tmp_path, "--measure", "expr:x^") == 2
             assert capsys.readouterr().err.startswith("error: ")
-        assert len(cli._measure) == 0
+        assert len(cli._MEASURES) == 0
 
     def test_cache_holds_at_most_eight_measures(self, tmp_path, monkeypatch):
         builds = self._count_builds(monkeypatch)
         for n in range(64, 73):
             assert self._profile(tmp_path, "--n", str(n)) == 0
         assert len(builds) == 9
-        assert len(cli._measure) <= 8
+        assert len(cli._MEASURES) <= 8
 
     def test_one_off_measures_do_not_evict_repeating_ones(self, tmp_path, monkeypatch):
         builds = self._count_builds(monkeypatch)
@@ -728,7 +729,7 @@ class TestMeasureCache:
         assert self._profile(tmp_path, *gauss) == 0
         assert [args for args, _ in builds].count(("gauss",)) == 1
         assert len(builds) == 11
-        assert len(cli._measure) <= 8
+        assert len(cli._MEASURES) <= 8
 
     def test_a_full_cache_keeps_a_measure_on_its_second_request(self, tmp_path, monkeypatch):
         builds = self._count_builds(monkeypatch)
@@ -737,20 +738,20 @@ class TestMeasureCache:
         for _ in range(3):
             assert self._profile(tmp_path, "--n", "72") == 0
         assert len(builds) == 10  # 8 kept as they come, then n = 72 twice: kept on its second build
-        assert len(cli._measure) == 8
+        assert len(cli._MEASURES) == 8
         assert self._profile(tmp_path, "--n", "64") == 0  # the least recently used, evicted by n = 72
         assert len(builds) == 11
 
     def test_threads_sharing_the_cache_keep_its_bounds(self):
         # a cache over a cheap build, so that threads mostly evict and admit
-        cache = cli._MeasureCache(lambda *key: key)
+        cache = Kept(cli._MEASURES.bound, second_request=True)
         bad = []
 
         def work(k):
             try:
                 for i in range(3000):  # every third call repeats the thread's own key, the rest cycle over 41
                     key = ("expr", (k * 3000 + i) % 41 if i % 3 else k, None, 64)
-                    if cache(*key) != key:
+                    if cache.get(key, lambda: key) != key:
                         bad.append(key)
             except Exception as exc:  # a lost eviction raises here
                 bad.append(exc)
@@ -767,7 +768,7 @@ class TestMeasureCache:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert bad == []
-        assert len(cache) == cli._KEPT_MEASURES and len(cache._asked_once) <= cli._ASKED_ONCE
+        assert len(cache) == 8 and len(cache._asked_once) <= 32
 
     def test_expr_entropy_is_built_and_checked_once(self, tmp_path, monkeypatch):
         samples = []

@@ -1,15 +1,24 @@
 """Tabulated one-dimensional measures and their isoperimetric profiles."""
 
 import dataclasses
+import functools
+import gc
+import importlib
+import pkgutil
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+import isocert
+import isocert.cli as cli
 from isocert import measure1d
 from isocert.entropy import log_entropy
 from isocert.expr import parse_potential
 from isocert.measure1d import (
     I_F_profile,
+    Kept,
     SampledFunction,
     bobkov_bound_check,
     bobkov_goetze,
@@ -512,3 +521,108 @@ class TestBobkovGoetze:
         assert bobkov_goetze(_BG_CASES["gauss, median on the last node"]()).right_value == 0.0
         rep = bobkov_goetze(_BG_CASES["exp"]())
         assert rep.left_status == rep.right_status == "DIVERGENT"
+
+
+class TestKept:
+    """measure1d.Kept, the one bounded get-or-build table of the package."""
+
+    @staticmethod
+    def _filled(bound=3, **kw):
+        kept = Kept(bound, **kw)
+        for key, value in (("a", 1), ("b", 2), ("c", 3)):
+            assert kept.get(key, lambda value=value: value) == value
+        return kept
+
+    def test_the_least_recently_used_goes_first(self):
+        kept = self._filled()
+        assert kept.get("a", pytest.fail) == 1  # a hit builds nothing and refreshes a
+        assert kept.get("d", lambda: 4) == 4
+        assert kept.items() == [("c", 3), ("a", 1), ("d", 4)]
+
+    def test_a_build_that_raises_keeps_nothing(self):
+        kept = self._filled()
+        with pytest.raises(ZeroDivisionError):
+            kept.get("d", lambda: 1 / 0)
+        assert kept.items() == [("a", 1), ("b", 2), ("c", 3)]
+
+    def test_a_full_table_keeps_a_key_on_its_second_request(self):
+        kept = self._filled(second_request=True)
+        assert kept.get("d", lambda: 4) == 4
+        assert kept.items() == [("a", 1), ("b", 2), ("c", 3)]  # asked once: returned, not kept
+        assert kept.get("d", lambda: 5) == 5
+        assert kept.items() == [("b", 2), ("c", 3), ("d", 5)]
+        for k in range(13):  # the last 4 * bound keys asked once are remembered: 1 to 12
+            kept.get(k, lambda: None)
+        assert kept.get(0, lambda: 0) == 0 and kept.get(12, lambda: 12) == 12
+        assert kept.items() == [("c", 3), ("d", 5), (12, 12)]
+
+    def test_a_key_built_during_its_own_build_keeps_the_first_value(self):
+        kept = self._filled()
+
+        def outer():
+            assert kept.get("d", lambda: 4) == 4  # kept first, evicting a
+            return 5
+
+        assert kept.get("d", outer) == 4
+        assert kept.items() == [("b", 2), ("c", 3), ("d", 4)]
+
+    def test_threads_missing_one_key_keep_the_first_value(self):
+        kept = self._filled()
+        both_building = threading.Barrier(2)
+        got = {}
+
+        def build(value):
+            both_building.wait(timeout=30)
+            return value
+
+        def work(k):
+            got[k] = kept.get("d", lambda: build(4 + k))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        first = kept.items()[-1]
+        assert got[0] == got[1] == first[1] and first[0] == "d"
+        assert kept.items() == [("b", 2), ("c", 3), first]
+
+    def test_a_measures_table_is_registered_and_freed_with_it(self):
+        mu = builtin_measure("gauss", n=4096)
+        assert isinstance(mu.kept, Kept) and mu.kept in measure1d._ALL_KEPT
+        assert mu.kept.bound == measure1d._KEPT_PER_MEASURE
+        ref = weakref.ref(mu.kept)
+        del mu
+        gc.collect()
+        assert ref() is None
+
+    def test_every_per_process_table_is_an_lru_cache_or_a_registered_kept(self, tmp_path):
+        def module_objects():
+            for info in pkgutil.iter_modules(isocert.__path__):
+                module = importlib.import_module(f"isocert.{info.name}")
+                for name, obj in vars(module).items():
+                    if getattr(obj, "__module__", module.__name__) == module.__name__ or isinstance(obj, Kept):
+                        yield f"{info.name}.{name}", obj
+
+        def sizes():
+            return {name: len(obj) for name, obj in module_objects() if isinstance(obj, (dict, list, set))}
+
+        before = sizes()
+        requests = (
+            ["conjugate", "--cost", "expr:x^3/3"],
+            ["profile", "--measure", "expr:x^2/2", "--t-grid", "0.1:0.5:3"],
+            ["check", "--entropy", "expr:2*(x^0.5-1)", "--n", "4096", "--n-per-decade", "16"],
+            ["certify", "--n", "4096", "--n-per-decade", "16"],
+            ["test", "--display", "exp-power", "--params", "0.5", "--n", "4096"],
+            ["paper-examples", "--n", "4096", "--n-per-decade", "16"],
+        )
+        for i, argv in enumerate(requests):
+            assert cli.main(argv + ["--out", str(tmp_path / f"{i}.out")]) in (0, 3, 4)
+        # the JSON writer's memos over types and key strings, which hold no numbers
+        grown = {name for name, size in sizes().items() if size != before.get(name)}
+        assert grown <= {"cli._HANDLERS", "cli._KEYS"}
+        assert all(isinstance(obj, functools._lru_cache_wrapper) for _, obj in module_objects() if hasattr(obj, "cache_clear"))
+        kept = [obj for _, obj in module_objects() if isinstance(obj, Kept)]
+        mu = cli._measure("gauss", None, None, 4096)
+        kept += [getattr(mu, f.name) for f in dataclasses.fields(mu) if not f.init]
+        assert len(kept) == 2 and all(isinstance(table, Kept) and table in measure1d._ALL_KEPT for table in kept)

@@ -15,6 +15,7 @@ from isocert.expr import parse_potential
 from isocert.measure1d import SampledFunction, build_measure, builtin_measure, kolmogorov_distance, rearrange
 import isocert.cli as cli
 import isocert.entropy as entropy
+import isocert.measure1d as measure1d
 import isocert.tester as tester
 from isocert.tester import (
     TestFamily,
@@ -622,6 +623,17 @@ _KEPT_FAMILIES = [
 _COLUMN_FUNCTIONS = ("_admitted", "_classical_entropy", "_median_energy", "_variance", "cost_energy", "_entropy")
 
 
+def _columns(mu):
+    """{key: columns} of the family members mu keeps, least recently used
+    first: their keys start with a _MEMBERS row, a tuple."""
+    return {key: columns for key, columns in mu.kept.items() if isinstance(key[0], tuple)}
+
+
+def _eps(mu):
+    """{alpha: eps} of display 4.4's sweeps that mu keeps, least recently used first."""
+    return {key[1]: eps for key, eps in mu.kept.items() if key[0] is tester._integrability_eps}
+
+
 class TestKeptColumns:
     """A family member's measure-only columns are kept with the measure."""
 
@@ -644,7 +656,7 @@ class TestKeptColumns:
         cold = cli._dump_json(_verify(display, mu, family))
         # the family and, on 1.1 and 4.4, the members its enrichment adds
         members = len(family.enriched().params if display in ("1.1", "4.4") else family.params)
-        assert len(mu.member_columns) == members
+        assert len(_columns(mu)) == members
         calls = self._count(monkeypatch)
         for _ in range(2):
             assert cli._dump_json(_verify(display, mu, family)) == cold
@@ -663,7 +675,7 @@ class TestKeptColumns:
         calls.update(dict.fromkeys(calls, 0))
         assert cli._dump_json(verify_theorem_4_4(mu, 1.25, family)) == want
         assert calls["_admitted"] == calls["cost_energy"] == members
-        assert len(mu.member_columns) == 2 * members
+        assert len(_columns(mu)) == 2 * members
         calls.update(dict.fromkeys(calls, 0))
         verify_theorem_4_4(mu, 1.5, family)
         assert set(calls.values()) == {0}
@@ -702,7 +714,7 @@ class TestKeptColumns:
         for _ in range(2):
             assert cli._dump_json(verify_theorem_4_4(mu, 1.5, family)) == cold
         assert calls == {"member": 0, "table": 0, "eps": 0}
-        assert list(mu.eps_used) == [1.5] and all("power_terms" in c for c in mu.member_columns.values())
+        assert list(_eps(mu)) == [1.5] and all("power_terms" in c for c in _columns(mu).values())
 
     @pytest.mark.parametrize("display", ["2.1", "1.1"])
     @pytest.mark.parametrize("family", _KEPT_FAMILIES, ids=lambda fam: fam.kind)
@@ -725,7 +737,7 @@ class TestKeptColumns:
 
         cold = tables()
         assert tables() == cold and tables() == cold
-        assert len(mu.member_columns) == len(cold[1])
+        assert len(_columns(mu)) == len(cold[1])
 
     @pytest.mark.parametrize("family", _KEPT_FAMILIES[:1] + _KEPT_FAMILIES[-1:], ids=lambda fam: fam.kind)
     def test_a_warm_member_is_rearranged_and_compared_as_the_cold_one(self, family, monkeypatch):
@@ -747,13 +759,12 @@ class TestKeptColumns:
         want = {alpha: verify_theorem_4_4(self._fresh(), alpha, family).details["eps_used"] for alpha in alphas}
         calls = dict.fromkeys(("member", "table", "eps"), 0)
         self._spy_builders(monkeypatch, family.kind, calls)
-        monkeypatch.setattr(tester, "_KEPT_ALPHAS", 2)
         mu = self._fresh()
-        for alpha, sweeps in zip(alphas, (1, 2, 2, 2, 3, 4)):
+        for alpha, sweeps in zip(alphas, (1, 2, 2, 2, 3, 3)):
             assert verify_theorem_4_4(mu, alpha, family).details["eps_used"] == want[alpha]
             assert calls["eps"] == sweeps, alpha
-        # kept for the last two alphas, the oldest out first
-        assert list(mu.eps_used) == [1.2, 1.5]
+        # kept for every alpha, the least recently used first
+        assert list(_eps(mu)) == [1.25, 1.2, 1.5]
 
     @pytest.mark.parametrize("order", [("4.4", "2.1", "1.1"), ("2.1", "1.1", "4.4")], ids=["4.4-first", "4.4-last"])
     @pytest.mark.parametrize("family", _KEPT_FAMILIES, ids=lambda fam: fam.kind)
@@ -769,8 +780,8 @@ class TestKeptColumns:
         mu = fresh()
         for _ in range(2):
             assert {display: cli._dump_json(verify(display, mu)) for display in order} == want
-        assert len(mu.member_columns) == len(family.enriched().params)
-        assert all({"m2", "grad", "power_terms", "moments"} <= set(c) for c in mu.member_columns.values())
+        assert len(_columns(mu)) == len(family.enriched().params)
+        assert all({"m2", "grad", "power_terms", "moments"} <= set(c) for c in _columns(mu).values())
 
     @pytest.mark.parametrize("entry", ["overflow", "L2", "power", "eps"])
     def test_a_refused_member_is_refused_on_every_request_and_never_kept(self, entry):
@@ -792,14 +803,14 @@ class TestKeptColumns:
         else:
             fam = TestFamily("exponential", (400.0,))
             request, match = (lambda: fam.members(mu)), r"exponential\(400\) overflows"
-        kept = dict(mu.member_columns)
+        kept = _columns(mu)
         for _ in range(3):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=match):
                     request()
-            assert mu.member_columns == kept
-            assert entry != "eps" or mu.eps_used == {}
+            assert _columns(mu) == kept
+            assert entry != "eps" or _eps(mu) == {}
 
     def test_user_families_are_never_kept(self):
         mu = self._fresh()
@@ -807,7 +818,7 @@ class TestKeptColumns:
         for display in ("2.1", "1.1", "4.4"):
             _verify(display, mu, fam)
         lemma_3_4_check(mu, tester.log_entropy(), 2.0, fam)
-        assert mu.member_columns == {}
+        assert _columns(mu) == {}
 
     @pytest.mark.parametrize("family, change", [
         (TestFamily("bump", (0.5, 1.0)), {"floor": 1e-3}),
@@ -827,14 +838,14 @@ class TestKeptColumns:
             want = fam.members(self._fresh(), power=power)
             assert [_bits(m.m2) for m in got] == [_bits(m.m2) for m in want]
         assert calls["_admitted"] == 2 * 2 * len(family.params)
-        assert len(mu.member_columns) == 3 * len(family.params)
+        assert len(_columns(mu)) == 3 * len(family.params)
 
     def test_a_setting_the_kind_does_not_read_hits(self, monkeypatch):
         mu = self._fresh()
         TestFamily("exponential", (0.5, 1.0)).members(mu)
         calls = self._count(monkeypatch)
         TestFamily("exponential", (0.5, 1.0), floor=0.25, seed=9, scale=2.0, exponent=1.5, smoothing=1.0).members(mu)
-        assert calls["_admitted"] == 0 and len(mu.member_columns) == 2
+        assert calls["_admitted"] == 0 and len(_columns(mu)) == 2
 
     @pytest.mark.parametrize("kind", ["exponential", "stretched_exp"])
     def test_a_swapped_member_row_misses(self, kind, monkeypatch):
@@ -859,12 +870,12 @@ class TestKeptColumns:
         assert swapped == want and all(a != b for a, b in zip(swapped, m2))
         calls = self._count(monkeypatch)
         assert [x.m2 for x in fam.members(mu)] == m2 and calls["_admitted"] == 0
-        assert len(mu.member_columns) == 4
+        assert len(_columns(mu)) == 4
 
     def test_threads_sharing_a_measure_get_cold_reports(self, monkeypatch):
-        monkeypatch.setattr(tester, "_KEPT_MEMBERS", 4)  # fewer than the members asked for, so threads also evict
         families = [TestFamily("exponential", (lam, 2.0 * lam)) for lam in (0.25, 0.5, 1.0)] + _KEPT_FAMILIES[1:3]
         want = [cli._dump_json(_verify("1.1", self._fresh(), fam)) for fam in families]
+        monkeypatch.setattr(measure1d, "_KEPT_PER_MEASURE", 4)  # fewer than the members asked for, so threads also evict
         mu, bad = self._fresh(), []
 
         def work(k):
@@ -887,21 +898,21 @@ class TestKeptColumns:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert bad == [] and len(mu.member_columns) <= 4
+        assert bad == [] and len(mu.kept) <= 4
 
     def test_a_measure_keeps_its_last_members(self, monkeypatch):
-        monkeypatch.setattr(tester, "_KEPT_MEMBERS", 3)
+        monkeypatch.setattr(measure1d, "_KEPT_PER_MEASURE", 3)
         mu = self._fresh()
-        assert mu.member_columns == {}
+        assert len(mu.kept) == 0
         labels = (0.5, 0.25, 1.0, 2.0, 0.75)
         for lam in labels:
             TestFamily("exponential", (lam,)).members(mu)
-        assert [key[-1] for key in mu.member_columns] == list(labels[-3:])
-        TestFamily("exponential", (1.0,)).members(mu)  # a hit does not refresh the oldest
+        assert [key[-1] for key in _columns(mu)] == list(labels[-3:])
+        TestFamily("exponential", (1.0,)).members(mu)  # a hit refreshes the oldest
         TestFamily("exponential", (3.0,)).members(mu)
-        assert [key[-1] for key in mu.member_columns] == [2.0, 0.75, 3.0]
-        assert all(set(c) == {"m2", "grad"} for c in mu.member_columns.values())
-        assert self._fresh().member_columns == {}
+        assert [key[-1] for key in _columns(mu)] == [0.75, 1.0, 3.0]
+        assert all(set(c) == {"m2", "grad"} for c in _columns(mu).values())
+        assert len(self._fresh().kept) == 0
 
 
 def _reference_value_masses(mu, v):

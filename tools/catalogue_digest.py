@@ -35,8 +35,9 @@ per column, its count, `fsum`, min, max, first and last values
 prints, per leaf name (the path with list indices dropped), the count of
 leaves compared, the largest relative move and the request behind it; it
 exits 1 when a request, a leaf or a non-numeric value (exit code, stderr,
-verdict, flag) differs, or a number moves by more than 1e-9 relative
-(`perfbench/reference.py`'s RTOL_DEFAULT):
+verdict, flag) differs, or a number moves by more than its tolerance
+(`perfbench/reference.py`'s: RTOL_CONSTANT, 1e-6, for the empirical
+constants `C_hat` and `B_hat`, RTOL_DEFAULT, 1e-9, for every other number):
 
     python tools/catalogue_digest.py --leaves --rev HEAD > before.jsonl
     python tools/catalogue_digest.py --leaves > after.jsonl
@@ -179,12 +180,15 @@ def _relative_move(a, b):
 
 
 _INDEX = re.compile(r"\[\d+\]")
+_KEYS = re.compile(r"[.:]")  # the separators of the keys in a leaf path
 
 
-def compare(before_path, after_path, rtol) -> int:
+def compare(before_path, after_path) -> int:
     """Compare two --leaves files: one line per leaf name (count, largest
     relative move, the request and leaf behind it), then one line per
     difference that fails; 1 if any fails, else 0."""
+    reference = _load_perfbench("reference")
+    rtol, rtol_constant = reference.RTOL_DEFAULT, reference.RTOL_CONSTANT
     before, after = _read_leaves(before_path), _read_leaves(after_path)
     worst = {}  # leaf name -> [count, move, request, path]
     failures = [f"only in {before_path}: {k}" for k in before if k not in after]
@@ -203,7 +207,7 @@ def compare(before_path, after_path, rtol) -> int:
                 move = _relative_move(a, b)
                 if move > entry[1]:
                     entry[1:] = [move, key, path]
-                if move > rtol:
+                if move > (rtol_constant if _KEYS.split(path)[-1] in ("C_hat", "B_hat") else rtol):
                     failures.append(f"moved {move:.3g}: {key} :: {path}: {a!r} -> {b!r}")
             elif a != b:
                 entry[1:] = [math.inf, key, path]
@@ -216,7 +220,8 @@ def compare(before_path, after_path, rtol) -> int:
         print(f"{name:<{width}}  {count:>6}  {move:>12.3g}  {where}")
     for line in failures:
         print(f"FAIL {line}")
-    print(f"{len(before)} and {len(after)} requests, {len(failures)} failing differences (rtol {rtol:g})")
+    print(f"{len(before)} and {len(after)} requests, {len(failures)} failing differences (rtol {rtol:g}), "
+          f"C_hat and B_hat at {rtol_constant:g}")
     return 1 if failures else 0
 
 
@@ -250,7 +255,7 @@ def main(argv=None) -> int:
     if args.compare is not None:
         if names or args.rev is not None or args.leaves:
             parser.error("--compare takes no workload, --rev or --leaves")
-        return compare(*args.compare, rtol=_load_perfbench("reference").RTOL_DEFAULT)
+        return compare(*args.compare)
     unknown = [w for w in names if w not in mix.WORKLOADS]
     if unknown:
         parser.error(f"unknown workload(s) {', '.join(unknown)}; expected some of {', '.join(mix.WORKLOADS)}")
