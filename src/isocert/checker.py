@@ -55,6 +55,7 @@ from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi
 from .measure1d import TRUST_TAIL, Measure1D, _vec, tilde_profile
 
 _LN10 = float(np.log(10.0))
+_LOG_GEOMETRIC = float(np.log(0.95))  # the largest log ratio of geometrically decreasing partial sums
 
 
 def _logsumexp(a, axis=None):
@@ -224,14 +225,14 @@ def _classify(spec, H, S, log_partials, partials, t_edges, flags):
     with np.errstate(over="ignore"):
         total = float(np.exp(log_total))
 
-    # tail model exp(log^p(1/t)): p from log(Phi-exponent) / log(s) at the last edges
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_vals = np.where(H > 1.0, np.log(np.maximum(H, 1.0 + 1e-12)) / np.log(S), 0.0)
-    tail_p = float(statistics.median(p_vals.tolist()))  # 1-3 values: the middle one or the mean of two
+    # tail model exp(log^p(1/t)): p from log(Phi-exponent) / log(s) at the last edges (s > 1 there)
+    p_vals = [math.log(h) / math.log(s) if h > 1.0 else 0.0 for h, s in zip(H.tolist(), S.tolist())]
+    tail_p = float(statistics.median(p_vals))  # 1-3 values: the middle one or the mean of two
 
-    last = log_partials[-3:]
-    geometric = last.size == 3 and bool(np.all(np.diff(last) <= np.log(0.95)))
-    nondecreasing = last.size >= 2 and bool(np.all(np.diff(last) >= -1e-12))
+    last = log_partials[-3:].tolist()
+    steps = [b - a for a, b in zip(last, last[1:])]
+    geometric = len(last) == 3 and all(d <= _LOG_GEOMETRIC for d in steps)
+    nondecreasing = len(last) >= 2 and all(d >= -1e-12 for d in steps)
 
     if tail_p >= 1.0 or nondecreasing:
         verdict = "DIVERGENT_LIKELY"

@@ -59,6 +59,9 @@ class CostFunction:
             raise ValueError("A must be positive")
         if not alpha > 1:
             raise ValueError("alpha must exceed 1")
+        with np.errstate(over="ignore"):  # the power branch's coefficient must be a double
+            if not np.isfinite(np.float64(A) ** (2.0 - alpha)):
+                raise ValueError(f"cost c_{{{A:g},{alpha:g}}} has A^(2-alpha) = inf, past the largest double")
         return cls(A=float(A), alpha=float(alpha))
 
     @classmethod

@@ -17,9 +17,10 @@ SampledFunctions on the measure's own grid.  An admitted member carries its
 measure-only scalars (_Member), which the ratio engine and the lemmas read
 instead of recomputing them, and are kept with the measure (members()):
 display 4.4's three terms among them, keyed by the beta its members are
-admitted at.  A kept member's tables are built only when a display first
-reads them, and are checked finite whenever they are built; display 4.4's
-eps is kept with the measure too, per alpha (verify_theorem_4_4).  So a
+admitted at.  A member's tables come from its one cached builder, run by
+its admission when it is not kept yet and otherwise when a display first
+reads them, and checked finite whenever it runs; display 4.4's eps is kept
+with the measure too, per alpha (verify_theorem_4_4).  So a
 warm display 4.4 request builds no member table and runs no eps sweep.  A
 one-request process or a one-off measure reads none of it back.  README's
 "Performance" section gives the bound of what a measure keeps.
@@ -108,7 +109,7 @@ def _bump(fam, mu, w, table):
         raise ValueError("bump width must be positive")
     x = mu.grid
     core = np.exp(-0.5 * (x / w) ** 2)
-    return fam.floor + core, -(x / w**2) * core, None
+    return fam.floor + core, -(x / np.float64(w) ** 2) * core, None  # w^2 overflows to inf, not an OverflowError
 
 
 def _shifted_linear(fam, mu, eps, table):
@@ -153,7 +154,7 @@ def _stretched_powers(fam, mu):
     member is e^{lam P} with log-derivative lam D."""
     x = mu.grid
     p = fam.exponent
-    base = x * x + fam.smoothing**2
+    base = x * x + np.float64(fam.smoothing) ** 2  # overflows to inf, not an OverflowError
     return base ** (0.5 * p), p * x * base ** (0.5 * p - 1.0)
 
 
@@ -175,6 +176,7 @@ _MEMBERS = {
     "random_smooth": (_random_smooth, int, _trig_basis, ("seed", "scale")),
     "stretched_exp": (_stretched_exp, float, _stretched_powers, ("exponent", "smoothing")),
 }
+_USER_ROW = (None, None, None, ())  # the user kind: callables for members, labels kept as given
 
 
 @dataclass(frozen=True)
@@ -227,14 +229,14 @@ class TestFamily:
             raise ValueError(f"smoothing must be positive and finite, got {self.smoothing}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        label = _MEMBERS.get(self.kind, (None,) * 3)[1]  # None for user labels, kept as given
+        label = _MEMBERS.get(self.kind, _USER_ROW)[1]  # None for user labels, kept as given
         for p in self.params if label is not None else ():
             q = float(p)
             if not (q >= 0 and q.is_integer() if label is int else math.isfinite(q)):
                 raise ValueError(f"{self.kind} label {p} is not {'a non-negative integer' if label is int else 'finite'}")
 
     def _ordered_params(self):
-        label = _MEMBERS.get(self.kind, (None,) * 3)[1]
+        label = _MEMBERS.get(self.kind, _USER_ROW)[1]
         if label is None:
             return tuple(self.params) if self.params else tuple(range(len(self.user_fns)))
         labels = tuple(map(label, self.params))
@@ -248,58 +250,49 @@ class TestFamily:
         are kept in mu.kept, keyed by the _MEMBERS row itself, the settings
         it reads, power and the label, so a kept member is not
         admitted again; refused members and user families are never kept.
-        A member not kept yet has its tables built, checked finite and
-        admitted here; a kept one gets its tables from the same builder when
-        a display first reads them (_Member), checked finite again, and none
-        if no display does.  The table the kind's members share (_MEMBERS)
-        is built at most once per call, on the first member build, read-only,
-        and not kept."""
-        member, label, shared, reads = row = _MEMBERS.get(self.kind, (None,) * 4)
-        settings = tuple(getattr(self, name) for name in reads or ())
+        Each member has one cached builder of its SampledFunction (_Member),
+        run here to admit a member not kept yet and otherwise on a display's
+        first read of its tables.  The table the kind's members share
+        (_MEMBERS) is built at most once per call, on the first member
+        build, read-only, and not kept."""
+        member, label, shared, reads = row = _MEMBERS.get(self.kind, _USER_ROW)
+        settings = tuple(getattr(self, name) for name in reads)
 
         @functools.cache
         def table():
-            with np.errstate(over="ignore"):  # an overflowing member is refused by name in build
+            with np.errstate(over="ignore"):  # an overflowing member is refused by name in sampled
                 parts = shared(self, mu)
             for part in parts:
                 if isinstance(part, np.ndarray):
                     part.flags.writeable = False
             return parts
 
-        def build(p, name):
-            with np.errstate(over="ignore"):  # caught by the finiteness gate below
-                vals, dvals, log_deriv = member(self, mu, p, None if shared is None else table())
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"family member {name} overflows on the measure grid")
-            return vals, dvals, log_deriv
-
-        def admitted(i, p, name, fresh):  # fresh receives the tables a miss builds
+        @functools.cache  # one build per member: its admission and its displays' reads share it
+        def sampled(i, p, name):
             if member is None:
                 fn = self.user_fns[i]
                 f, df = fn if isinstance(fn, tuple) else (fn, None)
-                sf = SampledFunction.from_callable(mu, f, dfn=df, name=name)
-            else:
-                sf = SampledFunction(mu.grid, *build(p, name), name=name)
-            fresh.append((sf.values, sf.dvalues, sf.log_deriv))
-            return _admitted(mu, sf, power)
+                return SampledFunction.from_callable(mu, f, dfn=df, name=name)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, or by _admitted if only f' is not finite
+                vals, dvals, log_deriv = member(self, mu, p, None if shared is None else table())
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"family member {name} overflows on the measure grid")
+            return SampledFunction(mu.grid, vals, dvals, log_deriv, name=name)
 
         out = []
         for i, p in enumerate(self._ordered_params()):
             name = f"{self.kind}({p:g})" if label is float else f"{self.kind}({p})"
-            fresh = []
-            admit = functools.partial(admitted, i, p, name, fresh)
+            build = functools.partial(sampled, i, p, name)
+            admit = lambda: _admitted(mu, build(), power)
             columns = admit() if member is None else mu.kept.get((row, settings, power, p), admit)
-            if fresh:
-                out.append(_Member(mu.grid, name, columns, tables=fresh[0]))
-            else:
-                out.append(_Member(mu.grid, name, columns, functools.partial(build, p, name)))
+            out.append(_Member(mu.grid, name, columns, build))
         return out
 
     def enriched(self):
         """A denser version of the family: float labels gain the midpoints of
-        consecutive ones, int labels as many fresh ones above their maximum
+        consecutive ones, int labels as many new ones above their maximum
         (after the given ones).  A user family is returned unchanged."""
-        label = _MEMBERS.get(self.kind, (None,) * 3)[1]
+        label = _MEMBERS.get(self.kind, _USER_ROW)[1]
         if label is None:
             return self
         labels = self._ordered_params()
@@ -326,26 +319,21 @@ class _Member(SampledFunction):
     "power_terms" (Ent |f|^beta, int |f'|^beta dmu, Var |f|^{beta/2}), whose
     beta is the power the member was admitted at (members() keys by it).
 
-    Its tables (values, dvalues, log_deriv) are given, when members() has
-    just built them to admit the member, or built by build() when one is
-    first read: a kept member's, from the same member builder and shared
-    table as its cold build, so bit-identical to it, and checked finite
-    again.  They are held by this member alone, never kept; a warm display
-    4.4 request reads only columns and builds none.  f^2 itself is not
-    kept: a family's members are all alive at once."""
+    Its tables (values, dvalues, log_deriv) are those of sampled(), the
+    member's one cached builder (members()): called by the admission of a
+    member not kept yet, or by the first read of a kept member's tables,
+    which are then bit-identical to its cold build and checked finite again.
+    They are held by this member alone, never kept; a warm display 4.4
+    request reads only columns and builds none.  f^2 itself is not kept: a
+    family's members are all alive at once."""
 
-    def __init__(self, grid, name, columns, build=None, tables=None):
-        for key, value in (("grid", grid), ("name", name), ("columns", columns), ("_build", build), ("_tables", tables)):
+    def __init__(self, grid, name, columns, sampled):
+        for key, value in (("grid", grid), ("name", name), ("columns", columns), ("sampled", sampled)):
             object.__setattr__(self, key, value)  # SampledFunction is frozen
 
-    def _table(self, i):
-        if self._tables is None:
-            object.__setattr__(self, "_tables", self._build())
-        return self._tables[i]
-
-    values = property(lambda self: self._table(0))
-    dvalues = property(lambda self: self._table(1))
-    log_deriv = property(lambda self: self._table(2))
+    values = property(lambda self: self.sampled().values)
+    dvalues = property(lambda self: self.sampled().dvalues)
+    log_deriv = property(lambda self: self.sampled().log_deriv)
     m2 = property(lambda self: self.columns["m2"])
     grad = property(lambda self: self.columns["grad"])
 
@@ -519,10 +507,7 @@ def _variance(mu: Measure1D, v: np.ndarray, m1: float) -> float:
 
 def _moments(mu: Measure1D, m: _Member):
     """(int f dmu, Var f) of an admitted member, a column."""
-    if "moments" not in m.columns:
-        m1 = mu.integrate(m.values)
-        m.columns["moments"] = m1, _variance(mu, m.values, m1)
-    return m.columns["moments"]
+    return _column(m, "moments", lambda: (m1 := mu.integrate(m.values), _variance(mu, m.values, m1)))
 
 
 def median_of(mu: Measure1D, f) -> float:
@@ -727,11 +712,16 @@ def _least_constant(excess: float, var: float) -> float:
 
 def _step1_constant(F: EntropyFunction, K: float) -> float:
     """(4(K+1)^2 + 2 + (sqrt K + 1)^2) F'(1), the explicit constant of the
-    truncated-layer variance bound; requires K > 1."""
+    truncated-layer variance bound; requires K > 1 and refuses a K for which
+    it is not finite."""
     if not K > 1.0:
         raise ValueError("K must exceed 1")
     fprime1 = float(np.asarray(F.derivative(np.array([1.0])))[0])
-    return (4.0 * (K + 1.0) ** 2 + 2.0 + (math.sqrt(K) + 1.0) ** 2) * fprime1
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by K
+        c = float((4.0 * np.float64(K + 1.0) ** 2 + 2.0 + np.float64(math.sqrt(K) + 1.0) ** 2) * fprime1)
+    if not math.isfinite(c):
+        raise ValueError(f"K = {K:g} makes the step-1 constant (4(K+1)^2 + 2 + (sqrt K + 1)^2) F'(1) = {c}, not finite")
+    return c
 
 
 # -- theorem-level verification ---------------------------------------------------

@@ -1083,6 +1083,12 @@ _REFUSALS = [
     (["check", "--measure", "expr:log(x)", *_N], "log of a nonpositive value"),
     (["check", "--K", "1", *_N], "K must exceed 1"),
     (["test", "--K", "1", *_N], "K must exceed 1"),
+    # overflows of a Python-float power, refused by name instead of an OverflowError traceback
+    (["test", "--display", "restricted", "--K", "1e200", *_N], "K = 1e+200 makes the step-1 constant"),
+    (["test", "--family", "stretched_exp", "--params", "1", "--smoothing", "1e300", *_N],
+     "family member stretched_exp(1) overflows on the measure grid"),
+    (["test", "--cost", "c:1e-300:1.0000001", *_N], "cost c_{1e-300,1e+07} has A^(2-alpha) = inf"),
+    (["conjugate", "--cost", "c:1e-300:1.0000001", "--grid", "0:1:3"], "cost c_{1e-300,1e+07} has A^(2-alpha) = inf"),
     (["check", "--delta", "0", *_N], "delta must be positive"),
     (["check", "--measure", "gauss", "--cost", "quadratic:0.25", "--delta", "0.5", *_N],
      "delta 0.5 conflicts with the delta 0.25 of the cost 'quadratic:0.25'"),
@@ -1198,6 +1204,17 @@ class TestRefusals:
             assert main(["test", "--measure", "expr:abs(x)^0.5", "--params", "0.5"]) == 2
         captured = capsys.readouterr()
         assert "exponential(0.5) is not in L^2" in captured.err and captured.out == ""
+
+    def test_a_bump_whose_width_squared_overflows_is_the_constant_member(self, capsys):
+        # w^2 = inf, so the member is floor + 1 with a zero derivative: no evidence, C_hat 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--family", "bump", "--params", "1e300", *_N]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        (row,) = report["rows"]
+        assert captured.err == "" and report["C_hat"] == 0 and row["name"] == "bump(1e+300)"
+        assert row["grad_energy"] == 0 and row["ratio"] is None
 
     def test_member_past_the_largest_double_exits_two_without_numpy_warnings(self, capsys):
         # f = e^{20x} and f' are in L^2 on this grid, but |f'|^3 (beta = 3)

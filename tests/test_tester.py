@@ -820,6 +820,30 @@ class TestKeptColumns:
         lemma_3_4_check(mu, tester.log_entropy(), 2.0, fam)
         assert _columns(mu) == {}
 
+    @pytest.mark.parametrize("display", ["2.1", "1.1", "4.4"])
+    def test_a_user_member_is_sampled_once_per_members_call(self, display, monkeypatch):
+        # admission and the display's reads share one set of tables: each callable runs once per call
+        calls = []
+
+        def counted(tag, fn):
+            return lambda x: calls.append(tag) or fn(x)
+
+        fns = {"flat": _constant(2.0), "tanh": (lambda x: 2.0 + np.tanh(x), lambda x: 1.0 - np.tanh(x) ** 2)}
+        fam = TestFamily("user", tuple(fns), user_fns=tuple((counted(k, f), counted(f"d{k}", df)) for k, (f, df) in fns.items()))
+        once = sorted(["flat", "dflat", "tanh", "dtanh"])
+        mu = self._fresh()
+        for _ in range(2):  # never kept, so the second call samples again
+            calls.clear()
+            members = fam.members(mu)
+            for m in members:
+                m.values, m.dvalues, m.log_deriv
+            assert sorted(calls) == once
+        members_calls, members_fn = [], TestFamily.members
+        monkeypatch.setattr(TestFamily, "members", lambda f, nu, **kw: members_calls.append(f) or members_fn(f, nu, **kw))
+        calls.clear()
+        _verify(display, mu, fam)
+        assert len(members_calls) == 1 and sorted(calls) == once
+
     @pytest.mark.parametrize("family, change", [
         (TestFamily("bump", (0.5, 1.0)), {"floor": 1e-3}),
         (TestFamily("shifted_linear", (0.1, 0.4)), {"floor": 1e-3}),
