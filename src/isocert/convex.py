@@ -59,9 +59,10 @@ class CostFunction:
             raise ValueError("A must be positive")
         if not alpha > 1:
             raise ValueError("alpha must exceed 1")
-        with np.errstate(over="ignore"):  # the power branch's coefficient must be a double
-            if not np.isfinite(np.float64(A) ** (2.0 - alpha)):
-                raise ValueError(f"cost c_{{{A:g},{alpha:g}}} has A^(2-alpha) = inf, past the largest double")
+        with np.errstate(over="ignore"):  # the power branch's coefficient must be a positive finite double
+            coef = np.float64(A) ** (2.0 - alpha)
+        if not 0.0 < coef < np.inf:
+            raise ValueError(f"cost c_{{{A:g},{alpha:g}}} has A^(2-alpha) = {coef:g}, not a positive finite double")
         return cls(A=float(A), alpha=float(alpha))
 
     @classmethod
@@ -94,13 +95,15 @@ class CostFunction:
         return f"c_{{{self.A:g},{self.alpha:g}}}" if self.is_closed_form else "sampled"
 
     def superlinearity_ok(self):
-        """c(x)/x increasing at the last two evaluable points."""
+        """c(x)/x increasing at the last two evaluable points; False for a
+        sampled cost whose second-to-last sample is at 0, where c(x)/x is
+        not defined."""
         if self.is_closed_form:
             xs = np.array([self.A * 1e3, self.A * 2e3])
         else:
             xs = self.grid[-2:]
             if xs[0] <= 0:
-                return True
+                return False
         r = eval_cost(self, xs) / xs
         return bool(r[1] > r[0])
 

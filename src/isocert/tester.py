@@ -66,7 +66,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .checker import exp_power_range
-from .convex import CostFunction, dual_cost, eval_cost, legendre_transform
+from .convex import CostFunction, conjugate_exponent, dual_cost, eval_cost, legendre_transform
 from .entropy import EntropyFunction, F_tau, check_assumptions, log_Phi, log_entropy
 from .measure1d import Measure1D, SampledFunction
 
@@ -434,29 +434,30 @@ def cost_energy(mu: Measure1D, f, p: float) -> float:
     return float(mu.integrate(np.abs(_as_sampled(mu, f).dvalues) ** p))
 
 
-def _dual_evaluator(cost: CostFunction, r_max: float):
-    """Return a callable evaluating c* on [0, r_max]."""
+def _conjugate(cost: CostFunction, r: np.ndarray) -> np.ndarray:
+    """c*(r) for a nonnegative table r: the closed-form dual for a closed-form
+    cost; for a sampled cost, its Legendre table on 0 and 2,048 geometric
+    points up to hi = max(max r, 1) * 1.0000001, interpolated at min(r, hi)."""
     if cost.is_closed_form:
-        dual = dual_cost(cost)
-        return lambda r: np.asarray(eval_cost(dual, r), dtype=float)
-    hi = max(r_max, 1.0) * 1.0000001
+        return np.asarray(eval_cost(dual_cost(cost), r), dtype=float)
+    hi = max(float(np.max(r)), 1.0) * 1.0000001
     dual_grid = np.concatenate(([0.0], np.geomspace(max(hi * 1e-12, 1e-300), hi, 2048)))
-    table = legendre_transform(cost, dual_grid)
-    return lambda r: np.asarray(table(np.minimum(r, hi)), dtype=float)
+    return np.asarray(legendre_transform(cost, dual_grid)(np.minimum(r, hi)), dtype=float)
+
+
+def _log_slope(sf: SampledFunction) -> np.ndarray:
+    """|f'|/f, from the log-derivative table when the member carries one; requires f > 0."""
+    if np.any(sf.values <= 0):
+        raise ValueError("modified energy requires f > 0; add a family floor")
+    if sf.log_deriv is not None:
+        return np.abs(sf.log_deriv)
+    return np.abs(sf.dvalues) / sf.values
 
 
 def _modified_integrand(sf: SampledFunction, sq: np.ndarray, cost: CostFunction) -> np.ndarray:
     """Pointwise f^2 c*(|f'|/f) with sq = f^2; requires f > 0.  A one-value
     log_deriv (a constant log-derivative) gives one c* value, broadcast."""
-    v = sf.values
-    if np.any(v <= 0):
-        raise ValueError("modified energy requires f > 0; add a family floor")
-    if sf.log_deriv is not None:
-        ratio = np.abs(sf.log_deriv)
-    else:
-        ratio = np.abs(sf.dvalues) / v
-    cstar = _dual_evaluator(cost, float(np.max(ratio)))(ratio)
-    return sq * cstar
+    return sq * _conjugate(cost, _log_slope(sf))
 
 
 def modified_energy(mu: Measure1D, f, cost: CostFunction) -> float:
@@ -468,23 +469,22 @@ def modified_energy(mu: Measure1D, f, cost: CostFunction) -> float:
 
 
 def _centered_integrand(sf: SampledFunction, cost: CostFunction, center: float) -> np.ndarray:
-    """(f-c)^2 c*(|f'|/|f-c|) with exact limits at nodes where f = c:
-    0 when f' = 0 there; otherwise |f'|^2/2 for a quadratic dual, 0 for dual
-    exponent < 2, +inf for dual exponent > 2 (and +inf for sampled costs,
-    whose tabulated dual cannot resolve the limit)."""
+    """(f-c)^2 c*(|f'|/|f-c|) from one _conjugate call, with exact limits at
+    nodes where f = c: 0 when f' = 0 there; otherwise |f'|^2/2 for a quadratic
+    dual, 0 for dual exponent < 2, +inf for dual exponent > 2 (and +inf for
+    sampled costs, whose tabulated dual cannot resolve the limit)."""
     u = sf.values - center
     au = np.abs(u)
     dv = np.abs(sf.dvalues)
     zero = au == 0.0
-    if not zero.any():
+    with np.errstate(divide="ignore", invalid="ignore"):  # where f = c, read as 0 and replaced by the limit
         ratio = dv / au
-        with np.errstate(over="ignore"):
-            return u * u * _dual_evaluator(cost, float(np.max(ratio)))(ratio)
-    ratio = np.where(zero, 0.0, dv / np.where(zero, 1.0, au))
-    r_max = float(np.max(ratio[~zero])) if not np.all(zero) else 1.0
+    ratio[zero] = 0.0
     with np.errstate(over="ignore"):
-        core = u * u * _dual_evaluator(cost, r_max)(ratio)
-    b = dual_cost(cost).alpha if cost.is_closed_form else np.inf
+        core = u * u * _conjugate(cost, ratio)
+    if not zero.any():
+        return core
+    b = conjugate_exponent(cost.alpha) if cost.is_closed_form else np.inf
     if b > 2.0:
         lim = np.where(dv == 0.0, 0.0, np.inf)
     elif b == 2.0:
@@ -781,20 +781,19 @@ def verify_theorem_1_1(mu: Measure1D, alpha: float, tau: float, A: float, family
     """Entropy--energy ratio for the |x|^alpha measure mu: tests
     F_tau-entropy <= C * int f^2 c_{A,q}(|f'|/f) dmu with q = alpha*tau/(alpha-1),
     reporting the ratio supremum and its stability under family enrichment.
-    The energy is evaluated through the conjugate of c_{A, q/(q-1)}, which
-    recovers c_{A,q} exactly."""
+    The energy applies c_{A,q} itself to |f'|/f (eval_cost), with the
+    refusal of f <= 0 that the modified energy has."""
     exp_power_range(alpha, tau)
     if A <= 0:
         raise ValueError("A must be positive")
     F = F_tau(min(tau, 1.0))
     q = alpha * tau / (alpha - 1.0)
-    # pre-dualized so the energy integrand applies c_{A,q} itself
-    cost = dual_cost(CostFunction.closed_form(A, q))
+    cost = CostFunction.closed_form(A, q)
 
     def terms(m):
         v, m2 = m.values, m.m2
         sq = v * v
-        energy = float(mu.integrate(_modified_integrand(m, sq, cost)))
+        energy = float(mu.integrate(sq * eval_cost(cost, _log_slope(m))))
         return _entropy(mu, sq, m2, _level_entropy(F, v, sq, m2)), _moments(mu, m)[1], energy, energy, None
 
     rows, c_hat, _, stability = _ratio_table(mu, family, terms, enrich=True)

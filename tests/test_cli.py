@@ -452,6 +452,12 @@ class TestTestCommand:
         assert np.isfinite(payload["C_hat"]) and payload["C_hat"] > 0
         assert payload["details"]["beta"] == 3
 
+    def test_power_beta_display_on_a_finite_support(self, capsys):
+        # x^2/2 on (0, 5) is log-concave; its grid's knots about 2e-12 apart at x = 5 read as a bend the wrong way
+        assert main(["test", "--display", "power-beta", "--measure", "expr:x^2/2", "--support", "0:5", *_N]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["C_hat"] > 0 and payload["details"]["beta"] == 3
+
     def test_power_beta_level_underflow_is_finite_without_numpy_warnings(self, capsys):
         # |f|^3 / int |f|^3 dmu of f = e^{15x} underflows to 0 at the left nodes,
         # where |f|^3 is still positive: read as log 0 there, it made entropy_F
@@ -1089,6 +1095,9 @@ _REFUSALS = [
      "family member stretched_exp(1) overflows on the measure grid"),
     (["test", "--cost", "c:1e-300:1.0000001", *_N], "cost c_{1e-300,1e+07} has A^(2-alpha) = inf"),
     (["conjugate", "--cost", "c:1e-300:1.0000001", "--grid", "0:1:3"], "cost c_{1e-300,1e+07} has A^(2-alpha) = inf"),
+    # a coefficient that underflows to 0, in the dual of c_{1e5,1.0025} and in c_{1e5,400} itself
+    (["conjugate", "--cost", "c:1e5:1.0025", "--grid", "1e6:2e6:3"], "cost c_{100000,401} has A^(2-alpha) = 0, not a positive finite double"),
+    (["check", "--cost", "c:1e5:400", *_N], "cost c_{100000,400} has A^(2-alpha) = 0, not a positive finite double"),
     (["check", "--delta", "0", *_N], "delta must be positive"),
     (["check", "--measure", "gauss", "--cost", "quadratic:0.25", "--delta", "0.5", *_N],
      "delta 0.5 conflicts with the delta 0.25 of the cost 'quadratic:0.25'"),

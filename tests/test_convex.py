@@ -64,6 +64,17 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             CostFunction.closed_form(1.0, 1.0)
 
+    @pytest.mark.parametrize("A, alpha, coef", [(1e-300, 4.0, "inf"), (1e5, 400.0, "0"), (1e5, 401.0, "0")])
+    def test_coefficient_must_be_a_positive_finite_double(self, A, alpha, coef):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"has A\^\(2-alpha\) = {coef}, not a positive finite double"):
+                CostFunction.closed_form(A, alpha)
+
+    def test_dual_with_an_underflowing_coefficient_is_refused(self):
+        with pytest.raises(ValueError, match="not a positive finite double"):
+            dual_cost(CostFunction.closed_form(1e5, 1.0025))
+
     def test_power_branch_past_the_quadratic_overflow_warns_nothing(self):
         c = CostFunction.closed_form(1.0, 1.5)
         with warnings.catch_warnings():
@@ -222,6 +233,11 @@ class TestSampledCosts:
         assert CostFunction.from_samples(xs, xs ** 2).superlinearity_ok()
         assert CostFunction.closed_form(1.0, 1.5).superlinearity_ok()
         assert not CostFunction.from_samples(xs, 2.0 * xs).superlinearity_ok()
+
+    def test_two_samples_from_zero_are_not_superlinear(self):
+        # c(x)/x is not defined at the second-to-last sample, 0: a linear cost passed here
+        assert not CostFunction.from_samples([0.0, 1.0], [0.0, 1.0]).superlinearity_ok()
+        assert not CostFunction.from_samples([0.0, 1.0], [0.0, 0.5]).superlinearity_ok()
 
     def test_validation_messages(self):
         with pytest.raises(ValueError):

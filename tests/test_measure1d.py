@@ -35,6 +35,20 @@ from isocert.tester import TestFamily
 SQRT_2PI = 2.5066282746310002
 
 
+_LOG_CONCAVE_CASES = [
+    *(("x^2/2", s, True) for s in ((0.0, 5.0), (-5.0, 5.0), (-2.0, 5.0), (0.0, np.inf), (-np.inf, np.inf))),
+    ("abs(x)", (-3.0, 3.0), True),
+    ("x^2/2+x^4/4", (-1.0, 3.0), True),
+    *((t, (-np.inf, np.inf), True) for t in ("abs(x)*log(1+x^2)", "x^2/2+x^4/4", "abs(x-1)+abs(x+1)", "(x-3)^2/2+0.1*x^4")),
+    ("-abs(x)+x^2", (-np.inf, np.inf), False),
+    ("-abs(x)+x^2", (-3.0, 3.0), False),
+    ("x^4-4*x^2", (-np.inf, np.inf), False),
+    ("x^4/4-x^2", (-2.0, 2.0), False),
+    ("x^2/2+2*exp(-x^2)", (-np.inf, np.inf), False),
+    ("(x^2-4)^2/4", (-5.0, 5.0), False),
+]
+
+
 class TestConstruction:
     def test_gaussian_normalizer(self, gauss):
         assert gauss.Z == pytest.approx(SQRT_2PI, rel=1e-6)
@@ -105,6 +119,14 @@ class TestConstruction:
         # (1 + x^2)^{-3/4} is not normalizable; no truncation is accepted
         with pytest.raises(ValueError):
             build_measure(lambda x: 0.75 * np.log1p(x * x))
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    @pytest.mark.parametrize("text, support, want", _LOG_CONCAVE_CASES, ids=[f"{t} on {s}" for t, s, _ in _LOG_CONCAVE_CASES])
+    def test_log_concave_detection(self, text, support, want, n):
+        # at a finite end the hybrid grid puts knots about 1e-12 apart, where the rounding of V moves a chord slope
+        mu = build_measure(parse_potential(text), support=support, n=n)
+        assert mu.log_concave is want
+
 
 
 # -- the scalar truncation search measure1d used before its array rounds ----------

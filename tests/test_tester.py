@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isocert.convex import CostFunction, eval_cost
+from isocert.convex import CostFunction, conjugate_exponent, dual_cost, eval_cost, legendre_transform
 from isocert.entropy import EntropyFunction, F_tau
 from isocert.expr import parse_potential
 from isocert.measure1d import SampledFunction, build_measure, builtin_measure, kolmogorov_distance, rearrange
@@ -355,6 +355,22 @@ class TestEntropyCostInequality:
             verify_theorem_1_1(exp_power_15, 1.5, 0.5, 1.0, fam)  # tau below 2(1 - 1/alpha)
         with pytest.raises(ValueError):
             verify_theorem_1_1(exp_power_15, 2.0, 1.0, -1.0, fam)
+
+
+    def test_energy_applies_the_cost_itself(self):
+        # q -> q/(q-1) -> q misses q here, so the energy of the dual of the dual moved in its last digit
+        alpha, tau, A = 1.94, 0.9690721649484535, 0.1
+        q = alpha * tau / (alpha - 1.0)
+        assert conjugate_exponent(conjugate_exponent(q)) != q
+        mu = builtin_measure("exp_power", alpha=alpha, n=4096)
+        family = TestFamily("exponential", (0.25, 0.5, 1.0))
+        cost = CostFunction.closed_form(A, q)
+        rep = verify_theorem_1_1(mu, alpha, tau, A, family)
+        for row, m in zip(rep.rows, family.members(mu)):
+            ratio = np.abs(m.log_deriv)
+            assert np.all(ratio > A)  # the power branch of c_{A,q}
+            want = float(mu.integrate(m.values * m.values * eval_cost(cost, ratio)))
+            assert _bits(row.modified_energy) == _bits(want), row.name
 
 
 class TestPowerEntropyInequality:
@@ -987,6 +1003,17 @@ def _reference_closed_form_cost(A, a, x):
     return np.where(x <= A, inner, outer)
 
 
+def _reference_dual_evaluator(cost, r_max):
+    """The tester's c* on [0, r_max] as written before _conjugate took its bound from r (the oracle)."""
+    if cost.is_closed_form:
+        dual = dual_cost(cost)
+        return lambda r: np.asarray(eval_cost(dual, r), dtype=float)
+    hi = max(r_max, 1.0) * 1.0000001
+    dual_grid = np.concatenate(([0.0], np.geomspace(max(hi * 1e-12, 1e-300), hi, 2048)))
+    table = legendre_transform(cost, dual_grid)
+    return lambda r: np.asarray(table(np.minimum(r, hi)), dtype=float)
+
+
 def _reference_flatten(p, tau):
     """entropy._flatten as written before it took the power branch only above 1 (the oracle)."""
     upper = np.expm1(tau * np.log(np.maximum(p, 1.0))) / tau + 1.0
@@ -1406,3 +1433,22 @@ class TestReportShapes:
         assert set(d) == {"family", "C_hat", "B_hat", "rows", "details"}
         assert d["rows"][0]["name"] == "exponential(0.25)"
         assert isinstance(d["rows"][0]["saturation"], bool)
+
+
+class TestConjugate:
+    @pytest.mark.parametrize("cost", [
+        CostFunction.closed_form(1.0, 2.0),
+        CostFunction.closed_form(0.5, 3.0),
+        CostFunction.closed_form(1.0, 1.5),
+        CostFunction.from_samples(_COST_GRID, _COST_GRID**2 / 2 + _COST_GRID**3 / 3),
+    ], ids=["quadratic", "c:0.5:3", "c:1:1.5", "sampled"])
+    @pytest.mark.parametrize("r", [
+        np.array([0.3, 0.0, 7.5, 2.0, 0.0, 1e-3, 4.25]),  # unsorted, with zeros
+        np.zeros(5),
+        np.array([0.5, 0.0, 0.125, 0.75]),  # largest below 1
+    ], ids=["unsorted", "zeros", "below-one"])
+    def test_matches_the_evaluator_it_replaced(self, cost, r):
+        got = tester._conjugate(cost, r)
+        # the two bounds the callers passed: the table's maximum, and the maximum off the zeros (1 if none)
+        for r_max in (float(np.max(r)), float(np.max(r[r != 0.0])) if np.any(r != 0.0) else 1.0):
+            assert got.tobytes() == _reference_dual_evaluator(cost, r_max)(r).tobytes()
