@@ -146,7 +146,10 @@ def dual_cost(c):
     """Closed-form Legendre conjugate: the same family at the dual exponent."""
     if not c.is_closed_form:
         raise ValueError("dual_cost needs a closed-form cost; use legendre_transform")
-    return CostFunction.closed_form(c.A, conjugate_exponent(c.alpha))
+    try:
+        return CostFunction.closed_form(c.A, conjugate_exponent(c.alpha))
+    except ValueError as e:  # name the cost given as well as its dual
+        raise ValueError(f"the conjugate of c_{{{c.A:.16g},{c.alpha:.16g}}}: {e}") from None
 
 
 @dataclass(frozen=True)

@@ -437,13 +437,11 @@ def build_measure(
         slopes = np.diff(v) / dx
         bends = np.diff(slopes)
         tol = 1e-7 * (1.0 + float(np.max(np.abs(slopes))))
-        log_concave = bool(np.all(bends >= -tol))
-        if not log_concave:
-            # knots a few ulps apart (at a finite end of the support) move a chord slope by
-            # up to 4 eps max(|V_i|, |V_{i+1}|) / dx_i from the rounding of V alone
-            av = np.abs(v)
-            slack = 4.0 * np.finfo(float).eps * np.maximum(av[:-1], av[1:]) / dx
-            log_concave = bool(np.all(bends >= -(tol + slack[:-1] + slack[1:])))
+        # knots a few ulps apart (at a finite end of the support) move a chord slope by
+        # up to 4 eps max(|V_i|, |V_{i+1}|) / dx_i from the rounding of V alone
+        av = np.abs(v)
+        slack = 4.0 * np.finfo(float).eps * np.maximum(av[:-1], av[1:]) / dx
+        log_concave = bool(np.all(bends >= -(tol + slack[:-1] + slack[1:])))
 
     for table in (grid, v, density, cdf, tail, nm):
         table.flags.writeable = False

@@ -1096,7 +1096,8 @@ _REFUSALS = [
     (["test", "--cost", "c:1e-300:1.0000001", *_N], "cost c_{1e-300,1e+07} has A^(2-alpha) = inf"),
     (["conjugate", "--cost", "c:1e-300:1.0000001", "--grid", "0:1:3"], "cost c_{1e-300,1e+07} has A^(2-alpha) = inf"),
     # a coefficient that underflows to 0, in the dual of c_{1e5,1.0025} and in c_{1e5,400} itself
-    (["conjugate", "--cost", "c:1e5:1.0025", "--grid", "1e6:2e6:3"], "cost c_{100000,401} has A^(2-alpha) = 0, not a positive finite double"),
+    (["conjugate", "--cost", "c:1e5:1.0025", "--grid", "1e6:2e6:3"],
+     "the conjugate of c_{100000,1.0025}: cost c_{100000,401} has A^(2-alpha) = 0, not a positive finite double"),
     (["check", "--cost", "c:1e5:400", *_N], "cost c_{100000,400} has A^(2-alpha) = 0, not a positive finite double"),
     (["check", "--delta", "0", *_N], "delta must be positive"),
     (["check", "--measure", "gauss", "--cost", "quadratic:0.25", "--delta", "0.5", *_N],

@@ -1,5 +1,6 @@
 """Cost functions and discrete Legendre conjugation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -74,6 +75,11 @@ class TestClosedForm:
     def test_dual_with_an_underflowing_coefficient_is_refused(self):
         with pytest.raises(ValueError, match="not a positive finite double"):
             dual_cost(CostFunction.closed_form(1e5, 1.0025))
+
+    @pytest.mark.parametrize("A, alpha, label", [(1e5, 1.0025, "c_{100000,1.0025}"), (1e-300, 1.0000001, "c_{1e-300,1.0000001}")])
+    def test_refused_dual_names_the_cost_given(self, A, alpha, label):
+        with pytest.raises(ValueError, match=rf"^the conjugate of {re.escape(label)}: cost c_"):
+            dual_cost(CostFunction.closed_form(A, alpha))
 
     def test_power_branch_past_the_quadratic_overflow_warns_nothing(self):
         c = CostFunction.closed_form(1.0, 1.5)

@@ -128,7 +128,6 @@ class TestConstruction:
         assert mu.log_concave is want
 
 
-
 # -- the scalar truncation search measure1d used before its array rounds ----------
 
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
